@@ -38,7 +38,7 @@ from .market import (
     utilities,
 )
 from .oracle import OracleError, OracleResult, adjusted_profits, lp_upper_bound, offline_exact
-from .pricing import PricingSchedule, build_schedule, competitive_ratio
+from .pricing import PricingSchedule, build_schedule
 from .protocol import (
     FAIL,
     SKIP,

@@ -28,7 +28,7 @@ from .harness import (
 from .market import MarketError
 from .oracle import lp_upper_bound, offline_exact
 from .verify import run_verification
-from .workload import GenConfig, Instance
+from .workload import GenConfig, Instance, validate_instance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -166,6 +166,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return EXIT_IO
     except (json.JSONDecodeError, KeyError, MarketError) as exc:
         print(f"error: invalid instance file: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    problems = validate_instance(instance)
+    if problems:
+        for problem in problems:
+            print(f"error: invalid instance: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.method == "lp":
         print(json.dumps({"method": "lp-upper-bound", "welfare": lp_upper_bound(instance), "exact": False}))

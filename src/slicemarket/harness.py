@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +32,6 @@ from .pricing import build_schedule
 from .protocol import run_session, transcript_to_jsonl, transferred_data_bytes
 from .workload import GenConfig, generate_instance
 
-ALGORITHMS = ("posted_price", "myopic", "random", "auction", "genetic")
 ORACLE_MODES = ("exact", "lp", "auto")
 AXES = ("tenants", "resources", "demand_mean", "unit_cost_range", "pay_level_range")
 AUTO_EXACT_LIMIT = 25
@@ -52,6 +51,69 @@ class EmitError(MarketError):
     def __init__(self, path, cause):
         self.path = Path(path)
         super().__init__(f"cannot write {self.path}: {cause}")
+
+
+def _centralized_bytes(instance) -> int:
+    # a centralized solver needs the whole problem: demands, valuations, costs
+    n, c = instance.tenant_count, instance.resource_count
+    return 4 * (n * c + n + c)
+
+
+@dataclass
+class _Trial:
+    """One drawn market that every algorithm of a trial runs on."""
+
+    spec: ExperimentSpec
+    instance: object
+    order: np.ndarray
+    setup: MarketSetup
+    schedule: object
+    runtime_ns: int | None = None
+
+    def timed(self, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)``, its wall time kept in ``runtime_ns`` when timing is on."""
+        if not self.spec.timing:
+            return fn(*args, **kwargs)
+        start = time.perf_counter_ns()
+        result = fn(*args, **kwargs)
+        self.runtime_ns = time.perf_counter_ns() - start
+        return result
+
+
+def _session(trial: _Trial, session) -> tuple:
+    transcript = session.ledger.transcript
+    return (
+        session.allocation.accepted,
+        transferred_data_bytes(transcript),
+        tuple(transcript) if trial.spec.transcripts else None,
+    )
+
+
+def _auction(trial: _Trial, seed: int) -> tuple:
+    auction = trial.timed(utility_bid_auction, trial.instance)
+    # every bid carries its demand vector and the bid value; each round one award
+    tx_bytes = 4 * (auction.bids_submitted * (1 + trial.instance.resource_count) + auction.rounds)
+    return auction.accepted, tx_bytes, None
+
+
+#: Every algorithm a spec can select, in the order the CLI lists them:
+#: ``(trial, seed) -> (accepted, transcript_bytes, transcript)``.  Each entry
+#: makes exactly one ``trial.timed`` call, and looks its algorithm up as a
+#: module global at call time so a rebound attribute is the one that runs.
+_ALGORITHM_TABLE = {
+    "posted_price": lambda t, seed: _session(
+        t, t.timed(run_session, t.setup, t.schedule, t.instance, t.order)
+    ),
+    "myopic": lambda t, seed: _session(t, t.timed(myopic_slicing, t.instance, t.order)),
+    "random": lambda t, seed: (t.timed(random_slicing, t.instance, t.order, seed=seed)[1], None, None),
+    "auction": _auction,
+    "genetic": lambda t, seed: (
+        t.timed(ga_heuristic, t.instance, t.spec.ga_params, seed=seed)[1],
+        _centralized_bytes(t.instance),
+        None,
+    ),
+}
+ALGORITHMS = tuple(_ALGORITHM_TABLE)
 
 
 @dataclass(frozen=True)
@@ -92,38 +154,25 @@ class ExperimentSpec:
             raise HarnessError("trials must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "algos": list(self.algos),
-            "config": self.base_config.to_dict(),
-            "axis": self.axis,
-            "values": [list(v) if isinstance(v, (tuple, list)) else v for v in self.values],
-            "trials": self.trials,
-            "seed": self.seed,
-            "oracle": self.oracle,
-            "transcripts": self.transcripts,
-            "timing": self.timing,
-            "node_budget": self.node_budget,
-            "out": self.out,
-        }
+        data = asdict(self)
+        data["config"] = data.pop("base_config")
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        known = {
-            "algos": tuple(data.get("algos", ("posted_price",))),
-            "base_config": GenConfig.from_dict(data.get("config", {})),
-            "axis": data.get("axis"),
-            "values": tuple(tuple(v) if isinstance(v, list) else v for v in data.get("values", ())),
-            "trials": data.get("trials", 1000),
-            "seed": data.get("seed", 0),
-            "oracle": data.get("oracle", "auto"),
-            "transcripts": data.get("transcripts", False),
-            "timing": data.get("timing", False),
-            "node_budget": data.get("node_budget", DEFAULT_NODE_BUDGET),
-            "out": data.get("out"),
-        }
-        if "ga_params" in data and data["ga_params"]:
-            known["ga_params"] = GaParams(**data["ga_params"])
-        return cls(**known)
+        """The spec a JSON document describes; a key it does not know is an error."""
+        known = {f.name for f in fields(cls)} - {"base_config"} | {"config"}
+        unknown = set(data) - known
+        if unknown:
+            raise HarnessError(f"unknown spec key(s) {sorted(unknown)}; choose from {sorted(known)}")
+        kwargs = {key: value for key, value in data.items() if key != "config"}
+        kwargs["base_config"] = GenConfig.from_dict(data.get("config", {}))
+        kwargs["values"] = tuple(tuple(v) if isinstance(v, list) else v for v in data.get("values", ()))
+        try:
+            kwargs["ga_params"] = GaParams(**(data.get("ga_params") or {}))
+        except (TypeError, ValueError) as exc:
+            raise HarnessError(f"invalid ga_params: {exc}") from exc
+        return cls(**kwargs)
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentSpec":
@@ -140,7 +189,6 @@ class TrialMetrics:
     resources: int
     seed: int
     welfare: float
-    rental_rates: tuple[float, ...] | None
     rental_rate: float | None
     ratio: float | None
     ratio_is_bound: bool
@@ -175,16 +223,31 @@ def _apply_axis(config: GenConfig, axis: str | None, value) -> GenConfig:
     raise HarnessError(f"unknown sweep axis {axis!r}")
 
 
-def _centralized_bytes(instance) -> int:
-    # a centralized solver needs the whole problem: demands, valuations, costs
-    n, c = instance.tenant_count, instance.resource_count
-    return 4 * (n * c + n + c)
-
-
 def _ratio(reference: float, welfare: float) -> float | None:
     if welfare > 0:
         return reference / welfare
     return None
+
+
+def _reference(trial: _Trial, use_exact: bool) -> tuple[np.ndarray | None, float, bool]:
+    """The welfare every ratio of the trial divides: ``(accepted, welfare, is_bound)``.
+
+    The exact oracle gives its optimum, or its LP bound when the node budget
+    runs out (still with its best allocation); the LP alone gives a bound and
+    no allocation.
+    """
+    if not use_exact:
+        return None, float(trial.timed(lp_upper_bound, trial.instance)), True
+    result = trial.timed(offline_exact, trial.instance, method="auto", node_budget=trial.spec.node_budget)
+    if result.exact:
+        return result.accepted, _welfare(trial, result.accepted)[0], False
+    return result.accepted, float(result.upper_bound), True
+
+
+def _welfare(trial: _Trial, accepted) -> tuple[float, float]:
+    """Social welfare and mean utilization of an accept vector."""
+    allocation = Allocation.from_decisions(trial.instance, accepted)
+    return social_welfare(trial.setup, trial.instance, allocation), float(allocation.utilization.mean())
 
 
 def run_trials(spec: ExperimentSpec) -> list[TrialMetrics]:
@@ -201,122 +264,42 @@ def run_trials(spec: ExperimentSpec) -> list[TrialMetrics]:
         use_exact = spec.oracle == "exact" or (
             spec.oracle == "auto" and config_point.tenant_count <= AUTO_EXACT_LIMIT
         )
-        for trial in range(spec.trials):
-            root = np.random.SeedSequence([spec.seed, point_index, trial])
+        for trial_index in range(spec.trials):
+            root = np.random.SeedSequence([spec.seed, point_index, trial_index])
             seed_instance, seed_order, seed_algo = (
                 int(child.generate_state(1)[0]) for child in root.spawn(3)
             )
-            config = replace(config_point, seed=seed_instance)
-            instance = generate_instance(config)
+            instance = generate_instance(replace(config_point, seed=seed_instance))
             order = np.random.default_rng(seed_order).permutation(instance.tenant_count)
             setup = MarketSetup.from_instance(instance)
-            schedule = build_schedule(setup)
-            alpha = schedule.ratio
+            trial = _Trial(spec, instance, order, setup, build_schedule(setup))
+            reference_accepted, reference, reference_is_bound = _reference(trial, use_exact)
 
-            def welfare_of(accepted) -> float:
-                return social_welfare(setup, instance, Allocation.from_decisions(instance, accepted))
-
-            def clocked(fn):
-                if not spec.timing:
-                    return fn(), None
-                start = time.perf_counter_ns()
-                result = fn()
-                return result, time.perf_counter_ns() - start
-
-            # reference row
-            if use_exact:
-                oracle_run, oracle_ns = clocked(
-                    lambda: offline_exact(instance, method="auto", node_budget=spec.node_budget)
-                )
-                if oracle_run.exact:
-                    reference = welfare_of(oracle_run.accepted)
-                    reference_is_bound = False
+            def row(algo, accepted, tx_bytes, transcript=None) -> TrialMetrics:
+                if accepted is None:  # an LP bound has no allocation
+                    welfare, rental_rate = reference, None
                 else:
-                    reference = float(oracle_run.upper_bound)
-                    reference_is_bound = True
-                oracle_alloc = Allocation.from_decisions(instance, oracle_run.accepted)
-                out.append(
-                    TrialMetrics(
-                        point_index, point_value, trial, "exact",
-                        instance.tenant_count, instance.resource_count, seed_instance,
-                        welfare=welfare_of(oracle_run.accepted),
-                        rental_rates=tuple(oracle_alloc.utilization.tolist()),
-                        rental_rate=float(oracle_alloc.utilization.mean()),
-                        ratio=_ratio(reference, welfare_of(oracle_run.accepted)),
-                        ratio_is_bound=reference_is_bound,
-                        theoretical_alpha=alpha,
-                        runtime_ns=oracle_ns,
-                        transcript_bytes=_centralized_bytes(instance),
-                    )
-                )
-            else:
-                bound, oracle_ns = clocked(lambda: lp_upper_bound(instance))
-                reference = float(bound)
-                reference_is_bound = True
-                out.append(
-                    TrialMetrics(
-                        point_index, point_value, trial, "lp_bound",
-                        instance.tenant_count, instance.resource_count, seed_instance,
-                        welfare=reference,
-                        rental_rates=None,
-                        rental_rate=None,
-                        ratio=1.0 if reference > 0 else None,
-                        ratio_is_bound=True,
-                        theoretical_alpha=alpha,
-                        runtime_ns=oracle_ns,
-                        transcript_bytes=_centralized_bytes(instance),
-                    )
+                    welfare, rental_rate = _welfare(trial, accepted)
+                return TrialMetrics(
+                    point_index, point_value, trial_index, algo,
+                    instance.tenant_count, instance.resource_count, seed_instance,
+                    welfare=welfare,
+                    rental_rate=rental_rate,
+                    ratio=_ratio(reference, welfare),
+                    ratio_is_bound=reference_is_bound,
+                    theoretical_alpha=trial.schedule.ratio,
+                    runtime_ns=trial.runtime_ns,
+                    transcript_bytes=tx_bytes,
+                    transcript=transcript,
                 )
 
+            out.append(
+                row("exact" if use_exact else "lp_bound", reference_accepted, _centralized_bytes(instance))
+            )
             algo_seeds = np.random.SeedSequence([seed_algo]).spawn(len(spec.algos))
-            for algo, algo_seed_seq in zip(spec.algos, algo_seeds):
-                algo_seed = int(algo_seed_seq.generate_state(1)[0])
-                transcript = None
-                payments = None
-                if algo == "posted_price":
-                    session, ns = clocked(lambda: run_session(setup, schedule, instance, order))
-                    accepted = session.allocation.accepted
-                    payments = session.payments
-                    tx_bytes = transferred_data_bytes(session.ledger.transcript)
-                    transcript = tuple(session.ledger.transcript) if spec.transcripts else None
-                elif algo == "myopic":
-                    session, ns = clocked(lambda: myopic_slicing(instance, order))
-                    accepted = session.allocation.accepted
-                    payments = session.payments
-                    tx_bytes = transferred_data_bytes(session.ledger.transcript)
-                    transcript = tuple(session.ledger.transcript) if spec.transcripts else None
-                elif algo == "random":
-                    (_, accepted), ns = clocked(lambda: random_slicing(instance, order, seed=algo_seed))
-                    tx_bytes = None
-                elif algo == "auction":
-                    auction, ns = clocked(lambda: utility_bid_auction(instance))
-                    accepted = auction.accepted
-                    payments = auction.payments
-                    tx_bytes = 4 * (auction.bids_submitted * (1 + instance.resource_count) + auction.rounds)
-                elif algo == "genetic":
-                    (_, accepted), ns = clocked(
-                        lambda: ga_heuristic(instance, spec.ga_params, seed=algo_seed)
-                    )
-                    tx_bytes = _centralized_bytes(instance)
-                else:  # pragma: no cover - guarded by the spec validation
-                    raise HarnessError(f"unknown algorithm {algo!r}")
-                allocation = Allocation.from_decisions(instance, accepted)
-                welfare = social_welfare(setup, instance, allocation)
-                out.append(
-                    TrialMetrics(
-                        point_index, point_value, trial, algo,
-                        instance.tenant_count, instance.resource_count, seed_instance,
-                        welfare=welfare,
-                        rental_rates=tuple(allocation.utilization.tolist()),
-                        rental_rate=float(allocation.utilization.mean()),
-                        ratio=_ratio(reference, welfare),
-                        ratio_is_bound=reference_is_bound,
-                        theoretical_alpha=alpha,
-                        runtime_ns=ns,
-                        transcript_bytes=tx_bytes,
-                        transcript=transcript,
-                    )
-                )
+            for algo, algo_seed in zip(spec.algos, algo_seeds):
+                seed = int(algo_seed.generate_state(1)[0])
+                out.append(row(algo, *_ALGORITHM_TABLE[algo](trial, seed)))
     return out
 
 
@@ -449,29 +432,12 @@ def read_trials_csv(path: str | Path) -> list[dict]:
 
 
 def summary_csv(rows: Sequence[SummaryRow]) -> str:
+    names = [f.name for f in fields(SummaryRow)]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    header = [
-        "point_index", "point_value", "algo", "trials",
-        "welfare_mean", "welfare_median", "welfare_p5", "welfare_p95",
-        "rental_mean", "ratio_defined", "ratio_undefined",
-        "ratio_mean", "ratio_median", "ratio_p5", "ratio_p95", "ratio_max",
-        "alpha_mean", "alpha_max", "runtime_median_ns", "runtime_vs_posted",
-        "transcript_bytes_mean",
-    ]
-    writer.writerow(header)
+    writer.writerow(names)
     for r in rows:
-        writer.writerow(
-            [
-                r.point_index, _fmt(r.point_value), r.algo, r.trials,
-                _fmt(r.welfare_mean), _fmt(r.welfare_median), _fmt(r.welfare_p5), _fmt(r.welfare_p95),
-                _fmt(r.rental_mean), r.ratio_defined, r.ratio_undefined,
-                _fmt(r.ratio_mean), _fmt(r.ratio_median), _fmt(r.ratio_p5), _fmt(r.ratio_p95),
-                _fmt(r.ratio_max), _fmt(r.alpha_mean), _fmt(r.alpha_max),
-                _fmt(r.runtime_median_ns), _fmt(r.runtime_vs_posted),
-                _fmt(r.transcript_bytes_mean),
-            ]
-        )
+        writer.writerow([_fmt(getattr(r, name)) for name in names])
     return buffer.getvalue()
 
 

@@ -191,10 +191,6 @@ class Allocation:
                 raise InfeasibleAllocationError(c, float(y))
 
     @classmethod
-    def empty(cls, tenant_count: int, resource_count: int) -> "Allocation":
-        return cls(np.zeros(tenant_count, dtype=bool), np.zeros(resource_count))
-
-    @classmethod
     def from_decisions(cls, instance, accepted) -> "Allocation":
         accepted = np.asarray(accepted, dtype=bool)
         if accepted.shape != (instance.tenant_count,):

@@ -86,8 +86,3 @@ def build_schedule(setup: MarketSetup) -> PricingSchedule:
         thresholds=thresholds,
         ratio=ratio,
     )
-
-
-def competitive_ratio(schedule: PricingSchedule) -> float:
-    """Worst-case ratio guaranteed by the schedule (max over resources of 1/threshold)."""
-    return schedule.ratio

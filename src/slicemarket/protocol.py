@@ -163,14 +163,11 @@ def parse_transcript_jsonl(text: str, validate: bool = True) -> list[dict]:
     return records
 
 
-def transferred_value_count(entries: Iterable[TranscriptEntry]) -> int:
-    """Number of scalar values that crossed the wire during a session."""
-    return sum(len(e.quote) + len(e.demand) + 3 for e in entries)
-
-
-def transferred_data_bytes(entries: Iterable[TranscriptEntry], bytes_per_value: int = 4) -> int:
-    """Transferred data size under the fixed bytes-per-value convention."""
-    return bytes_per_value * transferred_value_count(entries)
+def transferred_data_bytes(entries: Iterable[TranscriptEntry]) -> int:
+    """Bytes that crossed the wire during a session, 4 per scalar value: per
+    arrival the quoted prices, the demands, the accept flag, the payment and
+    the outcome."""
+    return 4 * sum(len(e.quote) + len(e.demand) + 3 for e in entries)
 
 
 class SessionLedger:
@@ -181,14 +178,13 @@ class SessionLedger:
     time; a session is a sequential state machine.
     """
 
-    __slots__ = ("utilization", "prices", "transcript", "revenue", "accepted_arrivals")
+    __slots__ = ("utilization", "prices", "transcript", "revenue")
 
     def __init__(self, utilization: list[float], prices: tuple[float, ...]):
         self.utilization = utilization
         self.prices = prices
         self.transcript: list[TranscriptEntry] = []
         self.revenue = 0.0
-        self.accepted_arrivals: list[int] = []
 
     @property
     def resource_count(self) -> int:
@@ -275,7 +271,6 @@ def mvno_settle(ledger: SessionLedger, schedule, decision: RentDecision) -> tupl
             for i, d in enumerate(decision.demand):
                 ledger.utilization[i] += d
             ledger.revenue += decision.payment
-            ledger.accepted_arrivals.append(arrival)
             outcome = TransactionOutcome(SUCC)
     else:
         outcome = TransactionOutcome(SKIP)
@@ -291,14 +286,11 @@ def run_session(
     schedule,
     instance,
     order: Sequence[int] | None = None,
-    enforce_density_bounds: bool = False,
 ) -> SessionResult:
     """Run one full stop-and-wait session over the instance tenants.
 
     Tenants are processed strictly in ``order`` (instance order by default);
-    each settlement completes before the next quote.  With
-    ``enforce_density_bounds`` the operator skips, without quoting, any
-    tenant whose earning density falls below a resource floor.
+    each settlement completes before the next quote.
     """
     n, c = instance.tenant_count, instance.resource_count
     if setup.resource_count != c:
@@ -314,23 +306,14 @@ def run_session(
     ledger = mvno_init(setup, schedule)
     demand_rows = [tuple(row) for row in instance.demands.tolist()]
     valuations = instance.valuations.tolist()
-    floors = tuple(setup.price_floors.tolist())
-    zero_demand = (0.0,) * c
 
     surpluses = [0.0] * n
     payments = np.zeros(n)
     accepted = np.zeros(n, dtype=bool)
 
     for arrival, tenant in enumerate(order, start=1):
-        demand = demand_rows[tenant]
-        valuation = valuations[tenant]
-        if enforce_density_bounds and any(
-            d > 0 and valuation < d * floor for d, floor in zip(demand, floors)
-        ):
-            mvno_settle(ledger, schedule, RentDecision(False, 0.0, zero_demand))
-            continue
         quote = PriceQuote(arrival, ledger.prices)
-        decision, surplus = tenant_decide(quote, valuation, demand)
+        decision, surplus = tenant_decide(quote, valuations[tenant], demand_rows[tenant])
         outcome, ledger = mvno_settle(ledger, schedule, decision)
         surpluses[tenant] = surplus
         if outcome.status == SUCC:

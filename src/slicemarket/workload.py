@@ -12,7 +12,7 @@ accept/reject decision and welfare ratio unchanged.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -382,6 +382,26 @@ def generate_instance(config: GenConfig, payment_fn: Callable[[float], float] | 
 def validate_instance(instance: Instance) -> list[Violation]:
     """Collect every breached invariant; an empty list means the instance is sound."""
     violations: list[Violation] = []
+    # NaN fails every comparison below, so non-finite values are named first
+    for name, values, axes in (
+        ("demands", instance.demands, ("tenant", "resource")),
+        ("valuations", instance.valuations, ("tenant",)),
+        ("price_floors", instance.price_floors, ("resource",)),
+        ("price_caps", instance.price_caps, ("resource",)),
+        ("unit_costs", instance.unit_costs, ("resource",)),
+    ):
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad):
+            where = dict(zip(axes, map(int, bad[0])))
+            place = ", ".join(f"{axis} {index}" for axis, index in where.items())
+            violations.append(
+                Violation(
+                    "non-finite",
+                    f"{name}: {len(bad)} non-finite value(s), first {values[tuple(bad[0])]!r} at {place}",
+                    where.get("tenant"),
+                    where.get("resource"),
+                )
+            )
     if (instance.demands < 0).any():
         n, c = map(int, np.argwhere(instance.demands < 0)[0])
         violations.append(
@@ -434,7 +454,3 @@ def validate_instance(instance: Instance) -> list[Violation]:
                 )
             )
     return violations
-
-
-def with_seed(config: GenConfig, seed: int) -> GenConfig:
-    return replace(config, seed=seed)

@@ -35,6 +35,11 @@ class TestRun:
         path = spec_file(tmp_path, algos=["cvx"])
         assert main(["run", "--spec", str(path)]) == 2
 
+    def test_misspelled_key_is_validation_failure(self, tmp_path, capsys):
+        path = spec_file(tmp_path, algo=["cvx"])
+        assert main(["run", "--spec", str(path)]) == 2
+        assert "'algo'" in capsys.readouterr().err
+
     def test_flag_overrides(self, tmp_path):
         path = spec_file(tmp_path)
         out = tmp_path / "out"
@@ -116,6 +121,17 @@ class TestOracle:
 
     def test_missing_instance(self, tmp_path):
         assert main(["oracle", "--instance", str(tmp_path / "missing.json")]) == 3
+
+    def test_non_finite_valuation_is_validation_failure(self, tmp_path, capsys):
+        inst = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=8))
+        data = inst.to_dict()
+        data["valuations"][2] = float("nan")
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(data))
+        assert main(["oracle", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
     def test_corrupt_instance(self, tmp_path):
         path = tmp_path / "bad.json"

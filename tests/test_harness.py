@@ -1,8 +1,13 @@
 """Experiment harness: trial execution, aggregation, artifact emission."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
+from slicemarket.baselines import GaParams
 from slicemarket.harness import (
+    ALGORITHMS,
     EmitError,
     ExperimentSpec,
     HarnessError,
@@ -17,6 +22,9 @@ from slicemarket.harness import (
 )
 from slicemarket.protocol import parse_transcript_jsonl
 from slicemarket.workload import GenConfig
+
+#: The experiment specs ``slicemarket run --spec`` runs, one per experiment.
+SPEC_FILES = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
 
 
 def small_spec(**overrides):
@@ -48,9 +56,40 @@ class TestSpecValidation:
             small_spec(oracle="milp")
 
     def test_dict_round_trip(self):
-        spec = small_spec(axis="tenants", values=(5, 10), oracle="lp", transcripts=True)
+        spec = small_spec(
+            axis="tenants", values=(5, 10), oracle="lp", transcripts=True,
+            ga_params=GaParams(population=10, generations=5),
+        )
         again = ExperimentSpec.from_dict(spec.to_dict())
         assert again == spec
+        assert again.ga_params == GaParams(population=10, generations=5)
+
+    def test_unknown_key_rejected(self):
+        data = small_spec().to_dict()
+        data["algo"] = data.pop("algos")
+        with pytest.raises(HarnessError, match="algo"):
+            ExperimentSpec.from_dict(data)
+
+    def test_invalid_ga_params_rejected(self):
+        with pytest.raises(HarnessError, match="ga_params"):
+            ExperimentSpec.from_dict({"ga_params": {"population": 1}})
+        with pytest.raises(HarnessError, match="ga_params"):
+            ExperimentSpec.from_dict({"ga_params": {"populaton": 10}})
+
+    def test_one_spec_file_per_experiment(self):
+        assert [path.stem for path in SPEC_FILES] == [
+            "overhead",
+            "sensitivity_demand_mean",
+            "sensitivity_pay_level_range",
+            "sensitivity_unit_cost_range",
+            "sweep_resources",
+            "sweep_tenants",
+        ]
+
+    @pytest.mark.parametrize("path", SPEC_FILES, ids=lambda path: path.stem)
+    def test_spec_file_loads(self, path):
+        spec = ExperimentSpec.load(path)
+        assert spec.out == f"results/{path.stem}"
 
 
 class TestApplyAxis:
@@ -256,3 +295,46 @@ class TestEmit:
         header, *lines = text.splitlines()
         assert header.startswith("point_index,point_value,algo,trials")
         assert len(lines) == len(rows)
+
+
+class TestGoldenArtifacts:
+    """Artifacts of a fixed spec, pinned byte for byte.
+
+    The digests were recorded with the per-algorithm implementation of
+    ``run_trials`` that the algorithm table replaced.  The spec runs all five
+    algorithms with transcripts on, and its three tenant counts give an exact
+    reference (8), a reference whose branch-and-bound budget runs out (25)
+    and an LP bound (30).
+    """
+
+    DIGESTS = {
+        "plot_data.json": "9d2a918455f3ea44f94b6658cc214511f84875df83dcf50b3852e598ff66469d",
+        "summary.csv": "06871b755df3c68fcf3d3bce9063c46189d2a28cebac295cab1f2ae03d64c73a",
+        "trials.csv": "90261841d3704989ff9115d3b2a462972a1ce2f90ef837bee5ec5026fc3f3f1a",
+        "transcripts/myopic_point0_trial0.jsonl": "cf6e1828a1ce0259afd7785603164cdbeaefe5d3cc13b4e0789d6f9d617af49b",
+        "transcripts/myopic_point1_trial0.jsonl": "9fb3f6fca4f32d75c7d5df6368ef62f1b43b3f5b0c3d079c2a747f7247dd5b8f",
+        "transcripts/myopic_point2_trial0.jsonl": "b7b73e4144b054596e643a290ffd93ff136416060eb3b18af8c33c49cb0d60bb",
+        "transcripts/posted_price_point0_trial0.jsonl": "e5b6184bd480c83d23a70f726a3f2fd11272892f2f39dfdac5677a09de7434e4",
+        "transcripts/posted_price_point1_trial0.jsonl": "2b70ece7aa4e8db5a3a7f77b94862268aa51f2fd37882447e88600a50e0165aa",
+        "transcripts/posted_price_point2_trial0.jsonl": "8e49297fe8ddc1e489df83f5d8bd0957c919751e64d9ac90f86a00c2d32029d6",
+    }
+
+    def test_artifacts_are_byte_identical(self, tmp_path):
+        spec = ExperimentSpec(
+            algos=ALGORITHMS,
+            base_config=GenConfig(),
+            axis="tenants",
+            values=(8, 25, 30),
+            trials=1,
+            seed=7,
+            oracle="auto",
+            transcripts=True,
+            node_budget=50,
+            ga_params=GaParams(population=10, generations=5),
+        )
+        metrics = run_trials(spec)
+        references = [(m.algo, m.ratio_is_bound) for m in metrics if m.algo in ("exact", "lp_bound")]
+        assert references == [("exact", False), ("exact", True), ("lp_bound", True)]
+        paths = emit(metrics, aggregate(metrics), tmp_path, axis=spec.axis)
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+        assert digests == self.DIGESTS

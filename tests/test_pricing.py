@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slicemarket.market import PLUS_INF, MarketSetup, SetupError
-from slicemarket.pricing import build_schedule, competitive_ratio
+from slicemarket.pricing import build_schedule
 
 from conftest import random_setup
 
@@ -147,15 +147,14 @@ class TestScheduleProperties:
                     assert derivative == pytest.approx(target, rel=1e-6)
 
 
-def test_competitive_ratio_accessor():
-    schedule = build_schedule(E1)
-    assert competitive_ratio(schedule) == schedule.ratio == pytest.approx(2.0)
-    assert competitive_ratio(build_schedule(E2)) == pytest.approx(3.0794415416798357)
+def test_schedule_ratio():
+    assert build_schedule(E1).ratio == pytest.approx(2.0)
+    assert build_schedule(E2).ratio == pytest.approx(3.0794415416798357)
 
 
 def test_ratio_at_least_one(rng):
     for _ in range(100):
-        assert competitive_ratio(build_schedule(random_setup(rng))) >= 1.0
+        assert build_schedule(random_setup(rng)).ratio >= 1.0
 
 
 def test_schedule_arrays_are_readonly():

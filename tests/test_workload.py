@@ -238,6 +238,28 @@ class TestValidateInstance:
         report = [v for v in validate_instance(bad) if v.code == "cost-at-floor"][0]
         assert report.resource == 0
 
+    @pytest.mark.parametrize(
+        "field, index, value, tenant, resource",
+        [
+            ("demands", (2, 1), np.nan, 2, 1),
+            ("valuations", (3,), np.nan, 3, None),
+            ("valuations", (0,), np.inf, 0, None),
+            ("price_floors", (1,), -np.inf, None, 1),
+            ("price_caps", (0,), np.inf, None, 0),
+            ("unit_costs", (2,), np.nan, None, 2),
+        ],
+    )
+    def test_non_finite_values_detected(self, field, index, value, tenant, resource):
+        inst = generate_instance(GenConfig(tenant_count=5, resource_count=3, seed=4))
+        arrays = {
+            name: getattr(inst, name).copy()
+            for name in ("demands", "valuations", "price_floors", "price_caps", "unit_costs")
+        }
+        arrays[field][index] = value
+        problems = [v for v in validate_instance(Instance(**arrays)) if v.code == "non-finite"]
+        assert [(v.tenant, v.resource) for v in problems] == [(tenant, resource)]
+        assert field in problems[0].message
+
     def test_violations_are_data_not_errors(self):
         inst = generate_instance(GenConfig(tenant_count=3, resource_count=1, seed=6))
         bad = Instance(
