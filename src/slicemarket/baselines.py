@@ -16,6 +16,8 @@ from .market import CAPACITY, FEASIBILITY_EPS, PLUS_INF, MarketSetup, SetupError
 from .oracle import adjusted_profits
 from .protocol import SessionResult, run_session
 
+_EPS = np.finfo(float).eps
+
 
 # ---------------------------------------------------------------------------
 # genetic heuristic
@@ -36,6 +38,8 @@ class GaParams:
             raise ValueError("elitism must leave room for offspring")
         if self.tournament < 1:
             raise ValueError("tournament size must be >= 1")
+        if self.mutation_rate is not None and not 0 <= self.mutation_rate <= 1:
+            raise ValueError(f"mutation_rate must be None or lie in [0, 1], got {self.mutation_rate!r}")
 
 
 def _repair(selected: np.ndarray, demands: np.ndarray, density: np.ndarray) -> None:
@@ -48,6 +52,26 @@ def _repair(selected: np.ndarray, demands: np.ndarray, density: np.ndarray) -> N
         victim = int(np.flatnonzero(candidates)[np.argmin(density[candidates])])
         selected[victim] = False
         utilization -= demands[victim]
+
+
+def _repair_population(rows: np.ndarray, demands: np.ndarray, density: np.ndarray) -> None:
+    """Apply ``_repair`` to every row of ``rows``, screening them in one product.
+
+    The batched product (a gemm) and ``_repair``'s per-row product (a gemv)
+    may round a row's utilization differently in the last bits, so the screen
+    only clears rows it can prove ``_repair`` would leave untouched.  In any
+    summation order a sum of ``m`` terms lies within ``gamma * sum|d|`` of
+    the exact sum, with ``gamma = m*eps/(1 - m*eps)``, so both products are
+    at most ``(rows @ |demands|) * (1+gamma)/(1-gamma)``.  ``eps`` is machine
+    epsilon, twice the unit roundoff, which also covers the rounding of the
+    bound itself.  Every row the screen cannot clear (overfull, near capacity
+    or non-finite) goes through ``_repair`` as before.
+    """
+    gamma = len(demands) * _EPS / (1 - len(demands) * _EPS)
+    bound = (rows.astype(float) @ np.abs(demands)) * ((1 + gamma) / (1 - gamma))
+    cleared = (bound < CAPACITY + FEASIBILITY_EPS).all(axis=1)
+    for r in np.flatnonzero(~cleared):
+        _repair(rows[r], demands, density)
 
 
 def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tuple[float, np.ndarray]:
@@ -74,8 +98,7 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
 
     rng = np.random.default_rng(seed)
     population = rng.random((params.population, m)) < 0.5
-    for row in population:
-        _repair(row, demands, density)
+    _repair_population(population, demands, density)
     fitness = population.astype(float) @ w
 
     best_value = float(fitness.max())
@@ -93,8 +116,7 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
         head = np.arange(m)[None, :] < cut[:, None]
         offspring = np.where(head, population[parents[:, 0]], population[parents[:, 1]])
         offspring ^= rng.random((n_offspring, m)) < rate
-        for row in offspring:
-            _repair(row, demands, density)
+        _repair_population(offspring, demands, density)
         population = np.concatenate([population[elite_idx], offspring])
         fitness = population.astype(float) @ w
         generation_best = float(fitness.max())

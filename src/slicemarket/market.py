@@ -13,6 +13,7 @@ silently into a welfare sum.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -151,9 +152,11 @@ class MarketSetup:
         return self.unit_costs.shape[0]
 
     def validate(self) -> None:
-        """Check 0 < unit cost < price floor <= price cap for every resource."""
+        """Check 0 < unit cost < price floor <= price cap < inf for every resource."""
         for c in range(self.resource_count):
             q, lo, hi = self.unit_costs[c], self.price_floors[c], self.price_caps[c]
+            if not (math.isfinite(q) and math.isfinite(lo) and math.isfinite(hi)):
+                raise SetupError(f"resource {c}: non-finite value (q={q!r}, floor={lo!r}, cap={hi!r})")
             if not q > 0:
                 raise SetupError(f"resource {c}: 0 < q_c violated (q={q!r})")
             if not q < lo:

@@ -74,6 +74,15 @@ class TestGaHeuristic:
         with pytest.raises(ValueError):
             GaParams(elitism=100)
 
+    @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5, float("inf"), -float("inf")])
+    def test_mutation_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="mutation_rate"):
+            GaParams(mutation_rate=rate)
+
+    @pytest.mark.parametrize("rate", [None, 0.0, 0.25, 1.0])
+    def test_mutation_rate_accepted(self, rate):
+        assert GaParams(mutation_rate=rate).mutation_rate == rate
+
 
 class TestUtilityBidAuction:
     def test_two_tenant_rounds(self):

@@ -40,6 +40,12 @@ class TestRun:
         assert main(["run", "--spec", str(path)]) == 2
         assert "'algo'" in capsys.readouterr().err
 
+    def test_nan_mutation_rate_is_validation_failure(self, tmp_path, capsys):
+        path = spec_file(tmp_path)
+        path.write_text(path.read_text()[:-1] + ', "ga_params": {"mutation_rate": NaN}}')
+        assert main(["run", "--spec", str(path)]) == 2
+        assert "mutation_rate" in capsys.readouterr().err
+
     def test_flag_overrides(self, tmp_path):
         path = spec_file(tmp_path)
         out = tmp_path / "out"

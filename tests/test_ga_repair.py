@@ -1,0 +1,204 @@
+"""Differential tests of the GA's population repair against the per-row loop.
+
+``_reference_repair`` and ``_reference_ga`` are verbatim copies of the
+genetic heuristic as it was before repair was screened for the whole
+population in one product; the current code must reproduce them bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from slicemarket.baselines import GaParams, _repair_population, ga_heuristic
+from slicemarket.market import CAPACITY, FEASIBILITY_EPS
+from slicemarket.oracle import adjusted_profits
+from slicemarket.workload import GenConfig, Instance, generate_instance
+
+LIMIT = CAPACITY + FEASIBILITY_EPS
+
+
+def _reference_repair(selected, demands, density):
+    utilization = selected.astype(float) @ demands
+    while (utilization > CAPACITY + FEASIBILITY_EPS).any():
+        overfull = utilization > CAPACITY + FEASIBILITY_EPS
+        uses_overfull = demands[:, overfull].sum(axis=1) > 0
+        candidates = selected & uses_overfull
+        victim = int(np.flatnonzero(candidates)[np.argmin(density[candidates])])
+        selected[victim] = False
+        utilization -= demands[victim]
+
+
+def _reference_ga(instance, params=None, seed=0):
+    params = params or GaParams()
+    n = instance.tenant_count
+    profits = adjusted_profits(instance)
+    viable = (profits > 0) & (instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
+    index = np.flatnonzero(viable)
+    m = len(index)
+    full = np.zeros(n, dtype=bool)
+    if m == 0:
+        return 0.0, full
+    w = profits[index]
+    demands = instance.demands[index]
+    aggregate = demands.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        density = np.where(aggregate > 0, w / aggregate, np.inf)
+    rate = params.mutation_rate if params.mutation_rate is not None else 1.0 / m
+
+    rng = np.random.default_rng(seed)
+    population = rng.random((params.population, m)) < 0.5
+    for row in population:
+        _reference_repair(row, demands, density)
+    fitness = population.astype(float) @ w
+
+    best_value = float(fitness.max())
+    best = population[int(np.argmax(fitness))].copy()
+    for _ in range(params.generations):
+        elite_idx = np.argsort(fitness)[-params.elitism :] if params.elitism else np.empty(0, dtype=int)
+        n_offspring = params.population - params.elitism
+        contenders = rng.integers(0, params.population, size=(n_offspring, 2, params.tournament))
+        parents = contenders[
+            np.arange(n_offspring)[:, None],
+            np.arange(2)[None, :],
+            np.argmax(fitness[contenders], axis=2),
+        ]
+        cut = rng.integers(1, max(m, 2), size=n_offspring)
+        head = np.arange(m)[None, :] < cut[:, None]
+        offspring = np.where(head, population[parents[:, 0]], population[parents[:, 1]])
+        offspring ^= rng.random((n_offspring, m)) < rate
+        for row in offspring:
+            _reference_repair(row, demands, density)
+        population = np.concatenate([population[elite_idx], offspring])
+        fitness = population.astype(float) @ w
+        generation_best = float(fitness.max())
+        if generation_best > best_value:
+            best_value = generation_best
+            best = population[int(np.argmax(fitness))].copy()
+
+    full[index[best]] = True
+    welfare = float(profits[full].sum()) if full.any() else 0.0
+    return welfare, full
+
+
+def _assert_repairs_match(rows, demands, density):
+    expected = rows.copy()
+    for row in expected:
+        _reference_repair(row, demands, density)
+    got = rows.copy()
+    _repair_population(got, demands, density)
+    assert got.dtype == np.bool_ and got.shape == rows.shape
+    np.testing.assert_array_equal(got, expected)
+    return expected
+
+
+def _density(demands, rng):
+    aggregate = demands.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        return np.where(aggregate > 0, rng.uniform(0.1, 2.0, len(demands)) / aggregate, np.inf)
+
+
+def _exact_sum_to(demands, column, target):
+    """Nudge the column's largest demand until the full row's gemv reads ``target``."""
+    row = np.ones(len(demands), dtype=bool)
+    item = int(np.argmax(demands[:, column]))
+    for _ in range(10_000):
+        value = (row.astype(float) @ demands)[column]
+        if value == target:
+            return True
+        demands[item, column] = np.nextafter(demands[item, column], np.inf if value < target else -np.inf)
+    return False
+
+
+class TestRepairPopulation:
+    def test_random_populations(self, rng):
+        for _ in range(200):
+            m = int(rng.integers(1, 120))
+            c = int(rng.integers(1, 6))
+            demands = rng.uniform(0, 3.0 / m, size=(m, c))
+            demands[rng.random((m, c)) < 0.3] = 0.0
+            if rng.random() < 0.2:  # the Instance constructor accepts negative demands
+                demands -= rng.uniform(0, 2.0 / m, size=(m, c))
+            density = _density(demands, rng)
+            rows = rng.random((int(rng.integers(1, 40)), m)) < rng.uniform(0.1, 0.9)
+            _assert_repairs_match(rows, demands, density)
+
+    def test_all_infeasible_population(self, rng):
+        for _ in range(50):
+            m = int(rng.integers(2, 60))
+            c = int(rng.integers(1, 5))
+            demands = rng.uniform(1.5 / m, 4.0 / m, size=(m, c))
+            density = _density(demands, rng)
+            rows = np.ones((20, m), dtype=bool)
+            rows[:, rng.permutation(m)[: m // 4]] = rng.random((20, m // 4)) < 0.5
+            assert ((rows.astype(float) @ demands) > LIMIT).any(axis=1).all()
+            repaired = _assert_repairs_match(rows, demands, density)
+            assert ((repaired.astype(float) @ demands) <= LIMIT).all()
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_rows_at_the_capacity_boundary(self, rng, ulps):
+        target = LIMIT
+        for _ in range(abs(ulps)):
+            target = np.nextafter(target, np.inf if ulps > 0 else -np.inf)
+        for trial in range(40):
+            m = int(rng.integers(2, 100))
+            c = int(rng.integers(1, 4))
+            demands = rng.uniform(0, 1.0, size=(m, c))
+            demands *= LIMIT / demands.sum(axis=0)
+            for col in range(c):
+                assert _exact_sum_to(demands, col, target)
+            density = _density(demands, rng)
+            rows = rng.random((30, m)) < 0.5
+            rows[: trial % 3 + 1] = True  # rows whose per-row sum is the target
+            expected = _assert_repairs_match(rows, demands, density)
+            if ulps <= 0:
+                assert expected[0].all()  # left untouched at or below the limit
+            else:
+                assert not expected[0].all()
+
+    def test_degenerate_demands(self, rng):
+        demands = np.zeros((5, 2))
+        density = np.full(5, np.inf)
+        _assert_repairs_match(rng.random((6, 5)) < 0.5, demands, density)
+        _assert_repairs_match(np.zeros((0, 5), dtype=bool), demands, density)
+        for bad in (np.nan, -np.inf, -5.0):
+            demands = rng.uniform(0, 0.5, size=(5, 2))
+            demands[1, 0] = bad
+            with np.errstate(invalid="ignore"):
+                _assert_repairs_match(rng.random((8, 5)) < 0.6, demands, _density(np.abs(demands), rng))
+
+
+class TestGaMatchesReference:
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(7)
+        params = (GaParams(), GaParams(population=20, generations=10), GaParams(population=10, generations=5))
+        for case in range(300):
+            n = int(rng.integers(1, 101))
+            cfg = GenConfig(
+                tenant_count=n,
+                resource_count=int(rng.integers(1, 6)),
+                demand_mean=float(rng.uniform(0.5, 4.0)) / n if rng.random() < 0.5 else None,
+                participation=float(rng.uniform(0.2, 1.0)) if rng.random() < 0.3 else None,
+                seed=int(rng.integers(0, 2**32)),
+            )
+            # default parameters cost the reference 0.2-0.4 s a call
+            yield generate_instance(cfg), params[0 if case % 60 == 0 else 1 + case % 2], int(rng.integers(0, 2**32))
+
+    def test_bit_identical_on_seeded_instances(self):
+        checked = 0
+        for instance, params, seed in self._cases():
+            welfare, accepted = ga_heuristic(instance, params, seed)
+            ref_welfare, ref_accepted = _reference_ga(instance, params, seed)
+            assert welfare == ref_welfare
+            np.testing.assert_array_equal(accepted, ref_accepted)
+            checked += 1
+        assert checked == 300
+
+    def test_hand_built_overfull_market(self):
+        demands = np.array([[0.6, 0.1], [0.5, 0.5], [0.3, 0.7], [0.2, 0.2], [0.45, 0.0]])
+        inst = Instance(demands, [3.0, 4.0, 3.5, 1.0, 2.0], [1.0, 1.0], [20.0, 20.0], [0.5, 0.5])
+        for seed in range(20):
+            params = GaParams(population=12, generations=8, mutation_rate=0.4)
+            got = ga_heuristic(inst, params, seed)
+            ref = _reference_ga(inst, params, seed)
+            assert got[0] == ref[0]
+            np.testing.assert_array_equal(got[1], ref[1])

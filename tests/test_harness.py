@@ -75,6 +75,8 @@ class TestSpecValidation:
             ExperimentSpec.from_dict({"ga_params": {"population": 1}})
         with pytest.raises(HarnessError, match="ga_params"):
             ExperimentSpec.from_dict({"ga_params": {"populaton": 10}})
+        with pytest.raises(HarnessError, match="mutation_rate"):
+            ExperimentSpec.from_dict({"ga_params": {"mutation_rate": float("nan")}})
 
     def test_one_spec_file_per_experiment(self):
         assert [path.stem for path in SPEC_FILES] == [

@@ -229,6 +229,21 @@ class TestMarketSetup:
         with pytest.raises(SetupError):
             MarketSetup([1.0, 1.0], [2.0], [3.0])
 
+    @pytest.mark.parametrize(
+        "costs, floors, caps",
+        [
+            ([0.1], [0.5], [np.inf]),
+            ([0.1], [np.inf], [np.inf]),
+            ([0.1, 0.1], [0.5, 0.5], [2.0, np.nan]),
+            ([np.nan], [0.5], [2.0]),
+            ([0.1], [np.nan], [2.0]),
+            ([0.1], [0.5], [-np.inf]),
+        ],
+    )
+    def test_validate_rejects_non_finite(self, costs, floors, caps):
+        with pytest.raises(SetupError, match="non-finite"):
+            MarketSetup(costs, floors, caps).validate()
+
     def test_random_setups_validate(self, rng):
         for _ in range(50):
             random_setup(rng).validate()
