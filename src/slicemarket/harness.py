@@ -29,7 +29,7 @@ from .baselines import (
 from .market import Allocation, MarketError, MarketSetup, social_welfare
 from .oracle import DEFAULT_NODE_BUDGET, lp_upper_bound, offline_exact
 from .pricing import build_schedule
-from .protocol import run_session, transcript_to_jsonl, transferred_data_bytes
+from .protocol import run_session, transcript_to_jsonl
 from .workload import GenConfig, generate_instance
 
 ORACLE_MODES = ("exact", "lp", "auto")
@@ -81,11 +81,12 @@ class _Trial:
 
 
 def _session(trial: _Trial, session) -> tuple:
-    transcript = session.ledger.transcript
+    ledger = session.ledger
+    # reading ledger.transcript builds it, so only a spec that keeps it does
     return (
         session.allocation.accepted,
-        transferred_data_bytes(transcript),
-        tuple(transcript) if trial.spec.transcripts else None,
+        ledger.transferred_bytes,
+        tuple(ledger.transcript) if trial.spec.transcripts else None,
     )
 
 

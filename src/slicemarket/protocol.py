@@ -6,16 +6,31 @@ operator settles the transaction (success, capacity failure with refund, or
 skip) before quoting the next arrival.  The session ledger records only what
 actually crossed the wire; valuations, subscriber data and anything else
 private to a tenant never appear in it.
+
+``PriceQuote``, ``RentDecision``, ``tenant_decide`` and ``mvno_settle`` spell
+the protocol out message by message, each message checked as it is built;
+they are the reference the session engine is tested against.
+``run_session`` is that engine: it checks the arrival order, valuations and
+demands once per session, then runs every arrival on plain lists, re-evaluating
+the prices only after a sale and keeping a compact record per arrival (the
+quoted price tuple, shared between arrivals, the outcome and the charge).  The
+ledger's ``transcript`` of ``TranscriptEntry`` messages is built from that
+record the first time it is read, so a caller that needs only the allocation,
+the revenue or ``SessionLedger.transferred_bytes`` never pays for it.
+
+``validate_transcript_record`` checks a persisted record against the published
+``TRANSCRIPT_RECORD_SCHEMA`` with direct key, type and range checks; the
+schema is the wire contract and needs no schema library at run time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-import jsonschema
 import numpy as np
 
 from .market import CAPACITY, Allocation, MarketError, MarketSetup
@@ -54,6 +69,18 @@ def _float_tuple(values) -> tuple[float, ...]:
         raise ProtocolError(f"non-numeric value in a protocol message: {exc}") from exc
 
 
+def _checked_prices(prices) -> tuple[float, ...]:
+    """``prices`` as a float tuple, raising unless every one is finite and non-negative."""
+    prices = _float_tuple(prices)
+    if not all(0.0 <= p < math.inf for p in prices):  # NaN fails both comparisons
+        for c, p in enumerate(prices):
+            if not math.isfinite(p):
+                raise ProtocolError(f"quoted price for resource {c} is not finite: {p!r}")
+            if p < 0:
+                raise ProtocolError(f"quoted price for resource {c} is negative: {p!r}")
+    return prices
+
+
 @dataclass(frozen=True)
 class PriceQuote:
     """Published prices ahead of one arrival."""
@@ -62,14 +89,9 @@ class PriceQuote:
     prices: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "prices", _float_tuple(self.prices))
+        object.__setattr__(self, "prices", _checked_prices(self.prices))
         if self.arrival < 1:
             raise ProtocolError(f"arrival index must be positive, got {self.arrival}")
-        for c, p in enumerate(self.prices):
-            if not math.isfinite(p):
-                raise ProtocolError(f"quoted price for resource {c} is not finite: {p!r}")
-            if p < 0:
-                raise ProtocolError(f"quoted price for resource {c} is negative: {p!r}")
 
 
 @dataclass(frozen=True)
@@ -83,10 +105,10 @@ class RentDecision:
     def __post_init__(self):
         object.__setattr__(self, "demand", _float_tuple(self.demand))
         object.__setattr__(self, "payment", float(self.payment))
-        if self.payment < 0:
-            raise ProtocolError(f"payment must be non-negative, got {self.payment!r}")
-        if any(d < 0 for d in self.demand):
-            raise ProtocolError("demand entries must be non-negative")
+        if not 0.0 <= self.payment < math.inf:
+            raise ProtocolError(f"payment must be finite and non-negative, got {self.payment!r}")
+        if not all(0.0 <= d < math.inf for d in self.demand):
+            raise ProtocolError(f"demand entries must be finite and non-negative, got {self.demand!r}")
         if not self.accept and (self.payment != 0.0 or any(d != 0.0 for d in self.demand)):
             raise ProtocolError("a rejecting tenant must send zero payment and zero demands")
 
@@ -142,13 +164,54 @@ TRANSCRIPT_RECORD_SCHEMA = {
 }
 
 
-_TRANSCRIPT_VALIDATOR = jsonschema.Draft202012Validator(TRANSCRIPT_RECORD_SCHEMA)
+_RECORD_KEYS = frozenset(TRANSCRIPT_RECORD_SCHEMA["properties"])
+
+
+# JSON Schema types: a bool is neither an integer nor a number, and a float
+# with an integral value is an integer.  A plain float skips the ABC check.
+def _is_number(value) -> bool:
+    return type(value) is float or (isinstance(value, numbers.Number) and not isinstance(value, bool))
+
+
+def _is_integer(value) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
+def _record_problem(record) -> str | None:
+    if not isinstance(record, dict):
+        return f"{record!r} is not an object"
+    if record.keys() != _RECORD_KEYS:
+        extra = record.keys() - _RECORD_KEYS
+        if extra:
+            return f"unexpected properties {sorted(map(repr, extra))}"
+        return f"missing properties {[key for key in TRANSCRIPT_RECORD_SCHEMA['required'] if key not in record]}"
+    n = record["n"]
+    if not (_is_integer(n) and n >= 1):
+        return f"'n' must be an integer >= 1, got {n!r}"
+    for key in ("quote", "d"):
+        values = record[key]
+        # ``not v < 0`` lets NaN through, as the schema's ``minimum`` does
+        if not (isinstance(values, list) and all(_is_number(v) and not v < 0 for v in values)):
+            return f"{key!r} must be an array of non-negative numbers, got {values!r}"
+    x = record["x"]
+    if not (_is_integer(x) and x in (0, 1)):
+        return f"'x' must be 0 or 1, got {x!r}"
+    pi = record["pi"]
+    if not (_is_number(pi) and not pi < 0):
+        return f"'pi' must be a non-negative number, got {pi!r}"
+    outcome = record["outcome"]
+    if not (isinstance(outcome, str) and outcome in (SUCC, FAIL, SKIP)):
+        return f"'outcome' must be one of {[SUCC, FAIL, SKIP]}, got {outcome!r}"
+    return None
 
 
 def validate_transcript_record(record: dict) -> None:
-    error = jsonschema.exceptions.best_match(_TRANSCRIPT_VALIDATOR.iter_errors(record))
-    if error is not None:
-        raise TranscriptSchemaError(f"transcript record rejected: {error.message}") from error
+    """Raise ``TranscriptSchemaError`` unless ``record`` matches ``TRANSCRIPT_RECORD_SCHEMA``."""
+    problem = _record_problem(record)
+    if problem is not None:
+        raise TranscriptSchemaError(f"transcript record rejected: {problem}")
 
 
 def transcript_to_jsonl(entries: Iterable[TranscriptEntry]) -> str:
@@ -170,25 +233,73 @@ def transferred_data_bytes(entries: Iterable[TranscriptEntry]) -> int:
     return 4 * sum(len(e.quote) + len(e.demand) + 3 for e in entries)
 
 
+class _ArrivalRecord:
+    """``run_session``'s compact record: per arrival the quoted price tuple
+    (shared until the next sale), the outcome and the tenant's charge."""
+
+    __slots__ = ("order", "demand_rows", "quotes", "outcomes", "charges")
+
+    def __init__(self, order: Sequence[int], demand_rows: list[list[float]]):
+        self.order = order
+        self.demand_rows = demand_rows
+        self.quotes: list[tuple[float, ...]] = []
+        self.outcomes: list[str] = []
+        self.charges: list[float] = []
+
+    def entries(self) -> list[TranscriptEntry]:
+        """The transcript ``tenant_decide`` and ``mvno_settle`` would have written."""
+        return [
+            TranscriptEntry(arrival, quote, 0, 0.0, (0.0,) * len(quote), SKIP)
+            if outcome == SKIP
+            else TranscriptEntry(arrival, quote, 1, charge, tuple(self.demand_rows[tenant]), outcome)
+            for arrival, tenant, quote, outcome, charge in zip(
+                range(1, len(self.quotes) + 1), self.order, self.quotes, self.outcomes, self.charges
+            )
+        ]
+
+
 class SessionLedger:
     """Operator-visible session state: utilization, prices, transcript, revenue.
 
     ``prices`` is an immutable tuple replaced wholesale on every settlement so
-    quotes and transcript entries can share it.  Strictly one mutator at a
-    time; a session is a sequential state machine.
+    quotes and transcript entries can share it.  ``transcript`` is the list
+    ``mvno_settle`` appends to; a ledger that ``run_session`` returns builds
+    it from the session's compact record on first read.  Strictly one mutator
+    at a time; a session is a sequential state machine.
     """
 
-    __slots__ = ("utilization", "prices", "transcript", "revenue")
+    __slots__ = ("utilization", "prices", "revenue", "_transcript", "_record")
 
-    def __init__(self, utilization: list[float], prices: tuple[float, ...]):
+    def __init__(
+        self, utilization: list[float], prices: tuple[float, ...], record: _ArrivalRecord | None = None
+    ):
         self.utilization = utilization
         self.prices = prices
-        self.transcript: list[TranscriptEntry] = []
         self.revenue = 0.0
+        self._transcript: list[TranscriptEntry] | None = [] if record is None else None
+        self._record = record
+
+    @property
+    def transcript(self) -> list[TranscriptEntry]:
+        if self._transcript is None:
+            self._transcript = self._record.entries()
+            self._record = None
+        return self._transcript
 
     @property
     def resource_count(self) -> int:
         return len(self.utilization)
+
+    @property
+    def arrivals(self) -> int:
+        return len(self._transcript) if self._transcript is not None else len(self._record.outcomes)
+
+    @property
+    def transferred_bytes(self) -> int:
+        """``transferred_data_bytes(self.transcript)``, without building the
+        transcript: every arrival quotes one price and carries one demand per
+        resource."""
+        return 4 * self.arrivals * (2 * self.resource_count + 3)
 
 
 @dataclass(frozen=True)
@@ -233,11 +344,11 @@ def tenant_decide(quote: PriceQuote, valuation: float, demand: Sequence[float]) 
     strictly positive; ties reject.  Returns the decision and the clamped
     surplus the tenant claims.
     """
-    if valuation < 0:
-        raise ProtocolError(f"valuation must be non-negative, got {valuation!r}")
+    if not 0.0 <= valuation < math.inf:
+        raise ProtocolError(f"valuation must be finite and non-negative, got {valuation!r}")
     demand = _float_tuple(demand)
-    if any(d < 0 for d in demand):
-        raise ProtocolError("demand entries must be non-negative")
+    if not all(0.0 <= d < math.inf for d in demand):
+        raise ProtocolError(f"demand entries must be finite and non-negative, got {demand!r}")
     if len(demand) != len(quote.prices):
         raise ProtocolError(f"demand has {len(demand)} entries, quote has {len(quote.prices)} prices")
     charge = _dot(quote.prices, demand)
@@ -261,7 +372,7 @@ def mvno_settle(ledger: SessionLedger, schedule, decision: RentDecision) -> tupl
     quoted = ledger.prices
     if decision.accept:
         expected = _dot(quoted, decision.demand)
-        if abs(decision.payment - expected) > PAYMENT_TOLERANCE:
+        if not abs(decision.payment - expected) <= PAYMENT_TOLERANCE:  # NaN fails
             raise ProtocolError(
                 f"payment {decision.payment!r} does not match quoted charge {expected!r} for arrival {arrival}"
             )
@@ -281,6 +392,22 @@ def mvno_settle(ledger: SessionLedger, schedule, decision: RentDecision) -> tupl
     return outcome, ledger
 
 
+def _check_tenant_inputs(valuations: np.ndarray, demands: np.ndarray) -> None:
+    # NaN fails both comparisons
+    fine = (valuations >= 0) & (valuations < math.inf)
+    if not fine.all():
+        tenant = int(np.argmin(fine))
+        raise ProtocolError(
+            f"valuation of tenant {tenant} must be finite and non-negative, got {float(valuations[tenant])!r}"
+        )
+    fine = ((demands >= 0) & (demands < math.inf)).all(axis=1)
+    if not fine.all():
+        tenant = int(np.argmin(fine))
+        raise ProtocolError(
+            f"demands of tenant {tenant} must be finite and non-negative, got {demands[tenant].tolist()!r}"
+        )
+
+
 def run_session(
     setup: MarketSetup,
     schedule,
@@ -290,7 +417,12 @@ def run_session(
     """Run one full stop-and-wait session over the instance tenants.
 
     Tenants are processed strictly in ``order`` (instance order by default);
-    each settlement completes before the next quote.
+    each settlement completes before the next quote.  Every arrival follows
+    ``tenant_decide`` and ``mvno_settle`` exactly, on plain lists: the order,
+    valuations and demands are checked once up front, one ``_dot`` charge is
+    both the tenant's offer and the booked payment, and the prices are
+    re-evaluated (and checked as a quote) only after a sale, the one step that
+    moves utilization.
     """
     n, c = instance.tenant_count, instance.resource_count
     if setup.resource_count != c:
@@ -302,27 +434,50 @@ def run_session(
         counts = np.bincount(np.asarray(order, dtype=int), minlength=n) if order else np.ones(0)
         if len(order) != n or not (counts == 1).all():
             raise ProtocolError("arrival order must be a permutation of the tenant indices")
+    _check_tenant_inputs(instance.valuations, instance.demands)
 
-    ledger = mvno_init(setup, schedule)
-    demand_rows = [tuple(row) for row in instance.demands.tolist()]
+    price_at = schedule.price_at
+    resources = range(c)
+    utilization = [0.0] * c
+    prices = _checked_prices(tuple(map(price_at, resources, utilization)))
+    demand_rows = instance.demands.tolist()
     valuations = instance.valuations.tolist()
-
     surpluses = [0.0] * n
-    payments = np.zeros(n)
-    accepted = np.zeros(n, dtype=bool)
+    payments = [0.0] * n
+    accepted = [False] * n
+    revenue = 0.0
+    record = _ArrivalRecord(order, demand_rows)
+    record_quote, record_charge = record.quotes.append, record.charges.append
+    record_outcome = record.outcomes.append
 
-    for arrival, tenant in enumerate(order, start=1):
-        quote = PriceQuote(arrival, ledger.prices)
-        decision, surplus = tenant_decide(quote, valuations[tenant], demand_rows[tenant])
-        outcome, ledger = mvno_settle(ledger, schedule, decision)
-        surpluses[tenant] = surplus
-        if outcome.status == SUCC:
+    for tenant in order:
+        demand = demand_rows[tenant]
+        charge = _dot(prices, demand)
+        record_quote(prices)
+        record_charge(charge)
+        surplus = valuations[tenant] - charge
+        if surplus > 0:
+            surpluses[tenant] = surplus
+            grown = [y + d for y, d in zip(utilization, demand)]
+            if max(grown) > CAPACITY:
+                record_outcome(FAIL)
+                continue
+            utilization = grown
+            revenue += charge
             accepted[tenant] = True
-            payments[tenant] = decision.payment
+            payments[tenant] = charge
+            prices = _checked_prices(tuple(map(price_at, resources, utilization)))
+            record_outcome(SUCC)
+        else:
+            record_outcome(SKIP)
 
-    certificate = DualCertificate(np.asarray(surpluses), ledger.prices)
+    ledger = SessionLedger(utilization, prices, record)
+    ledger.revenue = revenue
+    certificate = DualCertificate(surpluses, prices)
     allocation = Allocation.from_decisions(instance, accepted)
-    return SessionResult(ledger=ledger, certificate=certificate, allocation=allocation, payments=payments)
+    return SessionResult(
+        ledger=ledger, certificate=certificate, allocation=allocation, payments=np.asarray(payments, dtype=float)
+    )
 
 
 def run_posted_price(instance, order: Sequence[int] | None = None) -> SessionResult:

@@ -20,7 +20,8 @@ from slicemarket.harness import (
     summary_csv,
     trials_csv,
 )
-from slicemarket.protocol import parse_transcript_jsonl
+from slicemarket import protocol
+from slicemarket.protocol import parse_transcript_jsonl, transferred_data_bytes
 from slicemarket.workload import GenConfig
 
 #: The experiment specs ``slicemarket run --spec`` runs, one per experiment.
@@ -265,6 +266,27 @@ class TestEmit:
         for path in files:
             records = parse_transcript_jsonl(path.read_text())
             assert len(records) == 8
+
+    @pytest.mark.parametrize("transcripts", [False, True])
+    def test_transcript_built_only_when_kept(self, monkeypatch, transcripts):
+        builds = []
+        entries = protocol._ArrivalRecord.entries
+        monkeypatch.setattr(protocol._ArrivalRecord, "entries", lambda record: builds.append(1) or entries(record))
+        spec = small_spec(algos=("posted_price", "myopic"), trials=2, transcripts=transcripts)
+        metrics = run_trials(spec)
+        assert len(builds) == (4 if transcripts else 0)
+        # 8 arrivals of 2 prices, 2 demands, flag, payment and outcome
+        sessions = [m for m in metrics if m.algo in ("posted_price", "myopic")]
+        assert [m.transcript_bytes for m in sessions] == [4 * 8 * 7] * 4
+
+    def test_transcript_bytes_match_the_transcript(self, rng):
+        for _ in range(10):
+            config = GenConfig(tenant_count=int(rng.integers(1, 40)), resource_count=int(rng.integers(1, 6)))
+            seed = int(rng.integers(0, 2**32))
+            spec = small_spec(algos=("posted_price", "myopic"), base_config=config, seed=seed, transcripts=True)
+            for m in run_trials(spec):
+                if m.algo in ("posted_price", "myopic"):
+                    assert m.transcript_bytes == transferred_data_bytes(m.transcript)
 
     def test_unwritable_target(self, tmp_path):
         blocker = tmp_path / "file"

@@ -28,7 +28,7 @@ from slicemarket.protocol import (
     transferred_data_bytes,
     validate_transcript_record,
 )
-from slicemarket.workload import GenConfig, generate_instance
+from slicemarket.workload import GenConfig, Instance, generate_instance
 
 from conftest import manual_instance
 
@@ -93,6 +93,11 @@ class TestTenantDecide:
             tenant_decide(quote, 0.5, (-0.3,))
         with pytest.raises(ProtocolError):
             tenant_decide(quote, 0.5, (0.3, 0.3))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ProtocolError):
+                tenant_decide(quote, bad, (0.3,))
+            with pytest.raises(ProtocolError):
+                tenant_decide(quote, 0.5, (bad,))
 
 
 class TestMessageInvariants:
@@ -109,6 +114,16 @@ class TestMessageInvariants:
             RentDecision(False, 0.5, (0.0,))
         with pytest.raises(ProtocolError):
             RentDecision(False, 0.0, (0.1,))
+
+    @pytest.mark.parametrize("payment", [math.nan, math.inf])
+    def test_decision_rejects_non_finite_payment(self, payment):
+        with pytest.raises(ProtocolError, match="payment"):
+            RentDecision(True, payment, (0.1,))
+
+    @pytest.mark.parametrize("demand", [math.nan, math.inf])
+    def test_decision_rejects_non_finite_demand(self, demand):
+        with pytest.raises(ProtocolError, match="demand"):
+            RentDecision(True, 0.2, (demand,))
 
     def test_refund_only_on_fail(self):
         with pytest.raises(ProtocolError):
@@ -155,6 +170,15 @@ class TestMvnoSettle:
         with pytest.raises(ProtocolError, match="does not match"):
             mvno_settle(ledger, schedule, RentDecision(True, 0.3, (0.1,)))
 
+    def test_nan_charge_is_violation(self):
+        # a NaN quote makes the expected charge NaN; no payment can match it
+        setup, schedule = e1_session()
+        ledger = mvno_init(setup, schedule)
+        ledger.prices = (math.nan,)
+        with pytest.raises(ProtocolError, match="does not match"):
+            mvno_settle(ledger, schedule, RentDecision(True, 0.2, (0.1,)))
+        assert ledger.revenue == 0.0
+
     def test_wrong_demand_width(self):
         setup, schedule = e1_session()
         ledger = mvno_init(setup, schedule)
@@ -164,8 +188,6 @@ class TestMvnoSettle:
 
 class TestRunSession:
     def test_no_tenants(self):
-        from slicemarket.workload import Instance
-
         inst = Instance(np.zeros((0, 1)), np.zeros(0), [1.0], [2.0], [0.5])
         setup = MarketSetup([0.5], [1.0], [2.0])
         result = run_session(setup, build_schedule(setup), inst)
@@ -254,8 +276,6 @@ class TestRunSession:
         valuations = np.array([0.3, 1.0])
         floors = np.array([1.0, 1.0])
         caps = np.array([40.0, 40.0])
-        from slicemarket.workload import Instance
-
         inst = Instance(demands, valuations, floors, caps, np.array([0.2, 0.2]))
         setup = MarketSetup.from_instance(inst)
         schedule = build_schedule(setup)
@@ -263,6 +283,22 @@ class TestRunSession:
         # prices it rejects on its own (utility < 0)
         result = run_session(setup, schedule, inst)
         assert not result.allocation.accepted[0]
+
+    def test_nan_valuation_rejected(self):
+        inst = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=9))
+        valuations = inst.valuations.copy()
+        valuations[2] = math.nan
+        bad = Instance(inst.demands, valuations, inst.price_floors, inst.price_caps, inst.unit_costs)
+        with pytest.raises(ProtocolError, match="valuation of tenant 2"):
+            run_posted_price(bad)
+
+    def test_nan_demand_rejected(self):
+        inst = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=9))
+        demands = inst.demands.copy()
+        demands[1, 0] = math.nan
+        bad = Instance(demands, inst.valuations, inst.price_floors, inst.price_caps, inst.unit_costs)
+        with pytest.raises(ProtocolError, match="demands of tenant 1"):
+            run_posted_price(bad)
 
     def test_wrapper_builds_schedule(self):
         inst = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=9))

@@ -1,0 +1,277 @@
+"""The plain-list session engine against the message-by-message protocol.
+
+``reference_run_session`` is ``run_session`` as it was written before the
+engine: every arrival builds a ``PriceQuote``, asks ``tenant_decide`` and
+settles through ``mvno_settle``.  The engine must reproduce it bit for bit:
+accepted masks, payments, surpluses, final prices, utilization, revenue and
+every transcript entry.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from slicemarket import protocol
+from slicemarket.baselines import MyopicPricing
+from slicemarket.market import Allocation, MarketSetup
+from slicemarket.pricing import build_schedule
+from slicemarket.protocol import (
+    FAIL,
+    SKIP,
+    SUCC,
+    DualCertificate,
+    PriceQuote,
+    ProtocolError,
+    SessionResult,
+    TranscriptEntry,
+    mvno_init,
+    mvno_settle,
+    run_session,
+    tenant_decide,
+    transferred_data_bytes,
+)
+from slicemarket.verify import _random_config
+from slicemarket.workload import GenConfig, Instance, generate_instance
+
+from conftest import manual_instance
+
+
+def reference_run_session(setup, schedule, instance, order=None) -> SessionResult:
+    n, c = instance.tenant_count, instance.resource_count
+    if setup.resource_count != c:
+        raise ProtocolError("setup and instance disagree on the resource count")
+    if order is None:
+        order = range(n)
+    else:
+        order = [int(t) for t in order]
+        counts = np.bincount(np.asarray(order, dtype=int), minlength=n) if order else np.ones(0)
+        if len(order) != n or not (counts == 1).all():
+            raise ProtocolError("arrival order must be a permutation of the tenant indices")
+
+    ledger = mvno_init(setup, schedule)
+    demand_rows = [tuple(row) for row in instance.demands.tolist()]
+    valuations = instance.valuations.tolist()
+
+    surpluses = [0.0] * n
+    payments = np.zeros(n)
+    accepted = np.zeros(n, dtype=bool)
+
+    for arrival, tenant in enumerate(order, start=1):
+        quote = PriceQuote(arrival, ledger.prices)
+        decision, surplus = tenant_decide(quote, valuations[tenant], demand_rows[tenant])
+        outcome, ledger = mvno_settle(ledger, schedule, decision)
+        surpluses[tenant] = surplus
+        if outcome.status == SUCC:
+            accepted[tenant] = True
+            payments[tenant] = decision.payment
+
+    certificate = DualCertificate(np.asarray(surpluses), ledger.prices)
+    allocation = Allocation.from_decisions(instance, accepted)
+    return SessionResult(ledger=ledger, certificate=certificate, allocation=allocation, payments=payments)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_bit_identical(setup, schedule, instance, order) -> list[TranscriptEntry]:
+    kernel = run_session(setup, schedule, instance, order)
+    reference = reference_run_session(setup, schedule, instance, order)
+    assert kernel.allocation.accepted.dtype == reference.allocation.accepted.dtype
+    assert np.array_equal(kernel.allocation.accepted, reference.allocation.accepted)
+    assert _bits(kernel.allocation.utilization) == _bits(reference.allocation.utilization)
+    assert kernel.payments.dtype == reference.payments.dtype
+    assert _bits(kernel.payments) == _bits(reference.payments)
+    assert _bits(kernel.certificate.surpluses) == _bits(reference.certificate.surpluses)
+    assert _bits(kernel.certificate.final_prices) == _bits(reference.certificate.final_prices)
+    assert _bits(kernel.ledger.prices) == _bits(reference.ledger.prices)
+    assert _bits(kernel.ledger.utilization) == _bits(reference.ledger.utilization)
+    assert kernel.ledger.revenue.hex() == reference.ledger.revenue.hex()
+    # the byte count is read before the transcript exists
+    assert kernel.ledger.transferred_bytes == transferred_data_bytes(reference.ledger.transcript)
+    transcript = kernel.ledger.transcript
+    assert all(type(entry) is TranscriptEntry for entry in transcript)
+    assert transcript == reference.ledger.transcript
+    # repr tells -0.0 from 0.0 and prints every float exactly
+    assert repr(transcript) == repr(reference.ledger.transcript)
+    assert kernel.ledger.transferred_bytes == transferred_data_bytes(transcript)
+    return transcript
+
+
+def _schedules(setup):
+    return (build_schedule(setup), MyopicPricing.from_setup(setup))
+
+
+def _orders(rng, n):
+    return (None, np.arange(n), rng.permutation(n))
+
+
+def test_random_verify_corpus():
+    rng = np.random.default_rng(606)
+    outcomes = set()
+    for _ in range(300):
+        instance = generate_instance(_random_config(rng))
+        setup = MarketSetup.from_instance(instance)
+        order = _orders(rng, instance.tenant_count)[int(rng.integers(0, 3))]
+        for schedule in _schedules(setup):
+            outcomes.update(entry.outcome for entry in assert_bit_identical(setup, schedule, instance, order))
+    assert outcomes == {SUCC, FAIL, SKIP}
+
+
+def test_overfull_markets_fail_on_capacity():
+    # demand means of several times 1/N: many accepting tenants do not fit
+    rng = np.random.default_rng(607)
+    fails = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        config = GenConfig(
+            tenant_count=n,
+            resource_count=int(rng.integers(1, 5)),
+            demand_mean=float(rng.uniform(2.0, 6.0)) / n,
+            seed=int(rng.integers(0, 2**32)),
+        )
+        instance = generate_instance(config)
+        setup = MarketSetup.from_instance(instance)
+        for order in _orders(rng, n):
+            for schedule in _schedules(setup):
+                transcript = assert_bit_identical(setup, schedule, instance, order)
+                fails += sum(entry.outcome == FAIL for entry in transcript)
+    assert fails > 100
+
+
+@pytest.mark.parametrize("order", [None, [0, 1, 2], [2, 1, 0], [1, 2, 0]])
+def test_hand_built_capacity_fail(order):
+    # any two of the three tenants overfill the single resource
+    instance = manual_instance([[0.9], [0.6], [0.5]], [2.0, 2.5, 1.9], [1.0], margin=0.1)
+    setup = MarketSetup.from_instance(instance)
+    for schedule in _schedules(setup):
+        transcript = assert_bit_identical(setup, schedule, instance, order)
+        assert [entry.outcome for entry in transcript].count(SUCC) == 1
+        assert FAIL in {entry.outcome for entry in transcript}
+
+
+def test_hand_built_two_resource_fail():
+    # the second tenant fits resource 0 but not resource 1
+    demands = np.array([[0.2, 0.7], [0.2, 0.5], [0.1, 0.1]])
+    instance = Instance(demands, np.array([3.0, 6.0, 1.0]), [1.0, 1.0], [20.0, 20.0], [0.5, 0.5])
+    setup = MarketSetup.from_instance(instance)
+    for schedule in _schedules(setup):
+        outcomes = [e.outcome for e in assert_bit_identical(setup, schedule, instance, None)]
+        assert outcomes[:2] == [SUCC, FAIL]
+
+
+def test_filling_capacity_exactly_succeeds():
+    # 0.5 + 0.25 + 0.25 is exactly 1.0: the last sale fits, one more unit fails
+    demands = np.array([[0.5, 0.25], [0.25, 0.25], [0.25, 0.5], [0.0, 0.0], [0.01, 0.0]])
+    instance = Instance(demands, np.full(5, 10.0), [1.0, 1.0], [20.0, 20.0], [0.5, 0.5])
+    setup = MarketSetup.from_instance(instance)
+    for schedule in _schedules(setup):
+        outcomes = [e.outcome for e in assert_bit_identical(setup, schedule, instance, None)]
+        assert outcomes == [SUCC, SUCC, SUCC, SUCC, FAIL]
+
+
+@pytest.mark.parametrize("resources", [1, 3])
+def test_no_tenants(resources):
+    instance = Instance(
+        np.zeros((0, resources)), np.zeros(0), [1.0] * resources, [2.0] * resources, [0.5] * resources
+    )
+    setup = MarketSetup.from_instance(instance)
+    for schedule in _schedules(setup):
+        for order in (None, []):
+            assert assert_bit_identical(setup, schedule, instance, order) == []
+
+
+def test_zero_demand_tenants():
+    # a tenant demanding nothing pays nothing and, with a positive valuation, buys
+    instance = manual_instance([[0.0, 0.0], [0.3, 0.2], [0.0, 0.0]], [0.5, 1.0, 0.0], [0.2, 0.2])
+    setup = MarketSetup.from_instance(instance)
+    for schedule in _schedules(setup):
+        assert_bit_identical(setup, schedule, instance, [2, 0, 1])
+
+
+def test_transcript_is_built_once_on_first_read(monkeypatch):
+    instance = generate_instance(GenConfig(tenant_count=12, resource_count=2, seed=4))
+    setup = MarketSetup.from_instance(instance)
+    builds = []
+    original = protocol._ArrivalRecord.entries
+
+    def counted(record):
+        builds.append(record)
+        return original(record)
+
+    monkeypatch.setattr(protocol._ArrivalRecord, "entries", counted)
+    result = run_session(setup, build_schedule(setup), instance)
+    assert result.ledger.arrivals == 12
+    assert result.ledger.transferred_bytes == 4 * 12 * (2 * 2 + 3)
+    assert builds == []
+    first = result.ledger.transcript
+    assert result.ledger.transcript is first
+    assert len(builds) == 1
+    assert result.ledger.arrivals == 12
+
+
+class TestUpFrontInputChecks:
+    """One vector check per session replaces the per-arrival sign checks and
+    also rejects infinite inputs (NaN: ``test_protocol.py``)."""
+
+    def market(self):
+        return generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=8))
+
+    def with_values(self, instance, valuations=None, demands=None):
+        return Instance(
+            instance.demands if demands is None else demands,
+            instance.valuations if valuations is None else valuations,
+            instance.price_floors,
+            instance.price_caps,
+            instance.unit_costs,
+        )
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, -0.1])
+    def test_bad_valuation(self, bad):
+        instance = self.market()
+        valuations = instance.valuations.copy()
+        valuations[3] = bad
+        setup = MarketSetup.from_instance(instance)
+        with pytest.raises(ProtocolError, match="valuation of tenant 3"):
+            run_session(setup, build_schedule(setup), self.with_values(instance, valuations=valuations))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, -0.1])
+    def test_bad_demand(self, bad):
+        instance = self.market()
+        demands = instance.demands.copy()
+        demands[4, 1] = bad
+        setup = MarketSetup.from_instance(instance)
+        with pytest.raises(ProtocolError, match="demands of tenant 4"):
+            run_session(setup, build_schedule(setup), self.with_values(instance, demands=demands))
+
+    def test_checks_precede_the_first_arrival(self, monkeypatch):
+        # the session fails before quoting anyone, even when the bad tenant comes last
+        instance = self.market()
+        valuations = instance.valuations.copy()
+        valuations[0] = math.nan
+        setup = MarketSetup.from_instance(instance)
+        schedule = build_schedule(setup)
+        monkeypatch.setattr(protocol, "_dot", lambda *args: pytest.fail("an arrival was quoted"))
+        with pytest.raises(ProtocolError):
+            run_session(setup, schedule, self.with_values(instance, valuations=valuations), [5, 4, 3, 2, 1, 0])
+
+
+class _BadPrices:
+    """A schedule whose price after the first sale is ``after``."""
+
+    def __init__(self, after):
+        self.after = after
+
+    def price_at(self, c, y):
+        return 1.0 if y == 0.0 else self.after
+
+
+@pytest.mark.parametrize("after", [math.nan, math.inf, -1.0])
+def test_new_prices_are_checked_as_quotes(after):
+    instance = manual_instance([[0.1], [0.1]], [1.0, 1.0], [0.5])
+    setup = MarketSetup([0.5], [1.0], [20.0])
+    with pytest.raises(ProtocolError, match="quoted price"):
+        run_session(setup, _BadPrices(after), instance)
+    with pytest.raises(ProtocolError, match="quoted price"):
+        reference_run_session(setup, _BadPrices(after), instance)
