@@ -22,8 +22,6 @@ from .harness import ExperimentSpec, SummaryRow, TrialMetrics, aggregate, emit, 
 from .market import (
     CAPACITY,
     FEASIBILITY_EPS,
-    MINUS_INF,
-    PLUS_INF,
     Allocation,
     InfeasibleAllocationError,
     MarketError,
@@ -32,8 +30,6 @@ from .market import (
     SetupError,
     conjugate,
     cost,
-    is_finite,
-    profit,
     social_welfare,
     utilities,
 )

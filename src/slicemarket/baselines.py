@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import CAPACITY, FEASIBILITY_EPS, PLUS_INF, MarketSetup, SetupError
+from .market import CAPACITY, FEASIBILITY_EPS, MarketSetup, SetupError
 from .oracle import adjusted_profits
 from .protocol import SessionResult, run_session
 
@@ -180,7 +180,10 @@ def utility_bid_auction(instance) -> AuctionResult:
 
 @dataclass(frozen=True)
 class MyopicPricing:
-    """Linear price ramp from zero to the averaged band price at full capacity."""
+    """Linear price ramp from zero to the averaged band price at full capacity.
+
+    Like the threshold schedule, defined on ``[0, CAPACITY]``.
+    """
 
     slopes: tuple[float, ...]
 
@@ -193,13 +196,11 @@ class MyopicPricing:
     def resource_count(self) -> int:
         return len(self.slopes)
 
-    def price_at(self, c: int, y: float):
+    def price_at(self, c: int, y: float) -> float:
         if not 0 <= c < len(self.slopes):
             raise SetupError(f"resource index {c} out of range [0, {len(self.slopes)})")
-        if y < 0:
-            raise SetupError(f"utilization must be non-negative, got {y!r}")
-        if y > CAPACITY:
-            return PLUS_INF
+        if not 0 <= y <= CAPACITY:
+            raise SetupError(f"utilization must lie in [0, {CAPACITY}], got {y!r}")
         return self.slopes[c] * y
 
 

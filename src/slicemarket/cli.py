@@ -18,6 +18,7 @@ from dataclasses import replace
 
 from .harness import (
     ALGORITHMS,
+    ORACLE_MODES,
     EmitError,
     ExperimentSpec,
     HarnessError,
@@ -26,13 +27,16 @@ from .harness import (
     run_trials,
 )
 from .market import MarketError
-from .oracle import lp_upper_bound, offline_exact
+from .oracle import DEFAULT_NODE_BUDGET, lp_upper_bound, offline_exact
 from .verify import run_verification
 from .workload import GenConfig, Instance, validate_instance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+
+#: The algorithms a sweep compares when ``--algos`` is not given.
+SWEEP_ALGOS = ("posted_price", "myopic", "random")
 
 
 def _int_list(text: str) -> list[int]:
@@ -58,7 +62,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory for CSV/JSON artifacts")
-    parser.add_argument("--oracle", choices=("exact", "lp", "auto"), default=None)
+    parser.add_argument("--oracle", choices=ORACLE_MODES, default=None)
     parser.add_argument("--transcripts", choices=("on", "off"), default=None)
     parser.add_argument("--timing", choices=("on", "off"), default=None)
 
@@ -111,38 +115,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    axes = {
-        "tenants": args.n if args.n and len(args.n) > 1 else None,
-        "resources": args.c if args.c and len(args.c) > 1 else None,
-        "demand_mean": args.demand_mean if args.demand_mean and len(args.demand_mean) > 1 else None,
-        "unit_cost_range": args.q_range if args.q_range and len(args.q_range) > 1 else None,
-        "pay_level_range": args.pay_level if args.pay_level and len(args.pay_level) > 1 else None,
-    }
-    multi = [(axis, values) for axis, values in axes.items() if values]
+    flags = (  # (sweep axis, GenConfig field, parsed flag values)
+        ("tenants", "tenant_count", args.n),
+        ("resources", "resource_count", args.c),
+        ("demand_mean", "demand_mean", args.demand_mean),
+        ("unit_cost_range", "unit_cost_range", args.q_range),
+        ("pay_level_range", "pay_level_range", args.pay_level),
+    )
+    multi = [(axis, values) for axis, _, values in flags if values and len(values) > 1]
     if len(multi) > 1:
         print("error: exactly one flag may carry multiple sweep values", file=sys.stderr)
         return EXIT_VALIDATION
 
-    config = GenConfig(
-        tenant_count=args.n[0] if args.n else 100,
-        resource_count=args.c[0] if args.c else 3,
-        demand_mean=args.demand_mean[0] if args.demand_mean else None,
-        unit_cost_range=args.q_range[0] if args.q_range else (1 / 6, 5 / 6),
-        pay_level_range=args.pay_level[0] if args.pay_level else (2.0, 6.0),
-    )
+    # the first value of each given flag sets the base market; GenConfig supplies the rest
+    config = GenConfig(**{field: values[0] for _, field, values in flags if values})
     axis, values = multi[0] if multi else (None, ())
-    spec = ExperimentSpec(
-        algos=tuple(args.algos.split(",")) if args.algos else ("posted_price", "myopic", "random"),
-        base_config=config,
-        axis=axis,
-        values=tuple(values),
-        trials=args.trials if args.trials is not None else 1000,
-        seed=args.seed if args.seed is not None else 0,
-        oracle=args.oracle or "auto",
-        transcripts=args.transcripts == "on",
-        timing=args.timing == "on",
-    )
-    return _execute(spec, args.out)
+    spec = ExperimentSpec(algos=SWEEP_ALGOS, base_config=config, axis=axis, values=tuple(values))
+    return _execute(_spec_with_overrides(spec, args), args.out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -221,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--method", choices=("auto", "exhaustive", "branch-and-bound", "lp"), default="auto"
     )
-    p_oracle.add_argument("--node-budget", type=int, default=5_000_000)
+    p_oracle.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_oracle.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -2,19 +2,18 @@
 
 Every resource has unit capacity, a linear operating cost, and an admissible
 band of earning densities (tenant valuation per unit of resource).  This
-module holds the cost / profit / conjugate functions and the welfare
-accounting that every algorithm in the package shares.
+module holds the cost and conjugate functions and the welfare accounting
+that every algorithm in the package shares.
 
-Costs beyond capacity are infinite.  Infinity is modelled by dedicated
-sentinels (:data:`PLUS_INF`, :data:`MINUS_INF`) that order correctly against
-real numbers but refuse arithmetic, so an over-capacity value can never leak
-silently into a welfare sum.
+Costs and prices are defined on the capacity interval ``[0, CAPACITY]`` only;
+asking for one outside it is an error.  Every number is finite: the
+``workload.Instance`` constructor checks an instance's, and
+``MarketSetup.validate`` a setup's.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,78 +46,10 @@ class PaymentError(MarketError):
     """A payment vector is inconsistent with an allocation."""
 
 
-class _Infinity:
-    """Signed infinite value that compares against reals but refuses arithmetic.
-
-    ``PLUS_INF`` is larger than every real number, ``MINUS_INF`` smaller.
-    Any attempt to mix one with finite arithmetic raises ``TypeError`` instead
-    of propagating a NaN or an unbounded float through a welfare sum.
-    """
-
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign: int):
-        self._sign = sign
-
-    def _cmp_ok(self, other) -> bool:
-        return isinstance(other, (_Infinity, numbers.Real))
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return self._sign > other._sign
-        if isinstance(other, numbers.Real):
-            return self._sign > 0
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, _Infinity):
-            return self._sign < other._sign
-        if isinstance(other, numbers.Real):
-            return self._sign < 0
-        return NotImplemented
-
-    def __ge__(self, other):
-        if not self._cmp_ok(other):
-            return NotImplemented
-        return self == other or self > other
-
-    def __le__(self, other):
-        if not self._cmp_ok(other):
-            return NotImplemented
-        return self == other or self < other
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity) and self._sign == other._sign
-
-    def __hash__(self):
-        return hash(("slicemarket-infinity", self._sign))
-
-    def _refuse(self, *_args):
-        raise TypeError(
-            "infinite cost/profit sentinel cannot take part in arithmetic; "
-            "check feasibility before summing"
-        )
-
-    __add__ = __radd__ = __sub__ = __rsub__ = _refuse
-    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _refuse
-    __neg__ = __pos__ = __abs__ = _refuse
-    __float__ = _refuse
-
-    def __repr__(self):
-        return "PLUS_INF" if self._sign > 0 else "MINUS_INF"
-
-
-PLUS_INF = _Infinity(1)
-MINUS_INF = _Infinity(-1)
-
-
-def is_finite(value) -> bool:
-    """True when ``value`` is a real number rather than an infinity sentinel."""
-    return not isinstance(value, _Infinity)
-
-
 def _readonly(array: np.ndarray) -> np.ndarray:
-    array = np.ascontiguousarray(np.asarray(array, dtype=float))
+    # a private copy: the caller's array stays writeable, and a write through
+    # any view of it cannot reach the frozen object
+    array = np.array(array, dtype=float, order="C")
     array.setflags(write=False)
     return array
 
@@ -209,16 +140,15 @@ def _check_resource(setup: MarketSetup, c: int) -> None:
         raise SetupError(f"resource index {c} out of range [0, {setup.resource_count})")
 
 
-def cost(setup: MarketSetup, c: int, y: float):
+def cost(setup: MarketSetup, c: int, y: float) -> float:
     """Operating cost of renting out ``y`` units of resource ``c``.
 
-    Linear in ``y`` on the capacity interval, infinite beyond it.
+    Linear in ``y`` on the capacity interval ``[0, CAPACITY]``, undefined
+    outside it.
     """
     _check_resource(setup, c)
-    if y < 0:
-        raise MarketError(f"utilization must be non-negative, got {y!r}")
-    if y > CAPACITY:
-        return PLUS_INF
+    if not 0 <= y <= CAPACITY:
+        raise MarketError(f"utilization must lie in [0, {CAPACITY}], got {y!r}")
     return float(setup.unit_costs[c] * y)
 
 
@@ -232,18 +162,6 @@ def conjugate(setup: MarketSetup, c: int, price: float) -> float:
         raise MarketError(f"price must be non-negative, got {price!r}")
     q = float(setup.unit_costs[c])
     return float(price - q) if price > q else 0.0
-
-
-def profit(setup: MarketSetup, c: int, price: float, y: float):
-    """Revenue minus cost of renting ``y`` units of resource ``c`` at ``price``."""
-    _check_resource(setup, c)
-    if price < 0:
-        raise MarketError(f"price must be non-negative, got {price!r}")
-    if y < 0:
-        raise MarketError(f"utilization must be non-negative, got {y!r}")
-    if y > CAPACITY:
-        return MINUS_INF
-    return float(price * y - setup.unit_costs[c] * y)
 
 
 def _check_allocation(setup: MarketSetup, instance, allocation: Allocation) -> None:

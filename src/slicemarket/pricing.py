@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import CAPACITY, PLUS_INF, MarketSetup, SetupError, _readonly
+from .market import CAPACITY, MarketSetup, SetupError, _readonly
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,16 @@ class PricingSchedule:
     def resource_count(self) -> int:
         return self.unit_costs.shape[0]
 
-    def price_at(self, c: int, y: float):
+    def price_at(self, c: int, y: float) -> float:
         """Posted price of resource ``c`` at utilization ``y``.
 
-        Flat at the floor below the threshold, exponential up to capacity,
-        infinite beyond.
+        Flat at the floor below the threshold, exponential up to capacity;
+        defined on ``[0, CAPACITY]``.
         """
         if not 0 <= c < self.resource_count:
             raise SetupError(f"resource index {c} out of range [0, {self.resource_count})")
-        if y < 0:
-            raise SetupError(f"utilization must be non-negative, got {y!r}")
-        if y > CAPACITY:
-            return PLUS_INF
+        if not 0 <= y <= CAPACITY:
+            raise SetupError(f"utilization must lie in [0, {CAPACITY}], got {y!r}")
         w = self._w[c]
         if y < w:
             return self._floor[c]

@@ -10,13 +10,14 @@ private to a tenant never appear in it.
 ``PriceQuote``, ``RentDecision``, ``tenant_decide`` and ``mvno_settle`` spell
 the protocol out message by message, each message checked as it is built;
 they are the reference the session engine is tested against.
-``run_session`` is that engine: it checks the arrival order, valuations and
-demands once per session, then runs every arrival on plain lists, re-evaluating
-the prices only after a sale and keeping a compact record per arrival (the
-quoted price tuple, shared between arrivals, the outcome and the charge).  The
-ledger's ``transcript`` of ``TranscriptEntry`` messages is built from that
-record the first time it is read, so a caller that needs only the allocation,
-the revenue or ``SessionLedger.transferred_bytes`` never pays for it.
+``run_session`` is that engine: it checks the arrival order once per session
+(the ``Instance`` constructor has checked the valuations and demands), then
+runs every arrival on plain lists, re-evaluating the prices only after a sale
+and keeping a compact record per arrival (the quoted price tuple, shared
+between arrivals, the outcome and the charge).  The ledger's ``transcript``
+of ``TranscriptEntry`` messages is built from that record the first time it
+is read, so a caller that needs only the allocation, the revenue or
+``SessionLedger.transferred_bytes`` never pays for it.
 
 ``validate_transcript_record`` checks a persisted record against the published
 ``TRANSCRIPT_RECORD_SCHEMA`` with direct key, type and range checks; the
@@ -392,22 +393,6 @@ def mvno_settle(ledger: SessionLedger, schedule, decision: RentDecision) -> tupl
     return outcome, ledger
 
 
-def _check_tenant_inputs(valuations: np.ndarray, demands: np.ndarray) -> None:
-    # NaN fails both comparisons
-    fine = (valuations >= 0) & (valuations < math.inf)
-    if not fine.all():
-        tenant = int(np.argmin(fine))
-        raise ProtocolError(
-            f"valuation of tenant {tenant} must be finite and non-negative, got {float(valuations[tenant])!r}"
-        )
-    fine = ((demands >= 0) & (demands < math.inf)).all(axis=1)
-    if not fine.all():
-        tenant = int(np.argmin(fine))
-        raise ProtocolError(
-            f"demands of tenant {tenant} must be finite and non-negative, got {demands[tenant].tolist()!r}"
-        )
-
-
 def run_session(
     setup: MarketSetup,
     schedule,
@@ -418,11 +403,11 @@ def run_session(
 
     Tenants are processed strictly in ``order`` (instance order by default);
     each settlement completes before the next quote.  Every arrival follows
-    ``tenant_decide`` and ``mvno_settle`` exactly, on plain lists: the order,
-    valuations and demands are checked once up front, one ``_dot`` charge is
-    both the tenant's offer and the booked payment, and the prices are
-    re-evaluated (and checked as a quote) only after a sale, the one step that
-    moves utilization.
+    ``tenant_decide`` and ``mvno_settle`` exactly, on plain lists: the order is
+    checked once up front (valuations and demands were checked when the
+    ``Instance`` was built), one ``_dot`` charge is both the tenant's offer and
+    the booked payment, and the prices are re-evaluated (and checked as a
+    quote) only after a sale, the one step that moves utilization.
     """
     n, c = instance.tenant_count, instance.resource_count
     if setup.resource_count != c:
@@ -431,10 +416,11 @@ def run_session(
         order = range(n)
     else:
         order = [int(t) for t in order]
-        counts = np.bincount(np.asarray(order, dtype=int), minlength=n) if order else np.ones(0)
-        if len(order) != n or not (counts == 1).all():
+        indices = np.asarray(order, dtype=int)
+        # range first: bincount raises a bare ValueError on a negative index
+        in_range = len(order) == n and (n == 0 or 0 <= indices.min() <= indices.max() < n)
+        if not in_range or (np.bincount(indices, minlength=n) != 1).any():
             raise ProtocolError("arrival order must be a permutation of the tenant indices")
-    _check_tenant_inputs(instance.valuations, instance.demands)
 
     price_at = schedule.price_at
     resources = range(c)

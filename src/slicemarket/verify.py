@@ -14,7 +14,7 @@ import numpy as np
 from .market import Allocation, MarketSetup, social_welfare, utilities
 from .pricing import build_schedule
 from .protocol import FAIL, SUCC, run_session, validate_transcript_record
-from .workload import GenConfig, generate_instance, validate_instance
+from .workload import GenConfig, WorkloadError, generate_instance
 
 ACCOUNTING_TOL = 1e-9
 DUAL_TOL = 1e-9
@@ -136,13 +136,19 @@ def pricing_suite(setups: int = 1000, seed: int = 0) -> list[str]:
 
 
 def workload_suite(instances: int = 1000, seed: int = 0) -> list[str]:
-    """Generated instances must validate cleanly."""
+    """Generated instances must validate cleanly.
+
+    The generator validates every instance it builds and raises
+    ``WorkloadError`` on the first breach, which is reported here.
+    """
     rng = np.random.default_rng(seed)
     problems: list[str] = []
     for index in range(instances):
         config = _random_config(rng)
-        for violation in validate_instance(generate_instance(config)):
-            problems.append(f"instance {index} (seed {config.seed}): {violation}")
+        try:
+            generate_instance(config)
+        except WorkloadError as exc:
+            problems.append(f"instance {index} (seed {config.seed}): {exc}")
     return problems
 
 

@@ -26,6 +26,14 @@ MIN_DEMAND = 1e-6
 #: the rounding of a C-term sum, a few ulps, never this much.
 BUNDLE_FLOOR_RTOL = 1e-12
 _MAX_RESAMPLE_ROUNDS = 1000
+#: The instance's arrays and what their axes index.
+_ARRAY_AXES = {
+    "demands": ("tenant", "resource"),
+    "valuations": ("tenant",),
+    "price_floors": ("resource",),
+    "price_caps": ("resource",),
+    "unit_costs": ("resource",),
+}
 
 
 class WorkloadError(MarketError):
@@ -118,7 +126,13 @@ class TenantPrivate:
 
 @dataclass(frozen=True)
 class Instance:
-    """One market instance: public demands plus collapsed private valuations."""
+    """One market instance: public demands plus collapsed private valuations.
+
+    The constructor is the one place tenant and market numbers are checked:
+    every value is finite and every demand and valuation non-negative, else
+    ``WorkloadError``.  Each array is a private read-only copy.  Market-level
+    rules (bands, costs, bundle floors) are :func:`validate_instance`'s.
+    """
 
     demands: np.ndarray  # (tenants, resources)
     valuations: np.ndarray  # (tenants,)
@@ -129,7 +143,7 @@ class Instance:
     config: GenConfig | None = None
 
     def __post_init__(self):
-        for name in ("demands", "valuations", "price_floors", "price_caps", "unit_costs"):
+        for name in _ARRAY_AXES:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         if self.demands.ndim != 2:
             raise WorkloadError("demands must be a 2-D tenant-by-resource matrix")
@@ -139,6 +153,21 @@ class Instance:
         for name in ("price_floors", "price_caps", "unit_costs"):
             if getattr(self, name).shape != (c,):
                 raise WorkloadError(f"{name} must have one entry per resource")
+        for name, axes in _ARRAY_AXES.items():
+            values = getattr(self, name)
+            bad = np.argwhere(~np.isfinite(values))
+            if len(bad):
+                index = tuple(map(int, bad[0]))
+                place = ", ".join(f"{axis} {i}" for axis, i in zip(axes, index))
+                first = float(values[index])
+                raise WorkloadError(f"{name}: {len(bad)} non-finite value(s), first {first!r} at {place}")
+        if (self.valuations < 0).any():
+            tenant = int(np.argmax(self.valuations < 0))
+            raise WorkloadError(f"tenant {tenant} has negative valuation {float(self.valuations[tenant])!r}")
+        if (self.demands < 0).any():
+            tenant, resource = map(int, np.argwhere(self.demands < 0)[0])
+            demand = float(self.demands[tenant, resource])
+            raise WorkloadError(f"tenant {tenant} has negative demand {demand!r} of resource {resource}")
 
     @property
     def tenant_count(self) -> int:
@@ -380,36 +409,10 @@ def generate_instance(config: GenConfig, payment_fn: Callable[[float], float] | 
 
 
 def validate_instance(instance: Instance) -> list[Violation]:
-    """Collect every breached invariant; an empty list means the instance is sound."""
+    """Collect every breached market-level invariant; an empty list means the
+    instance is sound.  Finite values and non-negative tenant data are already
+    guaranteed by the ``Instance`` constructor."""
     violations: list[Violation] = []
-    # NaN fails every comparison below, so non-finite values are named first
-    for name, values, axes in (
-        ("demands", instance.demands, ("tenant", "resource")),
-        ("valuations", instance.valuations, ("tenant",)),
-        ("price_floors", instance.price_floors, ("resource",)),
-        ("price_caps", instance.price_caps, ("resource",)),
-        ("unit_costs", instance.unit_costs, ("resource",)),
-    ):
-        bad = np.argwhere(~np.isfinite(values))
-        if len(bad):
-            where = dict(zip(axes, map(int, bad[0])))
-            place = ", ".join(f"{axis} {index}" for axis, index in where.items())
-            violations.append(
-                Violation(
-                    "non-finite",
-                    f"{name}: {len(bad)} non-finite value(s), first {values[tuple(bad[0])]!r} at {place}",
-                    where.get("tenant"),
-                    where.get("resource"),
-                )
-            )
-    if (instance.demands < 0).any():
-        n, c = map(int, np.argwhere(instance.demands < 0)[0])
-        violations.append(
-            Violation("negative-demand", f"tenant {n} demands {instance.demands[n, c]!r} of resource {c}", n, c)
-        )
-    if (instance.valuations < 0).any():
-        n = int(np.argmax(instance.valuations < 0))
-        violations.append(Violation("negative-valuation", f"tenant {n} has valuation {instance.valuations[n]!r}", n))
     for c in range(instance.resource_count):
         lo, hi, q = instance.price_floors[c], instance.price_caps[c], instance.unit_costs[c]
         if not lo <= hi:

@@ -11,7 +11,7 @@ from slicemarket.baselines import (
     random_slicing,
     utility_bid_auction,
 )
-from slicemarket.market import Allocation, MarketSetup, social_welfare
+from slicemarket.market import Allocation, MarketSetup, SetupError, social_welfare
 from slicemarket.oracle import offline_exact
 from slicemarket.pricing import build_schedule
 from slicemarket.protocol import run_session
@@ -136,9 +136,8 @@ class TestMyopicSlicing:
         pricing = MyopicPricing.from_setup(setup)
         assert pricing.price_at(0, 1.0) == pytest.approx((1.0 + 2.0) / 2)
         assert pricing.price_at(1, 1.0) == pytest.approx((2.0 + 3.0) / 2)
-        from slicemarket.market import PLUS_INF
-
-        assert pricing.price_at(0, 1.1) is PLUS_INF
+        with pytest.raises(SetupError):
+            pricing.price_at(0, 1.1)
         # the ramp ends at the band midpoint whatever the resource count
         for floors, caps in (([1.0], [3.0]), ([1.0, 2.0, 4.0], [2.0, 3.0, 5.0])):
             pricing = MyopicPricing.from_setup(MarketSetup([0.5] * len(floors), floors, caps))

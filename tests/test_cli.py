@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
+from slicemarket import cli
 from slicemarket.cli import main
+from slicemarket.harness import ExperimentSpec
 from slicemarket.workload import GenConfig, generate_instance
 
 
@@ -93,6 +97,29 @@ class TestSweep:
              "--out", str(blocker / "nested")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], ExperimentSpec(algos=("posted_price", "myopic", "random"))),
+            (
+                ["--n", "10,50", "--trials", "5", "--transcripts", "on"],
+                ExperimentSpec(
+                    algos=("posted_price", "myopic", "random"),
+                    base_config=GenConfig(tenant_count=10),
+                    axis="tenants",
+                    values=(10, 50),
+                    trials=5,
+                    transcripts=True,
+                ),
+            ),
+        ],
+    )
+    def test_unset_flags_keep_the_spec_defaults(self, monkeypatch, flags, expected):
+        captured = []
+        monkeypatch.setattr(cli, "_execute", lambda spec, out: captured.append((spec, out)) or 0)
+        assert main(["sweep", *flags]) == 0
+        assert captured == [(expected, None)]
 
     def test_byte_identical_outputs(self, tmp_path):
         args = ["sweep", "--n", "5", "--c", "2", "--algos", "posted_price,random",

@@ -1,12 +1,9 @@
-"""Economic primitives: cost, conjugate, profit, welfare accounting."""
+"""Economic primitives: cost, conjugate, welfare accounting."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from slicemarket.market import (
-    MINUS_INF,
-    PLUS_INF,
     Allocation,
     InfeasibleAllocationError,
     MarketError,
@@ -15,8 +12,6 @@ from slicemarket.market import (
     SetupError,
     conjugate,
     cost,
-    is_finite,
-    profit,
     social_welfare,
     utilities,
 )
@@ -36,13 +31,13 @@ class TestCost:
         assert cost(make_setup(q=0.5), 0, 1.0) == 0.5
 
     def test_beyond_capacity_is_infinite(self):
-        assert cost(make_setup(q=0.5), 0, 1.0001) is PLUS_INF
+        with pytest.raises(MarketError):
+            cost(make_setup(q=0.5), 0, 1.0001)
 
     def test_monotone_then_infinite(self):
         setup = make_setup(q=0.7)
         values = [cost(setup, 0, y) for y in np.linspace(0, 1, 101)]
         assert all(b >= a for a, b in zip(values, values[1:]))
-        assert cost(setup, 0, 1.5) > values[-1]
 
     def test_invalid_resource(self):
         with pytest.raises(SetupError):
@@ -69,19 +64,16 @@ class TestConjugate:
 
 
 class TestProfit:
-    def test_interior(self):
-        assert profit(make_setup(q=1.0), 0, 2.0, 0.5) == pytest.approx(0.5)
+    """The profit ``p*y - q*y`` of renting ``y`` units at price ``p``,
+    maximized over the capacity interval, is the conjugate."""
 
     def test_maximum_matches_conjugate_on_grid(self):
         # independent grid search over y in {0, 0.01, ..., 1.0}
         setup = make_setup(q=1.0)
-        grid = [profit(setup, 0, 2.0, i / 100) for i in range(101)]
+        grid = [2.0 * (i / 100) - 1.0 * (i / 100) for i in range(101)]
         assert max(grid) == pytest.approx(1.0)
         assert grid.index(max(grid)) == 100
         assert max(grid) == pytest.approx(conjugate(setup, 0, 2.0))
-
-    def test_beyond_capacity(self):
-        assert profit(make_setup(q=1.0), 0, 2.0, 1.5) is MINUS_INF
 
     def test_duality_randomized(self, rng):
         grid = np.arange(0, 1001) / 1000.0
@@ -91,42 +83,6 @@ class TestProfit:
             setup = make_setup(q=q, floor=q * 2, cap=q * 4)
             best = max(p * y - q * y for y in grid)
             assert abs(best - conjugate(setup, 0, p)) <= 1e-6
-
-
-@given(
-    q=st.floats(0.01, 10.0),
-    p=st.floats(0.0, 20.0),
-    y=st.floats(0.0, 1.0),
-)
-def test_profit_never_exceeds_conjugate(q, p, y):
-    setup = MarketSetup([q], [q * 2], [q * 3])
-    assert profit(setup, 0, p, y) <= conjugate(setup, 0, p) + 1e-12
-
-
-class TestSentinels:
-    def test_ordering(self):
-        assert PLUS_INF > 1e308
-        assert not (PLUS_INF < 1e308)
-        assert MINUS_INF < -1e308
-        assert PLUS_INF > MINUS_INF
-        assert np.float64(3.0) < PLUS_INF
-        assert np.float64(3.0) > MINUS_INF
-        assert PLUS_INF >= PLUS_INF and PLUS_INF <= PLUS_INF
-
-    def test_arithmetic_refused(self):
-        with pytest.raises(TypeError):
-            PLUS_INF + 1.0
-        with pytest.raises(TypeError):
-            1.0 + PLUS_INF
-        with pytest.raises(TypeError):
-            MINUS_INF * 2.0
-        with pytest.raises(TypeError):
-            float(PLUS_INF)
-
-    def test_is_finite(self):
-        assert is_finite(3.5)
-        assert not is_finite(PLUS_INF)
-        assert not is_finite(MINUS_INF)
 
 
 class TestSocialWelfare:

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from slicemarket.market import PLUS_INF, MarketSetup, SetupError
+from slicemarket.market import MarketSetup, SetupError
 from slicemarket.pricing import build_schedule
 
 from conftest import random_setup
@@ -68,7 +68,8 @@ class TestPriceAt:
         assert build_schedule(E1).price_at(0, 1.0) == pytest.approx(1.0 + math.e, rel=1e-12)
 
     def test_beyond_capacity(self):
-        assert build_schedule(E1).price_at(0, 1.0001) is PLUS_INF
+        with pytest.raises(SetupError):
+            build_schedule(E1).price_at(0, 1.0001)
 
     def test_negative_utilization(self):
         with pytest.raises(SetupError):

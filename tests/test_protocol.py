@@ -28,7 +28,7 @@ from slicemarket.protocol import (
     transferred_data_bytes,
     validate_transcript_record,
 )
-from slicemarket.workload import GenConfig, Instance, generate_instance
+from slicemarket.workload import GenConfig, Instance, WorkloadError, generate_instance
 
 from conftest import manual_instance
 
@@ -228,8 +228,13 @@ class TestRunSession:
         inst = generate_instance(GenConfig(tenant_count=4, resource_count=1, seed=1))
         setup = MarketSetup.from_instance(inst)
         schedule = build_schedule(setup)
-        with pytest.raises(ProtocolError):
-            run_session(setup, schedule, inst, [0, 1, 2, 2])
+        for order in ([0, 1, 2, 2], [0, 1, 2], [0, 1, 2, 3, 0], [0, 1, 2, 4], [-1, 0, 1, 2]):
+            with pytest.raises(ProtocolError, match="permutation"):
+                run_session(setup, schedule, inst, order)
+        # a negative index used to reach np.bincount and raise a bare ValueError
+        three = generate_instance(GenConfig(tenant_count=3, resource_count=1, seed=1))
+        with pytest.raises(ProtocolError, match="permutation"):
+            run_posted_price(three, [-1, 0, 1])
 
     def test_session_invariants_randomized(self, rng):
         for _ in range(60):
@@ -285,20 +290,19 @@ class TestRunSession:
         assert not result.allocation.accepted[0]
 
     def test_nan_valuation_rejected(self):
+        # no session can run on it: the Instance constructor rejects it
         inst = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=9))
         valuations = inst.valuations.copy()
         valuations[2] = math.nan
-        bad = Instance(inst.demands, valuations, inst.price_floors, inst.price_caps, inst.unit_costs)
-        with pytest.raises(ProtocolError, match="valuation of tenant 2"):
-            run_posted_price(bad)
+        with pytest.raises(WorkloadError, match="non-finite .* at tenant 2$"):
+            Instance(inst.demands, valuations, inst.price_floors, inst.price_caps, inst.unit_costs)
 
     def test_nan_demand_rejected(self):
         inst = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=9))
         demands = inst.demands.copy()
         demands[1, 0] = math.nan
-        bad = Instance(demands, inst.valuations, inst.price_floors, inst.price_caps, inst.unit_costs)
-        with pytest.raises(ProtocolError, match="demands of tenant 1"):
-            run_posted_price(bad)
+        with pytest.raises(WorkloadError, match="non-finite .* at tenant 1, resource 0$"):
+            Instance(demands, inst.valuations, inst.price_floors, inst.price_caps, inst.unit_costs)
 
     def test_wrapper_builds_schedule(self):
         inst = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=9))

@@ -32,7 +32,7 @@ from slicemarket.protocol import (
     transferred_data_bytes,
 )
 from slicemarket.verify import _random_config
-from slicemarket.workload import GenConfig, Instance, generate_instance
+from slicemarket.workload import GenConfig, Instance, WorkloadError, generate_instance
 
 from conftest import manual_instance
 
@@ -212,8 +212,9 @@ def test_transcript_is_built_once_on_first_read(monkeypatch):
 
 
 class TestUpFrontInputChecks:
-    """One vector check per session replaces the per-arrival sign checks and
-    also rejects infinite inputs (NaN: ``test_protocol.py``)."""
+    """Bad tenant data never reaches a session: the ``Instance`` constructor
+    rejects infinite and negative valuations and demands (NaN:
+    ``test_protocol.py``)."""
 
     def market(self):
         return generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=8))
@@ -232,29 +233,16 @@ class TestUpFrontInputChecks:
         instance = self.market()
         valuations = instance.valuations.copy()
         valuations[3] = bad
-        setup = MarketSetup.from_instance(instance)
-        with pytest.raises(ProtocolError, match="valuation of tenant 3"):
-            run_session(setup, build_schedule(setup), self.with_values(instance, valuations=valuations))
+        with pytest.raises(WorkloadError, match="tenant 3"):
+            self.with_values(instance, valuations=valuations)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, -0.1])
     def test_bad_demand(self, bad):
         instance = self.market()
         demands = instance.demands.copy()
         demands[4, 1] = bad
-        setup = MarketSetup.from_instance(instance)
-        with pytest.raises(ProtocolError, match="demands of tenant 4"):
-            run_session(setup, build_schedule(setup), self.with_values(instance, demands=demands))
-
-    def test_checks_precede_the_first_arrival(self, monkeypatch):
-        # the session fails before quoting anyone, even when the bad tenant comes last
-        instance = self.market()
-        valuations = instance.valuations.copy()
-        valuations[0] = math.nan
-        setup = MarketSetup.from_instance(instance)
-        schedule = build_schedule(setup)
-        monkeypatch.setattr(protocol, "_dot", lambda *args: pytest.fail("an arrival was quoted"))
-        with pytest.raises(ProtocolError):
-            run_session(setup, schedule, self.with_values(instance, valuations=valuations), [5, 4, 3, 2, 1, 0])
+        with pytest.raises(WorkloadError, match="tenant 4"):
+            self.with_values(instance, demands=demands)
 
 
 class _BadPrices:

@@ -250,15 +250,20 @@ class TestValidateInstance:
         ],
     )
     def test_non_finite_values_detected(self, field, index, value, tenant, resource):
+        # the constructor rejects them, so no instance with one ever exists
         inst = generate_instance(GenConfig(tenant_count=5, resource_count=3, seed=4))
         arrays = {
             name: getattr(inst, name).copy()
             for name in ("demands", "valuations", "price_floors", "price_caps", "unit_costs")
         }
         arrays[field][index] = value
-        problems = [v for v in validate_instance(Instance(**arrays)) if v.code == "non-finite"]
-        assert [(v.tenant, v.resource) for v in problems] == [(tenant, resource)]
-        assert field in problems[0].message
+        with pytest.raises(WorkloadError, match="non-finite") as err:
+            Instance(**arrays)
+        place = ", ".join(
+            f"{axis} {i}" for axis, i in (("tenant", tenant), ("resource", resource)) if i is not None
+        )
+        assert str(err.value).startswith(f"{field}: ")
+        assert str(err.value).endswith(f"at {place}")
 
     def test_violations_are_data_not_errors(self):
         inst = generate_instance(GenConfig(tenant_count=3, resource_count=1, seed=6))
@@ -301,3 +306,26 @@ class TestInstanceIO:
         inst = generate_instance(GenConfig(tenant_count=3, seed=1))
         with pytest.raises(ValueError):
             inst.demands[0, 0] = 5.0
+
+    def test_constructor_copies_the_callers_arrays(self):
+        inst = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=8))
+        valuations = inst.valuations.copy()
+        view = valuations[1:]
+        checked = Instance(inst.demands, valuations, inst.price_floors, inst.price_caps, inst.unit_costs)
+        assert valuations.flags.writeable
+        valuations[0] = 7.0
+        view[1] = np.nan  # valuation 2, through a view made before construction
+        assert (checked.valuations == inst.valuations).all()
+        assert not np.shares_memory(checked.valuations, valuations)
+
+    def test_nan_valuation_rejected_at_construction_and_load(self):
+        # offline_exact used to return welfare 0.476 on this market
+        inst = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=8))
+        valuations = inst.valuations.copy()
+        valuations[2] = np.nan
+        with pytest.raises(WorkloadError, match="valuations: 1 non-finite value"):
+            Instance(inst.demands, valuations, inst.price_floors, inst.price_caps, inst.unit_costs)
+        data = inst.to_dict()
+        data["valuations"][2] = float("nan")
+        with pytest.raises(WorkloadError, match="at tenant 2"):
+            Instance.from_dict(data)
