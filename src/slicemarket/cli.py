@@ -153,7 +153,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (json.JSONDecodeError, KeyError, MarketError) as exc:
+    except (json.JSONDecodeError, MarketError) as exc:
         print(f"error: invalid instance file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     problems = validate_instance(instance)

@@ -30,7 +30,7 @@ from .market import Allocation, MarketError, MarketSetup, social_welfare
 from .oracle import DEFAULT_NODE_BUDGET, lp_upper_bound, offline_exact
 from .pricing import build_schedule
 from .protocol import run_session, transcript_to_jsonl
-from .workload import GenConfig, generate_instance
+from .workload import GenConfig, _is_int, generate_instance
 
 ORACLE_MODES = ("exact", "lp", "auto")
 AXES = ("tenants", "resources", "demand_mean", "unit_cost_range", "pay_level_range")
@@ -151,8 +151,12 @@ class ExperimentSpec:
                 raise HarnessError("a sweep needs a non-empty value list")
         elif self.values:
             raise HarnessError("sweep values given without a sweep axis")
-        if self.trials < 1:
-            raise HarnessError("trials must be at least 1")
+        if not (_is_int(self.trials) and self.trials >= 1):
+            raise HarnessError(f"trials must be an integer of at least 1, got {self.trials!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise HarnessError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_int(self.node_budget):
+            raise HarnessError(f"node_budget must be an integer, got {self.node_budget!r}")
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -162,6 +166,8 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         """The spec a JSON document describes; a key it does not know is an error."""
+        if not isinstance(data, dict):
+            raise HarnessError(f"a spec document must be an object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)} - {"base_config"} | {"config"}
         unknown = set(data) - known
         if unknown:

@@ -46,10 +46,10 @@ class PaymentError(MarketError):
     """A payment vector is inconsistent with an allocation."""
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
+def _readonly(array: np.ndarray, dtype=float) -> np.ndarray:
     # a private copy: the caller's array stays writeable, and a write through
     # any view of it cannot reach the frozen object
-    array = np.array(array, dtype=float, order="C")
+    array = np.array(array, dtype=dtype, order="C")
     array.setflags(write=False)
     return array
 
@@ -114,9 +114,7 @@ class Allocation:
     utilization: np.ndarray
 
     def __post_init__(self):
-        accepted = np.asarray(self.accepted, dtype=bool)
-        accepted.setflags(write=False)
-        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "accepted", _readonly(self.accepted, bool))
         object.__setattr__(self, "utilization", _readonly(self.utilization))
         for c, y in enumerate(self.utilization):
             if y > CAPACITY + FEASIBILITY_EPS:
@@ -165,6 +163,7 @@ def conjugate(setup: MarketSetup, c: int, price: float) -> float:
 
 
 def _check_allocation(setup: MarketSetup, instance, allocation: Allocation) -> None:
+    # capacity is the ``Allocation`` constructor's check; these guard a directly built one
     if allocation.accepted.shape != (instance.tenant_count,):
         raise MarketError("allocation does not match the instance tenant count")
     if allocation.utilization.shape != (setup.resource_count,):
@@ -172,9 +171,6 @@ def _check_allocation(setup: MarketSetup, instance, allocation: Allocation) -> N
     expected = allocation.accepted.astype(float) @ instance.demands
     if not np.allclose(allocation.utilization, expected, atol=1e-6):
         raise MarketError("allocation utilization is inconsistent with the instance demands")
-    for c, y in enumerate(allocation.utilization):
-        if y > CAPACITY + FEASIBILITY_EPS:
-            raise InfeasibleAllocationError(c, float(y))
 
 
 def social_welfare(setup: MarketSetup, instance, allocation: Allocation) -> float:

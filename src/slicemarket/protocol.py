@@ -14,9 +14,10 @@ they are the reference the session engine is tested against.
 (the ``Instance`` constructor has checked the valuations and demands), then
 runs every arrival on plain lists, re-evaluating the prices only after a sale
 and keeping a compact record per arrival (the quoted price tuple, shared
-between arrivals, the outcome and the charge).  The ledger's ``transcript``
-of ``TranscriptEntry`` messages is built from that record the first time it
-is read, so a caller that needs only the allocation, the revenue or
+between arrivals, the outcome and the charge).  That record,
+``SessionLedger.record``, is what the ``verify`` checks read.  The ledger's
+``transcript`` of ``TranscriptEntry`` messages is built from it the first
+time it is read, so a caller that needs only the allocation, the revenue or
 ``SessionLedger.transferred_bytes`` never pays for it.
 
 ``validate_transcript_record`` checks a persisted record against the published
@@ -34,7 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .market import CAPACITY, Allocation, MarketError, MarketSetup
+from .market import CAPACITY, Allocation, MarketError, MarketSetup, _readonly
 
 SUCC = "SUCC"
 FAIL = "FAIL"
@@ -264,12 +265,14 @@ class SessionLedger:
 
     ``prices`` is an immutable tuple replaced wholesale on every settlement so
     quotes and transcript entries can share it.  ``transcript`` is the list
-    ``mvno_settle`` appends to; a ledger that ``run_session`` returns builds
-    it from the session's compact record on first read.  Strictly one mutator
+    ``mvno_settle`` appends to.  A ledger that ``run_session`` returns keeps
+    the session's compact ``record`` for its whole life (the ``verify``
+    checks read it) and builds ``transcript`` from it on first read; a
+    ledger from ``mvno_init`` has ``record = None``.  Strictly one mutator
     at a time; a session is a sequential state machine.
     """
 
-    __slots__ = ("utilization", "prices", "revenue", "_transcript", "_record")
+    __slots__ = ("utilization", "prices", "revenue", "_transcript", "record")
 
     def __init__(
         self, utilization: list[float], prices: tuple[float, ...], record: _ArrivalRecord | None = None
@@ -278,13 +281,12 @@ class SessionLedger:
         self.prices = prices
         self.revenue = 0.0
         self._transcript: list[TranscriptEntry] | None = [] if record is None else None
-        self._record = record
+        self.record = record
 
     @property
     def transcript(self) -> list[TranscriptEntry]:
         if self._transcript is None:
-            self._transcript = self._record.entries()
-            self._record = None
+            self._transcript = self.record.entries()
         return self._transcript
 
     @property
@@ -293,7 +295,7 @@ class SessionLedger:
 
     @property
     def arrivals(self) -> int:
-        return len(self._transcript) if self._transcript is not None else len(self._record.outcomes)
+        return len(self._transcript) if self.record is None else len(self.record.outcomes)
 
     @property
     def transferred_bytes(self) -> int:
@@ -311,9 +313,7 @@ class DualCertificate:
     final_prices: tuple[float, ...]
 
     def __post_init__(self):
-        surpluses = np.asarray(self.surpluses, dtype=float)
-        surpluses.setflags(write=False)
-        object.__setattr__(self, "surpluses", surpluses)
+        object.__setattr__(self, "surpluses", _readonly(self.surpluses))
         object.__setattr__(self, "final_prices", tuple(float(p) for p in self.final_prices))
 
     def feasibility_slacks(self, instance) -> np.ndarray:

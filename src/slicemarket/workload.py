@@ -12,6 +12,7 @@ accept/reject decision and welfare ratio unchanged.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -38,6 +39,11 @@ _ARRAY_AXES = {
 
 class WorkloadError(MarketError):
     """A generator configuration or generated instance is unusable."""
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer; ``bool`` is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -67,10 +73,12 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tenant_count < 1:
-            raise WorkloadError("tenant_count must be at least 1")
-        if self.resource_count < 1:
-            raise WorkloadError("resource_count must be at least 1")
+        if not (_is_int(self.tenant_count) and self.tenant_count >= 1):
+            raise WorkloadError(f"tenant_count must be an integer of at least 1, got {self.tenant_count!r}")
+        if not (_is_int(self.resource_count) and self.resource_count >= 1):
+            raise WorkloadError(f"resource_count must be an integer of at least 1, got {self.resource_count!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise WorkloadError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.demand_mean is not None and not self.demand_mean > 0:
             raise WorkloadError("demand_mean must be positive")
         if self.demand_std is not None and not self.demand_std >= 0:
@@ -129,9 +137,10 @@ class Instance:
     """One market instance: public demands plus collapsed private valuations.
 
     The constructor is the one place tenant and market numbers are checked:
-    every value is finite and every demand and valuation non-negative, else
-    ``WorkloadError``.  Each array is a private read-only copy.  Market-level
-    rules (bands, costs, bundle floors) are :func:`validate_instance`'s.
+    there is at least one resource, every value is finite and every demand
+    and valuation non-negative, else ``WorkloadError``.  Each array is a
+    private read-only copy.  Market-level rules (bands, costs, bundle floors)
+    are :func:`validate_instance`'s.
     """
 
     demands: np.ndarray  # (tenants, resources)
@@ -148,6 +157,8 @@ class Instance:
         if self.demands.ndim != 2:
             raise WorkloadError("demands must be a 2-D tenant-by-resource matrix")
         n, c = self.demands.shape
+        if c == 0:
+            raise WorkloadError("an instance needs at least one resource")
         if self.valuations.shape != (n,):
             raise WorkloadError("valuations must have one entry per tenant")
         for name in ("price_floors", "price_caps", "unit_costs"):
@@ -198,16 +209,24 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Instance":
-        config = data.get("config")
-        return cls(
-            demands=np.asarray(data["demands"], dtype=float),
-            valuations=np.asarray(data["valuations"], dtype=float),
-            price_floors=np.asarray(data["bounds"]["lower"], dtype=float),
-            price_caps=np.asarray(data["bounds"]["upper"], dtype=float),
-            unit_costs=np.asarray(data["costs"], dtype=float),
-            seed=data.get("seed"),
-            config=GenConfig.from_dict(config) if config else None,
-        )
+        """The instance a JSON document describes; a malformed one raises ``WorkloadError``."""
+        if not isinstance(data, dict):
+            raise WorkloadError(f"an instance document must be an object, got {type(data).__name__}")
+        try:
+            config = data.get("config")
+            return cls(
+                demands=np.asarray(data["demands"], dtype=float),
+                valuations=np.asarray(data["valuations"], dtype=float),
+                price_floors=np.asarray(data["bounds"]["lower"], dtype=float),
+                price_caps=np.asarray(data["bounds"]["upper"], dtype=float),
+                unit_costs=np.asarray(data["costs"], dtype=float),
+                seed=data.get("seed"),
+                config=GenConfig.from_dict(config) if config else None,
+            )
+        except KeyError as exc:
+            raise WorkloadError(f"instance document lacks the key {exc}") from exc
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric arrays, unknown config keys
+            raise WorkloadError(f"malformed instance document: {exc}") from exc
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)

@@ -24,6 +24,17 @@ def spec_file(tmp_path, **overrides):
     return path
 
 
+#: Instance files the oracle must refuse, as changes to a valid six-tenant,
+#: two-resource document (None: the document wrapped in a JSON list).
+MALFORMED_INSTANCES = {
+    "ragged demands": {"demands": [[0.1, 0.1]] * 5 + [[0.1]]},
+    "string valuations": {"valuations": "lots"},
+    "unknown config key": {"config": {"tenant_count": 6, "tenants": 6}},
+    "top-level list": None,
+    "zero resources": {"demands": [[]] * 6, "bounds": {"lower": [], "upper": []}, "costs": []},
+}
+
+
 class TestRun:
     def test_spec_file(self, tmp_path, capsys):
         path = spec_file(tmp_path)
@@ -49,6 +60,30 @@ class TestRun:
         path.write_text(path.read_text()[:-1] + ', "ga_params": {"mutation_rate": NaN}}')
         assert main(["run", "--spec", str(path)]) == 2
         assert "mutation_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"trials": 2.5}, "trials"),
+            ({"trials": float("nan")}, "trials"),
+            ({"seed": -1}, "seed"),
+            ({"node_budget": "x"}, "node_budget"),
+            ({"config": {"tenant_count": 2.5}}, "tenant_count"),
+        ],
+        ids=["fractional trials", "NaN trials", "negative seed", "string node_budget", "fractional tenant_count"],
+    )
+    def test_bad_spec_numbers_are_validation_failures(self, tmp_path, capsys, overrides, field):
+        path = spec_file(tmp_path, **overrides)
+        assert main(["run", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
+
+    def test_top_level_list_is_validation_failure(self, tmp_path, capsys):
+        path = spec_file(tmp_path)
+        path.write_text(f"[{path.read_text()}]")
+        assert main(["run", "--spec", str(path)]) == 2
+        assert "must be an object" in capsys.readouterr().err
 
     def test_flag_overrides(self, tmp_path):
         path = spec_file(tmp_path)
@@ -165,6 +200,17 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err
+
+    @pytest.mark.parametrize("name", MALFORMED_INSTANCES)
+    def test_malformed_instance_is_validation_failure(self, tmp_path, capsys, name):
+        document = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=8)).to_dict()
+        changes = MALFORMED_INSTANCES[name]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps([document] if changes is None else {**document, **changes}))
+        assert main(["oracle", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid instance file" in captured.err
 
     def test_corrupt_instance(self, tmp_path):
         path = tmp_path / "bad.json"

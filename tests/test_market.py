@@ -122,6 +122,17 @@ class TestSocialWelfare:
             Allocation.from_decisions(inst, [True, True])
         assert err.value.resource == 0
 
+    def test_allocation_copies_the_callers_decisions(self):
+        inst = manual_instance([[0.3], [0.3]], [1.2, 1.5], [0.5])
+        accepted = np.array([True, False])
+        alloc = Allocation.from_decisions(inst, accepted)
+        assert accepted.flags.writeable
+        assert not np.shares_memory(alloc.accepted, accepted)
+        accepted[1] = True
+        assert alloc.accepted.tolist() == [True, False]
+        with pytest.raises(ValueError):
+            alloc.accepted[1] = True
+
 
 class TestUtilities:
     def test_served_tenant(self):

@@ -13,6 +13,7 @@ from slicemarket.protocol import (
     FAIL,
     SKIP,
     SUCC,
+    DualCertificate,
     PriceQuote,
     ProtocolError,
     RentDecision,
@@ -184,6 +185,18 @@ class TestMvnoSettle:
         ledger = mvno_init(setup, schedule)
         with pytest.raises(ProtocolError):
             mvno_settle(ledger, schedule, RentDecision(True, 0.2, (0.05, 0.05)))
+
+
+class TestDualCertificate:
+    def test_copies_the_callers_surpluses(self):
+        surpluses = np.array([0.5, 0.0, 1.5])
+        certificate = DualCertificate(surpluses, (1.0,))
+        assert surpluses.flags.writeable
+        assert not np.shares_memory(certificate.surpluses, surpluses)
+        surpluses[0] = -1.0
+        assert certificate.surpluses.tolist() == [0.5, 0.0, 1.5]
+        with pytest.raises(ValueError):
+            certificate.surpluses[0] = -1.0
 
 
 class TestRunSession:

@@ -209,6 +209,17 @@ def test_transcript_is_built_once_on_first_read(monkeypatch):
     assert result.ledger.transcript is first
     assert len(builds) == 1
     assert result.ledger.arrivals == 12
+    # the record outlives the transcript built from it
+    assert builds[0] is result.ledger.record
+
+
+def test_only_the_engine_keeps_a_record():
+    instance = generate_instance(GenConfig(tenant_count=12, resource_count=2, seed=4))
+    setup = MarketSetup.from_instance(instance)
+    schedule = build_schedule(setup)
+    record = run_session(setup, schedule, instance).ledger.record
+    assert len(record.quotes) == len(record.outcomes) == len(record.charges) == 12
+    assert reference_run_session(setup, schedule, instance).ledger.record is None
 
 
 class TestUpFrontInputChecks:

@@ -42,11 +42,21 @@ class TestGenConfig:
             {"participation": 0.0},
             {"unit_cost_range": (0.2, 1.0)},
             {"pay_level_range": (3.0, 2.0)},
+            {"tenant_count": 2.5},
+            {"tenant_count": True},
+            {"resource_count": 2.0},
+            {"resource_count": "3"},
+            {"seed": -1},
+            {"seed": 1.5},
         ],
     )
     def test_invalid_configs(self, kwargs):
-        with pytest.raises(WorkloadError):
+        with pytest.raises(WorkloadError, match=next(iter(kwargs))):
             GenConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = GenConfig(tenant_count=np.int64(7), resource_count=np.int32(2), seed=np.uint32(5))
+        assert generate_instance(cfg).demands.shape == (7, 2)
 
     def test_dict_round_trip(self):
         cfg = GenConfig(tenant_count=7, participation=0.8, seed=13)
@@ -317,6 +327,12 @@ class TestInstanceIO:
         view[1] = np.nan  # valuation 2, through a view made before construction
         assert (checked.valuations == inst.valuations).all()
         assert not np.shares_memory(checked.valuations, valuations)
+
+    def test_zero_resources_rejected(self):
+        with pytest.raises(WorkloadError, match="at least one resource"):
+            Instance(np.zeros((3, 0)), np.ones(3), [], [], [])
+        # zero tenants stays a valid, empty market
+        assert Instance(np.zeros((0, 1)), np.zeros(0), [1.0], [2.0], [0.5]).tenant_count == 0
 
     def test_nan_valuation_rejected_at_construction_and_load(self):
         # offline_exact used to return welfare 0.476 on this market
