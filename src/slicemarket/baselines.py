@@ -8,6 +8,7 @@ return feasible allocations, so welfare numbers are directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -151,25 +152,56 @@ def utility_bid_auction(instance) -> AuctionResult:
     feasible demand bids; the operator accepts the bidder that increments its
     own utility the most (the tenant pays its full valuation) and the rest
     wait for the next round.  Terminates after at most one round per tenant.
+
+    The rounds are computed in one scan rather than played out.  Demands are
+    non-negative and rounded float addition is monotone, so utilization only
+    grows and a tenant that does not fit at some round never fits later.
+    Each round's winner is therefore the next tenant, in order of descending
+    profit (ties to the lower index, as ``argmax`` breaks them), that fits at
+    the running utilization, summed in acceptance order as the rounds sum it.
+    The ``R`` winners bid ``R(R+1)/2`` times in all; a loser bids in a prefix
+    of the rounds, whose length a bisection over the pre-round utilizations
+    finds with the same float predicate.  Cost O(N·C·log N), where playing
+    the rounds out costs O(N²·C).
     """
     n = instance.tenant_count
     profits = adjusted_profits(instance)
-    utilization = np.zeros(instance.resource_count)
+    limit = CAPACITY + FEASIBILITY_EPS
+    candidates = np.flatnonzero(profits > 0)
+    order = candidates[np.argsort(-profits[candidates], kind="stable")]
+
+    demand_rows = instance.demands.tolist()
+    utilization = [0.0] * instance.resource_count
+    pre_round = []  # utilization before each round, one row per winner
+    winners = []
+    losers = []
+    for tenant in order.tolist():
+        after = list(map(add, utilization, demand_rows[tenant]))
+        if max(after) <= limit:
+            pre_round.append(utilization)
+            utilization = after
+            winners.append(tenant)
+        else:
+            losers.append(tenant)
+
+    rounds = len(winners)
+    bids = rounds * (rounds + 1) // 2
+    history = np.array(pre_round)
+    loser_demands = instance.demands[losers]
+    # each loser fits every pre-round utilization before lo and none from hi on
+    lo = np.zeros(len(losers), dtype=np.intp)
+    hi = np.full(len(losers), rounds)
+    while (active := lo < hi).any():
+        mid = np.where(active, (lo + hi) // 2, 0)
+        fits = (history[mid] + loser_demands <= limit).all(axis=1)
+        lo = np.where(active & fits, mid + 1, lo)
+        hi = np.where(active & ~fits, mid, hi)
+    bids += int(lo.sum())
+
     accepted = np.zeros(n, dtype=bool)
+    accepted[winners] = True
     payments = np.zeros(n)
-    rounds = 0
-    bids = 0
-    while True:
-        fits = (utilization + instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
-        bidders = ~accepted & (profits > 0) & fits
-        if not bidders.any():
-            break
-        rounds += 1
-        bids += int(bidders.sum())
-        winner = int(np.argmax(np.where(bidders, profits, -np.inf)))
-        accepted[winner] = True
-        payments[winner] = float(instance.valuations[winner])
-        utilization += instance.demands[winner]
+    payments[winners] = instance.valuations[winners]
     welfare = float(profits[accepted].sum()) if accepted.any() else 0.0
     return AuctionResult(welfare, accepted, payments, rounds, bids)
 

@@ -43,6 +43,13 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
@@ -199,10 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="randomized invariant suites")
-    p_verify.add_argument("--sessions", type=int, default=1000)
-    p_verify.add_argument("--setups", type=int, default=1000)
-    p_verify.add_argument("--instances", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--sessions", type=_non_negative_int, default=1000)
+    p_verify.add_argument("--setups", type=_non_negative_int, default=1000)
+    p_verify.add_argument("--instances", type=_non_negative_int, default=1000)
+    p_verify.add_argument("--seed", type=_non_negative_int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="solve one instance file offline")

@@ -183,7 +183,11 @@ class ExperimentSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise HarnessError(f"{path} is not UTF-8 text: {exc}") from exc
+        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,10 @@ class Instance:
 
     def __post_init__(self):
         for name in _ARRAY_AXES:
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+            try:
+                object.__setattr__(self, name, _readonly(getattr(self, name)))
+            except (TypeError, ValueError) as exc:  # ragged or non-numeric
+                raise WorkloadError(f"{name} is not a numeric array: {exc}") from exc
         if self.demands.ndim != 2:
             raise WorkloadError("demands must be a 2-D tenant-by-resource matrix")
         n, c = self.demands.shape
@@ -215,17 +218,17 @@ class Instance:
         try:
             config = data.get("config")
             return cls(
-                demands=np.asarray(data["demands"], dtype=float),
-                valuations=np.asarray(data["valuations"], dtype=float),
-                price_floors=np.asarray(data["bounds"]["lower"], dtype=float),
-                price_caps=np.asarray(data["bounds"]["upper"], dtype=float),
-                unit_costs=np.asarray(data["costs"], dtype=float),
+                demands=data["demands"],
+                valuations=data["valuations"],
+                price_floors=data["bounds"]["lower"],
+                price_caps=data["bounds"]["upper"],
+                unit_costs=data["costs"],
                 seed=data.get("seed"),
                 config=GenConfig.from_dict(config) if config else None,
             )
         except KeyError as exc:
             raise WorkloadError(f"instance document lacks the key {exc}") from exc
-        except (TypeError, ValueError) as exc:  # ragged or non-numeric arrays, unknown config keys
+        except (TypeError, ValueError) as exc:  # a misshapen document, unknown config keys
             raise WorkloadError(f"malformed instance document: {exc}") from exc
 
     def save(self, path: str | Path) -> Path:
@@ -235,7 +238,11 @@ class Instance:
 
     @classmethod
     def load(cls, path: str | Path) -> "Instance":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise WorkloadError(f"{path} is not UTF-8 text: {exc}") from exc
+        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
 """Command-line interface: verbs, flags, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slicemarket
 from slicemarket import cli
 from slicemarket.cli import main
 from slicemarket.harness import ExperimentSpec
@@ -21,6 +26,13 @@ def spec_file(tmp_path, **overrides):
     data.update(overrides)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
+    return path
+
+
+def non_utf8_file(tmp_path):
+    """A file whose first bytes are no UTF-8 text (a UTF-16 byte order mark)."""
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe\x00" + "{}".encode("utf-16-le"))
     return path
 
 
@@ -84,6 +96,10 @@ class TestRun:
         path.write_text(f"[{path.read_text()}]")
         assert main(["run", "--spec", str(path)]) == 2
         assert "must be an object" in capsys.readouterr().err
+
+    def test_non_utf8_spec_is_validation_failure(self, tmp_path, capsys):
+        assert main(["run", "--spec", str(non_utf8_file(tmp_path))]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_flag_overrides(self, tmp_path):
         path = spec_file(tmp_path)
@@ -169,6 +185,24 @@ class TestVerify:
         assert main(["verify", "--sessions", "30", "--setups", "30", "--instances", "10"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--sessions", "--setups", "--instances", "--seed"])
+    def test_negative_value_is_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--sessions", "2", "--setups", "2", "--instances", "2", flag, "-1"])
+        assert exit_info.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_module_entry_point(self):
+        # ``python -m slicemarket`` runs the same CLI as the console script
+        src = str(Path(slicemarket.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "slicemarket", "verify", "--sessions", "2", "--setups", "2", "--instances", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("PASS sessions=2 setups=2 instances=2")
+
 
 class TestOracle:
     def test_exact_solution(self, tmp_path, capsys):
@@ -211,6 +245,12 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid instance file" in captured.err
+
+    def test_non_utf8_instance_is_validation_failure(self, tmp_path, capsys):
+        assert main(["oracle", "--instance", str(non_utf8_file(tmp_path))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not UTF-8" in captured.err
 
     def test_corrupt_instance(self, tmp_path):
         path = tmp_path / "bad.json"
