@@ -12,6 +12,7 @@ accept/reject decision and welfare ratio unchanged.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -44,6 +45,11 @@ class WorkloadError(MarketError):
 def _is_int(value) -> bool:
     """A Python or numpy integer; ``bool`` is not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A finite Python or numpy real; ``bool`` is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -79,18 +85,27 @@ class GenConfig:
             raise WorkloadError(f"resource_count must be an integer of at least 1, got {self.resource_count!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise WorkloadError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("demand_mean", "demand_std", "subscriber_mean", "subscriber_std"):
+            value = getattr(self, name)
+            if value is not None and not _is_finite(value):
+                raise WorkloadError(f"{name} must be a finite number, got {value!r}")
         if self.demand_mean is not None and not self.demand_mean > 0:
             raise WorkloadError("demand_mean must be positive")
         if self.demand_std is not None and not self.demand_std >= 0:
             raise WorkloadError("demand_std must be non-negative")
+        if not self.subscriber_std >= 0:
+            raise WorkloadError("subscriber_std must be non-negative")
         if not 0 <= self.free_user_fraction < 1:
             raise WorkloadError("free_user_fraction must lie in [0, 1)")
         if not 0 < self.tier_decay < 1:
             raise WorkloadError("tier_decay must lie in (0, 1)")
         for name in ("pay_level_range", "top_tier_range", "unit_cost_range"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise WorkloadError(f"{name} must satisfy 0 < low <= high")
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):
+                raise WorkloadError(f"{name} must be a (low, high) pair, got {getattr(self, name)!r}") from None
+            if not (_is_finite(lo) and _is_finite(hi) and 0 < lo <= hi):
+                raise WorkloadError(f"{name} must satisfy 0 < low <= high < inf")
         lo, hi = self.unit_cost_range
         if hi >= 1:
             raise WorkloadError("unit_cost_range must stay below 1 so costs stay below the floor")
@@ -169,12 +184,13 @@ class Instance:
                 raise WorkloadError(f"{name} must have one entry per resource")
         for name, axes in _ARRAY_AXES.items():
             values = getattr(self, name)
+            if np.isfinite(values).all():
+                continue
             bad = np.argwhere(~np.isfinite(values))
-            if len(bad):
-                index = tuple(map(int, bad[0]))
-                place = ", ".join(f"{axis} {i}" for axis, i in zip(axes, index))
-                first = float(values[index])
-                raise WorkloadError(f"{name}: {len(bad)} non-finite value(s), first {first!r} at {place}")
+            index = tuple(map(int, bad[0]))
+            place = ", ".join(f"{axis} {i}" for axis, i in zip(axes, index))
+            first = float(values[index])
+            raise WorkloadError(f"{name}: {len(bad)} non-finite value(s), first {first!r} at {place}")
         if (self.valuations < 0).any():
             tenant = int(np.argmax(self.valuations < 0))
             raise WorkloadError(f"tenant {tenant} has negative valuation {float(self.valuations[tenant])!r}")
@@ -212,17 +228,35 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Instance":
-        """The instance a JSON document describes; a malformed one raises ``WorkloadError``."""
+        """The instance a JSON document describes; a malformed one raises ``WorkloadError``.
+
+        Every array entry must be a JSON number: a string or a boolean is
+        refused here, where ``np.array(..., dtype=float)`` would convert it.
+        An empty ``demands`` list is the (0, C) matrix :meth:`to_dict` writes
+        for a market without tenants, with C the length of ``bounds.lower``.
+        """
         if not isinstance(data, dict):
             raise WorkloadError(f"an instance document must be an object, got {type(data).__name__}")
         try:
+            arrays = {
+                "demands": data["demands"],
+                "valuations": data["valuations"],
+                "bounds.lower": data["bounds"]["lower"],
+                "bounds.upper": data["bounds"]["upper"],
+                "costs": data["costs"],
+            }
+            for key, value in arrays.items():
+                _reject_non_numbers(key, value)
+            demands = arrays["demands"]
+            if isinstance(demands, list) and not demands:
+                demands = np.empty((0, len(arrays["bounds.lower"])))
             config = data.get("config")
             return cls(
-                demands=data["demands"],
-                valuations=data["valuations"],
-                price_floors=data["bounds"]["lower"],
-                price_caps=data["bounds"]["upper"],
-                unit_costs=data["costs"],
+                demands=demands,
+                valuations=arrays["valuations"],
+                price_floors=arrays["bounds.lower"],
+                price_caps=arrays["bounds.upper"],
+                unit_costs=arrays["costs"],
                 seed=data.get("seed"),
                 config=GenConfig.from_dict(config) if config else None,
             )
@@ -245,6 +279,17 @@ class Instance:
         return cls.from_dict(json.loads(text))
 
 
+def _reject_non_numbers(key: str, value) -> None:
+    """Refuse a JSON string or boolean anywhere in the (nested) array ``value``."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, (str, bool)):
+            raise WorkloadError(f"{key} holds {item!r}, which is not a number")
+
+
 @dataclass(frozen=True)
 class Violation:
     """One breached instance invariant, naming the offending tenant/resource."""
@@ -261,12 +306,15 @@ class Violation:
 def derive_bounds(densities: np.ndarray, margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Per-resource density bounds from observed densities (NaN = no demand).
 
-    A resource nobody demands inherits the global density range so its bounds
-    stay well defined.  The generator keeps these caps but posts
-    :func:`bundle_floor` as every floor: with two or more resources a tenant
-    can meet each per-resource floor here and still be unable to pay the sum
-    ``sum_c d_nc * floor_c``, which the worst-case ratio of the threshold
-    schedule assumes it can.
+    A 1-D input is one resource.  Each resource's floor is ``(1 - margin)``
+    times its lowest density and its cap ``(1 + margin)`` times its highest,
+    both column reductions over the non-NaN entries; a resource nobody
+    demands inherits the global density range so its bounds stay well
+    defined, and an input without any density raises ``WorkloadError``.  The
+    generator keeps these caps but posts :func:`bundle_floor` as every floor:
+    with two or more resources a tenant can meet each per-resource floor here
+    and still be unable to pay the sum ``sum_c d_nc * floor_c``, which the
+    worst-case ratio of the threshold schedule assumes it can.
     """
     densities = np.asarray(densities, dtype=float)
     if densities.ndim == 1:
@@ -274,19 +322,12 @@ def derive_bounds(densities: np.ndarray, margin: float = 0.0) -> tuple[np.ndarra
     valid = ~np.isnan(densities)
     if not valid.any():
         raise WorkloadError("cannot derive bounds: no positive density anywhere")
-    global_min = float(np.nanmin(densities))
-    global_max = float(np.nanmax(densities))
-    floors = np.empty(densities.shape[1])
-    caps = np.empty(densities.shape[1])
-    for c in range(densities.shape[1]):
-        col = densities[valid[:, c], c]
-        if col.size:
-            floors[c] = (1.0 - margin) * float(col.min())
-            caps[c] = (1.0 + margin) * float(col.max())
-        else:
-            floors[c] = (1.0 - margin) * global_min
-            caps[c] = (1.0 + margin) * global_max
-    return floors, caps
+    lows = np.where(valid, densities, np.inf).min(axis=0)
+    highs = np.where(valid, densities, -np.inf).max(axis=0)
+    empty = ~valid.any(axis=0)
+    lows[empty] = lows.min()
+    highs[empty] = highs.max()
+    return (1.0 - margin) * lows, (1.0 + margin) * highs
 
 
 def bundle_floor(demands: np.ndarray, valuations: np.ndarray, margin: float = 0.0) -> float:
@@ -329,7 +370,8 @@ def _sample_demands(config: GenConfig, rng: np.random.Generator) -> np.ndarray:
 
 def _sample_tenants(
     config: GenConfig, rng: np.random.Generator, payment_fn: Callable[[float], float] | None
-) -> tuple[np.ndarray, list[TenantPrivate]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each tenant's subscribers, free count, tier counts, pay level and raw valuation."""
     n = config.tenant_count
     subscribers = np.rint(rng.normal(config.subscriber_mean, config.subscriber_std, size=n))
     subscribers = np.maximum(subscribers, 1.0).astype(np.int64)
@@ -350,11 +392,13 @@ def _sample_tenants(
         free[stuck] = subscribers[stuck] - 1
     paying = subscribers - free
 
-    tier_counts = np.zeros((n, int(top_tiers.max())), dtype=np.int64)
-    for tiers in np.unique(top_tiers):
+    # one multinomial per top tier, in ascending tier order; a prefix of the
+    # decay powers is bit for bit the power vector of that tier
+    decay = config.tier_decay ** np.arange(1, int(top_tiers.max()) + 1)
+    tier_counts = np.zeros((n, decay.size), dtype=np.int64)
+    for tiers in np.flatnonzero(np.bincount(top_tiers)):
         rows = np.flatnonzero(top_tiers == tiers)
-        weights = config.tier_decay ** np.arange(1, tiers + 1)
-        weights /= weights.sum()
+        weights = decay[:tiers] / decay[:tiers].sum()
         tier_counts[rows, :tiers] = rng.multinomial(paying[rows], weights)
 
     tiers = np.arange(1, tier_counts.shape[1] + 1)
@@ -371,43 +415,26 @@ def _sample_tenants(
         )
     if not (raw > 0).all():
         raise WorkloadError("degenerate payment function: some tenant has non-positive valuation")
-
-    privates = [
-        TenantPrivate(
-            subscriber_count=int(subscribers[i]),
-            free_count=int(free[i]),
-            tier_counts=tuple(int(v) for v in tier_counts[i]),
-            pay_level=float(pay_levels[i]),
-            raw_valuation=float(raw[i]),
-        )
-        for i in range(n)
-    ]
-    return raw, privates
+    return subscribers, free, tier_counts, pay_levels, raw
 
 
-def generate_population(
-    config: GenConfig, payment_fn: Callable[[float], float] | None = None
-) -> tuple[Instance, list[TenantPrivate]]:
-    """Sample an instance together with the private tenant records behind it.
-
-    Every resource's floor is the :func:`bundle_floor` of the sample and its
-    cap the per-resource maximum of :func:`derive_bounds`, so every tenant can
-    pay its bundle at the floor prices (``v_n >= sum_c d_nc * floor_c``), the
-    premise of the schedule's worst-case ratio (see :mod:`.pricing`).
-    """
+def _sample_market(
+    config: GenConfig, payment_fn: Callable[[float], float] | None
+) -> tuple[Instance, tuple[np.ndarray, ...]]:
+    """The one generator pass: the instance and the tenant arrays behind it."""
     rng = np.random.default_rng(config.seed)
     demands = _sample_demands(config, rng)
-    raw_valuations, privates = _sample_tenants(config, rng, payment_fn)
+    tenants = _sample_tenants(config, rng, payment_fn)
+    raw_valuations = tenants[-1]
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw_densities = np.where(demands > 0, raw_valuations[:, None] / demands, np.nan)
-    scale = float(np.nanmedian(raw_densities))
+    demanded = demands > 0
+    rows, _ = np.nonzero(demanded)
+    scale = float(np.median(raw_valuations[rows] / demands[demanded]))
     if not scale > 0:
         raise WorkloadError("degenerate configuration: median earning density is not positive")
     valuations = raw_valuations / scale
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        densities = np.where(demands > 0, valuations[:, None] / demands, np.nan)
+    densities = np.divide(valuations[:, None], demands, out=np.full(demands.shape, np.nan), where=demanded)
     _, caps = derive_bounds(densities, config.density_margin)
     floors = np.full(config.resource_count, bundle_floor(demands, valuations, config.density_margin))
     lo, hi = config.unit_cost_range
@@ -425,61 +452,97 @@ def generate_population(
     problems = validate_instance(instance)
     if problems:
         raise WorkloadError(f"generated instance violates its invariants: {problems[0]}")
+    return instance, tenants
+
+
+def generate_population(
+    config: GenConfig, payment_fn: Callable[[float], float] | None = None
+) -> tuple[Instance, list[TenantPrivate]]:
+    """Sample an instance together with the private tenant records behind it.
+
+    Every resource's floor is the :func:`bundle_floor` of the sample and its
+    cap the per-resource maximum of :func:`derive_bounds`, so every tenant can
+    pay its bundle at the floor prices (``v_n >= sum_c d_nc * floor_c``), the
+    premise of the schedule's worst-case ratio (see :mod:`.pricing`).  The
+    instance is :func:`generate_instance`'s for the same arguments, from the
+    same pass; only here do the tenant arrays become :class:`TenantPrivate`
+    records.
+    """
+    instance, (subscribers, free, tier_counts, pay_levels, raw) = _sample_market(config, payment_fn)
+    privates = [
+        TenantPrivate(subscriber_count, free_count, tuple(counts), pay_level, raw_valuation)
+        for subscriber_count, free_count, counts, pay_level, raw_valuation in zip(
+            subscribers.tolist(), free.tolist(), tier_counts.tolist(), pay_levels.tolist(), raw.tolist()
+        )
+    ]
     return instance, privates
 
 
 def generate_instance(config: GenConfig, payment_fn: Callable[[float], float] | None = None) -> Instance:
-    """Sample a market instance; identical (config, seed) gives identical output."""
-    instance, _ = generate_population(config, payment_fn)
-    return instance
+    """Sample a market instance; identical (config, seed) gives identical output.
+
+    It builds no private tenant records; :func:`generate_population` returns
+    the same instance with them.
+    """
+    return _sample_market(config, payment_fn)[0]
 
 
 def validate_instance(instance: Instance) -> list[Violation]:
     """Collect every breached market-level invariant; an empty list means the
     instance is sound.  Finite values and non-negative tenant data are already
-    guaranteed by the ``Instance`` constructor."""
+    guaranteed by the ``Instance`` constructor.
+
+    Each rule is one array comparison; only the violating entries are
+    visited, to write their messages: per resource the band and cost rules,
+    then each tenant's bundle at the floors, then each demanded (tenant,
+    resource) density against the band, in row-major order.
+    """
     violations: list[Violation] = []
-    for c in range(instance.resource_count):
-        lo, hi, q = instance.price_floors[c], instance.price_caps[c], instance.unit_costs[c]
-        if not lo <= hi:
+    floors, caps, costs = instance.price_floors, instance.price_caps, instance.unit_costs
+    crossed, cost_not_positive, cost_at_floor = ~(floors <= caps), ~(costs > 0), ~(costs < floors)
+    for c in np.flatnonzero(crossed | cost_not_positive | cost_at_floor).tolist():
+        lo, hi, q = floors[c], caps[c], costs[c]
+        if crossed[c]:
             violations.append(
                 Violation("bounds-crossed", f"resource {c}: floor {lo!r} above cap {hi!r}", resource=c)
             )
-        if not q > 0:
+        if cost_not_positive[c]:
             violations.append(Violation("cost-not-positive", f"resource {c}: 0 < q_c violated (q={q!r})", resource=c))
-        if not q < lo:
+        if cost_at_floor[c]:
             violations.append(
                 Violation("cost-at-floor", f"resource {c}: q_c < floor violated (q={q!r}, floor={lo!r})", resource=c)
             )
-    floor_bundles = instance.demands @ instance.price_floors
-    for n in np.flatnonzero(instance.valuations < floor_bundles * (1.0 - BUNDLE_FLOOR_RTOL)):
+    floor_bundles = instance.demands @ floors
+    for n in np.flatnonzero(instance.valuations < floor_bundles * (1.0 - BUNDLE_FLOOR_RTOL)).tolist():
         violations.append(
             Violation(
                 "bundle-below-floor",
-                f"tenant {int(n)}: valuation {instance.valuations[n]!r} below its bundle at the floors "
+                f"tenant {n}: valuation {instance.valuations[n]!r} below its bundle at the floors "
                 f"{floor_bundles[n]!r}",
-                int(n),
+                n,
             )
         )
-    densities = instance.densities()
-    for n, c in zip(*np.nonzero(instance.demands > 0)):
+    densities = instance.densities()  # NaN where nothing is demanded, which compares False
+    below = densities < floors
+    above = densities > caps
+    for n, c in zip(*(axis.tolist() for axis in np.nonzero(below | above))):
         e = densities[n, c]
-        if e < instance.price_floors[c]:
+        if below[n, c]:
             violations.append(
                 Violation(
                     "density-below-floor",
-                    f"tenant {int(n)} resource {int(c)}: density {e!r} below floor {instance.price_floors[c]!r}",
-                    int(n),
-                    int(c),
+                    f"tenant {n} resource {c}: density {e!r} below floor {floors[c]!r}",
+                    n,
+                    c,
                 )
             )
-        elif e > instance.price_caps[c]:
+        else:
             violations.append(
                 Violation(
                     "density-above-cap",
-                    f"tenant {int(n)} resource {int(c)}: density {e!r} above cap {instance.price_caps[c]!r}",
-                    int(n),
-                    int(c),
+                    f"tenant {n} resource {c}: density {e!r} above cap {caps[c]!r}",
+                    n,
+                    c,
                 )
             )
     return violations

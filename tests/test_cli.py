@@ -44,6 +44,7 @@ MALFORMED_INSTANCES = {
     "unknown config key": {"config": {"tenant_count": 6, "tenants": 6}},
     "top-level list": None,
     "zero resources": {"demands": [[]] * 6, "bounds": {"lower": [], "upper": []}, "costs": []},
+    "string number": {"demands": [[0.1, "0.1"]] * 6},
 }
 
 
@@ -81,8 +82,14 @@ class TestRun:
             ({"seed": -1}, "seed"),
             ({"node_budget": "x"}, "node_budget"),
             ({"config": {"tenant_count": 2.5}}, "tenant_count"),
+            ({"config": {"subscriber_mean": float("nan")}}, "subscriber_mean"),
+            ({"config": {"subscriber_std": -1.0}}, "subscriber_std"),
+            ({"config": {"top_tier_range": [2.0, float("inf")]}}, "top_tier_range"),
         ],
-        ids=["fractional trials", "NaN trials", "negative seed", "string node_budget", "fractional tenant_count"],
+        ids=[
+            "fractional trials", "NaN trials", "negative seed", "string node_budget", "fractional tenant_count",
+            "NaN subscriber_mean", "negative subscriber_std", "infinite top_tier_range",
+        ],
     )
     def test_bad_spec_numbers_are_validation_failures(self, tmp_path, capsys, overrides, field):
         path = spec_file(tmp_path, **overrides)

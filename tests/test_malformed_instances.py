@@ -5,6 +5,8 @@ into it: a NaN or ±inf entry, a ragged demand matrix, an array of the wrong
 shape, or a market without resources.  The ``Instance`` constructor,
 ``Instance.from_dict`` and ``slicemarket oracle --instance`` must each
 refuse the result: the first two with ``WorkloadError``, the CLI with exit 2.
+A JSON string or boolean in place of a number is a defect of the document
+only, so ``Instance.from_dict`` and the CLI refuse it.
 """
 
 import contextlib
@@ -39,20 +41,36 @@ def _per_resource(document: dict, name: str) -> list:
     return document["costs"] if name == "costs" else document["bounds"][name]
 
 
+def _replace_entry(draw, document: dict, replace) -> None:
+    """Replace one entry ``v`` of one of the document's arrays by ``replace(v)``."""
+    n, c = len(document["valuations"]), len(document["costs"])
+    target = draw(st.sampled_from(("demands", "valuations") + PER_RESOURCE))
+    if target == "demands":
+        values, index = document["demands"][draw(st.integers(0, n - 1))], draw(st.integers(0, c - 1))
+    elif target == "valuations":
+        values, index = document["valuations"], draw(st.integers(0, n - 1))
+    else:
+        values, index = _per_resource(document, target), draw(st.integers(0, c - 1))
+    values[index] = replace(values[index])
+
+
+#: Defects that only the JSON document can carry: numpy reads them as numbers.
+JSON_ONLY_DEFECTS = ("string number", "bool number")
+
+
 @st.composite
-def malformed_documents(draw):
+def malformed_documents(draw, defects=("non-finite", "ragged", "wrong shape", "zero resources")):
     document = draw(valid_documents())
     n, c = len(document["valuations"]), len(document["costs"])
-    defect = draw(st.sampled_from(["non-finite", "ragged", "wrong shape", "zero resources"]))
+    defect = draw(st.sampled_from(defects))
     if defect == "non-finite":
         bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-        target = draw(st.sampled_from(("demands", "valuations") + PER_RESOURCE))
-        if target == "demands":
-            document["demands"][draw(st.integers(0, n - 1))][draw(st.integers(0, c - 1))] = bad
-        elif target == "valuations":
-            document["valuations"][draw(st.integers(0, n - 1))] = bad
-        else:
-            _per_resource(document, target)[draw(st.integers(0, c - 1))] = bad
+        _replace_entry(draw, document, lambda _: bad)
+    elif defect == "string number":
+        _replace_entry(draw, document, repr)
+    elif defect == "bool number":
+        flag = draw(st.booleans())
+        _replace_entry(draw, document, lambda _: flag)
     elif defect == "ragged":
         width = c + draw(st.sampled_from([-1, 1]))
         document["demands"].append([0.5] * width)
@@ -120,3 +138,14 @@ def test_every_boundary_refuses_a_malformed_instance(document):
     assert code == 2
     assert out == ""
     assert "invalid instance file" in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed_documents(defects=JSON_ONLY_DEFECTS))
+def test_the_json_boundary_refuses_strings_and_booleans(document):
+    with pytest.raises(WorkloadError, match="not a number"):
+        Instance.from_dict(document)
+    code, out, err = _oracle_exit(document)
+    assert code == 2
+    assert out == ""
+    assert "not a number" in err

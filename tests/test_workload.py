@@ -1,5 +1,7 @@
 """Workload generator: determinism, invariants, population statistics."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +50,19 @@ class TestGenConfig:
             {"resource_count": "3"},
             {"seed": -1},
             {"seed": 1.5},
+            {"subscriber_mean": float("nan")},
+            {"subscriber_mean": float("inf")},
+            {"subscriber_mean": -float("inf")},
+            {"subscriber_std": -1.0},
+            {"subscriber_std": float("inf")},
+            {"pay_level_range": (2.0, float("inf"))},
+            {"top_tier_range": (2.0, float("inf"))},
+            {"top_tier_range": (float("nan"), 6.0)},
+            {"demand_mean": float("inf")},
+            {"demand_std": float("inf")},
+            {"demand_std": float("nan")},
+            {"pay_level_range": (2.0,)},
+            {"unit_cost_range": 0.5},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -333,6 +348,18 @@ class TestInstanceIO:
             Instance(np.zeros((3, 0)), np.ones(3), [], [], [])
         # zero tenants stays a valid, empty market
         assert Instance(np.zeros((0, 1)), np.zeros(0), [1.0], [2.0], [0.5]).tenant_count == 0
+
+    @pytest.mark.parametrize("resources", [1, 3])
+    def test_zero_tenant_round_trip(self, tmp_path, resources):
+        # to_dict writes the (0, C) demand matrix as [], which reads back as (0, C)
+        c = resources
+        inst = Instance(np.zeros((0, c)), [], np.ones(c), np.full(c, 2.0), np.full(c, 0.1))
+        loaded = Instance.from_dict(json.loads(json.dumps(inst.to_dict())))
+        reloaded = Instance.load(inst.save(tmp_path / "empty.json"))
+        for other in (loaded, reloaded):
+            for name in ("demands", "valuations", "price_floors", "price_caps", "unit_costs"):
+                assert getattr(other, name).shape == getattr(inst, name).shape, name
+                assert getattr(other, name).tobytes() == getattr(inst, name).tobytes(), name
 
     def test_nan_valuation_rejected_at_construction_and_load(self):
         # offline_exact used to return welfare 0.476 on this market
