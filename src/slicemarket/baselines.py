@@ -16,6 +16,7 @@ import numpy as np
 from .market import CAPACITY, FEASIBILITY_EPS, MarketSetup, SetupError
 from .oracle import adjusted_profits
 from .protocol import SessionResult, run_session
+from .workload import _is_finite, _is_int
 
 _EPS = np.finfo(float).eps
 
@@ -33,46 +34,90 @@ class GaParams:
     elitism: int = 2
 
     def __post_init__(self):
+        for name in ("population", "generations", "tournament", "elitism"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population < 2 or self.generations < 1:
             raise ValueError("population must be >= 2 and generations >= 1")
         if not 0 <= self.elitism < self.population:
             raise ValueError("elitism must leave room for offspring")
         if self.tournament < 1:
             raise ValueError("tournament size must be >= 1")
-        if self.mutation_rate is not None and not 0 <= self.mutation_rate <= 1:
-            raise ValueError(f"mutation_rate must be None or lie in [0, 1], got {self.mutation_rate!r}")
+        rate = self.mutation_rate
+        if rate is not None and not (_is_finite(rate) and 0 <= rate <= 1):
+            raise ValueError(f"mutation_rate must be None or a number in [0, 1], got {rate!r}")
 
 
-def _repair(selected: np.ndarray, demands: np.ndarray, density: np.ndarray) -> None:
-    """Drop lowest-density selected items from overfull resources until feasible."""
-    utilization = selected.astype(float) @ demands
-    while (utilization > CAPACITY + FEASIBILITY_EPS).any():
-        overfull = utilization > CAPACITY + FEASIBILITY_EPS
-        uses_overfull = demands[:, overfull].sum(axis=1) > 0
-        candidates = selected & uses_overfull
-        victim = int(np.flatnonzero(candidates)[np.argmin(density[candidates])])
-        selected[victim] = False
-        utilization -= demands[victim]
+def _population_repair(demands: np.ndarray, density: np.ndarray):
+    """The in-place repair of a population's rows, with its tables built once.
+
+    Each row is repaired as if alone: while some resource is overfull, drop
+    the selected item of lowest density (the first such index on ties) among
+    those whose demands on the overfull resources sum above zero.  ``density``
+    must hold no NaN.
+
+    A screen clears, in one product, every row it can prove is feasible.  The
+    repair's own per-row product (a gemv) and the screen's batched one (a
+    gemm) may round a row's utilization differently in the last bits, so the
+    screen tests an upper bound instead: in any summation order a sum of
+    ``m`` terms lies within ``gamma * sum|d|`` of the exact sum, with
+    ``gamma = m*eps/(1 - m*eps)``, so both products are at most
+    ``(rows @ |demands|) * (1+gamma)/(1-gamma)``.  ``eps`` is machine
+    epsilon, twice the unit roundoff, which also covers the rounding of the
+    bound itself.
+
+    The rows the screen cannot clear (overfull, near capacity or non-finite)
+    start from their own gemv and then drop one item each per step, all
+    together.  The items are ranked by density once, so a row's victim is its
+    first candidate in rank order.  Which items a row may drop depends on its
+    set of overfull resources; that mask, the sum over those resources'
+    demands, is computed once per set met.
+    """
+    m, resources = demands.shape
+    limit = CAPACITY + FEASIBILITY_EPS
+    gamma = m * _EPS / (1 - m * _EPS)
+    factor = (1 + gamma) / (1 - gamma)
+    magnitude = np.abs(demands)
+    rank = np.argsort(density, kind="stable")
+    ranked_demands = demands[rank]
+    key = np.dtype((np.void, (resources + 7) // 8))  # an overfull set, packed to bytes
+    eligible = {}  # overfull set -> the items a row may drop, in rank order
+
+    def repair(rows: np.ndarray) -> None:
+        cast = rows.astype(float)
+        cleared = (cast @ magnitude) * factor < limit
+        if cleared.all():
+            return
+        failing = np.flatnonzero(~cleared.all(axis=1))
+        # numpy multiplies a stack of 1-by-m rows one row at a time, by the
+        # same gemv as a lone row: each utilization is its row's own product
+        utilization = (cast[failing][:, None] @ demands)[:, 0]
+        selected = rows[failing][:, rank]
+        while True:
+            overfull = utilization > limit
+            live = np.flatnonzero(overfull.any(axis=1))
+            if not len(live):
+                break
+            sets = overfull[live]
+            keys = np.packbits(sets, axis=1).view(key).ravel().tolist()
+            for i, packed in enumerate(keys):
+                if packed not in eligible:
+                    eligible[packed] = (demands[:, sets[i]].sum(axis=1) > 0)[rank]
+            candidates = selected[live] & np.array([eligible[packed] for packed in keys])
+            if not candidates.any(axis=1).all():
+                raise ValueError("an overfull row selects no item that uses its overfull resources")
+            victim = candidates.argmax(axis=1)
+            selected[live, victim] = False
+            utilization[live] -= ranked_demands[victim]
+        rows[failing[:, None], rank] = selected
+
+    return repair
 
 
 def _repair_population(rows: np.ndarray, demands: np.ndarray, density: np.ndarray) -> None:
-    """Apply ``_repair`` to every row of ``rows``, screening them in one product.
-
-    The batched product (a gemm) and ``_repair``'s per-row product (a gemv)
-    may round a row's utilization differently in the last bits, so the screen
-    only clears rows it can prove ``_repair`` would leave untouched.  In any
-    summation order a sum of ``m`` terms lies within ``gamma * sum|d|`` of
-    the exact sum, with ``gamma = m*eps/(1 - m*eps)``, so both products are
-    at most ``(rows @ |demands|) * (1+gamma)/(1-gamma)``.  ``eps`` is machine
-    epsilon, twice the unit roundoff, which also covers the rounding of the
-    bound itself.  Every row the screen cannot clear (overfull, near capacity
-    or non-finite) goes through ``_repair`` as before.
-    """
-    gamma = len(demands) * _EPS / (1 - len(demands) * _EPS)
-    bound = (rows.astype(float) @ np.abs(demands)) * ((1 + gamma) / (1 - gamma))
-    cleared = (bound < CAPACITY + FEASIBILITY_EPS).all(axis=1)
-    for r in np.flatnonzero(~cleared):
-        _repair(rows[r], demands, density)
+    """Repair every row of ``rows`` in place; see :func:`_population_repair`."""
+    _population_repair(demands, density)(rows)
 
 
 def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tuple[float, np.ndarray]:
@@ -80,6 +125,19 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
 
     Always returns a feasible decision vector, so its welfare can never beat
     the exact offline optimum.
+
+    A generation picks each offspring's two parents by tournament (the
+    fitter of ``tournament`` uniform contenders, the first on ties), takes the
+    first parent's genes before a uniform cut and the second's from it on,
+    flips each gene with probability ``mutation_rate`` and repairs the child;
+    the ``elitism`` fittest rows survive unchanged.  Two things keep the
+    result bit-identical for a given seed, and every rewrite must keep them:
+    the draws, ``random((population, m))`` once, then per generation
+    ``integers`` for the contenders, ``integers`` for the cuts and
+    ``random((offspring, m))`` for the flips, in that order and shape; and
+    the fitness, ``population.astype(float) @ w`` over the whole population
+    every generation.  The generation reuses its buffers: the population is
+    double-buffered, offspring are written straight into the next one.
     """
     params = params or GaParams()
     n = instance.tenant_count
@@ -96,29 +154,44 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
     with np.errstate(divide="ignore"):
         density = np.where(aggregate > 0, w / aggregate, np.inf)
     rate = params.mutation_rate if params.mutation_rate is not None else 1.0 / m
+    repair = _population_repair(demands, density)
+
+    size, elites = params.population, params.elitism
+    k = size - elites  # offspring per generation
+    heads = np.arange(m) < np.arange(max(m, 2))[:, None]  # heads[cut]: genes before the cut
+    # contenders.ravel()[slots + j] is contender j of slot (child, parent)
+    slots = params.tournament * np.arange(2 * k).reshape(k, 2)
+    first = np.empty((k, m), dtype=bool)
+    before = np.empty((k, m), dtype=bool)
+    noise = np.empty((k, m))
+    flips = np.empty((k, m), dtype=bool)
 
     rng = np.random.default_rng(seed)
-    population = rng.random((params.population, m)) < 0.5
-    _repair_population(population, demands, density)
+    population = rng.random((size, m)) < 0.5
+    repair(population)
     fitness = population.astype(float) @ w
+    spare = np.empty_like(population)
 
     best_value = float(fitness.max())
     best = population[int(np.argmax(fitness))].copy()
     for _ in range(params.generations):
-        elite_idx = np.argsort(fitness)[-params.elitism :] if params.elitism else np.empty(0, dtype=int)
-        n_offspring = params.population - params.elitism
-        contenders = rng.integers(0, params.population, size=(n_offspring, 2, params.tournament))
-        parents = contenders[
-            np.arange(n_offspring)[:, None],
-            np.arange(2)[None, :],
-            np.argmax(fitness[contenders], axis=2),
-        ]
-        cut = rng.integers(1, max(m, 2), size=n_offspring)
-        head = np.arange(m)[None, :] < cut[:, None]
-        offspring = np.where(head, population[parents[:, 0]], population[parents[:, 1]])
-        offspring ^= rng.random((n_offspring, m)) < rate
-        _repair_population(offspring, demands, density)
-        population = np.concatenate([population[elite_idx], offspring])
+        # every index taken is in range, so mode="clip" only skips numpy's
+        # buffered copy into ``out``
+        if elites:
+            np.take(population, np.argsort(fitness)[-elites:], axis=0, out=spare[:elites], mode="clip")
+        contenders = rng.integers(0, size, size=(k, 2, params.tournament))
+        parents = contenders.ravel()[slots + np.argmax(fitness[contenders], axis=2)]
+        cut = rng.integers(1, max(m, 2), size=k)
+        offspring = spare[elites:]
+        np.take(population, parents[:, 1], axis=0, out=offspring, mode="clip")
+        np.take(population, parents[:, 0], axis=0, out=first, mode="clip")
+        np.take(heads, cut, axis=0, out=before, mode="clip")
+        np.copyto(offspring, first, where=before)
+        rng.random(out=noise)
+        np.less(noise, rate, out=flips)
+        offspring ^= flips
+        repair(offspring)
+        population, spare = spare, population
         fitness = population.astype(float) @ w
         generation_best = float(fitness.max())
         if generation_best > best_value:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .market import CAPACITY, FEASIBILITY_EPS, MarketError
 
@@ -179,7 +178,13 @@ def offline_exact(
 
 
 def lp_upper_bound(instance) -> float:
-    """Optimum of the fractional relaxation; never below the exact optimum."""
+    """Optimum of the fractional relaxation; never below the exact optimum.
+
+    ``scipy.optimize`` is imported here, on first use: it is most of the cost
+    of importing the package, and nothing else needs it.
+    """
+    from scipy.optimize import linprog
+
     n = instance.tenant_count
     if n == 0:
         return 0.0

@@ -85,9 +85,11 @@ class GenConfig:
             raise WorkloadError(f"resource_count must be an integer of at least 1, got {self.resource_count!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise WorkloadError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("demand_mean", "demand_std", "subscriber_mean", "subscriber_std"):
+        optional = ("demand_mean", "demand_std", "participation")  # None picks the default
+        required = ("subscriber_mean", "subscriber_std", "free_user_fraction", "tier_decay", "density_margin")
+        for name in optional + required:
             value = getattr(self, name)
-            if value is not None and not _is_finite(value):
+            if not (_is_finite(value) or (value is None and name in optional)):
                 raise WorkloadError(f"{name} must be a finite number, got {value!r}")
         if self.demand_mean is not None and not self.demand_mean > 0:
             raise WorkloadError("demand_mean must be positive")

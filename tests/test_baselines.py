@@ -83,6 +83,32 @@ class TestGaHeuristic:
     def test_mutation_rate_accepted(self, rate):
         assert GaParams(mutation_rate=rate).mutation_rate == rate
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"population": 2.5},
+            {"population": 10.0},
+            {"generations": True},
+            {"generations": "5"},
+            {"tournament": 1.5},
+            {"elitism": 1.0},
+            {"elitism": False},
+            {"mutation_rate": "0.1"},
+            {"mutation_rate": True},
+        ],
+    )
+    def test_non_numbers_rejected_by_name(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            GaParams(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        params = GaParams(population=np.int64(6), generations=np.int32(3), tournament=np.uint8(2), elitism=np.int16(1))
+        inst = generate_instance(GenConfig(tenant_count=8, resource_count=2, seed=4))
+        welfare, accepted = ga_heuristic(inst, params, seed=1)
+        expected_welfare, expected = ga_heuristic(inst, GaParams(6, 3, None, 2, 1), seed=1)
+        assert welfare == expected_welfare
+        np.testing.assert_array_equal(accepted, expected)
+
 
 class TestUtilityBidAuction:
     def test_two_tenant_rounds(self):

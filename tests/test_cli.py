@@ -85,10 +85,22 @@ class TestRun:
             ({"config": {"subscriber_mean": float("nan")}}, "subscriber_mean"),
             ({"config": {"subscriber_std": -1.0}}, "subscriber_std"),
             ({"config": {"top_tier_range": [2.0, float("inf")]}}, "top_tier_range"),
+            ({"config": {"free_user_fraction": "0.4"}}, "free_user_fraction"),
+            ({"config": {"tier_decay": "0.5"}}, "tier_decay"),
+            ({"config": {"density_margin": "0.1"}}, "density_margin"),
+            ({"config": {"participation": "0.5"}}, "participation"),
+            ({"ga_params": {"population": 2.5}}, "population"),
+            ({"ga_params": {"tournament": 1.5}}, "tournament"),
+            ({"ga_params": {"elitism": 1.0}}, "elitism"),
+            ({"ga_params": {"generations": True}}, "generations"),
+            ({"ga_params": {"mutation_rate": "0.1"}}, "mutation_rate"),
         ],
         ids=[
             "fractional trials", "NaN trials", "negative seed", "string node_budget", "fractional tenant_count",
             "NaN subscriber_mean", "negative subscriber_std", "infinite top_tier_range",
+            "string free_user_fraction", "string tier_decay", "string density_margin", "string participation",
+            "fractional population", "fractional tournament", "float elitism", "boolean generations",
+            "string mutation_rate",
         ],
     )
     def test_bad_spec_numbers_are_validation_failures(self, tmp_path, capsys, overrides, field):

@@ -1,8 +1,10 @@
-"""Differential tests of the GA's population repair against the per-row loop.
+"""Differential tests of the GA and its population repair against the per-row loop.
 
 ``_reference_repair`` and ``_reference_ga`` are verbatim copies of the
 genetic heuristic as it was before repair was screened for the whole
-population in one product; the current code must reproduce them bit for bit.
+population in one product, the failing rows repaired in one batched drop
+loop and the generation loop run on reused buffers; the current code must
+reproduce them bit for bit.
 """
 
 import numpy as np
@@ -115,7 +117,7 @@ class TestRepairPopulation:
             c = int(rng.integers(1, 6))
             demands = rng.uniform(0, 3.0 / m, size=(m, c))
             demands[rng.random((m, c)) < 0.3] = 0.0
-            if rng.random() < 0.2:  # the Instance constructor accepts negative demands
+            if rng.random() < 0.2:  # the repair is also checked on negative demands
                 demands -= rng.uniform(0, 2.0 / m, size=(m, c))
             density = _density(demands, rng)
             rows = rng.random((int(rng.integers(1, 40)), m)) < rng.uniform(0.1, 0.9)
@@ -153,6 +155,73 @@ class TestRepairPopulation:
                 assert expected[0].all()  # left untouched at or below the limit
             else:
                 assert not expected[0].all()
+
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_drop_lands_on_the_limit(self, rng, ulps):
+        # after the first drop a row's utilization reads exactly the limit, or
+        # one ulp above it, so one drop suffices or a second one is needed
+        target = LIMIT if ulps == 0 else np.nextafter(LIMIT, np.inf)
+        landed = 0
+        for _ in range(30):
+            m = int(rng.integers(3, 60))
+            demands = rng.uniform(0.5, 1.0, size=(m, 1))
+            demands *= LIMIT / demands[1:].sum()
+            density = np.linspace(1.0, 2.0, m)  # item 0 goes first
+            row = np.ones((1, m), dtype=bool)
+            other = 1 + int(np.argmax(demands[1:, 0]))
+            for _ in range(10_000):
+                after = (row[0].astype(float) @ demands)[0] - demands[0, 0]
+                if after == target:
+                    break
+                demands[other, 0] = np.nextafter(demands[other, 0], np.inf if after < target else -np.inf)
+            repaired = _assert_repairs_match(row, demands, density)
+            if after == target:  # the gemv's rounding can step over the target
+                landed += 1
+                assert m - int(repaired.sum()) == 1 + ulps
+        assert landed >= 15
+
+    def test_rows_tied_on_density(self, rng):
+        for _ in range(60):
+            m = int(rng.integers(2, 80))
+            c = int(rng.integers(1, 5))
+            demands = rng.uniform(0.5 / m, 4.0 / m, size=(m, c))
+            demands[rng.random((m, c)) < 0.2] = 0.0
+            # a few density levels shared by many items, inf among them
+            levels = np.array([0.5, 1.0, 1.0, 2.0, np.inf])
+            density = levels[rng.integers(0, len(levels), m)]
+            twins = rng.permutation(m)[: m // 2]
+            demands[twins] = demands[twins[0]]  # identical items, identical density
+            density[twins] = density[twins[0]]
+            rows = rng.random((25, m)) < rng.uniform(0.4, 1.0)
+            rows[:5] = True  # every gene set
+            _assert_repairs_match(rows, demands, density)
+
+    def test_every_gene_set(self, rng):
+        for _ in range(40):
+            m = int(rng.integers(1, 150))
+            c = int(rng.integers(1, 6))
+            demands = rng.uniform(0, 6.0 / m, size=(m, c))
+            demands[rng.random(m) < 0.1] = 0.0  # zero-demand items: density inf
+            repaired = _assert_repairs_match(np.ones((12, m), dtype=bool), demands, _density(demands, rng))
+            assert ((repaired.astype(float) @ demands) <= LIMIT).all()
+
+    def test_many_resources(self, rng):
+        # more than eight resources: an overfull set packs into several bytes
+        for _ in range(20):
+            m = int(rng.integers(5, 60))
+            c = int(rng.integers(9, 20))
+            demands = rng.uniform(0, 4.0 / m, size=(m, c))
+            demands[rng.random((m, c)) < 0.4] = 0.0
+            _assert_repairs_match(rng.random((20, m)) < 0.7, demands, _density(demands, rng))
+
+    def test_no_item_left_to_drop(self):
+        # utilization overflows to inf and stays overfull whatever is dropped
+        demands = np.array([[1e308], [1e308], [0.1], [0.0]])
+        density = np.array([1.0, 1.0, 3.0, np.inf])
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            _reference_repair(np.ones(4, dtype=bool), demands, density)
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            _repair_population(np.ones((3, 4), dtype=bool), demands, density)
 
     def test_degenerate_demands(self, rng):
         demands = np.zeros((5, 2))
@@ -202,3 +271,64 @@ class TestGaMatchesReference:
             ref = _reference_ga(inst, params, seed)
             assert got[0] == ref[0]
             np.testing.assert_array_equal(got[1], ref[1])
+
+
+def _assert_ga_matches(instance, params, seeds):
+    for seed in seeds:
+        welfare, accepted = ga_heuristic(instance, params, seed)
+        ref_welfare, ref_accepted = _reference_ga(instance, params, seed)
+        assert welfare == ref_welfare
+        np.testing.assert_array_equal(accepted, ref_accepted)
+
+
+def _market(demands, valuations, resources):
+    costs = np.full(resources, 0.5)
+    return Instance(np.array(demands, dtype=float).reshape(-1, resources), valuations, costs * 2, costs * 40, costs)
+
+
+class TestGaEdgeCases:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            GaParams(population=2, generations=30, elitism=0),
+            GaParams(population=2, generations=30, elitism=1, tournament=1),
+            GaParams(population=7, generations=25, elitism=0, tournament=1),
+            GaParams(population=9, generations=25, mutation_rate=0.0),
+            GaParams(population=9, generations=25, mutation_rate=1.0),
+            GaParams(population=6, generations=20, tournament=8, elitism=5),
+        ],
+        ids=["pair without elites", "pair, one elite, tournament 1", "no elites, tournament 1", "rate 0", "rate 1",
+             "large tournament, all but one elite"],
+    )
+    def test_parameter_extremes(self, params):
+        rng = np.random.default_rng(11)
+        for n, mean in ((1, None), (2, None), (12, None), (40, 3.0), (60, 1.0)):
+            cfg = GenConfig(
+                tenant_count=n,
+                resource_count=int(rng.integers(1, 4)),
+                demand_mean=mean / n if mean else None,
+                seed=int(rng.integers(0, 2**32)),
+            )
+            _assert_ga_matches(generate_instance(cfg), params, range(3))
+
+    @pytest.mark.parametrize("viable, valuations", [(1, [3.0, 0.0, 9.0, 0.0, 0.1]), (2, [3.0, 4.0, 9.0, 0.0, 0.1])])
+    def test_one_or_two_viable_tenants(self, viable, valuations):
+        # the others have no profit or demand beyond capacity; the cut is drawn from [1, max(m, 2))
+        demands = [[0.4, 0.3], [0.5, 0.6], [1.5, 0.1], [0.2, 0.2], [0.3, 0.1]]
+        inst = _market(demands, valuations, 2)
+        assert int((adjusted_profits(inst) > 0).sum()) - 1 == viable  # tenant 2 is too big
+        _assert_ga_matches(inst, GaParams(population=6, generations=15), range(5))
+        _assert_ga_matches(inst, GaParams(population=4, generations=10, mutation_rate=1.0), range(5))
+        for n in (1, 2):
+            single = generate_instance(GenConfig(tenant_count=n, resource_count=2, seed=n))
+            _assert_ga_matches(single, GaParams(population=5, generations=12), range(5))
+
+    def test_zero_demand_tenants(self):
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            n, c = int(rng.integers(4, 40)), int(rng.integers(1, 4))
+            demands = rng.uniform(0.5 / n, 4.0 / n, size=(n, c))
+            demands[rng.random(n) < 0.3] = 0.0  # no demand at all: density inf
+            demands[rng.random((n, c)) < 0.2] = 0.0
+            inst = _market(demands, rng.uniform(0.1, 2.0, n), c)
+            _assert_ga_matches(inst, GaParams(population=12, generations=15, mutation_rate=0.3), range(3))

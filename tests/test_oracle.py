@@ -1,10 +1,15 @@
 """Offline oracles: exhaustive enumeration, branch-and-bound, LP bound."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slicemarket
 from slicemarket.oracle import (
     OracleError,
     adjusted_profits,
@@ -134,3 +139,20 @@ class TestLpUpperBound:
 def test_adjusted_profits_formula():
     inst = manual_instance([[0.5, 0.2]], [2.0], [0.4, 1.0])
     assert adjusted_profits(inst)[0] == pytest.approx(2.0 - (0.5 * 0.4 + 0.2 * 1.0))
+
+
+def test_package_imports_without_scipy():
+    """``scipy.optimize`` loads on the first LP solve, not with the package."""
+    src = Path(slicemarket.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import slicemarket, slicemarket.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "from slicemarket.workload import GenConfig, generate_instance\n"
+        "assert slicemarket.lp_upper_bound(generate_instance(GenConfig(tenant_count=5))) > 0\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -63,6 +63,16 @@ class TestGenConfig:
             {"demand_std": float("nan")},
             {"pay_level_range": (2.0,)},
             {"unit_cost_range": 0.5},
+            {"free_user_fraction": "0.4"},
+            {"tier_decay": "0.5"},
+            {"density_margin": "0.1"},
+            {"participation": "0.5"},
+            {"free_user_fraction": float("nan")},
+            {"tier_decay": True},
+            {"density_margin": float("inf")},
+            {"participation": float("nan")},
+            {"subscriber_mean": None},
+            {"free_user_fraction": None},
         ],
     )
     def test_invalid_configs(self, kwargs):
