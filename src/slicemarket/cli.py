@@ -50,6 +50,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
@@ -217,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--method", choices=("auto", "exhaustive", "branch-and-bound", "lp"), default="auto"
     )
-    p_oracle.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p_oracle.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     p_oracle.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -155,8 +155,8 @@ class ExperimentSpec:
             raise HarnessError(f"trials must be an integer of at least 1, got {self.trials!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise HarnessError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not _is_int(self.node_budget):
-            raise HarnessError(f"node_budget must be an integer, got {self.node_budget!r}")
+        if not (_is_int(self.node_budget) and self.node_budget >= 1):
+            raise HarnessError(f"node_budget must be a positive integer, got {self.node_budget!r}")
 
     def to_dict(self) -> dict:
         data = asdict(self)

@@ -81,6 +81,8 @@ class TestRun:
             ({"trials": float("nan")}, "trials"),
             ({"seed": -1}, "seed"),
             ({"node_budget": "x"}, "node_budget"),
+            ({"node_budget": 0}, "node_budget"),
+            ({"node_budget": True}, "node_budget"),
             ({"config": {"tenant_count": 2.5}}, "tenant_count"),
             ({"config": {"subscriber_mean": float("nan")}}, "subscriber_mean"),
             ({"config": {"subscriber_std": -1.0}}, "subscriber_std"),
@@ -96,7 +98,8 @@ class TestRun:
             ({"ga_params": {"mutation_rate": "0.1"}}, "mutation_rate"),
         ],
         ids=[
-            "fractional trials", "NaN trials", "negative seed", "string node_budget", "fractional tenant_count",
+            "fractional trials", "NaN trials", "negative seed", "string node_budget", "zero node_budget", "boolean node_budget",
+            "fractional tenant_count",
             "NaN subscriber_mean", "negative subscriber_std", "infinite top_tier_range",
             "string free_user_fraction", "string tier_decay", "string density_margin", "string participation",
             "fractional population", "fractional tournament", "float elitism", "boolean generations",
@@ -242,6 +245,22 @@ class TestOracle:
 
     def test_missing_instance(self, tmp_path):
         assert main(["oracle", "--instance", str(tmp_path / "missing.json")]) == 3
+
+    @pytest.mark.parametrize("budget", ["-5", "0", "2.5", "x"])
+    def test_bad_node_budget_is_usage_error(self, tmp_path, capsys, budget):
+        path = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=8)).save(tmp_path / "instance.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", "--instance", str(path), "--node-budget", budget])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--node-budget" in captured.err
+
+    def test_node_budget_of_one(self, tmp_path, capsys):
+        path = generate_instance(GenConfig(tenant_count=30, resource_count=2, seed=8)).save(tmp_path / "instance.json")
+        assert main(["oracle", "--instance", str(path), "--method", "branch-and-bound", "--node-budget", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exact"] is False and payload["nodes_explored"] == 1
 
     def test_non_finite_valuation_is_validation_failure(self, tmp_path, capsys):
         inst = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=8))

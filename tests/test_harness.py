@@ -56,6 +56,14 @@ class TestSpecValidation:
         with pytest.raises(HarnessError):
             small_spec(oracle="milp")
 
+    @pytest.mark.parametrize("budget", [0, -5, 2.5, True, "10", None])
+    def test_bad_node_budget_rejected(self, budget):
+        with pytest.raises(HarnessError, match="node_budget must be a positive integer"):
+            small_spec(node_budget=budget)
+
+    def test_node_budget_of_one_accepted(self):
+        assert small_spec(node_budget=1).node_budget == 1
+
     def test_dict_round_trip(self):
         spec = small_spec(
             axis="tenants", values=(5, 10), oracle="lp", transcripts=True,

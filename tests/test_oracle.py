@@ -97,6 +97,19 @@ class TestOfflineExact:
         assert result.welfare <= exact.welfare + 1e-9
         assert result.upper_bound >= exact.welfare - 1e-6
 
+    @pytest.mark.parametrize("budget", [0, -5, 2.5, True, False, "10", None, float("inf")])
+    @pytest.mark.parametrize("method", ["auto", "exhaustive", "branch-and-bound"])
+    def test_bad_node_budget_rejected(self, method, budget):
+        inst = generate_instance(GenConfig(tenant_count=40, resource_count=2, seed=2))
+        with pytest.raises(OracleError, match="node_budget must be a positive integer"):
+            offline_exact(inst, method=method, node_budget=budget)
+
+    def test_node_budget_of_one(self):
+        inst = generate_instance(GenConfig(tenant_count=40, resource_count=2, seed=2))
+        result = offline_exact(inst, method="branch-and-bound", node_budget=np.int64(1))
+        assert (result.nodes_explored, result.exact, result.welfare) == (1, False, 0.0)
+        assert not result.accepted.any()
+
     def test_empty_instance(self):
         inst = Instance(np.zeros((0, 2)), np.zeros(0), [1.0, 1.0], [2.0, 2.0], [0.5, 0.5])
         result = offline_exact(inst)
