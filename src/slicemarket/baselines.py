@@ -328,8 +328,9 @@ def random_slicing(instance, order: Sequence[int] | None = None, seed: int = 0) 
     utilization = [0.0] * instance.resource_count
     demand_rows = instance.demands.tolist()
     accepted = np.zeros(n, dtype=bool)
-    for tenant in order:
-        coin = int(rng.integers(0, 2))
+    # one draw for every coin is the stream of one draw per arrival
+    coins = rng.integers(0, 2, size=len(order)).tolist()
+    for tenant, coin in zip(order, coins):
         if not coin:
             continue
         row = demand_rows[tenant]

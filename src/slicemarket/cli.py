@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 
 from .harness import (
@@ -149,12 +150,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    totals: Counter = Counter()
     problems = run_verification(
-        sessions=args.sessions, setups=args.setups, instances=args.instances, seed=args.seed or 0
+        sessions=args.sessions, setups=args.setups, instances=args.instances, seed=args.seed or 0, totals=totals
     )
     if problems:
         for line in problems[:50]:
             print(f"FAIL {line}")
+        for family, count in totals.items():
+            print(f"total {family}: {count} violation(s)", file=sys.stderr)
         print(f"{len(problems)} violation(s) found", file=sys.stderr)
         return EXIT_VALIDATION
     print(f"PASS sessions={args.sessions} setups={args.setups} instances={args.instances}")

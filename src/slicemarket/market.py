@@ -169,8 +169,10 @@ def _check_allocation(setup: MarketSetup, instance, allocation: Allocation) -> N
     if allocation.utilization.shape != (setup.resource_count,):
         raise MarketError("allocation does not match the market resource count")
     expected = allocation.accepted.astype(float) @ instance.demands
-    if not np.allclose(allocation.utilization, expected, atol=1e-6):
-        raise MarketError("allocation utilization is inconsistent with the instance demands")
+    # np.allclose(utilization, expected, atol=1e-6), one resource at a time on plain floats
+    for used, want in zip(allocation.utilization.tolist(), expected.tolist()):
+        if not (abs(used - want) <= 1e-6 + 1e-5 * abs(want) and math.isfinite(want) or used == want):
+            raise MarketError("allocation utilization is inconsistent with the instance demands")
 
 
 def social_welfare(setup: MarketSetup, instance, allocation: Allocation) -> float:

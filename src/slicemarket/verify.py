@@ -3,13 +3,20 @@
 Each suite returns human-readable violation strings; an empty list means the
 checked property held everywhere.  The session suite drives full protocol
 runs over randomized workloads.  For each run, ``check_session`` counts the
-violations of every invariant family with a few array comparisons over the
-session's compact record: capacity safety, price monotonicity and floors,
-dual feasibility, the welfare accounting identity, refund bookkeeping and
-the value ranges of the transcript schema.
+violations of every invariant family over the session's compact record
+(array comparisons on the prices, plain loops over the record's outcome and
+charge lists): capacity safety, price monotonicity and floors, dual
+feasibility, the welfare accounting identity, refund bookkeeping and the
+value ranges of the transcript schema.
+
+Every suite also adds its violations to an optional ``totals`` counter, one
+entry per invariant family, which is what ``slicemarket verify`` prints after
+the first failure lines.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -27,7 +34,7 @@ def _random_config(rng: np.random.Generator) -> GenConfig:
     return GenConfig(
         tenant_count=int(rng.integers(1, 31)),
         resource_count=int(rng.integers(1, 6)),
-        density_margin=float(rng.choice([0.0, 0.0, 0.1])),
+        density_margin=(0.0, 0.0, 0.1)[int(rng.integers(0, 3))],  # the stream of rng.choice
         participation=float(rng.uniform(0.5, 1.0)) if sparse else None,
         seed=int(rng.integers(0, 2**32)),
     )
@@ -43,17 +50,16 @@ def check_session(instance, order) -> dict[str, int]:
     setup = MarketSetup.from_instance(instance)
     result = run_session(setup, build_schedule(setup), instance, order)
     ledger, record = result.ledger, result.ledger.record
-    utilization = np.asarray(ledger.utilization)
+    outcomes, charges = record.outcomes, record.charges
     # one row per quote, then the final prices
     prices = np.array(record.quotes + [ledger.prices], dtype=float)
-    outcomes = np.array(record.outcomes, dtype=str)
-    charges = np.array(record.charges, dtype=float)
-    booked = sum(charges[outcomes == SUCC].tolist(), 0.0)  # in arrival order, as the revenue was
+    # the SUCC charges summed in arrival order, as the revenue was
+    booked = sum([charge for charge, outcome in zip(charges, outcomes) if outcome == SUCC], 0.0)
     welfare = social_welfare(setup, instance, result.allocation)
     operator, tenant_utils = utilities(setup, instance, result.allocation, result.payments)
     count = np.count_nonzero
     counts = {
-        "capacity": count(~((0 <= utilization) & (utilization <= CAPACITY))),
+        "capacity": sum(not 0 <= y <= CAPACITY for y in ledger.utilization),
         "monotonicity": count((np.diff(prices, axis=0) < 0).any(axis=1)),
         "price floor": count(prices[-1] < setup.price_floors),
         "dual feasibility": count(result.certificate.feasibility_slacks(instance) < -DUAL_TOL),
@@ -62,14 +68,15 @@ def check_session(instance, order) -> dict[str, int]:
         + int(abs(ledger.revenue - float(result.payments.sum())) > ACCOUNTING_TOL),
         # the record's ranges of the wire schema; a SKIP renders its charge as 0
         "transcript schema": count(prices[:-1] < 0)
-        + count((charges < 0) & (outcomes != SKIP))
-        + count((outcomes != SUCC) & (outcomes != FAIL) & (outcomes != SKIP)),
+        + sum(charge < 0 and outcome != SKIP for charge, outcome in zip(charges, outcomes))
+        + sum(outcome not in (SUCC, FAIL, SKIP) for outcome in outcomes),
     }
     return {family: k for family, k in counts.items() if k}
 
 
-def session_suite(sessions: int = 1000, seed: int = 0) -> list[str]:
+def session_suite(sessions: int = 1000, seed: int = 0, totals: Counter | None = None) -> list[str]:
     """Run randomized posted-price sessions; one line per violated invariant family."""
+    totals = Counter() if totals is None else totals
     rng = np.random.default_rng(seed)
     problems: list[str] = []
     for index in range(sessions):
@@ -78,13 +85,20 @@ def session_suite(sessions: int = 1000, seed: int = 0) -> list[str]:
         order = rng.permutation(instance.tenant_count)
         for family, count in check_session(instance, order).items():
             problems.append(f"session {index} (seed {config.seed}): {family}: {count} violation(s)")
+            totals[family] += count
     return problems
 
 
-def pricing_suite(setups: int = 1000, seed: int = 0) -> list[str]:
+def pricing_suite(setups: int = 1000, seed: int = 0, totals: Counter | None = None) -> list[str]:
     """Closed-form identities of the threshold schedule on random valid setups."""
+    totals = Counter() if totals is None else totals
     rng = np.random.default_rng(seed)
     problems: list[str] = []
+
+    def report(family: str, line: str) -> None:
+        problems.append(line)
+        totals[f"schedule {family}"] += 1
+
     for index in range(setups):
         c = int(rng.integers(1, 10))
         floors = rng.uniform(0.5, 5.0, size=c)
@@ -93,30 +107,32 @@ def pricing_suite(setups: int = 1000, seed: int = 0) -> list[str]:
         setup = MarketSetup(costs, floors, caps)
         schedule = build_schedule(setup)
         if not schedule.ratio >= 1.0:
-            problems.append(f"setup {index}: ratio {schedule.ratio!r} below 1")
+            report("ratio", f"setup {index}: ratio {schedule.ratio!r} below 1")
+        cap_sum, cost_sum = caps.sum(), costs.sum()
         for i in range(c):
             start = schedule.price_at(i, 0.0)
             if start != floors[i]:
-                problems.append(f"setup {index}: start price {start!r} != floor {floors[i]!r}")
+                report("start price", f"setup {index}: start price {start!r} != floor {floors[i]!r}")
             terminal = schedule.price_at(i, 1.0)
-            target = float(caps.sum() - (costs.sum() - costs[i]))
+            target = float(cap_sum - (cost_sum - costs[i]))
             if abs(terminal - target) > 1e-9 * abs(target):
-                problems.append(f"setup {index}: terminal price {terminal!r} != {target!r}")
+                report("terminal price", f"setup {index}: terminal price {terminal!r} != {target!r}")
             w = schedule.thresholds[i]
             if not 0 < w <= 1:
-                problems.append(f"setup {index}: threshold {w!r} outside (0, 1]")
+                report("threshold", f"setup {index}: threshold {w!r} outside (0, 1]")
             left = schedule.price_at(i, max(w - 1e-9, 0.0))
             if abs(left - schedule.price_at(i, w)) > 1e-6:
-                problems.append(f"setup {index}: discontinuity at the threshold of resource {i}")
+                report("continuity", f"setup {index}: discontinuity at the threshold of resource {i}")
     return problems
 
 
-def workload_suite(instances: int = 1000, seed: int = 0) -> list[str]:
+def workload_suite(instances: int = 1000, seed: int = 0, totals: Counter | None = None) -> list[str]:
     """Generated instances must validate cleanly.
 
     The generator validates every instance it builds and raises
     ``WorkloadError`` on the first breach, which is reported here.
     """
+    totals = Counter() if totals is None else totals
     rng = np.random.default_rng(seed)
     problems: list[str] = []
     for index in range(instances):
@@ -125,12 +141,18 @@ def workload_suite(instances: int = 1000, seed: int = 0) -> list[str]:
             generate_instance(config)
         except WorkloadError as exc:
             problems.append(f"instance {index} (seed {config.seed}): {exc}")
+            totals["instance generation"] += 1
     return problems
 
 
-def run_verification(sessions: int = 1000, setups: int = 1000, instances: int = 1000, seed: int = 0) -> list[str]:
-    """Run every suite; the returned list is empty when all invariants held."""
-    problems = session_suite(sessions, seed)
-    problems += pricing_suite(setups, seed + 1)
-    problems += workload_suite(instances, seed + 2)
+def run_verification(
+    sessions: int = 1000, setups: int = 1000, instances: int = 1000, seed: int = 0, totals: Counter | None = None
+) -> list[str]:
+    """Run every suite; the returned list is empty when all invariants held.
+
+    ``totals``, when given, gains each violated family's violation count.
+    """
+    problems = session_suite(sessions, seed, totals)
+    problems += pricing_suite(setups, seed + 1, totals)
+    problems += workload_suite(instances, seed + 2, totals)
     return problems

@@ -44,11 +44,14 @@ class WorkloadError(MarketError):
 
 def _is_int(value) -> bool:
     """A Python or numpy integer; ``bool`` is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # an exact ``int`` skips the ABC check; ``type(True)`` is ``bool``
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _is_finite(value) -> bool:
     """A finite Python or numpy real; ``bool`` is not one."""
+    if type(value) is float:
+        return math.isfinite(value)
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
@@ -211,9 +214,9 @@ class Instance:
 
     def densities(self) -> np.ndarray:
         """Earning density per tenant and resource; NaN where nothing is demanded."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dens = self.valuations[:, None] / self.demands
-        return np.where(self.demands > 0, dens, np.nan)
+        return np.divide(
+            self.valuations[:, None], self.demands, out=np.full(self.demands.shape, np.nan), where=self.demands > 0
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -343,6 +346,16 @@ def bundle_floor(demands: np.ndarray, valuations: np.ndarray, margin: float = 0.
     return (1.0 - margin) * float(np.min(valuations / demands.sum(axis=1)))
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty, NaN-free 1-D array, bit for bit: the
+    middle entry of the sorted values, or the mean of the two middle ones."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2
+
+
 def _sample_demands(config: GenConfig, rng: np.random.Generator) -> np.ndarray:
     n, c = config.tenant_count, config.resource_count
     if config.participation is None:
@@ -394,14 +407,22 @@ def _sample_tenants(
         free[stuck] = subscribers[stuck] - 1
     paying = subscribers - free
 
-    # one multinomial per top tier, in ascending tier order; a prefix of the
-    # decay powers is bit for bit the power vector of that tier
+    # one multinomial per top tier, in ascending tier order and tenant order
+    # within a tier: a stable sort by top tier makes each tier's tenants one
+    # slice, scattered back afterwards; a prefix of the decay powers is bit
+    # for bit the power vector of that tier
     decay = config.tier_decay ** np.arange(1, int(top_tiers.max()) + 1)
-    tier_counts = np.zeros((n, decay.size), dtype=np.int64)
-    for tiers in np.flatnonzero(np.bincount(top_tiers)):
-        rows = np.flatnonzero(top_tiers == tiers)
-        weights = decay[:tiers] / decay[:tiers].sum()
-        tier_counts[rows, :tiers] = rng.multinomial(paying[rows], weights)
+    by_tier = np.argsort(top_tiers, kind="stable")
+    grouped_paying = paying[by_tier]
+    grouped = np.zeros((n, decay.size), dtype=np.int64)
+    start = 0
+    for tiers, size in enumerate(np.bincount(top_tiers).tolist()):
+        if size:
+            weights = decay[:tiers] / decay[:tiers].sum()
+            grouped[start : start + size, :tiers] = rng.multinomial(grouped_paying[start : start + size], weights)
+            start += size
+    tier_counts = np.empty_like(grouped)
+    tier_counts[by_tier] = grouped
 
     tiers = np.arange(1, tier_counts.shape[1] + 1)
     if payment_fn is None:
@@ -431,13 +452,17 @@ def _sample_market(
 
     demanded = demands > 0
     rows, _ = np.nonzero(demanded)
-    scale = float(np.median(raw_valuations[rows] / demands[demanded]))
+    scale = _median(raw_valuations[rows] / demands[demanded])
     if not scale > 0:
         raise WorkloadError("degenerate configuration: median earning density is not positive")
     valuations = raw_valuations / scale
 
-    densities = np.divide(valuations[:, None], demands, out=np.full(demands.shape, np.nan), where=demanded)
-    _, caps = derive_bounds(densities, config.density_margin)
+    # the caps of derive_bounds: each resource's highest density, or the
+    # highest of all on a resource nobody demands; generated densities are
+    # finite, so -inf marks exactly the undemanded entries
+    highs = np.divide(valuations[:, None], demands, out=np.full(demands.shape, -np.inf), where=demanded).max(axis=0)
+    highs[highs == -np.inf] = highs.max()
+    caps = (1.0 + config.density_margin) * highs
     floors = np.full(config.resource_count, bundle_floor(demands, valuations, config.density_margin))
     lo, hi = config.unit_cost_range
     unit_costs = floors * rng.uniform(lo, hi, size=config.resource_count)

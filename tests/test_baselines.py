@@ -182,7 +182,49 @@ class TestMyopicSlicing:
             assert all(y <= 1.0 for y in result.ledger.utilization)
 
 
+def _reference_random_slicing(instance, order=None, seed=0):
+    """``random_slicing`` as it was: one coin drawn per arrival."""
+    from slicemarket.market import CAPACITY
+    from slicemarket.oracle import adjusted_profits
+
+    n = instance.tenant_count
+    order = range(n) if order is None else [int(t) for t in order]
+    rng = np.random.default_rng(seed)
+    profits = adjusted_profits(instance)
+    utilization = [0.0] * instance.resource_count
+    demand_rows = instance.demands.tolist()
+    accepted = np.zeros(n, dtype=bool)
+    for tenant in order:
+        coin = int(rng.integers(0, 2))
+        if not coin:
+            continue
+        row = demand_rows[tenant]
+        if any(y + d > CAPACITY for y, d in zip(utilization, row)):
+            continue
+        for i, d in enumerate(row):
+            utilization[i] += d
+        accepted[tenant] = True
+    welfare = float(profits[accepted].sum()) if accepted.any() else 0.0
+    return welfare, accepted
+
+
 class TestRandomSlicing:
+    @pytest.mark.parametrize("tenants", [0, 1, 2, 30, 1001, 5000])
+    def test_matches_one_coin_per_arrival(self, tenants):
+        """One draw of every coin is the per-arrival stream: same mask, same welfare bits."""
+        if tenants:
+            inst = generate_instance(GenConfig(tenant_count=tenants, demand_mean=3.0 / tenants, seed=tenants))
+        else:
+            inst = Instance(np.empty((0, 3)), [], [1.0] * 3, [2.0] * 3, [0.5] * 3)
+        rng = np.random.default_rng(tenants)
+        for seed in range(10):
+            order = None if seed % 2 else rng.permutation(tenants)
+            welfare, accepted = random_slicing(inst, order, seed=seed)
+            want_welfare, want_accepted = _reference_random_slicing(inst, order, seed=seed)
+            assert np.array([welfare]).tobytes() == np.array([want_welfare]).tobytes()
+            assert accepted.dtype == want_accepted.dtype
+            assert accepted.tobytes() == want_accepted.tobytes()
+
     def test_seeded_determinism(self):
         inst = generate_instance(GenConfig(tenant_count=20, seed=6))
         a = random_slicing(inst, seed=42)

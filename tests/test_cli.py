@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import slicemarket
-from slicemarket import cli
+from slicemarket import cli, verify
 from slicemarket.cli import main
 from slicemarket.harness import ExperimentSpec
 from slicemarket.workload import GenConfig, generate_instance
@@ -205,7 +205,21 @@ class TestSweep:
 class TestVerify:
     def test_small_pass(self, capsys):
         assert main(["verify", "--sessions", "30", "--setups", "30", "--instances", "10"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert out == "PASS sessions=30 setups=30 instances=10\n"
+        assert err == ""
+
+    def test_failure_prints_a_total_per_family_after_the_fail_lines(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "check_session", lambda instance, order: {"capacity": 2, "refund": 1})
+        assert main(["verify", "--sessions", "30", "--setups", "3", "--instances", "3"]) == 2
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == 50 and all(line.startswith("FAIL session ") for line in lines)
+        assert err.splitlines() == [
+            "total capacity: 60 violation(s)",
+            "total refund: 30 violation(s)",
+            "60 violation(s) found",
+        ]
 
     @pytest.mark.parametrize("flag", ["--sessions", "--setups", "--instances", "--seed"])
     def test_negative_value_is_usage_error(self, flag, capsys):

@@ -2,10 +2,13 @@
 
 The ``_reference_*`` functions are the generator as it was before it became
 one vectorised pass: per-tenant ``TenantPrivate`` records built inside the
-sampler, a per-column loop in ``derive_bounds``, a NaN-matrix median and a
-per-entry loop in ``validate_instance``.  The pass must reproduce them bit
-for bit: the five ``Instance`` arrays byte for byte, every private record
-field for field, and every violation list in order.
+sampler, one ``flatnonzero`` gather per top tier for the multinomials, a
+per-column loop in ``derive_bounds``, a NaN-matrix ``np.nanmedian``, the
+``errstate``/``where`` densities and a per-entry loop in
+``validate_instance``.  The pass (grouped multinomials over a stable sort by
+top tier, a sort-based median, one masked column max for the caps) must
+reproduce them bit for bit: the five ``Instance`` arrays byte for byte, every
+private record field for field, and every violation list in order.
 """
 
 import math
@@ -23,6 +26,7 @@ from slicemarket.workload import (
     Violation,
     WorkloadError,
     _MAX_RESAMPLE_ROUNDS,
+    _median,
     _sample_demands,
     bundle_floor,
     derive_bounds,
@@ -191,6 +195,12 @@ def _reference_validate(instance):
     return violations
 
 
+def _reference_densities(instance):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dens = instance.valuations[:, None] / instance.demands
+    return np.where(instance.demands > 0, dens, np.nan)
+
+
 def _violation_fields(violations):
     return [(v.code, v.message, v.tenant, v.resource, type(v.tenant), type(v.resource)) for v in violations]
 
@@ -207,6 +217,7 @@ def assert_same_generation(config: GenConfig, payment_fn=None) -> None:
     got, got_privates = generate_population(config, payment_fn)
     assert_same_arrays(got, want)
     assert_same_arrays(generate_instance(config, payment_fn), want)
+    assert got.densities().tobytes() == _reference_densities(want).tobytes()
     # repr pins each field's type and every float's bits, == the values
     assert got_privates == want_privates
     assert repr(got_privates) == repr(want_privates)
@@ -236,6 +247,63 @@ def test_random_verify_configs():
 def test_sized_configs(tenants, overrides):
     for seed in (0, 1, 2):
         assert_same_generation(GenConfig(tenant_count=tenants, seed=seed, **overrides))
+
+
+@pytest.mark.parametrize("tenants", [1, 2, 30, 2000, 20_000])
+@pytest.mark.parametrize("participation", [None, 0.3])
+def test_grouped_multinomial_and_sorted_median(tenants, participation):
+    """Odd and even demanded-entry counts (the median's two cases), sparse
+    markets with undemanded resources (the caps' fallback) and one or several
+    top-tier groups, at sizes from one tenant to the online workload's."""
+    parities, empty_columns = set(), 0
+    seeds = range(6) if tenants <= 30 else range(2)
+    tier_ranges = [(2.0, 6.0), (3.0, 3.0), (1.0, 9.0)] if tenants <= 2000 else [(2.0, 6.0)]
+    for seed in seeds:
+        for tiers in tier_ranges:
+            config = GenConfig(
+                tenant_count=tenants,
+                resource_count=4 + seed % 2,
+                participation=participation,
+                top_tier_range=tiers,
+                seed=seed,
+            )
+            assert_same_generation(config)
+            instance = generate_instance(config)
+            parities.add(int(np.count_nonzero(instance.demands)) % 2)
+            empty_columns += int((~instance.demands.any(axis=0)).sum())
+    if tenants <= 30 and (participation is not None or tenants % 2):  # a dense market demands N * C entries
+        assert parities == {0, 1}
+    if participation is not None and tenants <= 2:
+        assert empty_columns > 0
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 30, 31, 2000, 60_001])
+def test_sorted_median_is_np_median(size):
+    rng = np.random.default_rng(size)
+    for values in (
+        rng.lognormal(0.0, 2.0, size=size),
+        rng.integers(0, 4, size=size).astype(float),  # ties around the middle
+        np.full(size, 1.0 / 3.0),
+        rng.uniform(1e300, 1.7e308, size=size),  # the two middle ones overflow when added
+    ):
+        with np.errstate(over="ignore"):
+            want = float(np.median(values))
+        got = _median(values)
+        assert type(got) is float
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+def test_grouped_multinomial_draws_in_tier_then_tenant_order():
+    # tenants of one top tier scattered among the others: the grouped draw
+    # must hand each tenant the counts its own flatnonzero gather drew
+    config = GenConfig(tenant_count=40, top_tier_range=(1.0, 5.0), tier_decay=0.7, seed=11)
+    _, got = generate_population(config)
+    _, want = _reference_population(config)
+    assert got == want
+    counts = np.array([p.tier_counts for p in got])
+    highest = counts.shape[1] - np.argmax(counts[:, ::-1] > 0, axis=1)  # each tenant's top tier
+    assert len(set(highest.tolist())) >= 3
+    assert (np.diff(highest) < 0).any()  # the tiers interleave in tenant order
 
 
 @pytest.mark.parametrize("tenants", [1, 2, 100])

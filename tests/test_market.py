@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from slicemarket import market
 from slicemarket.market import (
     Allocation,
     InfeasibleAllocationError,
@@ -15,6 +16,8 @@ from slicemarket.market import (
     social_welfare,
     utilities,
 )
+
+from slicemarket.workload import Instance
 
 from conftest import manual_instance, random_setup
 
@@ -83,6 +86,86 @@ class TestProfit:
             setup = make_setup(q=q, floor=q * 2, cap=q * 4)
             best = max(p * y - q * y for y in grid)
             assert abs(best - conjugate(setup, 0, p)) <= 1e-6
+
+
+def _reference_check_allocation(setup, instance, allocation):
+    """``market._check_allocation`` as it was, with ``np.allclose``."""
+    if allocation.accepted.shape != (instance.tenant_count,):
+        raise MarketError("allocation does not match the instance tenant count")
+    if allocation.utilization.shape != (setup.resource_count,):
+        raise MarketError("allocation does not match the market resource count")
+    expected = allocation.accepted.astype(float) @ instance.demands
+    if not np.allclose(allocation.utilization, expected, atol=1e-6):
+        raise MarketError("allocation utilization is inconsistent with the instance demands")
+
+
+def _verdicts(setup, instance, allocation):
+    """What the reference and the current check make of one allocation: the error text or None."""
+    verdicts = []
+    for check in (_reference_check_allocation, market._check_allocation):
+        try:
+            check(setup, instance, allocation)
+            verdicts.append(None)
+        except MarketError as exc:
+            verdicts.append(str(exc))
+    return verdicts
+
+
+class TestCheckAllocation:
+    """The plain-float tolerance test agrees with ``np.allclose`` everywhere."""
+
+    def test_random_allocations(self, rng):
+        raised = kept = 0
+        for _ in range(400):
+            n, c = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            demands = rng.uniform(0.0, 0.3, size=(n, c)) * (rng.random((n, c)) < 0.8)
+            inst = manual_instance(demands + 1e-3, rng.uniform(0.5, 2.0, size=n), np.full(c, 0.1))
+            setup = MarketSetup.from_instance(inst)
+            accepted = rng.random(n) < 0.3
+            expected = accepted.astype(float) @ inst.demands
+            scale = rng.choice([0.0, 1e-9, 1e-7, 1e-6, 2e-6, 1e-5, 1e-3])
+            utilization = np.clip(expected + scale * rng.standard_normal(c), 0.0, 1.0)
+            reference, current = _verdicts(setup, inst, Allocation(accepted, utilization))
+            assert current == reference
+            raised += reference is not None
+            kept += reference is None
+        assert raised and kept
+
+    def test_differences_at_the_tolerance(self):
+        inst = manual_instance([[0.1, 0.3], [0.2, 0.05], [0.25, 0.4]], [1.0, 1.5, 2.0], [0.1, 0.1])
+        setup = MarketSetup.from_instance(inst)
+        verdicts = set()
+        for accepted in ([True, False, False], [False, True, True], [True, True, True], [False, False, False]):
+            expected = np.array(accepted, dtype=float) @ inst.demands
+            tolerance = 1e-6 + 1e-5 * np.abs(expected)
+            for edge in (expected + tolerance, expected - tolerance):
+                for utilization in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                    if (utilization < 0).any():
+                        continue
+                    reference, current = _verdicts(setup, inst, Allocation(accepted, utilization))
+                    assert current == reference
+                    verdicts.add(reference is None)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_nan_utilization_raises(self, bad):
+        inst = manual_instance([[0.3, 0.2], [0.3, 0.1]], [1.2, 1.5], [0.5, 0.5])
+        setup = MarketSetup.from_instance(inst)
+        utilization = np.array([0.6, 0.3])
+        utilization[bad] = np.nan
+        allocation = Allocation([True, True], utilization)  # a NaN passes the capacity check
+        reference, current = _verdicts(setup, inst, allocation)
+        assert current == reference == "allocation utilization is inconsistent with the instance demands"
+        with pytest.raises(MarketError, match="inconsistent"):
+            social_welfare(setup, inst, allocation)
+
+    def test_overflowing_expected_utilization_raises(self):
+        demands = np.array([[1e308], [1e308]])
+        inst = Instance(demands, [1.0, 1.0], [1e-300], [1e300], [1e-301])
+        setup = MarketSetup.from_instance(inst)
+        with np.errstate(over="ignore"):
+            reference, current = _verdicts(setup, inst, Allocation([True, True], [1.0]))
+        assert current == reference is not None
 
 
 class TestSocialWelfare:

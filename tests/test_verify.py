@@ -1,15 +1,79 @@
-"""The ``verify`` suites report what they find instead of always passing."""
+"""The ``verify`` suites report what they find instead of always passing.
 
+``_reference_check_session`` and ``_reference_random_config`` are the
+checker and the config draw as they were, with numpy string and record
+arrays and ``rng.choice``; the current ones must give the same counts and
+the same configs.
+"""
+
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from slicemarket import protocol, verify
+from slicemarket.market import CAPACITY, MarketSetup, social_welfare, utilities
+from slicemarket.pricing import build_schedule
 from slicemarket.protocol import FAIL, SKIP, SUCC, DualCertificate
 from slicemarket.workload import GenConfig, WorkloadError, generate_instance
 
 TENANTS = 20
+
+
+def _reference_random_config(rng):
+    sparse = rng.random() < 0.25
+    return GenConfig(
+        tenant_count=int(rng.integers(1, 31)),
+        resource_count=int(rng.integers(1, 6)),
+        density_margin=float(rng.choice([0.0, 0.0, 0.1])),
+        participation=float(rng.uniform(0.5, 1.0)) if sparse else None,
+        seed=int(rng.integers(0, 2**32)),
+    )
+
+
+def _reference_check_session(instance, order):
+    setup = MarketSetup.from_instance(instance)
+    result = verify.run_session(setup, build_schedule(setup), instance, order)  # doctored alike
+    ledger, record = result.ledger, result.ledger.record
+    utilization = np.asarray(ledger.utilization)
+    prices = np.array(record.quotes + [ledger.prices], dtype=float)
+    outcomes = np.array(record.outcomes, dtype=str)
+    charges = np.array(record.charges, dtype=float)
+    booked = sum(charges[outcomes == SUCC].tolist(), 0.0)
+    welfare = social_welfare(setup, instance, result.allocation)
+    operator, tenant_utils = utilities(setup, instance, result.allocation, result.payments)
+    count = np.count_nonzero
+    counts = {
+        "capacity": count(~((0 <= utilization) & (utilization <= CAPACITY))),
+        "monotonicity": count((np.diff(prices, axis=0) < 0).any(axis=1)),
+        "price floor": count(prices[-1] < setup.price_floors),
+        "dual feasibility": count(result.certificate.feasibility_slacks(instance) < -verify.DUAL_TOL),
+        "accounting": int(abs(welfare - (operator + tenant_utils.sum())) > verify.ACCOUNTING_TOL),
+        "refund": int(abs(ledger.revenue - booked) > verify.ACCOUNTING_TOL)
+        + int(abs(ledger.revenue - float(result.payments.sum())) > verify.ACCOUNTING_TOL),
+        "transcript schema": count(prices[:-1] < 0)
+        + count((charges < 0) & (outcomes != SKIP))
+        + count((outcomes != SUCC) & (outcomes != FAIL) & (outcomes != SKIP)),
+    }
+    return {family: k for family, k in counts.items() if k}
+
+
+def test_random_config_keeps_the_choice_stream():
+    got_rng, want_rng = np.random.default_rng(77), np.random.default_rng(77)
+    for _ in range(3000):
+        got, want = verify._random_config(got_rng), _reference_random_config(want_rng)
+        assert got == want
+        assert type(got.density_margin) is type(want.density_margin) is float
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_check_session_matches_the_reference_on_random_sessions():
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        instance = generate_instance(verify._random_config(rng))
+        order = rng.permutation(instance.tenant_count)
+        assert verify.check_session(instance, order) == _reference_check_session(instance, order) == {}
 
 
 def _capacity(result):
@@ -40,6 +104,36 @@ def _transcript_schema(result):
     record = result.ledger.record
     sold = next(i for i, outcome in enumerate(record.outcomes) if outcome != SKIP)
     record.charges[sold] = -record.charges[sold]
+
+
+def _nan_capacity(result):
+    result.ledger.utilization = [float("nan")] + result.ledger.utilization[1:]
+
+
+def _negative_quote(result):
+    quotes = result.ledger.record.quotes
+    quotes[-1] = tuple(-p for p in quotes[-1])
+
+
+def _unknown_outcome(result):
+    record = result.ledger.record
+    record.outcomes[-1] = "MAYBE"
+    record.charges[0] = float("nan")
+
+
+def _full_capacity(result):
+    # exactly at capacity is allowed, beyond it is not
+    result.ledger.utilization = [CAPACITY] + [1.5] * (len(result.ledger.utilization) - 1)
+
+
+def _every_charge_negated(result):
+    # a SKIP's charge is not on the wire; a SUCC's or a FAIL's is
+    record = result.ledger.record
+    record.charges[:] = [-charge - 1.0 for charge in record.charges]
+
+
+#: Doctors outside the per-family table below, for the reference comparison.
+EXTRA_DOCTORS = [_nan_capacity, _negative_quote, _unknown_outcome, _full_capacity, _every_charge_negated]
 
 
 #: The counts each doctor leaves behind when it trips more than its own family.
@@ -76,6 +170,27 @@ def test_check_session_reports_a_doctored_session(monkeypatch, family, doctor):
     assert verify.check_session(instance, order) == IMPLIED.get(family, {family: 1})
 
 
+@pytest.mark.parametrize(
+    "doctor",
+    [_capacity, _monotonicity, _price_floor, _dual_feasibility, _refund, _transcript_schema] + EXTRA_DOCTORS,
+)
+def test_check_session_matches_the_reference_on_doctored_sessions(monkeypatch, doctor):
+    def doctored_session(*args):
+        result = protocol.run_session(*args)
+        return doctor(result) or result
+
+    monkeypatch.setattr(verify, "run_session", doctored_session)
+    rng = np.random.default_rng(5)
+    found = Counter()
+    for seed in range(40):
+        instance = generate_instance(GenConfig(tenant_count=TENANTS, resource_count=1 + seed % 4, seed=seed))
+        order = rng.permutation(instance.tenant_count)
+        counts = verify.check_session(instance, order)
+        assert counts == _reference_check_session(instance, order)
+        found.update(counts)
+    assert found
+
+
 def test_session_suite_prints_one_line_per_family(monkeypatch):
     monkeypatch.setattr(verify, "check_session", lambda instance, order: {"capacity": 2, "refund": 1})
     problems = verify.session_suite(sessions=2, seed=0)
@@ -100,3 +215,38 @@ def test_workload_suite_lists_a_generator_failure(monkeypatch):
     problems = verify.workload_suite(instances=4, seed=0)
     assert len(configs) == 4
     assert problems == [f"instance 1 (seed {configs[1].seed}): generated instance violates its invariants: injected"]
+
+
+def test_suites_total_each_violated_family(monkeypatch):
+    monkeypatch.setattr(verify, "check_session", lambda instance, order: {"capacity": 2, "refund": 1})
+    calls = []
+
+    def failing_on_the_second(config):
+        calls.append(config)
+        if len(calls) == 2:
+            raise WorkloadError("injected")
+        return generate_instance(config)
+
+    monkeypatch.setattr(verify, "generate_instance", failing_on_the_second)
+    totals = Counter()
+    problems = verify.run_verification(sessions=0, setups=0, instances=3, totals=totals)
+    assert totals == {"instance generation": 1} and len(problems) == 1
+    monkeypatch.setattr(verify, "generate_instance", generate_instance)
+    totals = Counter()
+    problems = verify.run_verification(sessions=3, setups=2, instances=3, totals=totals)
+    assert totals == {"capacity": 6, "refund": 3}
+    assert len(problems) == 6
+
+
+def test_pricing_suite_totals_by_family(monkeypatch):
+    def skewed(setup):
+        schedule = build_schedule(setup)
+        return replace(schedule, price_floors=schedule.price_floors * 1.01, ratio=0.5)
+
+    monkeypatch.setattr(verify, "build_schedule", skewed)
+    totals = Counter()
+    problems = verify.pricing_suite(setups=4, seed=0, totals=totals)
+    assert sum(totals.values()) == len(problems)
+    assert totals["schedule ratio"] == 4
+    assert totals["schedule start price"] > 0
+

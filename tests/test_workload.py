@@ -79,6 +79,22 @@ class TestGenConfig:
         with pytest.raises(WorkloadError, match=next(iter(kwargs))):
             GenConfig(**kwargs)
 
+    def test_number_checks_on_the_exact_type_fast_path_and_the_abc_path(self):
+        class Real(float):
+            pass
+
+        for value in (0, 7, -3, np.int64(7), np.uint32(5), np.int8(-1)):
+            assert workload._is_int(value), value
+        for value in (True, False, np.bool_(True), 2.0, np.float64(2.0), "3", None, Real(2.0)):
+            assert not workload._is_int(value), value
+        for value in (0, 3, 1.5, -0.0, 1e308, np.float64(0.4), np.float32(0.5), np.int64(3), Real(0.25)):
+            assert workload._is_finite(value), value
+        for value in (
+            True, False, np.bool_(False), float("nan"), float("inf"), -float("inf"),
+            np.float64("nan"), np.float32("inf"), Real("nan"), Real("inf"), "0.4", None, 1 + 0j,
+        ):
+            assert not workload._is_finite(value), value
+
     def test_numpy_integers_accepted(self):
         cfg = GenConfig(tenant_count=np.int64(7), resource_count=np.int32(2), seed=np.uint32(5))
         assert generate_instance(cfg).demands.shape == (7, 2)
