@@ -40,22 +40,15 @@ from .protocol import (
     SKIP,
     SUCC,
     DualCertificate,
-    PriceQuote,
     ProtocolError,
-    RentDecision,
     SessionLedger,
     SessionResult,
-    TransactionOutcome,
     TranscriptEntry,
     TranscriptSchemaError,
-    mvno_init,
-    mvno_settle,
     parse_transcript_jsonl,
     run_posted_price,
     run_session,
-    tenant_decide,
     transcript_to_jsonl,
-    transferred_data_bytes,
     validate_transcript_record,
 )
 from .workload import (

@@ -115,11 +115,6 @@ def _population_repair(demands: np.ndarray, density: np.ndarray):
     return repair
 
 
-def _repair_population(rows: np.ndarray, demands: np.ndarray, density: np.ndarray) -> None:
-    """Repair every row of ``rows`` in place; see :func:`_population_repair`."""
-    _population_repair(demands, density)(rows)
-
-
 def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tuple[float, np.ndarray]:
     """Genetic search over accept/reject vectors with infeasibility repair.
 

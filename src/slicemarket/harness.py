@@ -437,11 +437,6 @@ def trials_csv(metrics: Sequence[TrialMetrics]) -> str:
     return buffer.getvalue()
 
 
-def read_trials_csv(path: str | Path) -> list[dict]:
-    with open(path, newline="") as handle:
-        return list(csv.DictReader(handle))
-
-
 def summary_csv(rows: Sequence[SummaryRow]) -> str:
     names = [f.name for f in fields(SummaryRow)]
     buffer = io.StringIO()

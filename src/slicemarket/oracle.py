@@ -145,7 +145,6 @@ def offline_exact(
     instance,
     method: str = "auto",
     node_budget: int = DEFAULT_NODE_BUDGET,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> OracleResult:
     """Maximize offline welfare exactly (or report the best found plus a bound).
 
@@ -169,9 +168,9 @@ def offline_exact(
     if method == "auto":
         method = "exhaustive" if m <= _AUTO_EXHAUSTIVE else "branch-and-bound"
     if method == "exhaustive":
-        if m > exhaustive_limit:
+        if m > EXHAUSTIVE_LIMIT:
             raise OracleError(
-                f"{m} viable tenants exceed the exhaustive enumeration limit of {exhaustive_limit}"
+                f"{m} viable tenants exceed the exhaustive enumeration limit of {EXHAUSTIVE_LIMIT}"
             )
         _, chosen = _exhaustive(profits[index], instance.demands[index])
         nodes = 1 << m

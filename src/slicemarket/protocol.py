@@ -7,18 +7,18 @@ skip) before quoting the next arrival.  The session ledger records only what
 actually crossed the wire; valuations, subscriber data and anything else
 private to a tenant never appear in it.
 
-``PriceQuote``, ``RentDecision``, ``tenant_decide`` and ``mvno_settle`` spell
-the protocol out message by message, each message checked as it is built;
-they are the reference the session engine is tested against.
-``run_session`` is that engine: it checks the arrival order once per session
-(the ``Instance`` constructor has checked the valuations and demands), then
-runs every arrival on plain lists, re-evaluating the prices only after a sale
-and keeping a compact record per arrival (the quoted price tuple, shared
-between arrivals, the outcome and the charge).  That record,
+``run_session`` is the one session engine.  It checks the arrival order
+once per session (the ``Instance`` constructor has checked the valuations and
+demands), then runs every arrival on plain lists, re-evaluating the prices
+only after a sale and keeping a compact record per arrival (the quoted price
+tuple, shared between arrivals, the outcome and the charge).  That record,
 ``SessionLedger.record``, is what the ``verify`` checks read.  The ledger's
 ``transcript`` of ``TranscriptEntry`` messages is built from it the first
 time it is read, so a caller that needs only the allocation, the revenue or
-``SessionLedger.transferred_bytes`` never pays for it.
+``SessionLedger.transferred_bytes`` never pays for it.  The same protocol
+spelled out message by message, each message checked as it is built, lives
+in the test suite (``tests/reference_protocol.py``) as the reference the
+engine must reproduce bit for bit.
 
 ``validate_transcript_record`` checks a persisted record against the published
 ``TRANSCRIPT_RECORD_SCHEMA`` with direct key, type and range checks; the
@@ -41,8 +41,6 @@ SUCC = "SUCC"
 FAIL = "FAIL"
 SKIP = "SKIP"
 
-PAYMENT_TOLERANCE = 1e-9
-
 
 class ProtocolError(MarketError):
     """A message or settlement step breaks the transaction protocol."""
@@ -61,8 +59,8 @@ def _dot(prices: Sequence[float], demand: Sequence[float]) -> float:
 
 
 def _float_tuple(values) -> tuple[float, ...]:
-    # shares an already-coerced tuple instead of copying it; the protocol loop
-    # passes the same immutable tuples through quote, settlement and transcript
+    # shares an already-coerced tuple instead of copying it, so a quote and the
+    # transcript entries that carry it hold one immutable tuple
     if type(values) is tuple and all(type(v) is float for v in values):
         return values
     try:
@@ -81,52 +79,6 @@ def _checked_prices(prices) -> tuple[float, ...]:
             if p < 0:
                 raise ProtocolError(f"quoted price for resource {c} is negative: {p!r}")
     return prices
-
-
-@dataclass(frozen=True)
-class PriceQuote:
-    """Published prices ahead of one arrival."""
-
-    arrival: int
-    prices: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "prices", _checked_prices(self.prices))
-        if self.arrival < 1:
-            raise ProtocolError(f"arrival index must be positive, got {self.arrival}")
-
-
-@dataclass(frozen=True)
-class RentDecision:
-    """Tenant answer: accept flag, offered payment, and the demand vector."""
-
-    accept: bool
-    payment: float
-    demand: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "demand", _float_tuple(self.demand))
-        object.__setattr__(self, "payment", float(self.payment))
-        if not 0.0 <= self.payment < math.inf:
-            raise ProtocolError(f"payment must be finite and non-negative, got {self.payment!r}")
-        if not all(0.0 <= d < math.inf for d in self.demand):
-            raise ProtocolError(f"demand entries must be finite and non-negative, got {self.demand!r}")
-        if not self.accept and (self.payment != 0.0 or any(d != 0.0 for d in self.demand)):
-            raise ProtocolError("a rejecting tenant must send zero payment and zero demands")
-
-
-@dataclass(frozen=True)
-class TransactionOutcome:
-    """Settlement result; the refund equals the payment exactly when it failed."""
-
-    status: str
-    refund: float = 0.0
-
-    def __post_init__(self):
-        if self.status not in (SUCC, FAIL, SKIP):
-            raise ProtocolError(f"unknown outcome status {self.status!r}")
-        if self.status != FAIL and self.refund != 0.0:
-            raise ProtocolError("only failed transactions carry a refund")
 
 
 class TranscriptEntry(NamedTuple):
@@ -220,19 +172,11 @@ def transcript_to_jsonl(entries: Iterable[TranscriptEntry]) -> str:
     return "".join(json.dumps(e.to_record(), separators=(",", ":")) + "\n" for e in entries)
 
 
-def parse_transcript_jsonl(text: str, validate: bool = True) -> list[dict]:
+def parse_transcript_jsonl(text: str) -> list[dict]:
     records = [json.loads(line) for line in text.splitlines() if line.strip()]
-    if validate:
-        for record in records:
-            validate_transcript_record(record)
+    for record in records:
+        validate_transcript_record(record)
     return records
-
-
-def transferred_data_bytes(entries: Iterable[TranscriptEntry]) -> int:
-    """Bytes that crossed the wire during a session, 4 per scalar value: per
-    arrival the quoted prices, the demands, the accept flag, the payment and
-    the outcome."""
-    return 4 * sum(len(e.quote) + len(e.demand) + 3 for e in entries)
 
 
 class _ArrivalRecord:
@@ -249,7 +193,9 @@ class _ArrivalRecord:
         self.charges: list[float] = []
 
     def entries(self) -> list[TranscriptEntry]:
-        """The transcript ``tenant_decide`` and ``mvno_settle`` would have written."""
+        """The transcript messages, one ``TranscriptEntry`` per arrival: a
+        SKIP carries a zero flag, payment and demand, SUCC and FAIL the
+        tenant's charge and demand row."""
         return [
             TranscriptEntry(arrival, quote, 0, 0.0, (0.0,) * len(quote), SKIP)
             if outcome == SKIP
@@ -261,27 +207,22 @@ class _ArrivalRecord:
 
 
 class SessionLedger:
-    """Operator-visible session state: utilization, prices, transcript, revenue.
+    """Operator-visible session state: utilization, prices, revenue, and the
+    session's compact ``record``.
 
-    ``prices`` is an immutable tuple replaced wholesale on every settlement so
-    quotes and transcript entries can share it.  ``transcript`` is the list
-    ``mvno_settle`` appends to.  A ledger that ``run_session`` returns keeps
-    the session's compact ``record`` for its whole life (the ``verify``
-    checks read it) and builds ``transcript`` from it on first read; a
-    ledger from ``mvno_init`` has ``record = None``.  Strictly one mutator
-    at a time; a session is a sequential state machine.
+    ``prices`` is the immutable tuple quoted after the last arrival.  The
+    ``verify`` checks read ``record``; ``transcript`` is built from it on
+    first read and then kept.
     """
 
     __slots__ = ("utilization", "prices", "revenue", "_transcript", "record")
 
-    def __init__(
-        self, utilization: list[float], prices: tuple[float, ...], record: _ArrivalRecord | None = None
-    ):
+    def __init__(self, utilization: list[float], prices: tuple[float, ...], revenue: float, record: _ArrivalRecord):
         self.utilization = utilization
         self.prices = prices
-        self.revenue = 0.0
-        self._transcript: list[TranscriptEntry] | None = [] if record is None else None
+        self.revenue = revenue
         self.record = record
+        self._transcript: list[TranscriptEntry] | None = None
 
     @property
     def transcript(self) -> list[TranscriptEntry]:
@@ -295,13 +236,13 @@ class SessionLedger:
 
     @property
     def arrivals(self) -> int:
-        return len(self._transcript) if self.record is None else len(self.record.outcomes)
+        return len(self.record.outcomes)
 
     @property
     def transferred_bytes(self) -> int:
-        """``transferred_data_bytes(self.transcript)``, without building the
-        transcript: every arrival quotes one price and carries one demand per
-        resource."""
+        """Bytes that crossed the wire, 4 per scalar value, without building
+        the transcript: per arrival the quoted prices, the demands (one of
+        each per resource), the accept flag, the payment and the outcome."""
         return 4 * self.arrivals * (2 * self.resource_count + 3)
 
 
@@ -330,69 +271,6 @@ class SessionResult:
     payments: np.ndarray
 
 
-def mvno_init(setup: MarketSetup, schedule) -> SessionLedger:
-    """Fresh ledger: zero utilization, prices evaluated at zero utilization."""
-    c = setup.resource_count
-    utilization = [0.0] * c
-    prices = tuple(schedule.price_at(i, 0.0) for i in range(c))
-    return SessionLedger(utilization, prices)
-
-
-def tenant_decide(quote: PriceQuote, valuation: float, demand: Sequence[float]) -> tuple[RentDecision, float]:
-    """Tenant-side decision against a posted quote.
-
-    Accept exactly when the utility ``valuation - demand . prices`` is
-    strictly positive; ties reject.  Returns the decision and the clamped
-    surplus the tenant claims.
-    """
-    if not 0.0 <= valuation < math.inf:
-        raise ProtocolError(f"valuation must be finite and non-negative, got {valuation!r}")
-    demand = _float_tuple(demand)
-    if not all(0.0 <= d < math.inf for d in demand):
-        raise ProtocolError(f"demand entries must be finite and non-negative, got {demand!r}")
-    if len(demand) != len(quote.prices):
-        raise ProtocolError(f"demand has {len(demand)} entries, quote has {len(quote.prices)} prices")
-    charge = _dot(quote.prices, demand)
-    surplus = valuation - charge
-    if surplus > 0:
-        return RentDecision(True, charge, demand), surplus
-    return RentDecision(False, 0.0, (0.0,) * len(demand)), 0.0
-
-
-def mvno_settle(ledger: SessionLedger, schedule, decision: RentDecision) -> tuple[TransactionOutcome, SessionLedger]:
-    """Settle one arrival against the ledger and recompute prices.
-
-    An accepted demand that would push any resource past capacity fails and
-    the payment is refunded (never booked as revenue); otherwise utilization
-    and revenue advance.  The ledger is updated in place and returned.
-    """
-    c = ledger.resource_count
-    if len(decision.demand) != c:
-        raise ProtocolError(f"decision demand has {len(decision.demand)} entries, session has {c} resources")
-    arrival = len(ledger.transcript) + 1
-    quoted = ledger.prices
-    if decision.accept:
-        expected = _dot(quoted, decision.demand)
-        if not abs(decision.payment - expected) <= PAYMENT_TOLERANCE:  # NaN fails
-            raise ProtocolError(
-                f"payment {decision.payment!r} does not match quoted charge {expected!r} for arrival {arrival}"
-            )
-        if any(y + d > CAPACITY for y, d in zip(ledger.utilization, decision.demand)):
-            outcome = TransactionOutcome(FAIL, refund=decision.payment)
-        else:
-            for i, d in enumerate(decision.demand):
-                ledger.utilization[i] += d
-            ledger.revenue += decision.payment
-            outcome = TransactionOutcome(SUCC)
-    else:
-        outcome = TransactionOutcome(SKIP)
-    ledger.prices = tuple(schedule.price_at(i, ledger.utilization[i]) for i in range(c))
-    ledger.transcript.append(
-        TranscriptEntry(arrival, quoted, int(decision.accept), decision.payment, decision.demand, outcome.status)
-    )
-    return outcome, ledger
-
-
 def run_session(
     setup: MarketSetup,
     schedule,
@@ -402,8 +280,10 @@ def run_session(
     """Run one full stop-and-wait session over the instance tenants.
 
     Tenants are processed strictly in ``order`` (instance order by default);
-    each settlement completes before the next quote.  Every arrival follows
-    ``tenant_decide`` and ``mvno_settle`` exactly, on plain lists: the order is
+    each settlement completes before the next quote.  A tenant accepts
+    exactly when its utility ``valuation - demand . prices`` is strictly
+    positive; an accepted demand that would push any resource past capacity
+    fails and is never booked.  Everything runs on plain lists: the order is
     checked once up front (valuations and demands were checked when the
     ``Instance`` was built), one ``_dot`` charge is both the tenant's offer and
     the booked payment, and the prices are re-evaluated (and checked as a
@@ -457,8 +337,7 @@ def run_session(
         else:
             record_outcome(SKIP)
 
-    ledger = SessionLedger(utilization, prices, record)
-    ledger.revenue = revenue
+    ledger = SessionLedger(utilization, prices, revenue, record)
     certificate = DualCertificate(surpluses, prices)
     allocation = Allocation.from_decisions(instance, accepted)
     return SessionResult(

@@ -10,7 +10,7 @@ reproduce them bit for bit.
 import numpy as np
 import pytest
 
-from slicemarket.baselines import GaParams, _repair_population, ga_heuristic
+from slicemarket.baselines import GaParams, _population_repair, ga_heuristic
 from slicemarket.market import CAPACITY, FEASIBILITY_EPS
 from slicemarket.oracle import adjusted_profits
 from slicemarket.workload import GenConfig, Instance, generate_instance
@@ -86,7 +86,7 @@ def _assert_repairs_match(rows, demands, density):
     for row in expected:
         _reference_repair(row, demands, density)
     got = rows.copy()
-    _repair_population(got, demands, density)
+    _population_repair(demands, density)(got)
     assert got.dtype == np.bool_ and got.shape == rows.shape
     np.testing.assert_array_equal(got, expected)
     return expected
@@ -221,7 +221,7 @@ class TestRepairPopulation:
         with np.errstate(over="ignore"), pytest.raises(ValueError):
             _reference_repair(np.ones(4, dtype=bool), demands, density)
         with np.errstate(over="ignore"), pytest.raises(ValueError):
-            _repair_population(np.ones((3, 4), dtype=bool), demands, density)
+            _population_repair(demands, density)(np.ones((3, 4), dtype=bool))
 
     def test_degenerate_demands(self, rng):
         demands = np.zeros((5, 2))

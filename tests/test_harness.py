@@ -1,5 +1,6 @@
 """Experiment harness: trial execution, aggregation, artifact emission."""
 
+import csv
 import hashlib
 from pathlib import Path
 
@@ -15,14 +16,15 @@ from slicemarket.harness import (
     aggregate,
     emit,
     plot_data,
-    read_trials_csv,
     run_trials,
     summary_csv,
     trials_csv,
 )
 from slicemarket import protocol
-from slicemarket.protocol import parse_transcript_jsonl, transferred_data_bytes
+from slicemarket.protocol import parse_transcript_jsonl
 from slicemarket.workload import GenConfig
+
+from reference_protocol import transferred_data_bytes
 
 #: The experiment specs ``slicemarket run --spec`` runs, one per experiment.
 SPEC_FILES = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
@@ -245,7 +247,8 @@ class TestEmit:
         spec = small_spec(algos=("posted_price", "auction"), trials=2)
         metrics = run_trials(spec)
         emit(metrics, aggregate(metrics), tmp_path)
-        parsed = read_trials_csv(tmp_path / "trials.csv")
+        with open(tmp_path / "trials.csv", newline="") as handle:
+            parsed = list(csv.DictReader(handle))
         assert len(parsed) == len(metrics)
         for record, m in zip(parsed, metrics):
             assert record["algo"] == m.algo

@@ -84,7 +84,7 @@ class TestOfflineExact:
     def test_exhaustive_limit(self):
         inst = generate_instance(GenConfig(tenant_count=30, resource_count=1, seed=1))
         with pytest.raises(OracleError, match="exceed"):
-            offline_exact(inst, method="exhaustive", exhaustive_limit=25)
+            offline_exact(inst, method="exhaustive")
 
     def test_budget_exhaustion_downgrades(self):
         inst = generate_instance(GenConfig(tenant_count=40, resource_count=2, seed=2))

@@ -1,4 +1,8 @@
-"""Stop-and-wait protocol: agents, settlement, sessions, transcripts."""
+"""Stop-and-wait protocol: agents, settlement, sessions, transcripts.
+
+The agent and settlement tests exercise the message-by-message reference in
+``reference_protocol``; the session and transcript tests exercise the engine.
+"""
 
 import itertools
 import json
@@ -14,24 +18,26 @@ from slicemarket.protocol import (
     SKIP,
     SUCC,
     DualCertificate,
-    PriceQuote,
     ProtocolError,
-    RentDecision,
-    TransactionOutcome,
     TranscriptSchemaError,
-    mvno_init,
-    mvno_settle,
     parse_transcript_jsonl,
     run_posted_price,
     run_session,
-    tenant_decide,
     transcript_to_jsonl,
-    transferred_data_bytes,
     validate_transcript_record,
 )
 from slicemarket.workload import GenConfig, Instance, WorkloadError, generate_instance
 
 from conftest import manual_instance
+from reference_protocol import (
+    PriceQuote,
+    RentDecision,
+    TransactionOutcome,
+    mvno_init,
+    mvno_settle,
+    tenant_decide,
+    transferred_data_bytes,
+)
 
 E1_SETUP = MarketSetup([1.0], [2.0], [1.0 + math.e])
 E2_SETUP = MarketSetup([0.5, 0.5], [1.0, 2.0], [2.0, 3.0])

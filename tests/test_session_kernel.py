@@ -2,9 +2,9 @@
 
 ``reference_run_session`` is ``run_session`` as it was written before the
 engine: every arrival builds a ``PriceQuote``, asks ``tenant_decide`` and
-settles through ``mvno_settle``.  The engine must reproduce it bit for bit:
-accepted masks, payments, surpluses, final prices, utilization, revenue and
-every transcript entry.
+settles through ``mvno_settle``, all from ``reference_protocol``.  The engine
+must reproduce it bit for bit: accepted masks, payments, surpluses, final
+prices, utilization, revenue and every transcript entry.
 """
 
 import math
@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import slicemarket
 from slicemarket import protocol
 from slicemarket.baselines import MyopicPricing
 from slicemarket.market import Allocation, MarketSetup
@@ -21,20 +22,27 @@ from slicemarket.protocol import (
     SKIP,
     SUCC,
     DualCertificate,
-    PriceQuote,
     ProtocolError,
     SessionResult,
     TranscriptEntry,
-    mvno_init,
-    mvno_settle,
     run_session,
-    tenant_decide,
-    transferred_data_bytes,
 )
 from slicemarket.verify import _random_config
 from slicemarket.workload import GenConfig, Instance, WorkloadError, generate_instance
 
 from conftest import manual_instance
+from reference_protocol import PriceQuote, mvno_init, mvno_settle, tenant_decide, transferred_data_bytes
+
+#: The message-by-message names that live only in ``reference_protocol``.
+REFERENCE_NAMES = (
+    "PriceQuote",
+    "RentDecision",
+    "TransactionOutcome",
+    "mvno_init",
+    "tenant_decide",
+    "mvno_settle",
+    "transferred_data_bytes",
+)
 
 
 def reference_run_session(setup, schedule, instance, order=None) -> SessionResult:
@@ -219,7 +227,23 @@ def test_only_the_engine_keeps_a_record():
     schedule = build_schedule(setup)
     record = run_session(setup, schedule, instance).ledger.record
     assert len(record.quotes) == len(record.outcomes) == len(record.charges) == 12
-    assert reference_run_session(setup, schedule, instance).ledger.record is None
+
+
+def test_one_session_engine():
+    # the message-by-message protocol is a test reference, not package surface
+    for module in (slicemarket, protocol):
+        assert [name for name in REFERENCE_NAMES if hasattr(module, name)] == []
+    assert not hasattr(protocol, "PAYMENT_TOLERANCE")
+    # every ledger run_session returns holds its record, even an empty session's
+    empty = Instance(np.zeros((0, 2)), np.zeros(0), [1.0, 1.0], [2.0, 2.0], [0.5, 0.5])
+    rng = np.random.default_rng(608)
+    for instance in (empty, *(generate_instance(_random_config(rng)) for _ in range(20))):
+        setup = MarketSetup.from_instance(instance)
+        for schedule in _schedules(setup):
+            ledger = run_session(setup, schedule, instance).ledger
+            assert type(ledger.record) is protocol._ArrivalRecord
+            assert ledger.arrivals == len(ledger.record.outcomes) == instance.tenant_count
+            assert ledger.transcript == ledger.record.entries()
 
 
 class TestUpFrontInputChecks:
