@@ -28,7 +28,7 @@ from .baselines import (
 )
 from .market import Allocation, MarketError, MarketSetup, social_welfare
 from .oracle import DEFAULT_NODE_BUDGET, lp_upper_bound, offline_exact
-from .pricing import build_schedule
+from .pricing import PricingSchedule, build_schedule
 from .protocol import run_session, transcript_to_jsonl
 from .workload import GenConfig, _is_int, generate_instance
 
@@ -66,8 +66,7 @@ class _Trial:
     spec: ExperimentSpec
     instance: object
     order: np.ndarray
-    setup: MarketSetup
-    schedule: object
+    schedule: PricingSchedule
     runtime_ns: int | None = None
 
     def timed(self, fn, *args, **kwargs):
@@ -103,7 +102,7 @@ def _auction(trial: _Trial, seed: int) -> tuple:
 #: module global at call time so a rebound attribute is the one that runs.
 _ALGORITHM_TABLE = {
     "posted_price": lambda t, seed: _session(
-        t, t.timed(run_session, t.setup, t.schedule, t.instance, t.order)
+        t, t.timed(run_session, t.schedule.setup, t.schedule, t.instance, t.order)
     ),
     "myopic": lambda t, seed: _session(t, t.timed(myopic_slicing, t.instance, t.order)),
     "random": lambda t, seed: (t.timed(random_slicing, t.instance, t.order, seed=seed)[1], None, None),
@@ -258,7 +257,7 @@ def _reference(trial: _Trial, use_exact: bool) -> tuple[np.ndarray | None, float
 def _welfare(trial: _Trial, accepted) -> tuple[float, float]:
     """Social welfare and mean utilization of an accept vector."""
     allocation = Allocation.from_decisions(trial.instance, accepted)
-    return social_welfare(trial.setup, trial.instance, allocation), float(allocation.utilization.mean())
+    return social_welfare(trial.schedule.setup, trial.instance, allocation), float(allocation.utilization.mean())
 
 
 def run_trials(spec: ExperimentSpec) -> list[TrialMetrics]:
@@ -282,8 +281,7 @@ def run_trials(spec: ExperimentSpec) -> list[TrialMetrics]:
             )
             instance = generate_instance(replace(config_point, seed=seed_instance))
             order = np.random.default_rng(seed_order).permutation(instance.tenant_count)
-            setup = MarketSetup.from_instance(instance)
-            trial = _Trial(spec, instance, order, setup, build_schedule(setup))
+            trial = _Trial(spec, instance, order, build_schedule(MarketSetup.from_instance(instance)))
             reference_accepted, reference, reference_is_bound = _reference(trial, use_exact)
 
             def row(algo, accepted, tx_bytes, transcript=None) -> TrialMetrics:

@@ -7,8 +7,8 @@ that every algorithm in the package shares.
 
 Costs and prices are defined on the capacity interval ``[0, CAPACITY]`` only;
 asking for one outside it is an error.  Every number is finite: the
-``workload.Instance`` constructor checks an instance's, and
-``MarketSetup.validate`` a setup's.
+``workload.Instance`` constructor checks an instance's, and the
+``MarketSetup`` constructor a setup's band, so a setup that exists is valid.
 """
 
 from __future__ import annotations
@@ -61,7 +61,9 @@ class MarketSetup:
     ``unit_costs[c]`` is the linear operating cost of resource ``c``.
     Admissible tenants can pay their whole demand bundle at ``price_floors``
     and earn at most ``price_caps[c]`` per unit of resource ``c``.  Capacity
-    is normalized to 1 per resource.
+    is normalized to 1 per resource.  The constructor checks the band,
+    ``0 < unit cost < price floor <= price cap < inf`` for every resource, and
+    raises ``SetupError`` at the first resource that breaks it.
     """
 
     unit_costs: np.ndarray
@@ -77,15 +79,7 @@ class MarketSetup:
             raise SetupError("unit_costs, price_floors and price_caps must be 1-D and equally long")
         if self.resource_count < 1:
             raise SetupError("a market needs at least one resource")
-
-    @property
-    def resource_count(self) -> int:
-        return self.unit_costs.shape[0]
-
-    def validate(self) -> None:
-        """Check 0 < unit cost < price floor <= price cap < inf for every resource."""
-        for c in range(self.resource_count):
-            q, lo, hi = self.unit_costs[c], self.price_floors[c], self.price_caps[c]
+        for c, (q, lo, hi) in enumerate(zip(self.unit_costs, self.price_floors, self.price_caps)):
             if not (math.isfinite(q) and math.isfinite(lo) and math.isfinite(hi)):
                 raise SetupError(f"resource {c}: non-finite value (q={q!r}, floor={lo!r}, cap={hi!r})")
             if not q > 0:
@@ -95,15 +89,13 @@ class MarketSetup:
             if not lo <= hi:
                 raise SetupError(f"resource {c}: price floor <= price cap violated (floor={lo!r}, cap={hi!r})")
 
+    @property
+    def resource_count(self) -> int:
+        return self.unit_costs.shape[0]
+
     @classmethod
     def from_instance(cls, instance) -> "MarketSetup":
-        setup = cls(
-            unit_costs=instance.unit_costs,
-            price_floors=instance.price_floors,
-            price_caps=instance.price_caps,
-        )
-        setup.validate()
-        return setup
+        return cls(instance.unit_costs, instance.price_floors, instance.price_caps)
 
 
 @dataclass(frozen=True)

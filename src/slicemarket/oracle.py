@@ -155,10 +155,7 @@ def offline_exact(
         raise OracleError(f"unknown oracle method {method!r}")
     if not (_is_int(node_budget) and node_budget >= 1):
         raise OracleError(f"node_budget must be a positive integer, got {node_budget!r}")
-    n = instance.tenant_count
-    accepted = np.zeros(n, dtype=bool)
-    if n == 0:
-        return OracleResult(0.0, accepted, "exhaustive", True)
+    accepted = np.zeros(instance.tenant_count, dtype=bool)
     profits = adjusted_profits(instance)
     viable = (profits > 0) & (instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
     index = np.flatnonzero(viable)
@@ -195,8 +192,6 @@ def lp_upper_bound(instance) -> float:
     from scipy.optimize import linprog
 
     n = instance.tenant_count
-    if n == 0:
-        return 0.0
     profits = adjusted_profits(instance)
     if not (profits > 0).any():
         return 0.0

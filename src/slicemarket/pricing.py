@@ -28,25 +28,22 @@ from .market import CAPACITY, MarketSetup, SetupError, _readonly
 
 @dataclass(frozen=True)
 class PricingSchedule:
-    """Immutable per-resource price curves plus the derived worst-case ratio."""
+    """Immutable price curves of one market setup plus the derived worst-case ratio."""
 
-    unit_costs: np.ndarray
-    price_floors: np.ndarray
-    price_caps: np.ndarray
+    setup: MarketSetup
     thresholds: np.ndarray
     ratio: float
 
     def __post_init__(self):
-        for name in ("unit_costs", "price_floors", "price_caps", "thresholds"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        object.__setattr__(self, "thresholds", _readonly(self.thresholds))
         # plain-float copies keep per-arrival price evaluation cheap
-        object.__setattr__(self, "_q", tuple(self.unit_costs.tolist()))
-        object.__setattr__(self, "_floor", tuple(self.price_floors.tolist()))
+        object.__setattr__(self, "_q", tuple(self.setup.unit_costs.tolist()))
+        object.__setattr__(self, "_floor", tuple(self.setup.price_floors.tolist()))
         object.__setattr__(self, "_w", tuple(self.thresholds.tolist()))
 
     @property
     def resource_count(self) -> int:
-        return self.unit_costs.shape[0]
+        return self.setup.resource_count
 
     def price_at(self, c: int, y: float) -> float:
         """Posted price of resource ``c`` at utilization ``y``.
@@ -54,7 +51,8 @@ class PricingSchedule:
         Flat at the floor below the threshold, exponential up to capacity;
         defined on ``[0, CAPACITY]``.
         """
-        if not 0 <= c < self.resource_count:
+        # len(self._w), not the resource_count property: this runs C times per sale
+        if not 0 <= c < len(self._w):
             raise SetupError(f"resource index {c} out of range [0, {self.resource_count})")
         if not 0 <= y <= CAPACITY:
             raise SetupError(f"utilization must lie in [0, {CAPACITY}], got {y!r}")
@@ -66,21 +64,14 @@ class PricingSchedule:
 
 
 def build_schedule(setup: MarketSetup) -> PricingSchedule:
-    """Construct the threshold schedule for a valid market setup.
+    """Construct the threshold schedule of a market setup.
 
     The threshold of resource ``c`` is ``1 / (1 + ln(S / (floor_c - q_c)))``
-    where ``S`` is the total price-cap headroom ``sum_c (cap_c - q_c)``; the
-    preconditions guarantee every threshold lies in (0, 1].
+    where ``S`` is the total price-cap headroom ``sum_c (cap_c - q_c)``.  The
+    ``MarketSetup`` constructor has already checked the band, and its
+    inequalities guarantee every threshold lies in (0, 1].
     """
-    setup.validate()
     spread = float(np.sum(setup.price_caps - setup.unit_costs))
     gaps = setup.price_floors - setup.unit_costs
     thresholds = 1.0 / (1.0 + np.log(spread / gaps))
-    ratio = float(np.max(1.0 / thresholds))
-    return PricingSchedule(
-        unit_costs=setup.unit_costs,
-        price_floors=setup.price_floors,
-        price_caps=setup.price_caps,
-        thresholds=thresholds,
-        ratio=ratio,
-    )
+    return PricingSchedule(setup, thresholds, float(np.max(1.0 / thresholds)))

@@ -16,7 +16,6 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -384,7 +383,7 @@ def _sample_demands(config: GenConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sample_tenants(
-    config: GenConfig, rng: np.random.Generator, payment_fn: Callable[[float], float] | None
+    config: GenConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each tenant's subscribers, free count, tier counts, pay level and raw valuation."""
     n = config.tenant_count
@@ -425,29 +424,17 @@ def _sample_tenants(
     tier_counts[by_tier] = grouped
 
     tiers = np.arange(1, tier_counts.shape[1] + 1)
-    if payment_fn is None:
-        # subscriber at tier k pays pay_level * k and is weighted by its tier
-        raw = pay_levels * (tier_counts @ (tiers**2))
-    else:
-        raw = np.array(
-            [
-                sum(k * count * payment_fn(pay_levels[i] * k) for k, count in zip(tiers, tier_counts[i]))
-                for i in range(n)
-            ],
-            dtype=float,
-        )
-    if not (raw > 0).all():
-        raise WorkloadError("degenerate payment function: some tenant has non-positive valuation")
+    # subscriber at tier k pays pay_level * k and is weighted by its tier; every
+    # tenant has a paying subscriber, so raw >= pay_level > 0
+    raw = pay_levels * (tier_counts @ (tiers**2))
     return subscribers, free, tier_counts, pay_levels, raw
 
 
-def _sample_market(
-    config: GenConfig, payment_fn: Callable[[float], float] | None
-) -> tuple[Instance, tuple[np.ndarray, ...]]:
+def _sample_market(config: GenConfig) -> tuple[Instance, tuple[np.ndarray, ...]]:
     """The one generator pass: the instance and the tenant arrays behind it."""
     rng = np.random.default_rng(config.seed)
     demands = _sample_demands(config, rng)
-    tenants = _sample_tenants(config, rng, payment_fn)
+    tenants = _sample_tenants(config, rng)
     raw_valuations = tenants[-1]
 
     demanded = demands > 0
@@ -482,20 +469,18 @@ def _sample_market(
     return instance, tenants
 
 
-def generate_population(
-    config: GenConfig, payment_fn: Callable[[float], float] | None = None
-) -> tuple[Instance, list[TenantPrivate]]:
+def generate_population(config: GenConfig) -> tuple[Instance, list[TenantPrivate]]:
     """Sample an instance together with the private tenant records behind it.
 
     Every resource's floor is the :func:`bundle_floor` of the sample and its
     cap the per-resource maximum of :func:`derive_bounds`, so every tenant can
     pay its bundle at the floor prices (``v_n >= sum_c d_nc * floor_c``), the
     premise of the schedule's worst-case ratio (see :mod:`.pricing`).  The
-    instance is :func:`generate_instance`'s for the same arguments, from the
+    instance is :func:`generate_instance`'s for the same config, from the
     same pass; only here do the tenant arrays become :class:`TenantPrivate`
     records.
     """
-    instance, (subscribers, free, tier_counts, pay_levels, raw) = _sample_market(config, payment_fn)
+    instance, (subscribers, free, tier_counts, pay_levels, raw) = _sample_market(config)
     privates = [
         TenantPrivate(subscriber_count, free_count, tuple(counts), pay_level, raw_valuation)
         for subscriber_count, free_count, counts, pay_level, raw_valuation in zip(
@@ -505,13 +490,13 @@ def generate_population(
     return instance, privates
 
 
-def generate_instance(config: GenConfig, payment_fn: Callable[[float], float] | None = None) -> Instance:
+def generate_instance(config: GenConfig) -> Instance:
     """Sample a market instance; identical (config, seed) gives identical output.
 
     It builds no private tenant records; :func:`generate_population` returns
     the same instance with them.
     """
-    return _sample_market(config, payment_fn)[0]
+    return _sample_market(config)[0]
 
 
 def validate_instance(instance: Instance) -> list[Violation]:

@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slicemarket
 from slicemarket import cli, verify
 from slicemarket.cli import main
 from slicemarket.harness import ExperimentSpec
-from slicemarket.workload import GenConfig, generate_instance
+from slicemarket.workload import GenConfig, Instance, generate_instance
 
 
 def spec_file(tmp_path, **overrides):
@@ -249,6 +250,15 @@ class TestOracle:
         assert payload["exact"] is True
         assert payload["welfare"] >= 0.0
         assert payload["method"] in ("exhaustive", "branch-and-bound")
+
+    @pytest.mark.parametrize("method", ["auto", "exhaustive", "branch-and-bound"])
+    def test_zero_tenant_instance(self, tmp_path, capsys, method):
+        # a market without tenants takes the no-viable-tenant path of every method
+        path = Instance(np.zeros((0, 2)), [], np.ones(2), np.full(2, 2.0), np.full(2, 0.1)).save(tmp_path / "empty.json")
+        assert main(["oracle", "--instance", str(path), "--method", method]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == ("branch-and-bound" if method == "branch-and-bound" else "exhaustive")
+        assert (payload["welfare"], payload["exact"], payload["accepted"]) == (0.0, True, [])
 
     def test_lp_method(self, tmp_path, capsys):
         inst = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=8))

@@ -11,8 +11,6 @@ reproduce them bit for bit: the five ``Instance`` arrays byte for byte, every
 private record field for field, and every violation list in order.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -60,7 +58,7 @@ def _reference_derive_bounds(densities, margin=0.0):
     return floors, caps
 
 
-def _reference_sample_tenants(config, rng, payment_fn):
+def _reference_sample_tenants(config, rng):
     n = config.tenant_count
     subscribers = np.rint(rng.normal(config.subscriber_mean, config.subscriber_std, size=n))
     subscribers = np.maximum(subscribers, 1.0).astype(np.int64)
@@ -87,18 +85,7 @@ def _reference_sample_tenants(config, rng, payment_fn):
         tier_counts[rows, :tiers] = rng.multinomial(paying[rows], weights)
 
     tiers = np.arange(1, tier_counts.shape[1] + 1)
-    if payment_fn is None:
-        raw = pay_levels * (tier_counts @ (tiers**2))
-    else:
-        raw = np.array(
-            [
-                sum(k * count * payment_fn(pay_levels[i] * k) for k, count in zip(tiers, tier_counts[i]))
-                for i in range(n)
-            ],
-            dtype=float,
-        )
-    if not (raw > 0).all():
-        raise WorkloadError("degenerate payment function: some tenant has non-positive valuation")
+    raw = pay_levels * (tier_counts @ (tiers**2))
 
     privates = [
         TenantPrivate(
@@ -113,10 +100,10 @@ def _reference_sample_tenants(config, rng, payment_fn):
     return raw, privates
 
 
-def _reference_population(config, payment_fn=None):
+def _reference_population(config):
     rng = np.random.default_rng(config.seed)
     demands = _sample_demands(config, rng)
-    raw_valuations, privates = _reference_sample_tenants(config, rng, payment_fn)
+    raw_valuations, privates = _reference_sample_tenants(config, rng)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         raw_densities = np.where(demands > 0, raw_valuations[:, None] / demands, np.nan)
@@ -212,11 +199,11 @@ def assert_same_arrays(got: Instance, want: Instance) -> None:
     assert (got.seed, got.config) == (want.seed, want.config)
 
 
-def assert_same_generation(config: GenConfig, payment_fn=None) -> None:
-    want, want_privates = _reference_population(config, payment_fn)
-    got, got_privates = generate_population(config, payment_fn)
+def assert_same_generation(config: GenConfig) -> None:
+    want, want_privates = _reference_population(config)
+    got, got_privates = generate_population(config)
     assert_same_arrays(got, want)
-    assert_same_arrays(generate_instance(config, payment_fn), want)
+    assert_same_arrays(generate_instance(config), want)
     assert got.densities().tobytes() == _reference_densities(want).tobytes()
     # repr pins each field's type and every float's bits, == the values
     assert got_privates == want_privates
@@ -304,21 +291,6 @@ def test_grouped_multinomial_draws_in_tier_then_tenant_order():
     highest = counts.shape[1] - np.argmax(counts[:, ::-1] > 0, axis=1)  # each tenant's top tier
     assert len(set(highest.tolist())) >= 3
     assert (np.diff(highest) < 0).any()  # the tiers interleave in tenant order
-
-
-@pytest.mark.parametrize("tenants", [1, 2, 100])
-def test_payment_function_path(tenants):
-    for seed in range(3):
-        config = GenConfig(tenant_count=tenants, resource_count=2, density_margin=0.1, seed=seed)
-        assert_same_generation(config, payment_fn=math.sqrt)
-        assert_same_generation(config, payment_fn=lambda p: p * p - 1.0)
-
-
-def test_degenerate_payment_function_fails_alike():
-    config = GenConfig(tenant_count=4, seed=3)
-    for sample in (_reference_population, generate_population):
-        with pytest.raises(WorkloadError, match="degenerate payment function"):
-            sample(config, lambda p: 0.0)
 
 
 def _doctored(rng: np.random.Generator) -> Instance:

@@ -266,14 +266,21 @@ class TestUtilities:
 
 class TestMarketSetup:
     def test_validate_catches_cost_at_floor(self):
-        setup = MarketSetup([2.0], [2.0], [3.0])
         with pytest.raises(SetupError, match="q_c < price floor"):
-            setup.validate()
+            MarketSetup([2.0], [2.0], [3.0])
 
     def test_validate_catches_crossed_bounds(self):
-        setup = MarketSetup([0.5], [3.0], [2.0])
         with pytest.raises(SetupError, match="price floor <= price cap"):
-            setup.validate()
+            MarketSetup([0.5], [3.0], [2.0])
+
+    @pytest.mark.parametrize("cost", [0.0, -0.1])
+    def test_constructor_rejects_non_positive_cost(self, cost):
+        with pytest.raises(SetupError, match=r"0 < q_c violated"):
+            MarketSetup([cost], [1.0], [2.0])
+
+    def test_checked_once_when_built(self):
+        # a setup that exists is valid; there is no second check to call
+        assert not hasattr(MarketSetup([1.0], [2.0], [3.0]), "validate")
 
     def test_shape_mismatch(self):
         with pytest.raises(SetupError):
@@ -292,8 +299,8 @@ class TestMarketSetup:
     )
     def test_validate_rejects_non_finite(self, costs, floors, caps):
         with pytest.raises(SetupError, match="non-finite"):
-            MarketSetup(costs, floors, caps).validate()
+            MarketSetup(costs, floors, caps)
 
     def test_random_setups_validate(self, rng):
         for _ in range(50):
-            random_setup(rng).validate()
+            random_setup(rng)

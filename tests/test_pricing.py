@@ -43,6 +43,10 @@ class TestBuildSchedule:
         with pytest.raises(SetupError, match="q_c < price floor"):
             build_schedule(MarketSetup([2.0], [2.0], [3.0]))
 
+    def test_schedule_holds_its_setup(self):
+        setup = MarketSetup([0.5, 0.5], [1.0, 2.0], [2.0, 3.0])
+        assert build_schedule(setup).setup is setup
+
     def test_degenerate_caps_equal_floors(self):
         schedule = build_schedule(MarketSetup([0.5, 0.5], [1.0, 1.0], [1.0, 1.0]))
         assert (schedule.thresholds > 0).all()

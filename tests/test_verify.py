@@ -240,8 +240,8 @@ def test_suites_total_each_violated_family(monkeypatch):
 
 def test_pricing_suite_totals_by_family(monkeypatch):
     def skewed(setup):
-        schedule = build_schedule(setup)
-        return replace(schedule, price_floors=schedule.price_floors * 1.01, ratio=0.5)
+        shifted = MarketSetup(setup.unit_costs, setup.price_floors * 1.01, setup.price_caps * 1.01)
+        return replace(build_schedule(shifted), ratio=0.5)
 
     monkeypatch.setattr(verify, "build_schedule", skewed)
     totals = Counter()

@@ -171,16 +171,6 @@ class TestGenerateInstance:
         dens = inst.densities()
         assert np.nanmedian(dens) == pytest.approx(1.0, rel=1e-9)
 
-    def test_custom_payment_function(self):
-        doubled = generate_instance(GenConfig(tenant_count=5, seed=4), payment_fn=lambda p: 2 * p)
-        identity = generate_instance(GenConfig(tenant_count=5, seed=4))
-        # a uniform payment scaling cancels in the normalized valuations
-        assert np.allclose(doubled.valuations, identity.valuations)
-
-    def test_zero_payment_function_rejected(self):
-        with pytest.raises(WorkloadError, match="degenerate"):
-            generate_instance(GenConfig(tenant_count=3, seed=1), payment_fn=lambda p: 0.0)
-
 
 class TestPopulation:
     def test_free_user_fraction(self):
