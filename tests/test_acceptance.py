@@ -191,28 +191,23 @@ def test_criterion_7_online_baseline_dominance():
 def test_criterion_8_linear_complexity():
     import gc
 
-    sizes = (10_000, 100_000)
-    sessions = {}
-    for n in sizes:
+    timings = {}
+    for n in (10_000, 100_000):
         instance = generate_instance(GenConfig(tenant_count=n, resource_count=3, seed=1008))
         setup = MarketSetup.from_instance(instance)
-        sessions[n] = (setup, build_schedule(setup), instance)
-        run_session(*sessions[n])  # warm-up
-    # The two sizes take turns, the first alternating round by round, so a
-    # drift in machine load between rounds reaches both medians alike instead
-    # of skewing the ratio.
-    runs = {n: [] for n in sizes}
-    for round_ in range(9):
-        for n in sizes if round_ % 2 == 0 else sizes[::-1]:
+        schedule = build_schedule(setup)
+        run_session(setup, schedule, instance)  # warm-up
+        runs = []
+        for _ in range(5):
             gc.collect()
             gc.disable()
             try:
                 start = time.perf_counter()
-                run_session(*sessions[n])
-                runs[n].append(time.perf_counter() - start)
+                run_session(setup, schedule, instance)
+                runs.append(time.perf_counter() - start)
             finally:
                 gc.enable()
-    timings = {n: float(np.median(r)) for n, r in runs.items()}
+        timings[n] = float(np.median(runs))
     ratio = timings[100_000] / timings[10_000]
     ok = 8.0 <= ratio <= 12.0
     assert verdict(
