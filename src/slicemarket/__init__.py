@@ -54,13 +54,10 @@ from .protocol import (
 from .workload import (
     GenConfig,
     Instance,
-    TenantPrivate,
     Violation,
     WorkloadError,
     bundle_floor,
-    derive_bounds,
     generate_instance,
-    generate_population,
     validate_instance,
 )
 

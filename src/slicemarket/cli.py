@@ -19,6 +19,7 @@ from dataclasses import replace
 
 from .harness import (
     ALGORITHMS,
+    AXES,
     ORACLE_MODES,
     EmitError,
     ExperimentSpec,
@@ -130,20 +131,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    flags = (  # (sweep axis, GenConfig field, parsed flag values)
-        ("tenants", "tenant_count", args.n),
-        ("resources", "resource_count", args.c),
-        ("demand_mean", "demand_mean", args.demand_mean),
-        ("unit_cost_range", "unit_cost_range", args.q_range),
-        ("pay_level_range", "pay_level_range", args.pay_level),
-    )
-    multi = [(axis, values) for axis, _, values in flags if values and len(values) > 1]
+    flags = {  # sweep axis -> parsed flag values
+        "tenants": args.n,
+        "resources": args.c,
+        "demand_mean": args.demand_mean,
+        "unit_cost_range": args.q_range,
+        "pay_level_range": args.pay_level,
+    }
+    given = {axis: values for axis, values in flags.items() if values}
+    multi = [(axis, values) for axis, values in given.items() if len(values) > 1]
     if len(multi) > 1:
         print("error: exactly one flag may carry multiple sweep values", file=sys.stderr)
         return EXIT_VALIDATION
 
     # the first value of each given flag sets the base market; GenConfig supplies the rest
-    config = GenConfig(**{field: values[0] for _, field, values in flags if values})
+    config = GenConfig(**{AXES[axis]: values[0] for axis, values in given.items()})
     axis, values = multi[0] if multi else (None, ())
     spec = ExperimentSpec(algos=SWEEP_ALGOS, base_config=config, axis=axis, values=tuple(values))
     return _execute(_spec_with_overrides(spec, args), args.out)

@@ -30,10 +30,17 @@ from .market import Allocation, MarketError, MarketSetup, social_welfare
 from .oracle import DEFAULT_NODE_BUDGET, lp_upper_bound, offline_exact
 from .pricing import PricingSchedule, build_schedule
 from .protocol import run_session, transcript_to_jsonl
-from .workload import GenConfig, _is_int, generate_instance
+from .workload import GenConfig, WorkloadError, _is_int, generate_instance
 
 ORACLE_MODES = ("exact", "lp", "auto")
-AXES = ("tenants", "resources", "demand_mean", "unit_cost_range", "pay_level_range")
+#: Each sweep axis and the ``GenConfig`` field it sets.
+AXES = {
+    "tenants": "tenant_count",
+    "resources": "resource_count",
+    "demand_mean": "demand_mean",
+    "unit_cost_range": "unit_cost_range",
+    "pay_level_range": "pay_level_range",
+}
 AUTO_EXACT_LIMIT = 25
 
 TRIAL_CSV_HEADER = (
@@ -144,12 +151,21 @@ class ExperimentSpec:
         if self.oracle not in ORACLE_MODES:
             raise HarnessError(f"unknown oracle mode {self.oracle!r}; choose from {ORACLE_MODES}")
         if self.axis is not None:
-            if self.axis not in AXES:
-                raise HarnessError(f"unknown sweep axis {self.axis!r}; choose from {AXES}")
+            if not (isinstance(self.axis, str) and self.axis in AXES):
+                raise HarnessError(f"unknown sweep axis {self.axis!r}; choose from {tuple(AXES)}")
             if not self.values:
                 raise HarnessError("a sweep needs a non-empty value list")
         elif self.values:
             raise HarnessError("sweep values given without a sweep axis")
+        # every point's config is built here, so GenConfig's checks refuse a
+        # bad sweep value before any trial runs
+        points = []
+        for value in self.values if self.axis is not None else (None,):
+            try:
+                points.append(_apply_axis(self.base_config, self.axis, value))
+            except WorkloadError as exc:
+                raise HarnessError(f"sweep axis {self.axis!r} value {value!r}: {exc}") from None
+        object.__setattr__(self, "_point_configs", tuple(points))
         if not (_is_int(self.trials) and self.trials >= 1):
             raise HarnessError(f"trials must be an integer of at least 1, got {self.trials!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
@@ -209,6 +225,7 @@ class TrialMetrics:
 
 
 def _apply_axis(config: GenConfig, axis: str | None, value) -> GenConfig:
+    """``config`` with the axis's field set to ``value``, which GenConfig checks."""
     if axis is None:
         return config
     if axis == "tenants":
@@ -216,21 +233,14 @@ def _apply_axis(config: GenConfig, axis: str | None, value) -> GenConfig:
         # population, not the per-tenant demand statistics
         return replace(
             config,
-            tenant_count=int(value),
+            tenant_count=value,
             demand_mean=config.resolved_demand_mean,
             demand_std=config.resolved_demand_std,
         )
-    if axis == "resources":
-        return replace(config, resource_count=int(value))
-    if axis == "demand_mean":
-        return replace(config, demand_mean=float(value))
-    if axis == "unit_cost_range":
-        lo, hi = value
-        return replace(config, unit_cost_range=(float(lo), float(hi)))
-    if axis == "pay_level_range":
-        lo, hi = value
-        return replace(config, pay_level_range=(float(lo), float(hi)))
-    raise HarnessError(f"unknown sweep axis {axis!r}")
+    name = AXES[axis]
+    if name.endswith("_range") and isinstance(value, (list, tuple)):
+        value = tuple(value)
+    return replace(config, **{name: value})
 
 
 def _ratio(reference: float, welfare: float) -> float | None:
@@ -269,8 +279,7 @@ def run_trials(spec: ExperimentSpec) -> list[TrialMetrics]:
     """
     points = spec.values if spec.axis is not None else (None,)
     out: list[TrialMetrics] = []
-    for point_index, point_value in enumerate(points):
-        config_point = _apply_axis(spec.base_config, spec.axis, point_value)
+    for point_index, (point_value, config_point) in enumerate(zip(points, spec._point_configs)):
         use_exact = spec.oracle == "exact" or (
             spec.oracle == "auto" and config_point.tenant_count <= AUTO_EXACT_LIMIT
         )

@@ -27,6 +27,9 @@ MIN_DEMAND = 1e-6
 #: the rounding of a C-term sum, a few ulps, never this much.
 BUNDLE_FLOOR_RTOL = 1e-12
 _MAX_RESAMPLE_ROUNDS = 1000
+#: Highest allowed top tier.  The generator holds an N x (top tier) int64
+#: matrix of tier counts, so this keeps it at 512 bytes a tenant.
+MAX_TOP_TIER = 64
 #: The instance's arrays and what their axes index.
 _ARRAY_AXES = {
     "demands": ("tenant", "resource"),
@@ -115,6 +118,8 @@ class GenConfig:
             raise WorkloadError("unit_cost_range must stay below 1 so costs stay below the floor")
         if self.top_tier_range[0] < 1:
             raise WorkloadError("top_tier_range must start at 1 or above")
+        if self.top_tier_range[1] > MAX_TOP_TIER:
+            raise WorkloadError(f"top_tier_range must end at {MAX_TOP_TIER} or below, got {self.top_tier_range[1]!r}")
         if not 0 <= self.density_margin < 1:
             raise WorkloadError("density_margin must lie in [0, 1)")
         if self.participation is not None and not 0 < self.participation <= 1:
@@ -138,17 +143,6 @@ class GenConfig:
             if name in data and data[name] is not None:
                 data[name] = tuple(data[name])
         return cls(**data)
-
-
-@dataclass(frozen=True)
-class TenantPrivate:
-    """Private valuation internals of one tenant.  Never enters the protocol."""
-
-    subscriber_count: int
-    free_count: int
-    tier_counts: tuple[int, ...]  # paying subscribers at tier k = index + 1
-    pay_level: float
-    raw_valuation: float
 
 
 @dataclass(frozen=True)
@@ -307,40 +301,15 @@ class Violation:
         return self.message
 
 
-def derive_bounds(densities: np.ndarray, margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-resource density bounds from observed densities (NaN = no demand).
-
-    A 1-D input is one resource.  Each resource's floor is ``(1 - margin)``
-    times its lowest density and its cap ``(1 + margin)`` times its highest,
-    both column reductions over the non-NaN entries; a resource nobody
-    demands inherits the global density range so its bounds stay well
-    defined, and an input without any density raises ``WorkloadError``.  The
-    generator keeps these caps but posts :func:`bundle_floor` as every floor:
-    with two or more resources a tenant can meet each per-resource floor here
-    and still be unable to pay the sum ``sum_c d_nc * floor_c``, which the
-    worst-case ratio of the threshold schedule assumes it can.
-    """
-    densities = np.asarray(densities, dtype=float)
-    if densities.ndim == 1:
-        densities = densities[:, None]
-    valid = ~np.isnan(densities)
-    if not valid.any():
-        raise WorkloadError("cannot derive bounds: no positive density anywhere")
-    lows = np.where(valid, densities, np.inf).min(axis=0)
-    highs = np.where(valid, densities, -np.inf).max(axis=0)
-    empty = ~valid.any(axis=0)
-    lows[empty] = lows.min()
-    highs[empty] = highs.max()
-    return (1.0 - margin) * lows, (1.0 + margin) * highs
-
-
 def bundle_floor(demands: np.ndarray, valuations: np.ndarray, margin: float = 0.0) -> float:
     """Lowest bundle density ``min_n v_n / sum_c d_nc``, lowered by ``margin``.
 
     Posted as the floor of every resource, it prices every tenant's whole
-    demand bundle at or below its valuation, ``sum_c d_nc * floor <= v_n``.
-    With one resource it equals the per-resource floor of
-    :func:`derive_bounds` bit for bit.
+    demand bundle at or below its valuation, ``sum_c d_nc * floor <= v_n``,
+    the premise of the schedule's worst-case ratio (see :mod:`.pricing`).  A
+    floor per resource at that resource's lowest density would not: with two
+    or more resources a tenant could meet each one and still be unable to pay
+    the sum.  With one resource the two floors are equal bit for bit.
     """
     return (1.0 - margin) * float(np.min(valuations / demands.sum(axis=1)))
 
@@ -385,7 +354,20 @@ def _sample_demands(config: GenConfig, rng: np.random.Generator) -> np.ndarray:
 def _sample_tenants(
     config: GenConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each tenant's subscribers, free count, tier counts, pay level and raw valuation."""
+    """The private valuation model: each tenant's subscribers, free count, tier
+    counts, pay level and raw valuation, as five arrays over the tenants.
+
+    A tenant has a normally drawn number of subscribers (at least one).  A
+    binomial share ``free_user_fraction`` of them sits in the free tier and
+    pays nothing, redrawn until at least one subscriber pays.  The paying
+    subscribers fill tiers ``1..K`` by one multinomial with weights
+    ``tier_decay**k``, a pyramid in which each tier holds about
+    ``tier_decay`` times the users of the tier below; the top tier ``K`` is
+    drawn from ``top_tier_range`` and rounded up.  A subscriber at tier ``k``
+    pays ``pay_level * k`` and is weighted by ``k``, with the pay level drawn
+    from ``pay_level_range``.  Only the raw valuation leaves the generator,
+    rescaled into the instance.
+    """
     n = config.tenant_count
     subscribers = np.rint(rng.normal(config.subscriber_mean, config.subscriber_std, size=n))
     subscribers = np.maximum(subscribers, 1.0).astype(np.int64)
@@ -430,12 +412,17 @@ def _sample_tenants(
     return subscribers, free, tier_counts, pay_levels, raw
 
 
-def _sample_market(config: GenConfig) -> tuple[Instance, tuple[np.ndarray, ...]]:
-    """The one generator pass: the instance and the tenant arrays behind it."""
+def generate_instance(config: GenConfig) -> Instance:
+    """Sample a market instance; identical (config, seed) gives identical output.
+
+    Every resource's floor is the :func:`bundle_floor` of the sample, so every
+    tenant can pay its bundle at the floor prices.  The tenants' private
+    records stay inside this pass: only their collapsed valuations reach the
+    instance.
+    """
     rng = np.random.default_rng(config.seed)
     demands = _sample_demands(config, rng)
-    tenants = _sample_tenants(config, rng)
-    raw_valuations = tenants[-1]
+    raw_valuations = _sample_tenants(config, rng)[-1]
 
     demanded = demands > 0
     rows, _ = np.nonzero(demanded)
@@ -444,9 +431,9 @@ def _sample_market(config: GenConfig) -> tuple[Instance, tuple[np.ndarray, ...]]
         raise WorkloadError("degenerate configuration: median earning density is not positive")
     valuations = raw_valuations / scale
 
-    # the caps of derive_bounds: each resource's highest density, or the
-    # highest of all on a resource nobody demands; generated densities are
-    # finite, so -inf marks exactly the undemanded entries
+    # each resource's cap is its highest density, or the highest of all on a
+    # resource nobody demands; generated densities are finite, so -inf marks
+    # exactly the undemanded entries
     highs = np.divide(valuations[:, None], demands, out=np.full(demands.shape, -np.inf), where=demanded).max(axis=0)
     highs[highs == -np.inf] = highs.max()
     caps = (1.0 + config.density_margin) * highs
@@ -466,37 +453,7 @@ def _sample_market(config: GenConfig) -> tuple[Instance, tuple[np.ndarray, ...]]
     problems = validate_instance(instance)
     if problems:
         raise WorkloadError(f"generated instance violates its invariants: {problems[0]}")
-    return instance, tenants
-
-
-def generate_population(config: GenConfig) -> tuple[Instance, list[TenantPrivate]]:
-    """Sample an instance together with the private tenant records behind it.
-
-    Every resource's floor is the :func:`bundle_floor` of the sample and its
-    cap the per-resource maximum of :func:`derive_bounds`, so every tenant can
-    pay its bundle at the floor prices (``v_n >= sum_c d_nc * floor_c``), the
-    premise of the schedule's worst-case ratio (see :mod:`.pricing`).  The
-    instance is :func:`generate_instance`'s for the same config, from the
-    same pass; only here do the tenant arrays become :class:`TenantPrivate`
-    records.
-    """
-    instance, (subscribers, free, tier_counts, pay_levels, raw) = _sample_market(config)
-    privates = [
-        TenantPrivate(subscriber_count, free_count, tuple(counts), pay_level, raw_valuation)
-        for subscriber_count, free_count, counts, pay_level, raw_valuation in zip(
-            subscribers.tolist(), free.tolist(), tier_counts.tolist(), pay_levels.tolist(), raw.tolist()
-        )
-    ]
-    return instance, privates
-
-
-def generate_instance(config: GenConfig) -> Instance:
-    """Sample a market instance; identical (config, seed) gives identical output.
-
-    It builds no private tenant records; :func:`generate_population` returns
-    the same instance with them.
-    """
-    return _sample_market(config)[0]
+    return instance
 
 
 def validate_instance(instance: Instance) -> list[Violation]:

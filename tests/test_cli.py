@@ -97,6 +97,14 @@ class TestRun:
             ({"ga_params": {"elitism": 1.0}}, "elitism"),
             ({"ga_params": {"generations": True}}, "generations"),
             ({"ga_params": {"mutation_rate": "0.1"}}, "mutation_rate"),
+            ({"axis": "tenants", "values": [2.5]}, "tenant_count"),
+            ({"axis": "tenants", "values": [True]}, "tenant_count"),
+            ({"axis": "resources", "values": [1.9]}, "resource_count"),
+            ({"axis": "tenants", "values": ["a"]}, "tenant_count"),
+            ({"axis": "tenants", "values": [[1, 2]]}, "tenant_count"),
+            ({"axis": "demand_mean", "values": ["x"]}, "demand_mean"),
+            ({"axis": "pay_level_range", "values": [5.0]}, "pay_level_range"),
+            ({"config": {"top_tier_range": [2.0, 1e9]}}, "top_tier_range"),
         ],
         ids=[
             "fractional trials", "NaN trials", "negative seed", "string node_budget", "zero node_budget", "boolean node_budget",
@@ -105,6 +113,9 @@ class TestRun:
             "string free_user_fraction", "string tier_decay", "string density_margin", "string participation",
             "fractional population", "fractional tournament", "float elitism", "boolean generations",
             "string mutation_rate",
+            "fractional tenants point", "boolean tenants point", "fractional resources point",
+            "string tenants point", "list tenants point", "string demand_mean point", "scalar pay_level_range point",
+            "huge top_tier_range",
         ],
     )
     def test_bad_spec_numbers_are_validation_failures(self, tmp_path, capsys, overrides, field):

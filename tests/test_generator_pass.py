@@ -2,14 +2,17 @@
 
 The ``_reference_*`` functions are the generator as it was before it became
 one vectorised pass: per-tenant ``TenantPrivate`` records built inside the
-sampler, one ``flatnonzero`` gather per top tier for the multinomials, a
-per-column loop in ``derive_bounds``, a NaN-matrix ``np.nanmedian``, the
-``errstate``/``where`` densities and a per-entry loop in
+sampler, one ``flatnonzero`` gather per top tier for the multinomials, the
+per-column loop of ``conftest.derive_bounds`` for the caps, a NaN-matrix
+``np.nanmedian``, the ``errstate``/``where`` densities and a per-entry loop in
 ``validate_instance``.  The pass (grouped multinomials over a stable sort by
 top tier, a sort-based median, one masked column max for the caps) must
-reproduce them bit for bit: the five ``Instance`` arrays byte for byte, every
-private record field for field, and every violation list in order.
+reproduce them bit for bit: the five ``Instance`` arrays byte for byte, the
+tenant arrays of ``_sample_tenants`` against the private records field for
+field, and every violation list in order.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,42 +23,38 @@ from slicemarket.workload import (
     MIN_DEMAND,
     GenConfig,
     Instance,
-    TenantPrivate,
     Violation,
     WorkloadError,
     _MAX_RESAMPLE_ROUNDS,
     _median,
     _sample_demands,
     bundle_floor,
-    derive_bounds,
     generate_instance,
-    generate_population,
     validate_instance,
 )
+
+from conftest import derive_bounds, private_arrays
 
 ARRAYS = ("demands", "valuations", "price_floors", "price_caps", "unit_costs")
 
 
-def _reference_derive_bounds(densities, margin=0.0):
-    densities = np.asarray(densities, dtype=float)
-    if densities.ndim == 1:
-        densities = densities[:, None]
-    valid = ~np.isnan(densities)
-    if not valid.any():
-        raise WorkloadError("cannot derive bounds: no positive density anywhere")
-    global_min = float(np.nanmin(densities))
-    global_max = float(np.nanmax(densities))
-    floors = np.empty(densities.shape[1])
-    caps = np.empty(densities.shape[1])
-    for c in range(densities.shape[1]):
-        col = densities[valid[:, c], c]
-        if col.size:
-            floors[c] = (1.0 - margin) * float(col.min())
-            caps[c] = (1.0 + margin) * float(col.max())
-        else:
-            floors[c] = (1.0 - margin) * global_min
-            caps[c] = (1.0 + margin) * global_max
-    return floors, caps
+@dataclass(frozen=True)
+class TenantPrivate:
+    """Private valuation internals of one tenant.  Never enters the protocol."""
+
+    subscriber_count: int
+    free_count: int
+    tier_counts: tuple[int, ...]  # paying subscribers at tier k = index + 1
+    pay_level: float
+    raw_valuation: float
+
+
+def _records(arrays) -> list[TenantPrivate]:
+    """The generator's tenant arrays as one private record per tenant."""
+    return [
+        TenantPrivate(subscriber_count, free_count, tuple(counts), pay_level, raw_valuation)
+        for subscriber_count, free_count, counts, pay_level, raw_valuation in zip(*(a.tolist() for a in arrays))
+    ]
 
 
 def _reference_sample_tenants(config, rng):
@@ -114,7 +113,7 @@ def _reference_population(config):
 
     with np.errstate(divide="ignore", invalid="ignore"):
         densities = np.where(demands > 0, valuations[:, None] / demands, np.nan)
-    _, caps = _reference_derive_bounds(densities, config.density_margin)
+    _, caps = derive_bounds(densities, config.density_margin)
     floors = np.full(config.resource_count, bundle_floor(demands, valuations, config.density_margin))
     lo, hi = config.unit_cost_range
     unit_costs = floors * rng.uniform(lo, hi, size=config.resource_count)
@@ -201,9 +200,9 @@ def assert_same_arrays(got: Instance, want: Instance) -> None:
 
 def assert_same_generation(config: GenConfig) -> None:
     want, want_privates = _reference_population(config)
-    got, got_privates = generate_population(config)
+    got = generate_instance(config)
+    got_privates = _records(private_arrays(config))
     assert_same_arrays(got, want)
-    assert_same_arrays(generate_instance(config), want)
     assert got.densities().tobytes() == _reference_densities(want).tobytes()
     # repr pins each field's type and every float's bits, == the values
     assert got_privates == want_privates
@@ -284,10 +283,10 @@ def test_grouped_multinomial_draws_in_tier_then_tenant_order():
     # tenants of one top tier scattered among the others: the grouped draw
     # must hand each tenant the counts its own flatnonzero gather drew
     config = GenConfig(tenant_count=40, top_tier_range=(1.0, 5.0), tier_decay=0.7, seed=11)
-    _, got = generate_population(config)
+    arrays = private_arrays(config)
     _, want = _reference_population(config)
-    assert got == want
-    counts = np.array([p.tier_counts for p in got])
+    assert _records(arrays) == want
+    counts = arrays[2]
     highest = counts.shape[1] - np.argmax(counts[:, ::-1] > 0, axis=1)  # each tenant's top tier
     assert len(set(highest.tolist())) >= 3
     assert (np.diff(highest) < 0).any()  # the tiers interleave in tenant order
@@ -349,25 +348,31 @@ def test_violation_list_on_a_market_breaking_every_rule():
 
 
 @pytest.mark.parametrize(
-    "densities",
+    "densities, lows, highs",
     [
-        np.array([3.0, 1.5, np.nan, 2.0]),
-        np.array([[2.0, np.nan, 4.0], [np.nan, np.nan, 1.0], [5.0, np.nan, np.nan]]),
-        np.array([[np.nan, 0.5], [np.nan, 7.0]]),
-        np.array([[1.0, np.inf], [np.nan, 2.0]]),
-        np.array([[MIN_DEMAND]]),
+        (np.array([3.0, 1.5, np.nan, 2.0]), [1.5], [3.0]),
+        (
+            np.array([[2.0, np.nan, 4.0], [np.nan, np.nan, 1.0], [5.0, np.nan, np.nan]]),
+            [2.0, 1.0, 1.0],
+            [5.0, 5.0, 4.0],
+        ),
+        (np.array([[np.nan, 0.5], [np.nan, 7.0]]), [0.5, 0.5], [7.0, 7.0]),
+        (np.array([[1.0, np.inf], [np.nan, 2.0]]), [1.0, 2.0], [1.0, np.inf]),
+        (np.array([[MIN_DEMAND]]), [MIN_DEMAND], [MIN_DEMAND]),
     ],
     ids=["1-D", "all-NaN middle column", "all-NaN first column", "infinite density", "single entry"],
 )
 @pytest.mark.parametrize("margin", [0.0, 0.1])
-def test_derive_bounds_matches(densities, margin):
-    got, want = derive_bounds(densities, margin), _reference_derive_bounds(densities, margin)
-    for a, b in zip(got, want):
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+def test_derive_bounds_matches(densities, lows, highs, margin):
+    # the bounds helper behind manual_instance and the reference caps, against
+    # its rule worked by hand: each column's lowest and highest density, the
+    # global range on an all-NaN column
+    floors, caps = derive_bounds(densities, margin)
+    assert floors.tolist() == [(1.0 - margin) * low for low in lows]
+    assert caps.tolist() == [(1.0 + margin) * high for high in highs]
 
 
 @pytest.mark.parametrize("densities", [np.full((3, 2), np.nan), np.full(4, np.nan), np.empty((0, 3))])
 def test_derive_bounds_without_any_density_raises(densities):
-    for bounds in (_reference_derive_bounds, derive_bounds):
-        with pytest.raises(WorkloadError, match="no positive density"):
-            bounds(densities)
+    with pytest.raises(WorkloadError, match="no positive density"):
+        derive_bounds(densities)

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,23 @@ class TestApplyAxis:
         assert cfg.unit_cost_range == (0.1, 0.4)
         cfg = _apply_axis(GenConfig(), "pay_level_range", (1.0, 3.0))
         assert cfg.pay_level_range == (1.0, 3.0)
+        assert _apply_axis(GenConfig(), "unit_cost_range", [0.1, 0.4]).unit_cost_range == (0.1, 0.4)
+
+    @pytest.mark.parametrize(
+        "axis, value, message",
+        [
+            ("tenants", 2.5, "tenant_count must be an integer"),
+            ("tenants", True, "tenant_count must be an integer"),
+            ("resources", 1.9, "resource_count must be an integer"),
+            ("demand_mean", "x", "demand_mean must be a finite number"),
+            ("unit_cost_range", (0.2, 1.0), "unit_cost_range must stay below 1"),
+        ],
+    )
+    def test_bad_point_is_refused_when_the_spec_is_built(self, axis, value, message):
+        # a good point first: the whole value list is checked before any trial
+        good = {"tenants": 10, "resources": 2, "demand_mean": 0.01, "unit_cost_range": (0.1, 0.4)}[axis]
+        with pytest.raises(HarnessError, match=re.escape(f"sweep axis '{axis}' value {value!r}: {message}")):
+            ExperimentSpec(axis=axis, values=(good, value))
 
 
 class TestRunTrials:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import slicemarket
-from slicemarket import protocol
+from slicemarket import protocol, workload
 from slicemarket.baselines import MyopicPricing
 from slicemarket.market import Allocation, MarketSetup
 from slicemarket.pricing import build_schedule
@@ -32,6 +32,9 @@ from slicemarket.workload import GenConfig, Instance, WorkloadError, generate_in
 
 from conftest import manual_instance
 from reference_protocol import PriceQuote, mvno_init, mvno_settle, tenant_decide, transferred_data_bytes
+
+#: The generator's private records and bounds helper, which live only in the tests.
+PRIVATE_NAMES = ("generate_population", "TenantPrivate", "derive_bounds")
 
 #: The message-by-message names that live only in ``reference_protocol``.
 REFERENCE_NAMES = (
@@ -244,6 +247,13 @@ def test_one_session_engine():
             assert type(ledger.record) is protocol._ArrivalRecord
             assert ledger.arrivals == len(ledger.record.outcomes) == instance.tenant_count
             assert ledger.transcript == ledger.record.entries()
+
+
+def test_generator_returns_the_instance_alone():
+    # the private tenant records and the bounds helper are test references
+    for module in (slicemarket, workload):
+        assert [name for name in PRIVATE_NAMES if hasattr(module, name)] == []
+    assert type(generate_instance(GenConfig(tenant_count=5, seed=3))) is Instance
 
 
 class TestUpFrontInputChecks:

@@ -14,13 +14,11 @@ from slicemarket.workload import (
     GenConfig,
     Instance,
     WorkloadError,
-    derive_bounds,
     generate_instance,
-    generate_population,
     validate_instance,
 )
 
-from conftest import manual_instance
+from conftest import derive_bounds, manual_instance, private_arrays
 
 
 class TestGenConfig:
@@ -58,6 +56,8 @@ class TestGenConfig:
             {"pay_level_range": (2.0, float("inf"))},
             {"top_tier_range": (2.0, float("inf"))},
             {"top_tier_range": (float("nan"), 6.0)},
+            {"top_tier_range": (2.0, 1e9)},  # refused when built, never sampled
+            {"top_tier_range": (2.0, workload.MAX_TOP_TIER + 0.5)},
             {"demand_mean": float("inf")},
             {"demand_std": float("inf")},
             {"demand_std": float("nan")},
@@ -173,20 +173,18 @@ class TestGenerateInstance:
 
 
 class TestPopulation:
+    """The private tenant arrays the generator draws (``conftest.private_arrays``)."""
+
     def test_free_user_fraction(self):
         cfg = GenConfig(tenant_count=40, resource_count=1, seed=21)
-        _, privates = generate_population(cfg)
-        total = sum(p.subscriber_count for p in privates)
-        free = sum(p.free_count for p in privates)
-        assert abs(free / total - 0.4) <= 0.05
+        subscribers, free, *_ = private_arrays(cfg)
+        assert abs(free.sum() / subscribers.sum() - 0.4) <= 0.05
 
     def test_pyramid_monotone_in_aggregate(self):
         counts = np.zeros(6)
         for seed in range(100):
-            _, privates = generate_population(GenConfig(tenant_count=5, resource_count=1, seed=seed))
-            for p in privates:
-                for k, c in enumerate(p.tier_counts):
-                    counts[k] += c
+            tier_counts = private_arrays(GenConfig(tenant_count=5, resource_count=1, seed=seed))[2]
+            counts[: tier_counts.shape[1]] += tier_counts.sum(axis=0)
         present = counts[counts > 0]
         assert all(b <= a for a, b in zip(present, present[1:]))
 
@@ -196,15 +194,17 @@ class TestPopulation:
             tenant_count=30, resource_count=1, subscriber_mean=2.0, subscriber_std=1.0,
             free_user_fraction=0.9, seed=5,
         )
-        _, privates = generate_population(cfg)
-        for p in privates:
-            assert p.subscriber_count - p.free_count >= 1
-            assert p.raw_valuation > 0
+        subscribers, free, _, _, raw = private_arrays(cfg)
+        assert (subscribers - free >= 1).all()
+        assert (raw > 0).all()
 
     def test_tier_counts_match_paying_subscribers(self):
-        _, privates = generate_population(GenConfig(tenant_count=10, seed=9))
-        for p in privates:
-            assert sum(p.tier_counts) == p.subscriber_count - p.free_count
+        subscribers, free, tier_counts, _, _ = private_arrays(GenConfig(tenant_count=10, seed=9))
+        assert (tier_counts.sum(axis=1) == subscribers - free).all()
+
+    def test_top_tier_limit_is_reachable(self):
+        tier_counts = private_arrays(GenConfig(tenant_count=5, top_tier_range=(63.5, 64.0), seed=1))[2]
+        assert tier_counts.shape == (5, workload.MAX_TOP_TIER)
 
 
 class TestDeriveBounds:
