@@ -15,7 +15,7 @@ import numpy as np
 
 from .market import CAPACITY, FEASIBILITY_EPS, MarketSetup, SetupError
 from .oracle import adjusted_profits
-from .protocol import SessionResult, run_session
+from .protocol import SessionResult, arrival_order, run_session
 from .workload import _is_finite, _is_int
 
 _EPS = np.finfo(float).eps
@@ -299,9 +299,20 @@ class MyopicPricing:
     def price_at(self, c: int, y: float) -> float:
         if not 0 <= c < len(self.slopes):
             raise SetupError(f"resource index {c} out of range [0, {len(self.slopes)})")
-        if not 0 <= y <= CAPACITY:
-            raise SetupError(f"utilization must lie in [0, {CAPACITY}], got {y!r}")
-        return self.slopes[c] * y
+        return _ramp_price(self.slopes[c], y)
+
+    def quote(self, utilization) -> tuple[float, ...]:
+        """``price_at(c, utilization[c])`` for every resource ``c``."""
+        if len(utilization) != len(self.slopes):
+            raise SetupError(f"a quote needs {len(self.slopes)} utilizations, got {len(utilization)}")
+        return tuple(map(_ramp_price, self.slopes, utilization))
+
+
+def _ramp_price(slope: float, y: float) -> float:
+    # the ramp's one formula, behind both price_at and quote
+    if not 0 <= y <= CAPACITY:
+        raise SetupError(f"utilization must lie in [0, {CAPACITY}], got {y!r}")
+    return slope * y
 
 
 def myopic_slicing(instance, order: Sequence[int] | None = None) -> SessionResult:
@@ -317,7 +328,7 @@ def myopic_slicing(instance, order: Sequence[int] | None = None) -> SessionResul
 def random_slicing(instance, order: Sequence[int] | None = None, seed: int = 0) -> tuple[float, np.ndarray]:
     """Fair coin per arrival; an accepting coin only sticks when capacity allows."""
     n = instance.tenant_count
-    order = range(n) if order is None else [int(t) for t in order]
+    order = arrival_order(order, n)
     rng = np.random.default_rng(seed)
     profits = adjusted_profits(instance)
     utilization = [0.0] * instance.resource_count
@@ -328,11 +339,10 @@ def random_slicing(instance, order: Sequence[int] | None = None, seed: int = 0) 
     for tenant, coin in zip(order, coins):
         if not coin:
             continue
-        row = demand_rows[tenant]
-        if any(y + d > CAPACITY for y, d in zip(utilization, row)):
+        grown = [y + d for y, d in zip(utilization, demand_rows[tenant])]
+        if max(grown) > CAPACITY:
             continue
-        for i, d in enumerate(row):
-            utilization[i] += d
+        utilization = grown
         accepted[tenant] = True
     welfare = float(profits[accepted].sum()) if accepted.any() else 0.0
     return welfare, accepted

@@ -191,7 +191,6 @@ def lp_upper_bound(instance) -> float:
     """
     from scipy.optimize import linprog
 
-    n = instance.tenant_count
     profits = adjusted_profits(instance)
     if not (profits > 0).any():
         return 0.0
@@ -202,7 +201,7 @@ def lp_upper_bound(instance) -> float:
         c=-profits,
         A_ub=instance.demands.T,
         b_ub=np.full(instance.resource_count, CAPACITY),
-        bounds=[(0.0, 1.0)] * n,
+        bounds=(0.0, 1.0),
         method="highs",
         options={"presolve": False},
     )

@@ -14,6 +14,13 @@ resource ``c`` it demands.  The generator's bundle floor provides the first
 as ``bundle-below-floor``).  Per-resource floors ``v_n >= d_nc * floor_c``
 alone do not: with several resources a market of tenants that cannot pay
 their floor bundles stalls below every threshold and can exceed the ratio.
+
+A schedule answers two questions with one formula.  ``price_at(c, y)`` is
+the price of one resource; ``quote(utilization)`` is the whole price tuple at
+a utilization vector, the one call the session engine makes at the start of
+a session and after each sale.  Both refuse a utilization outside
+``[0, CAPACITY]``, NaN included, with ``SetupError``; ``quote`` checks each
+value as it prices it.
 """
 
 from __future__ import annotations
@@ -51,16 +58,25 @@ class PricingSchedule:
         Flat at the floor below the threshold, exponential up to capacity;
         defined on ``[0, CAPACITY]``.
         """
-        # len(self._w), not the resource_count property: this runs C times per sale
         if not 0 <= c < len(self._w):
             raise SetupError(f"resource index {c} out of range [0, {self.resource_count})")
-        if not 0 <= y <= CAPACITY:
-            raise SetupError(f"utilization must lie in [0, {CAPACITY}], got {y!r}")
-        w = self._w[c]
-        if y < w:
-            return self._floor[c]
-        q = self._q[c]
-        return q + (self._floor[c] - q) * math.exp(y / w - 1.0)
+        return _threshold_price(self._q[c], self._floor[c], self._w[c], y)
+
+    def quote(self, utilization) -> tuple[float, ...]:
+        """The posted prices of every resource at ``utilization``, one per
+        resource: ``price_at(c, utilization[c])`` for each ``c``."""
+        if len(utilization) != len(self._w):
+            raise SetupError(f"a quote needs {len(self._w)} utilizations, got {len(utilization)}")
+        return tuple(map(_threshold_price, self._q, self._floor, self._w, utilization))
+
+
+def _threshold_price(q: float, floor: float, w: float, y: float) -> float:
+    # the schedule's one formula, behind both price_at and quote
+    if not 0 <= y <= CAPACITY:
+        raise SetupError(f"utilization must lie in [0, {CAPACITY}], got {y!r}")
+    if y < w:
+        return floor
+    return q + (floor - q) * math.exp(y / w - 1.0)
 
 
 def build_schedule(setup: MarketSetup) -> PricingSchedule:

@@ -8,10 +8,10 @@ actually crossed the wire; valuations, subscriber data and anything else
 private to a tenant never appear in it.
 
 ``run_session`` is the one session engine.  It checks the arrival order
-once per session (the ``Instance`` constructor has checked the valuations and
-demands), then runs every arrival on plain lists, re-evaluating the prices
-only after a sale and keeping a compact record per arrival (the quoted price
-tuple, shared between arrivals, the outcome and the charge).  That record,
+once per session with ``arrival_order`` (the ``Instance`` constructor has
+checked the valuations and demands), then runs every arrival on plain lists,
+keeping a compact record per arrival (the quoted price tuple, shared between
+arrivals, the outcome and the charge).  That record,
 ``SessionLedger.record``, is what the ``verify`` checks read.  The ledger's
 ``transcript`` of ``TranscriptEntry`` messages is built from it the first
 time it is read, so a caller that needs only the allocation, the revenue or
@@ -19,6 +19,12 @@ time it is read, so a caller that needs only the allocation, the revenue or
 spelled out message by message, each message checked as it is built, lives
 in the test suite (``tests/reference_protocol.py``) as the reference the
 engine must reproduce bit for bit.
+
+A schedule is anything with a ``quote(utilization)`` method that returns the
+tuple of every resource's price at a utilization vector.  The engine asks for
+one quote at the start of a session and one after each sale, the one step
+that moves utilization, and checks each quote in one walk
+(``_checked_prices``) before any tenant sees it.
 
 ``validate_transcript_record`` checks a persisted record against the published
 ``TRANSCRIPT_RECORD_SCHEMA`` with direct key, type and range checks; the
@@ -59,26 +65,55 @@ def _dot(prices: Sequence[float], demand: Sequence[float]) -> float:
 
 
 def _float_tuple(values) -> tuple[float, ...]:
-    # shares an already-coerced tuple instead of copying it, so a quote and the
-    # transcript entries that carry it hold one immutable tuple
-    if type(values) is tuple and all(type(v) is float for v in values):
-        return values
     try:
         return tuple(float(v) for v in values)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ProtocolError(f"non-numeric value in a protocol message: {exc}") from exc
 
 
 def _checked_prices(prices) -> tuple[float, ...]:
-    """``prices`` as a float tuple, raising unless every one is finite and non-negative."""
+    """``prices`` as a float tuple, raising unless every one is finite and non-negative.
+
+    A tuple of floats that all pass is returned as it is after one walk; only
+    when that walk stops is the quote coerced and each price checked with a
+    message naming its resource.
+    """
+    if type(prices) is tuple:
+        for p in prices:
+            if not (type(p) is float and 0.0 <= p < math.inf):  # NaN fails both comparisons
+                break
+        else:
+            return prices
     prices = _float_tuple(prices)
-    if not all(0.0 <= p < math.inf for p in prices):  # NaN fails both comparisons
-        for c, p in enumerate(prices):
-            if not math.isfinite(p):
-                raise ProtocolError(f"quoted price for resource {c} is not finite: {p!r}")
-            if p < 0:
-                raise ProtocolError(f"quoted price for resource {c} is negative: {p!r}")
+    for c, p in enumerate(prices):
+        if not math.isfinite(p):
+            raise ProtocolError(f"quoted price for resource {c} is not finite: {p!r}")
+        if p < 0:
+            raise ProtocolError(f"quoted price for resource {c} is negative: {p!r}")
     return prices
+
+
+def arrival_order(order, n: int) -> Sequence[int]:
+    """The arrival order of an ``n``-tenant session as a list of ``int``.
+
+    ``None`` is instance order.  Anything else must be a permutation of
+    ``range(n)`` held in an integer dtype, else ``ProtocolError``: floats and
+    bools are refused, not truncated.  The check runs once, in numpy; an
+    empty order is accepted for a market without tenants.
+    """
+    if order is None:
+        return range(n)
+    indices = np.asarray(order)
+    if indices.shape != (n,):
+        raise ProtocolError(f"arrival order must be a permutation of {n} tenant indices, got shape {indices.shape}")
+    if n == 0:
+        return []
+    if indices.dtype.kind not in "iu":
+        raise ProtocolError(f"arrival order must hold integers, got dtype {indices.dtype}")
+    # range first: bincount raises a bare ValueError on a negative index
+    if not 0 <= indices.min() <= indices.max() < n or (np.bincount(indices, minlength=n) != 1).any():
+        raise ProtocolError("arrival order must be a permutation of the tenant indices")
+    return indices.tolist()
 
 
 class TranscriptEntry(NamedTuple):
@@ -286,26 +321,20 @@ def run_session(
     fails and is never booked.  Everything runs on plain lists: the order is
     checked once up front (valuations and demands were checked when the
     ``Instance`` was built), one ``_dot`` charge is both the tenant's offer and
-    the booked payment, and the prices are re-evaluated (and checked as a
-    quote) only after a sale, the one step that moves utilization.
+    the booked payment, and ``schedule.quote`` is called (and its prices
+    checked) only at the start and after a sale.  A schedule that holds a
+    ``setup`` must hold this one.
     """
     n, c = instance.tenant_count, instance.resource_count
     if setup.resource_count != c:
         raise ProtocolError("setup and instance disagree on the resource count")
-    if order is None:
-        order = range(n)
-    else:
-        order = [int(t) for t in order]
-        indices = np.asarray(order, dtype=int)
-        # range first: bincount raises a bare ValueError on a negative index
-        in_range = len(order) == n and (n == 0 or 0 <= indices.min() <= indices.max() < n)
-        if not in_range or (np.bincount(indices, minlength=n) != 1).any():
-            raise ProtocolError("arrival order must be a permutation of the tenant indices")
+    if getattr(schedule, "setup", setup) is not setup:
+        raise ProtocolError("the schedule was built for another market setup")
+    order = arrival_order(order, n)
 
-    price_at = schedule.price_at
-    resources = range(c)
+    quote = schedule.quote
     utilization = [0.0] * c
-    prices = _checked_prices(tuple(map(price_at, resources, utilization)))
+    prices = _checked_prices(quote(utilization))
     demand_rows = instance.demands.tolist()
     valuations = instance.valuations.tolist()
     surpluses = [0.0] * n
@@ -332,7 +361,7 @@ def run_session(
             revenue += charge
             accepted[tenant] = True
             payments[tenant] = charge
-            prices = _checked_prices(tuple(map(price_at, resources, utilization)))
+            prices = _checked_prices(quote(utilization))
             record_outcome(SUCC)
         else:
             record_outcome(SKIP)

@@ -140,7 +140,8 @@ class GenConfig:
     def from_dict(cls, data: dict) -> "GenConfig":
         data = dict(data)
         for name in ("pay_level_range", "top_tier_range", "unit_cost_range"):
-            if name in data and data[name] is not None:
+            # a JSON array becomes a pair; anything else reaches the pair check as is
+            if isinstance(data.get(name), list):
                 data[name] = tuple(data[name])
         return cls(**data)
 

@@ -183,7 +183,8 @@ class TestMyopicSlicing:
 
 
 def _reference_random_slicing(instance, order=None, seed=0):
-    """``random_slicing`` as it was: one coin drawn per arrival."""
+    """``random_slicing`` as it was: one coin drawn per arrival, the capacity
+    test by ``any`` over the resources and the utilization updated in place."""
     from slicemarket.market import CAPACITY
     from slicemarket.oracle import adjusted_profits
 
@@ -224,6 +225,51 @@ class TestRandomSlicing:
             assert np.array([welfare]).tobytes() == np.array([want_welfare]).tobytes()
             assert accepted.dtype == want_accepted.dtype
             assert accepted.tobytes() == want_accepted.tobytes()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"demand_mean": 4.0}, {"participation": 0.5}, {"demand_mean": 4.0, "participation": 0.5}],
+        ids=["default", "overfull", "half participation", "overfull half participation"],
+    )
+    def test_matches_the_reference_on_seeded_markets(self, overrides):
+        rng = np.random.default_rng(610)
+        fits = misses = 0
+        for _ in range(30):
+            n = int(rng.integers(1, 400))
+            config = GenConfig(
+                tenant_count=n,
+                resource_count=int(rng.integers(1, 5)),
+                demand_mean=overrides.get("demand_mean", 1.0) / n,
+                participation=overrides.get("participation"),
+                seed=int(rng.integers(0, 2**32)),
+            )
+            inst = generate_instance(config)
+            order = rng.permutation(n)
+            seed = int(rng.integers(0, 2**32))
+            welfare, accepted = random_slicing(inst, order, seed=seed)
+            want_welfare, want_accepted = _reference_random_slicing(inst, order, seed=seed)
+            assert repr(welfare) == repr(want_welfare)
+            assert accepted.tobytes() == want_accepted.tobytes()
+            fits += int(accepted.sum())
+            misses += int((np.random.default_rng(seed).integers(0, 2, size=n).astype(bool) & ~accepted).sum())
+        assert fits > 0
+        if "demand_mean" in overrides:
+            assert misses > 0  # accepting coins that did not fit
+
+    def test_exact_capacity_hits_match_the_reference(self):
+        # demands in eighths sum exactly, so some runs fill a resource to exactly 1.0
+        rng = np.random.default_rng(611)
+        exact_fills = 0
+        for seed in range(40):
+            demands = rng.integers(0, 5, size=(40, 2)) / 8.0
+            inst = Instance(demands, np.full(40, 5.0), [1.0, 1.0], [20.0, 20.0], [0.5, 0.5])
+            order = rng.permutation(40)
+            welfare, accepted = random_slicing(inst, order, seed=seed)
+            want_welfare, want_accepted = _reference_random_slicing(inst, order, seed=seed)
+            assert repr(welfare) == repr(want_welfare)
+            assert accepted.tobytes() == want_accepted.tobytes()
+            exact_fills += int((demands[accepted].sum(axis=0) == 1.0).any())
+        assert exact_fills > 0
 
     def test_seeded_determinism(self):
         inst = generate_instance(GenConfig(tenant_count=20, seed=6))

@@ -105,6 +105,8 @@ class TestRun:
             ({"axis": "demand_mean", "values": ["x"]}, "demand_mean"),
             ({"axis": "pay_level_range", "values": [5.0]}, "pay_level_range"),
             ({"config": {"top_tier_range": [2.0, 1e9]}}, "top_tier_range"),
+            ({"config": {"pay_level_range": 5}}, "pay_level_range"),
+            ({"config": {"pay_level_range": "ab"}}, "pay_level_range"),
         ],
         ids=[
             "fractional trials", "NaN trials", "negative seed", "string node_budget", "zero node_budget", "boolean node_budget",
@@ -115,7 +117,7 @@ class TestRun:
             "string mutation_rate",
             "fractional tenants point", "boolean tenants point", "fractional resources point",
             "string tenants point", "list tenants point", "string demand_mean point", "scalar pay_level_range point",
-            "huge top_tier_range",
+            "huge top_tier_range", "scalar pay_level_range", "string pay_level_range",
         ],
     )
     def test_bad_spec_numbers_are_validation_failures(self, tmp_path, capsys, overrides, field):

@@ -149,6 +149,26 @@ class TestLpUpperBound:
             assert lp_upper_bound(inst) >= offline_exact(inst).welfare - 1e-6
 
 
+@pytest.mark.parametrize("tenants", [100, 2000])
+def test_lp_bounds_as_one_pair_solve_the_same_model(tenants):
+    """``bounds=(0, 1)`` for every variable is the list of N pairs HiGHS was given before."""
+    from scipy.optimize import linprog
+
+    for seed in range(3):
+        inst = generate_instance(GenConfig(tenant_count=tenants, seed=seed))
+        profits = adjusted_profits(inst)
+        reference = linprog(
+            c=-profits,
+            A_ub=inst.demands.T,
+            b_ub=np.full(inst.resource_count, 1.0),
+            bounds=[(0.0, 1.0)] * tenants,
+            method="highs",
+            options={"presolve": False},
+        )
+        assert reference.success
+        assert lp_upper_bound(inst) == float(-reference.fun)
+
+
 def test_adjusted_profits_formula():
     inst = manual_instance([[0.5, 0.2]], [2.0], [0.4, 1.0])
     assert adjusted_profits(inst)[0] == pytest.approx(2.0 - (0.5 * 0.4 + 0.2 * 1.0))

@@ -6,7 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from slicemarket.market import MarketSetup, SetupError
+from slicemarket.baselines import MyopicPricing
+from slicemarket.market import CAPACITY, MarketSetup, SetupError
 from slicemarket.pricing import build_schedule
 
 from conftest import random_setup
@@ -84,6 +85,55 @@ class TestPriceAt:
             build_schedule(E1).price_at(1, 0.5)
 
 
+def _schedules(setup):
+    return (build_schedule(setup), MyopicPricing.from_setup(setup))
+
+
+def _quote_points(rng, schedule, c):
+    """Utilization vectors at random points, at each threshold and its
+    neighbouring floats, and at the ends of the capacity interval."""
+    points = [[0.0] * c, [CAPACITY] * c, *rng.uniform(0.0, CAPACITY, size=(20, c)).tolist()]
+    thresholds = getattr(schedule, "thresholds", rng.uniform(0.0, CAPACITY, size=c))
+    for w in np.asarray(thresholds).tolist():
+        for y in (np.nextafter(w, 0.0), w, min(np.nextafter(w, 2.0), CAPACITY)):
+            points.append([float(y)] * c)
+            points.append(rng.uniform(0.0, CAPACITY, size=c).tolist()[:-1] + [float(y)])
+    return points
+
+
+class TestQuote:
+    """``quote`` is ``price_at`` over every resource, bit for bit."""
+
+    def test_equals_price_at_per_resource(self, rng):
+        for _ in range(100):
+            setup = random_setup(rng)
+            c = setup.resource_count
+            for schedule in _schedules(setup):
+                for u in _quote_points(rng, schedule, c):
+                    want = tuple(schedule.price_at(i, y) for i, y in enumerate(u))
+                    got = schedule.quote(u)
+                    assert type(got) is tuple
+                    assert all(type(p) is float for p in got)
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1e-12, -1.0, np.nextafter(CAPACITY, 2.0), 1.5, math.nan, math.inf])
+    def test_refuses_utilization_outside_capacity(self, bad):
+        for schedule in _schedules(E2):
+            for position in range(2):
+                u = [0.5, 0.5]
+                u[position] = bad
+                with pytest.raises(SetupError, match="utilization"):
+                    schedule.quote(u)
+                with pytest.raises(SetupError, match="utilization"):
+                    schedule.price_at(position, bad)
+
+    @pytest.mark.parametrize("u", [[], [0.5], [0.5, 0.5, 0.5]])
+    def test_refuses_a_wrong_length(self, u):
+        for schedule in _schedules(E2):
+            with pytest.raises(SetupError, match="2 utilizations"):
+                schedule.quote(u)
+
+
 class TestScheduleProperties:
     def test_start_identity(self, rng):
         for _ in range(100):
@@ -100,6 +150,16 @@ class TestScheduleProperties:
                 w = schedule.thresholds[c]
                 left = schedule.price_at(c, max(w - 1e-9, 0.0))
                 assert abs(left - schedule.price_at(c, w)) <= 1e-6
+
+    def test_exponential_branch_starts_at_the_threshold(self, rng):
+        # at y == w the price is q + (floor - q) * exp(0), one ulp off the floor at times
+        for _ in range(200):
+            setup = random_setup(rng)
+            schedule = build_schedule(setup)
+            for c, w in enumerate(schedule.thresholds.tolist()):
+                q, floor = float(setup.unit_costs[c]), float(setup.price_floors[c])
+                assert schedule.price_at(c, w) == q + (floor - q)
+                assert schedule.price_at(c, float(np.nextafter(w, 0.0))) == floor
 
     def test_monotone_on_grid(self, rng):
         grid = np.arange(0, 1001) / 1000.0

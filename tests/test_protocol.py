@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from slicemarket.baselines import MyopicPricing, myopic_slicing, random_slicing
 from slicemarket.market import Allocation, MarketSetup, social_welfare, utilities
 from slicemarket.pricing import build_schedule
 from slicemarket.protocol import (
@@ -20,6 +21,7 @@ from slicemarket.protocol import (
     DualCertificate,
     ProtocolError,
     TranscriptSchemaError,
+    arrival_order,
     parse_transcript_jsonl,
     run_posted_price,
     run_session,
@@ -425,3 +427,114 @@ class TestTranscript:
         contaminated = text + json.dumps(bad) + "\n"
         with pytest.raises(TranscriptSchemaError):
             parse_transcript_jsonl(contaminated)
+
+
+def _posted_session(instance, order):
+    setup = MarketSetup.from_instance(instance)
+    return run_session(setup, build_schedule(setup), instance, order)
+
+
+#: The three engines that take an arrival order, each through ``arrival_order``.
+ORDER_ENGINES = {
+    "run_session": _posted_session,
+    "myopic_slicing": myopic_slicing,
+    "random_slicing": random_slicing,
+}
+
+
+def _engine_output(engine, instance, order):
+    result = ORDER_ENGINES[engine](instance, order)
+    if engine == "random_slicing":
+        return result[1].tobytes(), repr(result[0])
+    return result.allocation.accepted.tobytes(), repr(result.ledger.transcript)
+
+
+class TestArrivalOrder:
+    """An order is a permutation held in an integer dtype; nothing else runs."""
+
+    @pytest.mark.parametrize("engine", sorted(ORDER_ENGINES))
+    @pytest.mark.parametrize(
+        "order",
+        [
+            [0, 1.7, 2],
+            [0.0, 1.0, 2.0],
+            np.array([2.0, 0.0, 1.0]),
+            [True, False, True],
+            np.array([1, 0, 2]).astype(bool),
+            ["0", "1", "2"],
+            [0, 0, 0],
+            [0, 1, 1],
+            [0, 1, 3],
+            [-1, 0, 1],
+            [0, 1],
+            [0, 1, 2, 0],
+            [],
+            [[0, 1, 2]],
+            1,
+        ],
+        ids=[
+            "fractional", "integral floats", "float array", "bools", "bool array", "strings",
+            "all repeats", "one repeat", "beyond the last tenant", "negative", "short", "long", "empty",
+            "two-dimensional", "scalar",
+        ],
+    )
+    def test_refused(self, engine, order):
+        instance = generate_instance(GenConfig(tenant_count=3, resource_count=2, seed=11))
+        with pytest.raises(ProtocolError, match="arrival order"):
+            ORDER_ENGINES[engine](instance, order)
+
+    @pytest.mark.parametrize("engine", sorted(ORDER_ENGINES))
+    def test_bools_are_refused_even_as_a_permutation(self, engine):
+        # as integers, [True, False] is the permutation [1, 0]
+        instance = generate_instance(GenConfig(tenant_count=2, resource_count=2, seed=11))
+        for order in ([True, False], np.array([False, True])):
+            with pytest.raises(ProtocolError, match="integers"):
+                ORDER_ENGINES[engine](instance, order)
+
+    @pytest.mark.parametrize("engine", sorted(ORDER_ENGINES))
+    def test_integer_forms_run_the_same_order(self, engine):
+        instance = generate_instance(GenConfig(tenant_count=30, resource_count=2, demand_mean=0.1, seed=12))
+        permutation = np.random.default_rng(13).permutation(30)
+        want = _engine_output(engine, instance, permutation.tolist())
+        for order in (
+            permutation,
+            permutation.astype(np.int32),
+            permutation.astype(np.uint16),
+            tuple(permutation.tolist()),
+            [np.int64(t) for t in permutation],
+        ):
+            assert _engine_output(engine, instance, order) == want
+        assert _engine_output(engine, instance, range(30)) == _engine_output(engine, instance, None)
+
+    @pytest.mark.parametrize("engine", sorted(ORDER_ENGINES))
+    def test_empty_order_for_a_market_without_tenants(self, engine):
+        instance = Instance(np.zeros((0, 2)), np.zeros(0), [1.0, 1.0], [2.0, 2.0], [0.5, 0.5])
+        for order in (None, [], np.zeros(0, dtype=int)):
+            ORDER_ENGINES[engine](instance, order)
+
+    def test_converted_to_python_ints(self):
+        order = arrival_order(np.array([2, 0, 1], dtype=np.int16), 3)
+        assert order == [2, 0, 1]
+        assert all(type(t) is int for t in order)
+        assert arrival_order(None, 4) == range(4)
+
+
+class TestScheduleSetup:
+    """A schedule that holds a setup must hold the one the session runs on."""
+
+    def test_another_setup_is_refused(self):
+        instance = generate_instance(GenConfig(tenant_count=5, resource_count=2, seed=14))
+        setup = MarketSetup.from_instance(instance)
+        twin = MarketSetup.from_instance(instance)  # equal, but another object
+        with pytest.raises(ProtocolError, match="another market setup"):
+            run_session(setup, build_schedule(twin), instance)
+        with pytest.raises(ProtocolError, match="another market setup"):
+            run_session(setup, build_schedule(E2_SETUP), instance)
+        run_session(setup, build_schedule(setup), instance)
+
+    def test_a_schedule_without_a_setup_is_exempt(self):
+        instance = generate_instance(GenConfig(tenant_count=5, resource_count=2, seed=14))
+        setup = MarketSetup.from_instance(instance)
+        pricing = MyopicPricing.from_setup(setup)
+        assert not hasattr(pricing, "setup")
+        assert run_session(E2_SETUP, pricing, instance).ledger.arrivals == 5

@@ -299,6 +299,9 @@ class _BadPrices:
     def price_at(self, c, y):
         return 1.0 if y == 0.0 else self.after
 
+    def quote(self, utilization):
+        return tuple(self.price_at(c, y) for c, y in enumerate(utilization))
+
 
 @pytest.mark.parametrize("after", [math.nan, math.inf, -1.0])
 def test_new_prices_are_checked_as_quotes(after):
@@ -308,3 +311,58 @@ def test_new_prices_are_checked_as_quotes(after):
         run_session(setup, _BadPrices(after), instance)
     with pytest.raises(ProtocolError, match="quoted price"):
         reference_run_session(setup, _BadPrices(after), instance)
+
+
+class _CountingSchedule:
+    """Passes ``quote`` through to a schedule and counts the calls; a
+    ``price_at`` call fails the test."""
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+        self.quotes = 0
+
+    def quote(self, utilization):
+        self.quotes += 1
+        return self.schedule.quote(utilization)
+
+    def price_at(self, c, y):
+        raise AssertionError("the session engine asked for one price")
+
+
+def test_one_quote_at_the_start_and_one_per_sale():
+    rng = np.random.default_rng(609)
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        config = GenConfig(
+            tenant_count=n,
+            resource_count=int(rng.integers(1, 5)),
+            demand_mean=float(rng.uniform(0.5, 4.0)) / n,
+            seed=int(rng.integers(0, 2**32)),
+        )
+        instance = generate_instance(config)
+        setup = MarketSetup.from_instance(instance)
+        for schedule in _schedules(setup):
+            counting = _CountingSchedule(schedule)
+            result = run_session(setup, counting, instance, rng.permutation(instance.tenant_count))
+            sales = result.ledger.record.outcomes.count(SUCC)
+            assert counting.quotes == 1 + sales
+            assert result.ledger.prices == schedule.quote(result.ledger.utilization)
+
+
+def test_checked_prices_walks_a_float_tuple_once():
+    quote = (1.0, 0.0, 2.5)
+    assert protocol._checked_prices(quote) is quote
+    # anything else is coerced first, then checked price by price
+    for prices in ([1.0, 0.0, 2.5], (1, 0, 2.5), np.array([1.0, 0.0, 2.5]), (np.float64(1.0), 0.0, 2.5)):
+        checked = protocol._checked_prices(prices)
+        assert checked == quote
+        assert all(type(p) is float for p in checked)
+    for prices, message in (
+        ((1.0, math.nan, 2.5), "resource 1 is not finite"),
+        ((1.0, 0.0, math.inf), "resource 2 is not finite"),
+        ((-0.5, 0.0, 2.5), "resource 0 is negative"),
+        ((1.0, np.float64(-1.0)), "resource 1 is negative"),
+        ((1.0, "x"), "non-numeric"),
+    ):
+        with pytest.raises(ProtocolError, match=message):
+            protocol._checked_prices(prices)
