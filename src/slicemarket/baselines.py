@@ -339,7 +339,7 @@ def random_slicing(instance, order: Sequence[int] | None = None, seed: int = 0) 
     for tenant, coin in zip(order, coins):
         if not coin:
             continue
-        grown = [y + d for y, d in zip(utilization, demand_rows[tenant])]
+        grown = list(map(add, utilization, demand_rows[tenant]))
         if max(grown) > CAPACITY:
             continue
         utilization = grown

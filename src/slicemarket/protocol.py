@@ -37,6 +37,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -54,14 +55,6 @@ class ProtocolError(MarketError):
 
 class TranscriptSchemaError(MarketError):
     """A transcript record does not match the wire schema."""
-
-
-def _dot(prices: Sequence[float], demand: Sequence[float]) -> float:
-    # the tenant and the settlement check must agree bit-for-bit on the charge
-    total = 0.0
-    for p, d in zip(prices, demand):
-        total += p * d
-    return total
 
 
 def _float_tuple(values) -> tuple[float, ...]:
@@ -320,10 +313,10 @@ def run_session(
     positive; an accepted demand that would push any resource past capacity
     fails and is never booked.  Everything runs on plain lists: the order is
     checked once up front (valuations and demands were checked when the
-    ``Instance`` was built), one ``_dot`` charge is both the tenant's offer and
-    the booked payment, and ``schedule.quote`` is called (and its prices
-    checked) only at the start and after a sale.  A schedule that holds a
-    ``setup`` must hold this one.
+    ``Instance`` was built), one charge, summed left to right over the
+    resources, is both the tenant's offer and the booked payment, and
+    ``schedule.quote`` is called (and its prices checked) only at the start
+    and after a sale.  A schedule that holds a ``setup`` must hold this one.
     """
     n, c = instance.tenant_count, instance.resource_count
     if setup.resource_count != c:
@@ -347,13 +340,16 @@ def run_session(
 
     for tenant in order:
         demand = demand_rows[tenant]
-        charge = _dot(prices, demand)
+        # the tenant's offer and the booked payment: one sum, left to right
+        charge = 0.0
+        for p, d in zip(prices, demand):
+            charge += p * d
         record_quote(prices)
         record_charge(charge)
         surplus = valuations[tenant] - charge
         if surplus > 0:
             surpluses[tenant] = surplus
-            grown = [y + d for y, d in zip(utilization, demand)]
+            grown = list(map(add, utilization, demand))
             if max(grown) > CAPACITY:
                 record_outcome(FAIL)
                 continue

@@ -6,7 +6,8 @@ One arrival is three messages: the operator's ``PriceQuote``, the tenant's
 ``TranscriptEntry`` to a ``ReferenceLedger``.  Every message is checked as it
 is built.  This is the reference ``protocol.run_session`` is tested against
 (``test_session_kernel.py``): the engine must reproduce it bit for bit.  It
-computes the charge with the engine's own ``_dot``, ``_checked_prices`` and
+computes the charge with ``_dot``, the engine's left-to-right sum written
+out once, and checks messages with the engine's own ``_checked_prices`` and
 ``_float_tuple``, so both sides make the same float operations.
 """
 
@@ -24,11 +25,19 @@ from slicemarket.protocol import (
     ProtocolError,
     TranscriptEntry,
     _checked_prices,
-    _dot,
     _float_tuple,
 )
 
 PAYMENT_TOLERANCE = 1e-9
+
+
+def _dot(prices: Sequence[float], demand: Sequence[float]) -> float:
+    # the tenant and the settlement check must agree bit-for-bit on the charge,
+    # and with the engine, which sums the same products in the same order
+    total = 0.0
+    for p, d in zip(prices, demand):
+        total += p * d
+    return total
 
 
 @dataclass(frozen=True)

@@ -149,24 +149,91 @@ class TestLpUpperBound:
             assert lp_upper_bound(inst) >= offline_exact(inst).welfare - 1e-6
 
 
-@pytest.mark.parametrize("tenants", [100, 2000])
-def test_lp_bounds_as_one_pair_solve_the_same_model(tenants):
-    """``bounds=(0, 1)`` for every variable is the list of N pairs HiGHS was given before."""
+def _linprog_bound(instance) -> float:
+    """The bound as ``scipy.optimize.linprog`` solves it, with ``bounds=(0, 1)``
+    for every variable given as the list of N pairs."""
     from scipy.optimize import linprog
 
-    for seed in range(3):
-        inst = generate_instance(GenConfig(tenant_count=tenants, seed=seed))
-        profits = adjusted_profits(inst)
-        reference = linprog(
-            c=-profits,
-            A_ub=inst.demands.T,
-            b_ub=np.full(inst.resource_count, 1.0),
-            bounds=[(0.0, 1.0)] * tenants,
-            method="highs",
-            options={"presolve": False},
+    reference = linprog(
+        c=-adjusted_profits(instance),
+        A_ub=instance.demands.T,
+        b_ub=np.full(instance.resource_count, 1.0),
+        bounds=[(0.0, 1.0)] * instance.tenant_count,
+        method="highs",
+        options={"presolve": False},
+    )
+    assert reference.success
+    return float(-reference.fun)
+
+
+def _hand_built(rng, tenants: int, resources: int, profitable: bool) -> Instance:
+    """Half the demands exactly zero, one resource nobody demands and one
+    tenant with an all-zero row; the profits are mixed or all at most 0."""
+    demands = rng.uniform(0.0, 2.0 / tenants, (tenants, resources))
+    demands[rng.random((tenants, resources)) < 0.5] = 0.0
+    demands[:, rng.integers(resources)] = 0.0
+    demands[rng.integers(tenants)] = 0.0
+    unit_costs = rng.uniform(0.0, 1.0, resources)
+    valuations = demands @ unit_costs
+    if profitable:
+        valuations += rng.uniform(-0.5, 0.5, tenants) * valuations.mean()
+        valuations = np.maximum(valuations, 0.0)
+        valuations[0] = demands[0] @ unit_costs + 1.0  # at least one tenant is worth a solve
+    ones = np.ones(resources)
+    return Instance(demands, valuations, ones, 2 * ones, unit_costs)
+
+
+@pytest.mark.parametrize("tenants", [1, 30, 100, 2000, 20000])
+def test_lp_bounds_as_one_pair_solve_the_same_model(tenants, monkeypatch):
+    """The bound equals linprog's on generated and hand-built markets, bit for bit.
+
+    Generated: the default market (C = 3) and overfull markets with demand
+    mean = std = 4/N and participation 0.3 at C = 1, 3 and 9.  Hand-built:
+    exact zeros, a resource nobody demands, a tenant with an all-zero row;
+    with no positive profit, or no tenant, the bound is 0.0 without a solve.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    markets = [generate_instance(GenConfig(tenant_count=tenants, seed=seed)) for seed in range(3)]
+    rng = np.random.default_rng(tenants)
+    for resources in (1, 3, 9):
+        overfull = GenConfig(
+            tenant_count=tenants,
+            resource_count=resources,
+            demand_mean=4 / tenants,
+            demand_std=4 / tenants,
+            participation=0.3,
+            seed=resources,
         )
-        assert reference.success
-        assert lp_upper_bound(inst) == float(-reference.fun)
+        markets.append(generate_instance(overfull))
+        markets += [_hand_built(rng, tenants, resources, profitable=True) for _ in range(4)]
+    for inst in markets:
+        assert lp_upper_bound(inst) == _linprog_bound(inst)
+
+    unprofitable = [_hand_built(rng, tenants, resources, profitable=False) for resources in (1, 3, 9)]
+    unprofitable.append(Instance(np.zeros((0, 3)), np.zeros(0), np.ones(3), np.ones(3), np.ones(3)))
+    references = [_linprog_bound(inst) if inst.tenant_count else 0.0 for inst in unprofitable]
+    monkeypatch.setattr(highs, "_Highs", None)
+    for inst, reference in zip(unprofitable, references):
+        assert not (adjusted_profits(inst) > 0).any()
+        assert lp_upper_bound(inst) == reference == 0.0
+
+
+def test_lp_bound_does_not_go_through_linprog(monkeypatch):
+    """The bound and the budget-exhausted oracle solve the LP without linprog."""
+    import scipy.optimize
+
+    inst = generate_instance(GenConfig(tenant_count=40, resource_count=2, seed=2))
+    reference = _linprog_bound(inst)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog was called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    assert lp_upper_bound(inst) == reference
+    result = offline_exact(inst, method="branch-and-bound", node_budget=1)
+    assert not result.exact
+    assert result.upper_bound == reference
 
 
 def test_adjusted_profits_formula():
