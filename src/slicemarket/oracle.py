@@ -12,12 +12,21 @@ spread takes about 2N nodes; at N = 2000 a node costs about 2.3 µs, set-up
 included, on a 2-vCPU Xeon.  ``node_budget``, a positive integer, caps the
 nodes: when it runs out the result is the best allocation found, marked not
 exact and carrying the LP bound.
+
+The LP bound is solved by HiGHS through the binding scipy ships,
+``scipy.optimize._highspy._core``.  That extension module is loaded from
+its file alone on the first solve; neither ``import slicemarket`` nor the
+bound loads ``scipy.optimize``, ``scipy.linalg`` or ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -28,6 +37,7 @@ EXHAUSTIVE_LIMIT = 25
 _EXHAUSTIVE_CHUNK = 1 << 16
 _AUTO_EXHAUSTIVE = 16
 DEFAULT_NODE_BUDGET = 5_000_000
+_HIGHS = "scipy.optimize._highspy._core"
 
 
 class OracleError(MarketError):
@@ -183,6 +193,36 @@ def offline_exact(
     return OracleResult(welfare, accepted, method, exact=True, nodes_explored=nodes)
 
 
+def _highs_binding():
+    """The HiGHS extension module ``scipy.optimize._highspy._core``.
+
+    An importer loads the parents of a module first, and importing
+    ``scipy.optimize`` costs ≈0.5 s and ≈37 MB that the LP bound never uses.
+    The extension is therefore loaded from its file under scipy's package
+    directory, which ``find_spec("scipy")`` locates without importing scipy.
+    It is registered under its real name before it runs, so a later
+    ``import scipy.optimize`` reuses this module object instead of loading
+    the extension a second time; a module already registered is returned.
+    Since its parent package did not import it, the parent then lacks the
+    ``_core`` attribute: ``from scipy.optimize._highspy import _core``
+    finds the module through ``sys.modules``, attribute access does not.
+    """
+    module = sys.modules.get(_HIGHS)
+    if module is not None:
+        return module
+    scipy = find_spec("scipy")
+    if scipy is None:
+        raise OracleError("the LP bound needs scipy 1.15 or later, and scipy is not installed")
+    directory = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_HIGHS)
+    if spec is None:
+        raise OracleError(f"the LP bound needs scipy 1.15 or later: no HiGHS binding _core in {directory}")
+    module = module_from_spec(spec)
+    sys.modules[_HIGHS] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def lp_upper_bound(instance) -> float:
     """Optimum of the fractional relaxation; never below the exact optimum.
 
@@ -198,14 +238,15 @@ def lp_upper_bound(instance) -> float:
     its setters convert a numpy array element by element, several times
     slower.
 
-    ``scipy.optimize`` is imported here, on first use: it is most of the cost
-    of importing the package, and nothing else needs it.
+    Only that binding is loaded, on the first solve (``_highs_binding``); a
+    market without a positive profit returns 0.0 without loading it.
+    ``OracleError`` is raised when the binding is missing and when HiGHS
+    reports anything but an optimum.
     """
-    from scipy.optimize._highspy import _core as highs
-
     profits = adjusted_profits(instance)
     if not (profits > 0).any():
         return 0.0
+    highs = _highs_binding()
     n, c = instance.demands.shape
     nonzero = instance.demands != 0
     lp = highs.HighsLp()

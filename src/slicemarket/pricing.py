@@ -55,8 +55,8 @@ class PricingSchedule:
     def price_at(self, c: int, y: float) -> float:
         """Posted price of resource ``c`` at utilization ``y``.
 
-        Flat at the floor below the threshold, exponential up to capacity;
-        defined on ``[0, CAPACITY]``.
+        Flat at the floor up to and including the threshold, exponential
+        above it up to capacity; defined on ``[0, CAPACITY]``.
         """
         if not 0 <= c < len(self._w):
             raise SetupError(f"resource index {c} out of range [0, {self.resource_count})")
@@ -71,10 +71,12 @@ class PricingSchedule:
 
 
 def _threshold_price(q: float, floor: float, w: float, y: float) -> float:
-    # the schedule's one formula, behind both price_at and quote
+    # the schedule's one formula, behind both price_at and quote; at y == w the
+    # exponential branch, q + (floor - q) * exp(0.0), can round one ulp below
+    # the floor, so the threshold itself takes the flat branch
     if not 0 <= y <= CAPACITY:
         raise SetupError(f"utilization must lie in [0, {CAPACITY}], got {y!r}")
-    if y < w:
+    if y <= w:
         return floor
     return q + (floor - q) * math.exp(y / w - 1.0)
 

@@ -196,8 +196,27 @@ def validate_transcript_record(record: dict) -> None:
         raise TranscriptSchemaError(f"transcript record rejected: {problem}")
 
 
+#: One record as ``json.dumps(record, separators=(",", ":"))`` writes it.
+_RECORD_LINE = '{"n":%r,"quote":[%s],"x":%r,"pi":%r,"d":[%s],"outcome":"%s"}\n'
+
+
 def transcript_to_jsonl(entries: Iterable[TranscriptEntry]) -> str:
-    return "".join(json.dumps(e.to_record(), separators=(",", ":")) + "\n" for e in entries)
+    """One JSON object per line, byte for byte ``json.dumps`` of each
+    ``to_record()`` with compact separators, for entries as the engine
+    builds them: ``int`` arrival and flag, Python floats and one of the
+    three outcome words, which need no escaping.
+
+    Each record is one ``%``-format with ``repr`` for the numbers, as json
+    spells them, except that json writes a non-finite float as ``Infinity``,
+    ``-Infinity`` or ``NaN``.  No key or outcome holds ``inf`` or ``nan``, so
+    those two spellings are fixed on the finished text.
+    """
+    text = "".join(
+        _RECORD_LINE
+        % (e.arrival, ",".join(map(repr, e.quote)), e.accepted, e.payment, ",".join(map(repr, e.demand)), e.outcome)
+        for e in entries
+    )
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
 def parse_transcript_jsonl(text: str) -> list[dict]:

@@ -57,6 +57,22 @@ class TestRun:
         assert (out / "trials.csv").exists()
         assert (out / "summary.csv").exists()
 
+    def test_lp_run_loads_no_scipy_optimize(self, tmp_path):
+        # the cold start of an LP run: only the HiGHS binding, not scipy.optimize
+        path = spec_file(tmp_path, config=GenConfig(tenant_count=5, resource_count=2).to_dict())
+        src = str(Path(slicemarket.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from slicemarket.cli import main\n"
+            f"assert main(['run', '--spec', {str(path)!r}, '--oracle', 'lp', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "assert 'scipy.optimize._highspy._core' in sys.modules\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert ",lp_bound," in (tmp_path / "out" / "trials.csv").read_text()
+
     def test_missing_spec_is_io_failure(self, tmp_path):
         assert main(["run", "--spec", str(tmp_path / "nope.json")]) == 3
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -241,18 +242,67 @@ def test_adjusted_profits_formula():
     assert adjusted_profits(inst)[0] == pytest.approx(2.0 - (0.5 * 0.4 + 0.2 * 1.0))
 
 
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter with the package and these tests on the path."""
+    paths = [Path(slicemarket.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_package_imports_without_scipy():
-    """``scipy.optimize`` loads on the first LP solve, not with the package."""
-    src = Path(slicemarket.__file__).resolve().parents[1]
-    code = (
+    """No scipy module loads with the package; an LP solve loads the HiGHS
+    binding and its pybind submodules, and nothing else of scipy."""
+    _run_fresh(
         "import sys\n"
         "import slicemarket, slicemarket.cli\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
         "from slicemarket.workload import GenConfig, generate_instance\n"
         "assert slicemarket.lp_upper_bound(generate_instance(GenConfig(tenant_count=5))) > 0\n"
-        "assert 'scipy.optimize' in sys.modules\n"
+        "assert not {'scipy.optimize', 'scipy.linalg', 'scipy.sparse'} & sys.modules.keys()\n"
+        "core = 'scipy.optimize._highspy._core'\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert core in loaded, loaded\n"
+        "assert all(m == core or m.startswith(core + '.') for m in loaded), loaded\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        "bounds = [lp_upper_bound(m) for m in markets]\nbinding = _highs_binding()\nimport scipy.optimize\n",
+        "import scipy.optimize\nbinding = _highs_binding()\nbounds = [lp_upper_bound(m) for m in markets]\n",
+    ],
+    ids=["binding-first", "scipy-optimize-first"],
+)
+def test_one_binding_in_either_load_order(steps):
+    """Whichever loads first, the binding and ``scipy.optimize`` share one
+    module object, and the bound stays linprog's bit for bit."""
+    _run_fresh(
+        "import sys\n"
+        "from slicemarket.oracle import _highs_binding, lp_upper_bound\n"
+        "from slicemarket.workload import GenConfig, generate_instance\n"
+        "markets = [generate_instance(GenConfig(tenant_count=n, seed=n)) for n in (30, 2000)]\n"
+        + steps
+        + "from scipy.optimize._highspy import _core\n"
+        "assert binding is _core is sys.modules['scipy.optimize._highspy._core']\n"
+        "assert _highs_binding() is binding\n"
+        "from test_oracle import _linprog_bound\n"
+        "assert bounds == [_linprog_bound(m) for m in markets], bounds\n"
+    )
+
+
+@pytest.mark.parametrize("scipy_found", [True, False], ids=["no-binding-file", "no-scipy"])
+def test_missing_binding_is_an_oracle_error(scipy_found, tmp_path, monkeypatch):
+    from slicemarket import oracle
+
+    package = SimpleNamespace(submodule_search_locations=[str(tmp_path)]) if scipy_found else None
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
+    monkeypatch.setattr(oracle, "find_spec", lambda name: package)
+    inst = generate_instance(GenConfig(tenant_count=5))
+    with pytest.raises(OracleError, match="needs scipy 1.15 or later") as error:
+        lp_upper_bound(inst)
+    if scipy_found:
+        assert str(tmp_path / "optimize" / "_highspy") in str(error.value)
+    assert "scipy.optimize._highspy._core" not in sys.modules

@@ -151,15 +151,18 @@ class TestScheduleProperties:
                 left = schedule.price_at(c, max(w - 1e-9, 0.0))
                 assert abs(left - schedule.price_at(c, w)) <= 1e-6
 
-    def test_exponential_branch_starts_at_the_threshold(self, rng):
-        # at y == w the price is q + (floor - q) * exp(0), one ulp off the floor at times
+    def test_flat_at_the_floor_through_the_threshold(self, rng):
+        # q + (floor - q) * exp(0) can round one ulp below the floor, so y == w
+        # must take the flat branch; just above it the price never dips
         for _ in range(200):
             setup = random_setup(rng)
             schedule = build_schedule(setup)
-            for c, w in enumerate(schedule.thresholds.tolist()):
-                q, floor = float(setup.unit_costs[c]), float(setup.price_floors[c])
-                assert schedule.price_at(c, w) == q + (floor - q)
-                assert schedule.price_at(c, float(np.nextafter(w, 0.0))) == floor
+            thresholds = schedule.thresholds.tolist()
+            quoted = schedule.quote(thresholds)
+            for c, w in enumerate(thresholds):
+                floor = float(setup.price_floors[c])
+                assert schedule.price_at(c, w) == quoted[c] == floor
+                assert schedule.price_at(c, float(np.nextafter(w, 1.0))) >= floor
 
     def test_monotone_on_grid(self, rng):
         grid = np.arange(0, 1001) / 1000.0

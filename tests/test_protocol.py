@@ -20,6 +20,7 @@ from slicemarket.protocol import (
     SUCC,
     DualCertificate,
     ProtocolError,
+    TranscriptEntry,
     TranscriptSchemaError,
     arrival_order,
     parse_transcript_jsonl,
@@ -396,6 +397,25 @@ class TestTranscript:
             assert record["x"] == entry.accepted
             assert record["pi"] == pytest.approx(entry.payment)
             assert record["outcome"] == entry.outcome
+
+    def test_jsonl_is_json_dumps_byte_for_byte(self):
+        """The ``%``-format serializer against ``json.dumps`` per record, on
+        posted and myopic sessions and on records with a non-finite payment,
+        where json writes ``Infinity`` and ``NaN``."""
+
+        def reference(entries):
+            return "".join(json.dumps(e.to_record(), separators=(",", ":")) + "\n" for e in entries)
+
+        for seed in range(20):
+            inst = generate_instance(GenConfig(tenant_count=10 + 10 * seed, resource_count=1 + seed % 4, seed=seed))
+            for entries in (run_posted_price(inst).ledger.transcript, myopic_slicing(inst).ledger.transcript):
+                assert transcript_to_jsonl(entries) == reference(entries)
+        odd = [
+            TranscriptEntry(1, (0.5, 1.25), 1, payment, (0.1, 2e-300), SUCC)
+            for payment in (math.inf, -math.inf, math.nan, 5e-324, 0.1 + 0.2)
+        ]
+        assert transcript_to_jsonl(odd) == reference(odd)
+        assert "Infinity" in reference(odd)
 
     @pytest.mark.parametrize(
         "private_field, value",
