@@ -3,15 +3,26 @@
 With linear costs the offline problem collapses to a multidimensional 0/1
 knapsack: maximize the sum of adjusted profits ``valuation - cost of the
 demanded bundle`` subject to unit capacity per resource.  Small instances are
-enumerated exhaustively; larger ones run a depth-first branch-and-bound with
-a fractional-knapsack bound on the aggregated capacity constraint.
+enumerated exhaustively; larger ones run a depth-first branch-and-bound whose
+bound is the fractional knapsack of one surrogate capacity constraint.
 
 The search sorts and sums in numpy once per call and visits each node on
-Python lists and floats.  A generated N-tenant market at the default demand
-spread takes about 2N nodes; at N = 2000 a node costs about 2.3 µs, set-up
-included, on a 2-vCPU Xeon.  ``node_budget``, a positive integer, caps the
-nodes: when it runs out the result is the best allocation found, marked not
-exact and carrying the LP bound.
+Python lists and floats, diving into the take child and stacking only the
+skip branch.  It first runs as a probe that sums the C capacities into one.
+A generated N-tenant market at the default demand spread finishes the probe
+in about 2N nodes (at most 2.2 per viable tenant at N = 20 to 2000, C = 1 to
+9); at N = 2000 a node costs about 1.6 µs, set-up included, on a 2-vCPU
+Xeon.  With dispersed demands the summed bound is loose, and the probe stops
+after ``_PROBE_NODES_PER_TENANT`` nodes per viable tenant.  The LP relaxation
+is then solved once, and the search restarts with the LP's capacity duals λ
+as surrogate weights (Glover, Oper. Res. 1968; Gavish and Pirkul, Math. Prog.
+1985), whose bound at the root is the LP value.  With one resource every
+weighting is the summed bound rescaled, so the probe is the whole search.
+A market whose probe finishes never solves the LP.
+
+``node_budget``, a positive integer, caps the nodes the probe and the restart
+visit together.  When it runs out, the result is the best allocation found,
+marked not exact and carrying the LP bound, the same solve the restart used.
 
 The LP bound is solved by HiGHS through the binding scipy ships,
 ``scipy.optimize._highspy._core``.  That extension module is loaded from
@@ -27,6 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
+from operator import mul
 
 import numpy as np
 
@@ -37,6 +49,8 @@ EXHAUSTIVE_LIMIT = 25
 _EXHAUSTIVE_CHUNK = 1 << 16
 _AUTO_EXHAUSTIVE = 16
 DEFAULT_NODE_BUDGET = 5_000_000
+# default markets finish the summed probe in at most 2.2 nodes per viable tenant
+_PROBE_NODES_PER_TENANT = 8
 _HIGHS = "scipy.optimize._highspy._core"
 
 
@@ -85,17 +99,37 @@ def _exhaustive(profits: np.ndarray, demands: np.ndarray) -> tuple[float, np.nda
 
 
 def _branch_and_bound(
-    profits: np.ndarray, demands: np.ndarray, node_budget: int
+    profits: np.ndarray, demands: np.ndarray, node_budget: int, weights: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, int, bool]:
     """Depth-first search over items in descending density; returns the chosen mask.
 
     A node's bound is its value plus the greedy fractional fill of the items
-    below it within the summed remaining capacity, the optimum of the
-    single-constraint relaxation.  The sort and the prefix sums run in numpy;
-    the per-node work runs on Python lists and floats.
+    below it within one surrogate capacity, the optimum of that single
+    constraint's relaxation.  Without ``weights`` the surrogate sums the C
+    capacities: an item's size is its summed demand and a node's room the sum
+    of its remaining capacities.  With nonnegative ``weights`` λ an item's
+    size is ``demand @ λ`` and a node's room ``Σ_c λ_c (r_c + FEASIBILITY_EPS)``:
+    a take may leave ``r_c`` as low as ``-FEASIBILITY_EPS``, so every set of
+    takes below the node fits that room and the bound prunes no optimum.
+
+    The search visits a take child as soon as it is built and stacks only the
+    skip branch; each node carries its room, computed once with its remaining
+    list.  It visits at most ``node_budget`` nodes and reports the budget
+    exhausted only when a node was left unvisited.  The sort and the prefix
+    sums run in numpy; the per-node work runs on Python lists and floats.
     """
     m, resources = demands.shape
-    aggregate = demands.sum(axis=1)
+    if weights is None:
+        aggregate = demands.sum(axis=1)
+        room_of = sum
+    else:
+        aggregate = demands @ weights
+        weight_list = weights.tolist()
+        slack = FEASIBILITY_EPS * sum(weight_list)
+
+        def room_of(remaining: list[float]) -> float:
+            return sum(map(mul, weight_list, remaining)) + slack
+
     with np.errstate(divide="ignore"):
         density = np.where(aggregate > 0, profits / aggregate, np.inf)
     order = np.argsort(-density, kind="stable")
@@ -109,41 +143,52 @@ def _branch_and_bound(
 
     best_value = 0.0
     best_mask = 0
+    cutoff = best_value + 1e-12 * max(1.0, abs(best_value))
     nodes = 0
     exhausted = False
-    stack: list[tuple[int, float, list[float], int]] = [(0, 0.0, [CAPACITY] * resources, 0)]
-    while stack:
-        depth, value, remaining, mask = stack.pop()
+    depth, value, mask = 0, 0.0, 0
+    remaining = [CAPACITY] * resources
+    room = room_of(remaining)
+    stack: list[tuple[int, float, list[float], float, int]] = []
+    while True:
+        if nodes == node_budget:
+            exhausted = True
+            break
         nodes += 1
         if value > best_value:
             best_value = value
             best_mask = mask
-        if depth == m:
-            continue
-        if nodes >= node_budget:
-            exhausted = True
+            cutoff = best_value + 1e-12 * max(1.0, abs(best_value))
+        if depth < m:
+            # fractional fill of items depth.. within the node's room; bisect_right
+            # over the sorted, NaN-free prefix sums is searchsorted(side="right")
+            target = prefix_a[depth] + room
+            t = bisect_right(prefix_a, target) - 1
+            if t >= m:
+                tail = prefix_p[m] - prefix_p[depth]
+            else:
+                tail = prefix_p[t] - prefix_p[depth]
+                leftover = target - prefix_a[t]
+                if leftover > 0 and finite[t]:
+                    tail += leftover * density[t]
+            if value + tail > cutoff:
+                taken = []
+                for r, d in zip(remaining, rows[depth]):
+                    if r + FEASIBILITY_EPS < d:
+                        break
+                    taken.append(r - d)
+                else:
+                    stack.append((depth + 1, value, remaining, room, mask))
+                    value += profit_list[depth]
+                    remaining = taken
+                    room = room_of(taken)
+                    mask |= 1 << depth
+                # visit the take child, or the skip child when the item does not fit
+                depth += 1
+                continue
+        if not stack:
             break
-        # fractional fill of items depth.. within the summed remaining capacity;
-        # bisect_right over the sorted, NaN-free prefix sums is searchsorted(side="right")
-        target = prefix_a[depth] + sum(remaining)
-        t = bisect_right(prefix_a, target) - 1
-        if t >= m:
-            tail = prefix_p[m] - prefix_p[depth]
-        else:
-            tail = prefix_p[t] - prefix_p[depth]
-            leftover = target - prefix_a[t]
-            if leftover > 0 and finite[t]:
-                tail += leftover * density[t]
-        if value + tail <= best_value + 1e-12 * max(1.0, abs(best_value)):
-            continue
-        stack.append((depth + 1, value, remaining, mask))
-        row = rows[depth]
-        for r, d in zip(remaining, row):
-            if r + FEASIBILITY_EPS < d:
-                break
-        else:
-            taken = [r - d for r, d in zip(remaining, row)]
-            stack.append((depth + 1, value + profit_list[depth], taken, mask | (1 << depth)))
+        depth, value, remaining, room, mask = stack.pop()
 
     # the mask is over sorted positions; order maps them back to item indices
     chosen = np.zeros(m, dtype=bool)
@@ -183,13 +228,22 @@ def offline_exact(
         nodes = 1 << m
         exhausted = False
     else:
-        _, chosen, nodes, exhausted = _branch_and_bound(profits[index], instance.demands[index], node_budget)
+        items = profits[index], instance.demands[index]
+        # with one resource every weighting rescales the summed bound, so the
+        # probe is the whole search
+        probe = node_budget if instance.resource_count == 1 else min(node_budget, _PROBE_NODES_PER_TENANT * m)
+        best, chosen, nodes, exhausted = _branch_and_bound(*items, probe)
+        if exhausted:
+            upper_bound, duals = lp_relaxation(instance)
+        if exhausted and nodes < node_budget:
+            value, weighted, more, exhausted = _branch_and_bound(*items, node_budget - nodes, duals)
+            nodes += more
+            if value > best:
+                chosen = weighted
     accepted[index[chosen]] = True
     welfare = float(profits[accepted].sum()) if accepted.any() else 0.0
     if exhausted:
-        return OracleResult(
-            welfare, accepted, method, exact=False, upper_bound=lp_upper_bound(instance), nodes_explored=nodes
-        )
+        return OracleResult(welfare, accepted, method, exact=False, upper_bound=upper_bound, nodes_explored=nodes)
     return OracleResult(welfare, accepted, method, exact=True, nodes_explored=nodes)
 
 
@@ -226,26 +280,39 @@ def _highs_binding():
 def lp_upper_bound(instance) -> float:
     """Optimum of the fractional relaxation; never below the exact optimum.
 
+    It is ``lp_relaxation(instance)[0]``: linprog's ``-fun`` bit for bit.
+    """
+    return lp_relaxation(instance)[0]
+
+
+def lp_relaxation(instance) -> tuple[float, np.ndarray]:
+    """Optimum of the fractional relaxation and the capacity duals of that optimum.
+
     The LP goes straight to HiGHS through the binding ``scipy.optimize.linprog``
     itself calls, built as ``linprog(method="highs", options={"presolve":
     False})`` builds it: the constraint matrix column-wise with tenant n's
     demand row as column n and its zeros dropped, rows in (-inf, CAPACITY],
     columns in [0, 1], cost ``-profits``, and only the options linprog sets.
-    The bound is therefore linprog's ``-fun`` bit for bit.  linprog itself is
+    The value is therefore linprog's ``-fun`` bit for bit.  linprog itself is
     skipped because after the solve it builds bound marginals in a Python
     loop over every column, about two thirds of its time at N = 20 000, and
-    the bound needs none of them.  The arrays go to the binding as lists:
-    its setters convert a numpy array element by element, several times
-    slower.
+    neither the value nor the duals need them.  The arrays go to the binding
+    as lists: its setters convert a numpy array element by element, several
+    times slower.
+
+    The duals λ, one per resource, are HiGHS's row duals negated (they belong
+    to the minimisation of ``-profits``) and clipped at zero: the shadow price
+    of a unit of capacity.  By strong duality ``Σ_c λ_c + Σ_n (π_n - d_n·λ)^+``
+    equals the value, with π the adjusted profits.
 
     Only that binding is loaded, on the first solve (``_highs_binding``); a
-    market without a positive profit returns 0.0 without loading it.
-    ``OracleError`` is raised when the binding is missing and when HiGHS
+    market without a positive profit returns ``(0.0, zeros)`` without loading
+    it.  ``OracleError`` is raised when the binding is missing and when HiGHS
     reports anything but an optimum.
     """
     profits = adjusted_profits(instance)
     if not (profits > 0).any():
-        return 0.0
+        return 0.0, np.zeros(instance.resource_count)
     highs = _highs_binding()
     n, c = instance.demands.shape
     nonzero = instance.demands != 0
@@ -277,4 +344,5 @@ def lp_upper_bound(instance) -> float:
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         raise OracleError(f"LP relaxation unexpectedly failed: {solver.modelStatusToString(status)}")
-    return -solver.getInfo().objective_function_value
+    duals = np.maximum(-np.asarray(solver.getSolution().row_dual), 0.0)
+    return -solver.getInfo().objective_function_value, duals

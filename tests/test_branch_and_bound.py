@@ -1,18 +1,39 @@
-"""Differential test: the list-based branch-and-bound against the numpy one.
+"""Differential tests: the branch-and-bound dive against two older searches.
 
 ``_reference_branch_and_bound`` and ``_reference_fractional_tail`` are the
 search as it was first written, with numpy scalars, ``np.searchsorted`` and a
-mask packed over the viable item indices.  The list-based search must return
-the same optimum, the same chosen items, the same node count and the same
-budget flag, bit for bit, including when the node budget runs out.
+mask packed over the viable item indices.  ``_list_branch_and_bound`` is the
+same search on Python lists and floats, which stacks both children of a node
+and sums its remaining capacities when it visits it.  The two references
+agree bit for bit.  Both check the node budget only at inner nodes, so a leaf
+can take them past it.
+
+``oracle._branch_and_bound`` with no weights must return what they return,
+bit for bit (optimum, chosen items, node count, budget flag), wherever they
+finish within the budget.  Where they run out, it visits the same nodes in the
+same order and stops at the budget.  With weights it is compared with
+exhaustive enumeration instead.
 """
+
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
+from slicemarket import oracle
 from slicemarket.market import CAPACITY, FEASIBILITY_EPS
-from slicemarket.oracle import _branch_and_bound, _unpack, adjusted_profits, offline_exact
-from slicemarket.workload import GenConfig, generate_instance
+from slicemarket.oracle import (
+    _PROBE_NODES_PER_TENANT,
+    DEFAULT_NODE_BUDGET,
+    _branch_and_bound,
+    _exhaustive,
+    _unpack,
+    adjusted_profits,
+    lp_relaxation,
+    lp_upper_bound,
+    offline_exact,
+)
+from slicemarket.workload import GenConfig, Instance, generate_instance
 
 
 def _reference_fractional_tail(start: int, cap: float, prefix_p, prefix_a, dens, m: int) -> float:
@@ -87,16 +108,94 @@ def _reference_branch_and_bound(
     return best_value, packed, nodes, exhausted
 
 
+def _list_branch_and_bound(
+    profits: np.ndarray, demands: np.ndarray, node_budget: int
+) -> tuple[float, np.ndarray, int, bool]:
+    """The list search before the dive: each pop counts a node, a leaf is
+    counted before the budget check, and a node's bound sums its remaining
+    capacities when it is visited."""
+    m, resources = demands.shape
+    aggregate = demands.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        density = np.where(aggregate > 0, profits / aggregate, np.inf)
+    order = np.argsort(-density, kind="stable")
+    density = density[order]
+    prefix_p = np.concatenate(([0.0], np.cumsum(profits[order]))).tolist()
+    prefix_a = np.concatenate(([0.0], np.cumsum(aggregate[order]))).tolist()
+    finite = np.isfinite(density).tolist()
+    density = density.tolist()
+    rows = demands[order].tolist()
+    profit_list = profits[order].tolist()
+
+    best_value = 0.0
+    best_mask = 0
+    nodes = 0
+    exhausted = False
+    stack: list[tuple[int, float, list[float], int]] = [(0, 0.0, [CAPACITY] * resources, 0)]
+    while stack:
+        depth, value, remaining, mask = stack.pop()
+        nodes += 1
+        if value > best_value:
+            best_value = value
+            best_mask = mask
+        if depth == m:
+            continue
+        if nodes >= node_budget:
+            exhausted = True
+            break
+        # fractional fill of items depth.. within the summed remaining capacity;
+        # bisect_right over the sorted, NaN-free prefix sums is searchsorted(side="right")
+        target = prefix_a[depth] + sum(remaining)
+        t = bisect_right(prefix_a, target) - 1
+        if t >= m:
+            tail = prefix_p[m] - prefix_p[depth]
+        else:
+            tail = prefix_p[t] - prefix_p[depth]
+            leftover = target - prefix_a[t]
+            if leftover > 0 and finite[t]:
+                tail += leftover * density[t]
+        if value + tail <= best_value + 1e-12 * max(1.0, abs(best_value)):
+            continue
+        stack.append((depth + 1, value, remaining, mask))
+        row = rows[depth]
+        for r, d in zip(remaining, row):
+            if r + FEASIBILITY_EPS < d:
+                break
+        else:
+            taken = [r - d for r, d in zip(remaining, row)]
+            stack.append((depth + 1, value + profit_list[depth], taken, mask | (1 << depth)))
+
+    # the mask is over sorted positions; order maps them back to item indices
+    chosen = np.zeros(m, dtype=bool)
+    chosen[order] = _unpack(best_mask, m)
+    return best_value, chosen, nodes, exhausted
+
+
 def assert_same_search(profits, demands, node_budget: int = 10**9) -> tuple[float, np.ndarray, int, bool]:
+    """Run the three searches; returns the references' result."""
     profits = np.asarray(profits, dtype=float)
     demands = np.asarray(demands, dtype=float).reshape(len(profits), -1)
     value, packed, nodes, exhausted = _reference_branch_and_bound(profits, demands, node_budget)
     want = np.array([packed >> i & 1 for i in range(len(profits))], dtype=bool)
+    listed = _list_branch_and_bound(profits, demands, node_budget)
+    assert listed[0].hex() == value.hex() and listed[1].tobytes() == want.tobytes()
+    assert listed[2:] == (nodes, exhausted)
+
     got_value, got_chosen, got_nodes, got_exhausted = _branch_and_bound(profits, demands, node_budget)
-    assert type(got_value) is float and got_value.hex() == value.hex()
-    assert got_chosen.dtype == bool and got_chosen.tobytes() == want.tobytes()
-    assert type(got_nodes) is int and got_nodes == nodes
-    assert got_exhausted is exhausted
+    assert type(got_value) is float and got_chosen.dtype == bool and type(got_nodes) is int
+    assert got_nodes <= node_budget
+    if exhausted or nodes > node_budget:
+        # the references ran out, or a leaf took them past the budget: the dive
+        # visited the first got_nodes of their nodes, in their order, and runs
+        # out only when it reaches the budget
+        assert got_value <= value and (got_nodes == node_budget or not got_exhausted)
+        if nodes == node_budget:
+            assert got_value.hex() == value.hex() and got_chosen.tobytes() == want.tobytes()
+    else:
+        assert got_value.hex() == value.hex()
+        assert got_chosen.tobytes() == want.tobytes()
+        assert got_nodes == nodes
+        assert got_exhausted is False
     return value, want, nodes, exhausted
 
 
@@ -146,33 +245,68 @@ def test_offline_exact_translates_the_mask_through_the_sort():
     assert result.welfare == pytest.approx(value, rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_density_ties(seed):
-    # a handful of exact density levels (profit = level * aggregate, the
-    # level a power of two), repeated items included: the stable sort's tie
-    # order decides the search order
+def tied_market(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A handful of exact density levels (profit = level * aggregate, the
+    level a power of two), repeated items included: the stable sort's tie
+    order decides the search order."""
     rng = np.random.default_rng(seed)
     m, c = int(rng.integers(5, 40)), int(rng.integers(1, 5))
     demands = rng.choice(np.arange(1, 9) / 16, size=(m, c))
     demands[m // 2 :] = demands[: m - m // 2]
     levels = rng.choice([0.5, 1.0, 2.0, 4.0], size=m)
-    profits = levels * demands.sum(axis=1)
-    density = profits / demands.sum(axis=1)
-    assert len(np.unique(density)) < m
-    assert_same_search(profits, demands)
+    return levels * demands.sum(axis=1), demands
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_zero_demand_items(seed):
-    # zero rows have density inf and sort first, ties among them included;
-    # their inf density must never enter the fractional fill
+def zero_demand_market(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero rows have density inf and sort first, ties among them included;
+    their inf density must never enter the fractional fill."""
     rng = np.random.default_rng(100 + seed)
     m, c = int(rng.integers(2, 30)), int(rng.integers(1, 4))
     demands = rng.uniform(0.0, 0.6, size=(m, c))
     zero = rng.random(m) < 0.3
     zero[rng.integers(m)] = True
     demands[zero] = 0.0
-    profits = rng.uniform(0.1, 2.0, size=m)
+    return rng.uniform(0.1, 2.0, size=m), demands
+
+
+def grid_market(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Demands on a 1/8 grid on one resource: every prefix sum and every
+    remaining capacity is exact, so the fill meets a prefix sum with
+    ``leftover == 0`` at the root and below it."""
+    rng = np.random.default_rng(200 + seed)
+    m = int(rng.integers(9, 30))
+    demands = rng.choice(np.arange(1, 5) / 8, size=(m, 1))
+    return rng.integers(1, 20, size=m) / 4, demands
+
+
+def exact_fill_market() -> tuple[np.ndarray, np.ndarray]:
+    """Eight items of 1/8 in descending density fill the root bound exactly."""
+    return np.arange(12, 0, -1) / 8, np.full((12, 1), 1 / 8)
+
+
+def dipping_market(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Demands up to FEASIBILITY_EPS past a full resource still fit, so the
+    remaining capacity, and with it the fill target, can fall below zero;
+    tiny items after the big ones make the prefix sums nearly flat there."""
+    rng = np.random.default_rng(300 + seed)
+    half = 0.5 + rng.uniform(0.0, 0.49, size=2) * FEASIBILITY_EPS
+    tiny = rng.uniform(0.0, 0.3, size=4) * FEASIBILITY_EPS
+    rest = rng.uniform(0.05, 0.4, size=4)
+    demands = np.concatenate((half, tiny, rest))[:, None]
+    profits = np.concatenate((2.0 * half, 1.5 * tiny, rng.uniform(0.01, 0.9, size=4) * rest))
+    return profits, demands
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_density_ties(seed):
+    profits, demands = tied_market(seed)
+    assert len(np.unique(profits / demands.sum(axis=1))) < len(profits)
+    assert_same_search(profits, demands)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_zero_demand_items(seed):
+    profits, demands = zero_demand_market(seed)
     value, chosen, _, _ = assert_same_search(profits, demands)
     assert chosen[demands.sum(axis=1) == 0].all()
 
@@ -185,20 +319,11 @@ def test_only_zero_demand_items():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_fill_lands_on_a_prefix_sum(seed):
-    # demands on a 1/8 grid on one resource: every prefix sum and every
-    # remaining capacity is exact, so the fill meets a prefix sum with
-    # ``leftover == 0`` at the root and below it
-    rng = np.random.default_rng(200 + seed)
-    m = int(rng.integers(9, 30))
-    demands = rng.choice(np.arange(1, 5) / 8, size=(m, 1))
-    profits = rng.integers(1, 20, size=m) / 4
-    assert_same_search(profits, demands)
+    assert_same_search(*grid_market(seed))
 
 
 def test_root_fill_exactly_full():
-    # eight items of 1/8 in descending density fill the root bound exactly
-    profits = np.arange(12, 0, -1) / 8
-    demands = np.full((12, 1), 1 / 8)
+    profits, demands = exact_fill_market()
     assert np.cumsum(demands[:, 0])[7] == CAPACITY
     value, chosen, _, _ = assert_same_search(profits, demands)
     assert chosen.tolist() == [True] * 8 + [False] * 4
@@ -206,17 +331,132 @@ def test_root_fill_exactly_full():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_remaining_capacity_dips_below_zero(seed):
-    # demands up to FEASIBILITY_EPS past a full resource still fit, so the
-    # remaining capacity, and with it the fill target, can fall below zero;
-    # tiny items after the big ones make the prefix sums nearly flat there
-    rng = np.random.default_rng(300 + seed)
-    half = 0.5 + rng.uniform(0.0, 0.49, size=2) * FEASIBILITY_EPS
-    tiny = rng.uniform(0.0, 0.3, size=4) * FEASIBILITY_EPS
-    rest = rng.uniform(0.05, 0.4, size=4)
-    demands = np.concatenate((half, tiny, rest))[:, None]
-    profits = np.concatenate((2.0 * half, 1.5 * tiny, rng.uniform(0.01, 0.9, size=4) * rest))
-    value, chosen, _, _ = assert_same_search(profits, demands)
+    value, chosen, _, _ = assert_same_search(*dipping_market(seed))
     assert chosen[:2].all()
+
+
+def generated_items(tenants: int, resources: int, seed: int, share: float | None = None, spread: float | None = None):
+    """The viable items of a generated market; ``share`` and ``spread`` set the
+    demand mean and std to that many times 1/N (the defaults when None)."""
+    config = GenConfig(
+        tenant_count=tenants,
+        resource_count=resources,
+        demand_mean=None if share is None else share / tenants,
+        demand_std=None if spread is None else spread / tenants,
+        seed=seed,
+    )
+    return viable_items(generate_instance(config))
+
+
+def lp_weights(profits: np.ndarray, demands: np.ndarray) -> np.ndarray:
+    """The capacity duals of the LP relaxation of these items."""
+    ones = np.ones(demands.shape[1])
+    return lp_relaxation(Instance(demands, profits, ones, 2 * ones, 0 * ones))[1]
+
+
+# each family with the seeds its differential test uses; exhaustive
+# enumeration of 20 generated items takes about 0.15 s, so those get four
+SMALL_MARKETS = {
+    "generated": (range(4), lambda seed: generated_items(20, 1 + seed % 5, seed)),
+    "overfull": (range(4), lambda seed: generated_items(20, 1 + seed % 5, seed, share=3.0, spread=3.0)),
+    "dispersed": (range(4), lambda seed: generated_items(20, 3 + 6 * (seed % 2), seed, share=1.0, spread=1.0)),
+    "tied": (range(30), tied_market),
+    "zero-demand": (range(20), zero_demand_market),
+    "grid": (range(20), grid_market),
+    "exact-fill": (range(1), lambda seed: exact_fill_market()),
+    "dipping": (range(10), dipping_market),
+}
+
+
+@pytest.mark.parametrize("family", SMALL_MARKETS)
+def test_weighted_search_finds_the_exhaustive_optimum(family):
+    """Any nonnegative weights make a valid surrogate bound, so the weighted
+    search is exact with the LP duals, with random weights and with one weight
+    zero, on every market of the family with at most 20 items."""
+    rng = np.random.default_rng(7)
+    seeds, build = SMALL_MARKETS[family]
+    markets = [market for market in map(build, seeds) if len(market[0]) <= 20]
+    assert len(markets) >= min(len(seeds), 4)
+    for profits, demands in markets:
+        optimum, _ = _exhaustive(profits, demands)
+        resources = demands.shape[1]
+        weightings = [lp_weights(profits, demands), rng.uniform(0.1, 2.0, resources)]
+        if resources > 1:
+            weightings.append(rng.uniform(0.1, 2.0, resources) * (np.arange(resources) != rng.integers(resources)))
+        for weights in weightings:
+            value, chosen, _, exhausted = _branch_and_bound(profits, demands, 10**9, weights)
+            assert not exhausted
+            assert value == pytest.approx(optimum, rel=1e-12, abs=1e-15)
+            assert value == pytest.approx(profits[chosen].sum(), rel=1e-12, abs=1e-15)
+            assert (demands[chosen].sum(axis=0) <= CAPACITY + 2 * FEASIBILITY_EPS).all()
+
+
+def dispersed(tenants: int, resources: int, share: float, seed: int) -> GenConfig:
+    """Demand mean and std both ``share / tenants``: demands far more spread
+    than the default std of 1/N², so the summed capacity is a loose bound."""
+    return GenConfig(
+        tenant_count=tenants, resource_count=resources, demand_mean=share / tenants, demand_std=share / tenants, seed=seed
+    )
+
+
+def market_id(config: GenConfig) -> str:
+    share = config.demand_mean * config.tenant_count
+    return f"N{config.tenant_count}-C{config.resource_count}-share{share:g}-seed{config.seed}"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        *(dispersed(100, 9, 1.0, seed) for seed in range(3)),
+        *(dispersed(500, 3, 1.0, seed) for seed in range(2)),
+        dispersed(2000, 3, 2.0, 1),
+    ],
+    ids=market_id,
+)
+def test_dispersed_markets_solve_exactly(config):
+    # the summed bound spends all 5 000 000 nodes on each of these markets;
+    # the probe runs out, and the search restarted on the LP duals finishes
+    instance = generate_instance(config)
+    profits = adjusted_profits(instance)
+    result = offline_exact(instance)
+    assert result.method == "branch-and-bound" and result.exact
+    m = len(viable_items(instance)[0])
+    assert _PROBE_NODES_PER_TENANT * m < result.nodes_explored <= DEFAULT_NODE_BUDGET
+    assert result.welfare == float(profits[result.accepted].sum())
+    assert (instance.demands[result.accepted].sum(axis=0) <= CAPACITY + FEASIBILITY_EPS).all()
+    assert result.welfare <= lp_upper_bound(instance)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [dispersed(40, 3, 1.0, 0), dispersed(40, 3, 1.0, 1), dispersed(40, 3, 2.0, 0), dispersed(100, 2, 1.0, 0)],
+    ids=market_id,
+)
+def test_restart_reaches_the_summed_optimum(config):
+    # markets the summed bound finishes after the probe has run out: both
+    # searches reach the same optimum, the restart in fewer nodes
+    instance = generate_instance(config)
+    profits, demands = viable_items(instance)
+    value, _, nodes, exhausted = _list_branch_and_bound(profits, demands, DEFAULT_NODE_BUDGET)
+    assert not exhausted and nodes > _PROBE_NODES_PER_TENANT * len(profits)
+    result = offline_exact(instance)
+    assert result.exact and result.nodes_explored < nodes
+    assert result.welfare == pytest.approx(value, rel=1e-12)
+
+
+def test_one_resource_runs_the_probe_alone(monkeypatch):
+    # with one resource the LP duals would only rescale the summed bound: a
+    # market that needs more than the probe's nodes gets the summed search's
+    # answer, bit for bit, and solves no LP
+    instance = generate_instance(dispersed(300, 1, 2.0, 1))
+    profits = adjusted_profits(instance)
+    index = np.flatnonzero((profits > 0) & (instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1))
+    _, chosen, nodes, exhausted = _list_branch_and_bound(profits[index], instance.demands[index], DEFAULT_NODE_BUDGET)
+    assert not exhausted and nodes > _PROBE_NODES_PER_TENANT * len(index)
+    monkeypatch.setattr(oracle, "lp_relaxation", None)
+    result = offline_exact(instance)
+    assert result.exact and result.nodes_explored == nodes
+    assert result.accepted.sum() == chosen.sum() and result.accepted[index].tobytes() == chosen.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -227,11 +467,20 @@ def test_every_node_budget(seed):
     profits, demands = viable_items(instance)
     _, _, full, exhausted = assert_same_search(profits, demands)
     assert not exhausted and full > 20
+    overran = []
     for budget in range(1, full + 2):
-        *_, nodes, exhausted = assert_same_search(profits, demands, node_budget=budget)
-        # the budget is checked at inner nodes only, so a leaf can overrun it
-        assert min(budget, full) <= nodes <= full
-        assert exhausted or budget >= full
+        *_, nodes, _ = assert_same_search(profits, demands, node_budget=budget)
+        if nodes > budget:
+            overran.append(budget)
+        # the dive visits the references' nodes in their order and stops at
+        # the budget, which runs out only when a node is left unvisited
+        *_, nodes, exhausted = _branch_and_bound(profits, demands, budget)
+        assert nodes == min(budget, full)
+        assert exhausted is (budget < full)
+    if seed == 0:
+        # the references check the budget after the leaf test, so a leaf
+        # visited at the budget takes them one node past it
+        assert overran == [19, 54, 62]
 
 
 def test_unpack_reads_bits_low_first():

@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 import slicemarket
+from slicemarket.market import CAPACITY, FEASIBILITY_EPS
 from slicemarket.oracle import (
+    _PROBE_NODES_PER_TENANT,
     OracleError,
     adjusted_profits,
+    lp_relaxation,
     lp_upper_bound,
     offline_exact,
 )
@@ -237,6 +240,68 @@ def test_lp_bound_does_not_go_through_linprog(monkeypatch):
     assert result.upper_bound == reference
 
 
+@pytest.mark.parametrize("resources", [1, 3, 9])
+@pytest.mark.parametrize("tenants", [5, 40, 200])
+def test_lp_duals_close_the_duality_gap(tenants, resources):
+    """The duals λ are nonnegative capacity prices: the dual objective
+    ``Σ_c λ_c + Σ_n (π_n - d_n·λ)^+`` equals the LP value (strong duality),
+    and λ is linprog's ``-ineqlin.marginals`` bit for bit."""
+    from scipy.optimize import linprog
+
+    for share in (None, 1.0, 4.0):
+        for seed in range(3):
+            spread = {} if share is None else {"demand_mean": share / tenants, "demand_std": share / tenants}
+            inst = generate_instance(GenConfig(tenant_count=tenants, resource_count=resources, seed=seed, **spread))
+            value, duals = lp_relaxation(inst)
+            assert value == lp_upper_bound(inst)
+            assert duals.shape == (resources,) and (duals >= 0).all()
+            profits = adjusted_profits(inst)
+            dual_objective = duals.sum() + np.maximum(profits - inst.demands @ duals, 0.0).sum()
+            assert dual_objective == pytest.approx(value, rel=1e-12)
+            reference = linprog(
+                c=-profits,
+                A_ub=inst.demands.T,
+                b_ub=np.ones(resources),
+                bounds=(0.0, 1.0),
+                method="highs",
+                options={"presolve": False},
+            )
+            assert duals.tobytes() == np.maximum(-reference.ineqlin.marginals, 0.0).tobytes()
+
+
+def test_lp_relaxation_without_profit():
+    inst = manual_instance([[0.5, 0.1], [0.5, 0.2]], [0.1, 0.2], [0.5, 0.5])
+    value, duals = lp_relaxation(inst)
+    assert value == 0.0 and duals.tolist() == [0.0, 0.0]
+
+
+def test_probe_and_restart_share_the_node_budget():
+    """The summed-bound probe runs out on this market and the search restarts
+    on the LP duals; the two passes together visit at most ``node_budget``
+    nodes, and the LP solved for the restart is the exhaustion bound."""
+    inst = generate_instance(
+        GenConfig(tenant_count=100, resource_count=9, demand_mean=0.01, demand_std=0.01, seed=1)
+    )
+    profits = adjusted_profits(inst)
+    viable = (profits > 0) & (inst.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
+    probe = _PROBE_NODES_PER_TENANT * int(viable.sum())
+    full = offline_exact(inst)
+    assert full.exact and full.nodes_explored > probe + 1
+    bound = lp_upper_bound(inst)
+    welfare = 0.0
+    for budget in (1, probe - 1, probe, probe + 1, full.nodes_explored - 1, full.nodes_explored, 10**9):
+        result = offline_exact(inst, method="branch-and-bound", node_budget=budget)
+        assert result.nodes_explored == min(budget, full.nodes_explored)
+        assert result.exact is (budget >= full.nodes_explored)
+        if result.exact:
+            assert result.accepted.tobytes() == full.accepted.tobytes() and result.welfare == full.welfare
+        else:
+            assert result.upper_bound == bound
+        # a restart that finds nothing better keeps the probe's allocation
+        assert welfare <= result.welfare <= full.welfare
+        welfare = result.welfare
+
+
 def test_adjusted_profits_formula():
     inst = manual_instance([[0.5, 0.2]], [2.0], [0.4, 1.0])
     assert adjusted_profits(inst)[0] == pytest.approx(2.0 - (0.5 * 0.4 + 0.2 * 1.0))
@@ -251,14 +316,23 @@ def _run_fresh(code: str) -> None:
 
 
 def test_package_imports_without_scipy():
-    """No scipy module loads with the package; an LP solve loads the HiGHS
-    binding and its pybind submodules, and nothing else of scipy."""
+    """No scipy module loads with the package, nor with the exact oracle on
+    default markets, whose summed-bound probe always finishes; an LP solve
+    loads the HiGHS binding and its pybind submodules, and nothing else of
+    scipy."""
     _run_fresh(
         "import sys\n"
         "import slicemarket, slicemarket.cli\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
         "from slicemarket.workload import GenConfig, generate_instance\n"
+        "for n in (20, 40, 100, 2000):\n"
+        "    for seed in range(5):\n"
+        "        market = generate_instance(GenConfig(tenant_count=n, seed=seed))\n"
+        "        for method in ('auto', 'branch-and-bound'):\n"
+        "            assert slicemarket.offline_exact(market, method=method).exact\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
         "assert slicemarket.lp_upper_bound(generate_instance(GenConfig(tenant_count=5))) > 0\n"
         "assert not {'scipy.optimize', 'scipy.linalg', 'scipy.sparse'} & sys.modules.keys()\n"
         "core = 'scipy.optimize._highspy._core'\n"
