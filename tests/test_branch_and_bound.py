@@ -335,17 +335,12 @@ def test_remaining_capacity_dips_below_zero(seed):
     assert chosen[:2].all()
 
 
-def generated_items(tenants: int, resources: int, seed: int, share: float | None = None, spread: float | None = None):
-    """The viable items of a generated market; ``share`` and ``spread`` set the
-    demand mean and std to that many times 1/N (the defaults when None)."""
-    config = GenConfig(
-        tenant_count=tenants,
-        resource_count=resources,
-        demand_mean=None if share is None else share / tenants,
-        demand_std=None if spread is None else spread / tenants,
-        seed=seed,
+def dispersed(tenants: int, resources: int, share: float, seed: int) -> GenConfig:
+    """Demand mean and std both ``share / tenants``: demands far more spread
+    than the default std of 1/N², so the summed capacity is a loose bound."""
+    return GenConfig(
+        tenant_count=tenants, resource_count=resources, demand_mean=share / tenants, demand_std=share / tenants, seed=seed
     )
-    return viable_items(generate_instance(config))
 
 
 def lp_weights(profits: np.ndarray, demands: np.ndarray) -> np.ndarray:
@@ -357,9 +352,9 @@ def lp_weights(profits: np.ndarray, demands: np.ndarray) -> np.ndarray:
 # each family with the seeds its differential test uses; exhaustive
 # enumeration of 20 generated items takes about 0.15 s, so those get four
 SMALL_MARKETS = {
-    "generated": (range(4), lambda seed: generated_items(20, 1 + seed % 5, seed)),
-    "overfull": (range(4), lambda seed: generated_items(20, 1 + seed % 5, seed, share=3.0, spread=3.0)),
-    "dispersed": (range(4), lambda seed: generated_items(20, 3 + 6 * (seed % 2), seed, share=1.0, spread=1.0)),
+    "generated": (range(4), lambda seed: viable_items(generate_instance(GenConfig(20, 1 + seed % 5, seed=seed)))),
+    "overfull": (range(4), lambda seed: viable_items(generate_instance(dispersed(20, 1 + seed % 5, 3.0, seed)))),
+    "dispersed": (range(4), lambda seed: viable_items(generate_instance(dispersed(20, 3 + 6 * (seed % 2), 1.0, seed)))),
     "tied": (range(30), tied_market),
     "zero-demand": (range(20), zero_demand_market),
     "grid": (range(20), grid_market),
@@ -389,14 +384,6 @@ def test_weighted_search_finds_the_exhaustive_optimum(family):
             assert value == pytest.approx(optimum, rel=1e-12, abs=1e-15)
             assert value == pytest.approx(profits[chosen].sum(), rel=1e-12, abs=1e-15)
             assert (demands[chosen].sum(axis=0) <= CAPACITY + 2 * FEASIBILITY_EPS).all()
-
-
-def dispersed(tenants: int, resources: int, share: float, seed: int) -> GenConfig:
-    """Demand mean and std both ``share / tenants``: demands far more spread
-    than the default std of 1/N², so the summed capacity is a loose bound."""
-    return GenConfig(
-        tenant_count=tenants, resource_count=resources, demand_mean=share / tenants, demand_std=share / tenants, seed=seed
-    )
 
 
 def market_id(config: GenConfig) -> str:
