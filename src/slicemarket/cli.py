@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="solve one instance file offline")
     p_oracle.add_argument("--instance", required=True)
     p_oracle.add_argument(
-        "--method", choices=("auto", "exhaustive", "branch-and-bound", "lp"), default="auto"
+        "--method", choices=("branch-and-bound", "exhaustive", "lp"), default="branch-and-bound"
     )
     p_oracle.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     p_oracle.set_defaults(func=_cmd_oracle)

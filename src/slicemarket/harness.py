@@ -27,11 +27,12 @@ from .baselines import (
     utility_bid_auction,
 )
 from .market import Allocation, MarketError, MarketSetup, social_welfare
-from .oracle import DEFAULT_NODE_BUDGET, lp_upper_bound, offline_exact
+from .oracle import lp_upper_bound, offline_exact
 from .pricing import PricingSchedule, build_schedule
 from .protocol import run_session, transcript_to_jsonl
 from .workload import GenConfig, WorkloadError, _is_int, generate_instance
 
+#: ``"auto"`` and ``"exact"`` are the same mode; specs may name either.
 ORACLE_MODES = ("exact", "lp", "auto")
 #: Each sweep axis and the ``GenConfig`` field it sets.
 AXES = {
@@ -41,7 +42,10 @@ AXES = {
     "unit_cost_range": "unit_cost_range",
     "pay_level_range": "pay_level_range",
 }
-AUTO_EXACT_LIMIT = 25
+#: Branch-and-bound nodes per trial.  A default market needs at most 2N + 1;
+#: an overfull one that runs out costs about 25 ms (2-vCPU Xeon) and reports
+#: its LP bound.
+TRIAL_NODE_BUDGET = 20_000
 
 TRIAL_CSV_HEADER = (
     "trial,algo,N,C,seed,welfare,rental_rate,ratio,theoretical_alpha,runtime_ns,transcript_bytes"
@@ -136,7 +140,7 @@ class ExperimentSpec:
     oracle: str = "auto"
     transcripts: bool = False
     timing: bool = False
-    node_budget: int = DEFAULT_NODE_BUDGET
+    node_budget: int = TRIAL_NODE_BUDGET
     ga_params: GaParams = field(default_factory=GaParams)
     out: str | None = None
 
@@ -249,19 +253,20 @@ def _ratio(reference: float, welfare: float) -> float | None:
     return None
 
 
-def _reference(trial: _Trial, use_exact: bool) -> tuple[np.ndarray | None, float, bool]:
-    """The welfare every ratio of the trial divides: ``(accepted, welfare, is_bound)``.
+def _reference(trial: _Trial) -> tuple[str, float, float | None]:
+    """The row every ratio of the trial divides: ``(algo, welfare, rental_rate)``.
 
-    The exact oracle gives its optimum, or its LP bound when the node budget
-    runs out (still with its best allocation); the LP alone gives a bound and
-    no allocation.
+    Outside ``"lp"`` mode the exact oracle runs under the spec's node budget:
+    its optimum is an ``exact`` row, and a budget that runs out leaves the LP
+    bound the oracle solved, the same ``lp_bound`` row ``"lp"`` mode writes.
+    A bound has no allocation, hence no rental rate.
     """
-    if not use_exact:
-        return None, float(trial.timed(lp_upper_bound, trial.instance)), True
-    result = trial.timed(offline_exact, trial.instance, method="auto", node_budget=trial.spec.node_budget)
-    if result.exact:
-        return result.accepted, _welfare(trial, result.accepted)[0], False
-    return result.accepted, float(result.upper_bound), True
+    if trial.spec.oracle == "lp":
+        return "lp_bound", trial.timed(lp_upper_bound, trial.instance), None
+    result = trial.timed(offline_exact, trial.instance, node_budget=trial.spec.node_budget)
+    if not result.exact:
+        return "lp_bound", result.upper_bound, None
+    return ("exact", *_welfare(trial, result.accepted))
 
 
 def _welfare(trial: _Trial, accepted) -> tuple[float, float]:
@@ -273,16 +278,14 @@ def _welfare(trial: _Trial, accepted) -> tuple[float, float]:
 def run_trials(spec: ExperimentSpec) -> list[TrialMetrics]:
     """Execute the spec and return one metrics record per (point, trial, algo).
 
-    Each trial also carries a reference record named after the oracle used
-    (``exact`` or ``lp_bound``); every ratio column is that reference divided
-    by the row's welfare.
+    Each trial also carries a reference record: ``exact`` when
+    branch-and-bound finishes within ``spec.node_budget`` nodes, ``lp_bound``
+    when it runs out or the spec's oracle is ``"lp"``.  Every ratio column is
+    that reference divided by the row's welfare.
     """
     points = spec.values if spec.axis is not None else (None,)
     out: list[TrialMetrics] = []
     for point_index, (point_value, config_point) in enumerate(zip(points, spec._point_configs)):
-        use_exact = spec.oracle == "exact" or (
-            spec.oracle == "auto" and config_point.tenant_count <= AUTO_EXACT_LIMIT
-        )
         for trial_index in range(spec.trials):
             root = np.random.SeedSequence([spec.seed, point_index, trial_index])
             seed_instance, seed_order, seed_algo = (
@@ -291,33 +294,28 @@ def run_trials(spec: ExperimentSpec) -> list[TrialMetrics]:
             instance = generate_instance(replace(config_point, seed=seed_instance))
             order = np.random.default_rng(seed_order).permutation(instance.tenant_count)
             trial = _Trial(spec, instance, order, build_schedule(MarketSetup.from_instance(instance)))
-            reference_accepted, reference, reference_is_bound = _reference(trial, use_exact)
+            reference_algo, reference, reference_rental = _reference(trial)
 
-            def row(algo, accepted, tx_bytes, transcript=None) -> TrialMetrics:
-                if accepted is None:  # an LP bound has no allocation
-                    welfare, rental_rate = reference, None
-                else:
-                    welfare, rental_rate = _welfare(trial, accepted)
+            def row(algo, welfare, rental_rate, tx_bytes, transcript=None) -> TrialMetrics:
                 return TrialMetrics(
                     point_index, point_value, trial_index, algo,
                     instance.tenant_count, instance.resource_count, seed_instance,
                     welfare=welfare,
                     rental_rate=rental_rate,
                     ratio=_ratio(reference, welfare),
-                    ratio_is_bound=reference_is_bound,
+                    ratio_is_bound=reference_algo == "lp_bound",
                     theoretical_alpha=trial.schedule.ratio,
                     runtime_ns=trial.runtime_ns,
                     transcript_bytes=tx_bytes,
                     transcript=transcript,
                 )
 
-            out.append(
-                row("exact" if use_exact else "lp_bound", reference_accepted, _centralized_bytes(instance))
-            )
+            out.append(row(reference_algo, reference, reference_rental, _centralized_bytes(instance)))
             algo_seeds = np.random.SeedSequence([seed_algo]).spawn(len(spec.algos))
             for algo, algo_seed in zip(spec.algos, algo_seeds):
                 seed = int(algo_seed.generate_state(1)[0])
-                out.append(row(algo, *_ALGORITHM_TABLE[algo](trial, seed)))
+                accepted, tx_bytes, transcript = _ALGORITHM_TABLE[algo](trial, seed)
+                out.append(row(algo, *_welfare(trial, accepted), tx_bytes, transcript))
     return out
 
 

@@ -2,9 +2,11 @@
 
 With linear costs the offline problem collapses to a multidimensional 0/1
 knapsack: maximize the sum of adjusted profits ``valuation - cost of the
-demanded bundle`` subject to unit capacity per resource.  Small instances are
-enumerated exhaustively; larger ones run a depth-first branch-and-bound whose
-bound is the fractional knapsack of one surrogate capacity constraint.
+demanded bundle`` subject to unit capacity per resource.  The oracle runs a
+depth-first branch-and-bound whose bound is the fractional knapsack of one
+surrogate capacity constraint.  Exhaustive enumeration of at most
+``EXHAUSTIVE_LIMIT`` viable tenants runs only on request, as the reference
+the search is checked against.
 
 The search sorts and sums in numpy once per call and visits each node on
 Python lists and floats, diving into the take child and stacking only the
@@ -47,7 +49,6 @@ from .workload import _is_int
 
 EXHAUSTIVE_LIMIT = 25
 _EXHAUSTIVE_CHUNK = 1 << 16
-_AUTO_EXHAUSTIVE = 16
 DEFAULT_NODE_BUDGET = 5_000_000
 # default markets finish the summed probe in at most 2.2 nodes per viable tenant
 _PROBE_NODES_PER_TENANT = 8
@@ -62,7 +63,7 @@ class OracleError(MarketError):
 class OracleResult:
     welfare: float
     accepted: np.ndarray
-    method: str  # "exhaustive" | "branch-and-bound" | "lp-upper-bound"
+    method: str  # "branch-and-bound" | "exhaustive"
     exact: bool
     upper_bound: float | None = None
     nodes_explored: int = 0
@@ -198,7 +199,7 @@ def _branch_and_bound(
 
 def offline_exact(
     instance,
-    method: str = "auto",
+    method: str = "branch-and-bound",
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> OracleResult:
     """Maximize offline welfare exactly (or report the best found plus a bound).
@@ -206,7 +207,7 @@ def offline_exact(
     Tenants whose adjusted profit is not positive, or whose demand cannot fit
     an empty market, can never help and are dropped before the search.
     """
-    if method not in ("auto", "exhaustive", "branch-and-bound"):
+    if method not in ("branch-and-bound", "exhaustive"):
         raise OracleError(f"unknown oracle method {method!r}")
     if not (_is_int(node_budget) and node_budget >= 1):
         raise OracleError(f"node_budget must be a positive integer, got {node_budget!r}")
@@ -216,9 +217,7 @@ def offline_exact(
     index = np.flatnonzero(viable)
     m = len(index)
     if m == 0:
-        return OracleResult(0.0, accepted, "exhaustive" if method != "branch-and-bound" else method, True)
-    if method == "auto":
-        method = "exhaustive" if m <= _AUTO_EXHAUSTIVE else "branch-and-bound"
+        return OracleResult(0.0, accepted, method, True)
     if method == "exhaustive":
         if m > EXHAUSTIVE_LIMIT:
             raise OracleError(

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,18 @@ class TestSpecValidation:
         spec = ExperimentSpec.load(path)
         assert spec.out == f"results/{path.stem}"
 
+    @pytest.mark.parametrize("path", SPEC_FILES, ids=lambda path: path.stem)
+    def test_spec_file_runs(self, path, tmp_path):
+        spec = replace(ExperimentSpec.load(path), trials=1, ga_params=GaParams(population=10, generations=5))
+        metrics = run_trials(spec)
+        points = len(spec.values) if spec.axis is not None else 1
+        references = [m for m in metrics if m.algo in ("exact", "lp_bound")]
+        assert len(references) == points
+        assert len(metrics) == points * (1 + len(spec.algos))
+        paths = emit(metrics, aggregate(metrics), tmp_path, axis=spec.axis)
+        assert {"trials.csv", "summary.csv", "plot_data.json"} <= set(paths)
+        assert all(path.stat().st_size > 0 for path in paths.values())
+
 
 class TestApplyAxis:
     def test_tenant_sweep_pins_demand_distribution(self):
@@ -184,13 +197,30 @@ class TestRunTrials:
         posted = [m for m in metrics if m.algo == "posted_price"][0]
         assert posted.ratio_is_bound
 
-    def test_auto_switches_to_lp_for_large_populations(self):
+    def test_auto_at_40_tenants_writes_an_exact_row(self):
         spec = small_spec(base_config=GenConfig(tenant_count=40), trials=1, oracle="auto")
-        metrics = run_trials(spec)
-        assert any(m.algo == "lp_bound" for m in metrics)
-        spec = small_spec(trials=1, oracle="auto")
-        metrics = run_trials(spec)
-        assert any(m.algo == "exact" for m in metrics)
+        reference = run_trials(spec)[0]
+        assert (reference.algo, reference.ratio_is_bound, reference.ratio) == ("exact", False, 1.0)
+        assert reference.rental_rate is not None
+
+    def test_exhausted_budget_writes_the_lp_row(self):
+        # a budget of one node runs out on every market with a viable tenant
+        config = GenConfig(tenant_count=40)
+        exhausted = run_trials(small_spec(base_config=config, oracle="exact", node_budget=1))
+        references = [m for m in exhausted if m.algo in ("exact", "lp_bound")]
+        assert [(m.algo, m.ratio_is_bound, m.rental_rate) for m in references] == [("lp_bound", True, None)] * 3
+        assert trials_csv(exhausted) == trials_csv(run_trials(small_spec(base_config=config, oracle="lp")))
+
+    def test_auto_and_exact_write_identical_artifacts(self, tmp_path):
+        spec = small_spec(
+            algos=("posted_price", "myopic"), axis="tenants", values=(8, 40), trials=2, transcripts=True
+        )
+        written = {}
+        for oracle in ("auto", "exact"):
+            metrics = run_trials(replace(spec, oracle=oracle))
+            paths = emit(metrics, aggregate(metrics), tmp_path / oracle, axis=spec.axis)
+            written[oracle] = {name: path.read_bytes() for name, path in paths.items()}
+        assert written["auto"] == written["exact"]
 
     def test_timing_opt_in(self):
         untimed = run_trials(small_spec(trials=1))
@@ -353,17 +383,18 @@ class TestEmit:
 class TestGoldenArtifacts:
     """Artifacts of a fixed spec, pinned byte for byte.
 
-    The digests were recorded with the per-algorithm implementation of
-    ``run_trials`` that the algorithm table replaced.  The spec runs all five
-    algorithms with transcripts on, and its three tenant counts give an exact
-    reference (8), a reference whose branch-and-bound budget runs out (25)
-    and an LP bound (30).
+    The transcripts' digests were recorded with the per-algorithm
+    implementation of ``run_trials`` that the algorithm table replaced.  The
+    spec runs all five algorithms with transcripts on.  Its three tenant
+    counts give an exact reference (8) and two whose 50-node branch-and-bound
+    budget runs out (25, 30); each of those is the LP bound, labelled
+    ``lp_bound`` with no rental rate.
     """
 
     DIGESTS = {
-        "plot_data.json": "9d2a918455f3ea44f94b6658cc214511f84875df83dcf50b3852e598ff66469d",
-        "summary.csv": "06871b755df3c68fcf3d3bce9063c46189d2a28cebac295cab1f2ae03d64c73a",
-        "trials.csv": "90261841d3704989ff9115d3b2a462972a1ce2f90ef837bee5ec5026fc3f3f1a",
+        "plot_data.json": "0110007c837cacb7fff24f367299cbb4edcb8440533b05afb677eeea8b59c1a9",
+        "summary.csv": "334c70f16d26dfa119f5d3bd7753f223c3fb6c8872db13aa14816f30fc1def85",
+        "trials.csv": "319bc14da337210703c54fe0bdfc9c76c61cdbcfbc43b29cea1ea9fce842ea6f",
         "transcripts/myopic_point0_trial0.jsonl": "cf6e1828a1ce0259afd7785603164cdbeaefe5d3cc13b4e0789d6f9d617af49b",
         "transcripts/myopic_point1_trial0.jsonl": "9fb3f6fca4f32d75c7d5df6368ef62f1b43b3f5b0c3d079c2a747f7247dd5b8f",
         "transcripts/myopic_point2_trial0.jsonl": "b7b73e4144b054596e643a290ffd93ff136416060eb3b18af8c33c49cb0d60bb",
@@ -387,7 +418,7 @@ class TestGoldenArtifacts:
         )
         metrics = run_trials(spec)
         references = [(m.algo, m.ratio_is_bound) for m in metrics if m.algo in ("exact", "lp_bound")]
-        assert references == [("exact", False), ("exact", True), ("lp_bound", True)]
+        assert references == [("exact", False), ("lp_bound", True), ("lp_bound", True)]
         paths = emit(metrics, aggregate(metrics), tmp_path, axis=spec.axis)
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
         assert digests == self.DIGESTS

@@ -102,7 +102,7 @@ class TestOfflineExact:
         assert result.upper_bound >= exact.welfare - 1e-6
 
     @pytest.mark.parametrize("budget", [0, -5, 2.5, True, False, "10", None, float("inf")])
-    @pytest.mark.parametrize("method", ["auto", "exhaustive", "branch-and-bound"])
+    @pytest.mark.parametrize("method", ["exhaustive", "branch-and-bound"])
     def test_bad_node_budget_rejected(self, method, budget):
         inst = generate_instance(GenConfig(tenant_count=40, resource_count=2, seed=2))
         with pytest.raises(OracleError, match="node_budget must be a positive integer"):
@@ -124,6 +124,9 @@ class TestOfflineExact:
         inst = generate_instance(GenConfig(tenant_count=3, seed=0))
         with pytest.raises(OracleError):
             offline_exact(inst, method="simplex")
+        # the exact oracle has two methods, branch-and-bound and exhaustive
+        with pytest.raises(OracleError, match="unknown oracle method 'auto'"):
+            offline_exact(inst, method="auto")
 
 
 class TestLpUpperBound:
@@ -317,9 +320,9 @@ def _run_fresh(code: str) -> None:
 
 def test_package_imports_without_scipy():
     """No scipy module loads with the package, nor with the exact oracle on
-    default markets, whose summed-bound probe always finishes; an LP solve
-    loads the HiGHS binding and its pybind submodules, and nothing else of
-    scipy."""
+    default markets, whose summed-bound probe always finishes, nor with an
+    ``"auto"`` trial batch on them; an LP solve loads the HiGHS binding and
+    its pybind submodules, and nothing else of scipy."""
     _run_fresh(
         "import sys\n"
         "import slicemarket, slicemarket.cli\n"
@@ -329,8 +332,11 @@ def test_package_imports_without_scipy():
         "for n in (20, 40, 100, 2000):\n"
         "    for seed in range(5):\n"
         "        market = generate_instance(GenConfig(tenant_count=n, seed=seed))\n"
-        "        for method in ('auto', 'branch-and-bound'):\n"
-        "            assert slicemarket.offline_exact(market, method=method).exact\n"
+        "        assert slicemarket.offline_exact(market).exact\n"
+        "from slicemarket.harness import ExperimentSpec, run_trials\n"
+        "for n in (100, 2000):\n"
+        "    spec = ExperimentSpec(base_config=GenConfig(tenant_count=n), trials=2, oracle='auto')\n"
+        "    assert {m.algo for m in run_trials(spec)} == {'exact', 'posted_price'}\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
         "assert slicemarket.lp_upper_bound(generate_instance(GenConfig(tenant_count=5))) > 0\n"
