@@ -29,7 +29,6 @@ from .market import (
     PaymentError,
     SetupError,
     conjugate,
-    cost,
     social_welfare,
     utilities,
 )

@@ -8,13 +8,14 @@ return feasible allocations, so welfare numbers are directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import add
 from typing import Sequence
 
 import numpy as np
 
 from .market import CAPACITY, FEASIBILITY_EPS, MarketSetup, SetupError
-from .oracle import adjusted_profits
+from .oracle import _densities, _viable, adjusted_profits
 from .protocol import SessionResult, arrival_order, run_session
 from .workload import _is_finite, _is_int
 
@@ -135,19 +136,14 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
     double-buffered, offspring are written straight into the next one.
     """
     params = params or GaParams()
-    n = instance.tenant_count
-    profits = adjusted_profits(instance)
-    viable = (profits > 0) & (instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
-    index = np.flatnonzero(viable)
+    profits, index = _viable(instance)
     m = len(index)
-    full = np.zeros(n, dtype=bool)
+    full = np.zeros(instance.tenant_count, dtype=bool)
     if m == 0:
         return 0.0, full
     w = profits[index]
     demands = instance.demands[index]
-    aggregate = demands.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        density = np.where(aggregate > 0, w / aggregate, np.inf)
+    density = _densities(w, demands.sum(axis=1))
     rate = params.mutation_rate if params.mutation_rate is not None else 1.0 / m
     repair = _population_repair(demands, density)
 
@@ -194,10 +190,26 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
             best = population[int(np.argmax(fitness))].copy()
 
     full[index[best]] = True
-    # recompute from the mask so the value is bit-identical to the oracle's
-    # accounting for the same decision vector
-    welfare = float(profits[full].sum()) if full.any() else 0.0
-    return welfare, full
+    # the search ran over the oracle's own items; the value is recomputed from
+    # the mask, as the oracle computes its own
+    return float(profits[full].sum()), full
+
+
+# ---------------------------------------------------------------------------
+# first-fit scan, shared by the auction and random slicing
+
+
+def _first_fit(demand_rows: list, tenants, limit: float, resources: int) -> list[int]:
+    """The tenants, in the order given, whose demand row keeps every resource's
+    running utilization, summed in booking order on plain floats, at most ``limit``."""
+    utilization = [0.0] * resources
+    booked = []
+    for tenant in tenants:
+        grown = list(map(add, utilization, demand_rows[tenant]))
+        if max(grown) <= limit:
+            utilization = grown
+            booked.append(tenant)
+    return booked
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +228,11 @@ class AuctionResult:
 def utility_bid_auction(instance) -> AuctionResult:
     """Iterative single-winner auction where bids equal tenant utilities.
 
-    Each round every unallocated tenant with positive adjusted profit and a
-    feasible demand bids; the operator accepts the bidder that increments its
-    own utility the most (the tenant pays its full valuation) and the rest
-    wait for the next round.  Terminates after at most one round per tenant.
+    Each round every unallocated tenant of the oracle's item view (positive
+    adjusted profit, a demand that fits an empty market) bids; the operator
+    accepts the bidder that increments its own utility the most (the tenant
+    pays its full valuation) and the rest wait for the next round.
+    Terminates after at most one round per tenant.
 
     The rounds are computed in one scan rather than played out.  Demands are
     non-negative and rounded float addition is monotone, so utilization only
@@ -233,28 +246,20 @@ def utility_bid_auction(instance) -> AuctionResult:
     the rounds out costs O(N²·C).
     """
     n = instance.tenant_count
-    profits = adjusted_profits(instance)
+    profits, candidates = _viable(instance)
     limit = CAPACITY + FEASIBILITY_EPS
-    candidates = np.flatnonzero(profits > 0)
     order = candidates[np.argsort(-profits[candidates], kind="stable")]
-
-    demand_rows = instance.demands.tolist()
-    utilization = [0.0] * instance.resource_count
-    pre_round = []  # utilization before each round, one row per winner
-    winners = []
-    losers = []
-    for tenant in order.tolist():
-        after = list(map(add, utilization, demand_rows[tenant]))
-        if max(after) <= limit:
-            pre_round.append(utilization)
-            utilization = after
-            winners.append(tenant)
-        else:
-            losers.append(tenant)
+    winners = _first_fit(instance.demands.tolist(), order.tolist(), limit, instance.resource_count)
+    accepted = np.zeros(n, dtype=bool)
+    accepted[winners] = True
+    losers = order[~accepted[order]]
 
     rounds = len(winners)
     bids = rounds * (rounds + 1) // 2
-    history = np.array(pre_round)
+    # utilization before each round, one row per winner; cumsum adds each
+    # column in acceptance order, as _first_fit sums it
+    running = np.cumsum(instance.demands[winners], axis=0)
+    history = np.concatenate((np.zeros((1, instance.resource_count)), running[:-1]))
     loser_demands = instance.demands[losers]
     # each loser fits every pre-round utilization before lo and none from hi on
     lo = np.zeros(len(losers), dtype=np.intp)
@@ -266,12 +271,9 @@ def utility_bid_auction(instance) -> AuctionResult:
         hi = np.where(active & ~fits, mid, hi)
     bids += int(lo.sum())
 
-    accepted = np.zeros(n, dtype=bool)
-    accepted[winners] = True
     payments = np.zeros(n)
     payments[winners] = instance.valuations[winners]
-    welfare = float(profits[accepted].sum()) if accepted.any() else 0.0
-    return AuctionResult(welfare, accepted, payments, rounds, bids)
+    return AuctionResult(float(profits[accepted].sum()), accepted, payments, rounds, bids)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +293,6 @@ class MyopicPricing:
     def from_setup(cls, setup: MarketSetup) -> "MyopicPricing":
         slopes = tuple(float((lo + hi) / 2) for lo, hi in zip(setup.price_floors, setup.price_caps))
         return cls(slopes)
-
-    @property
-    def resource_count(self) -> int:
-        return len(self.slopes)
 
     def price_at(self, c: int, y: float) -> float:
         if not 0 <= c < len(self.slopes):
@@ -330,19 +328,9 @@ def random_slicing(instance, order: Sequence[int] | None = None, seed: int = 0) 
     n = instance.tenant_count
     order = arrival_order(order, n)
     rng = np.random.default_rng(seed)
-    profits = adjusted_profits(instance)
-    utilization = [0.0] * instance.resource_count
-    demand_rows = instance.demands.tolist()
-    accepted = np.zeros(n, dtype=bool)
     # one draw for every coin is the stream of one draw per arrival
     coins = rng.integers(0, 2, size=len(order)).tolist()
-    for tenant, coin in zip(order, coins):
-        if not coin:
-            continue
-        grown = list(map(add, utilization, demand_rows[tenant]))
-        if max(grown) > CAPACITY:
-            continue
-        utilization = grown
-        accepted[tenant] = True
-    welfare = float(profits[accepted].sum()) if accepted.any() else 0.0
-    return welfare, accepted
+    booked = _first_fit(instance.demands.tolist(), compress(order, coins), CAPACITY, instance.resource_count)
+    accepted = np.zeros(n, dtype=bool)
+    accepted[booked] = True
+    return float(adjusted_profits(instance)[accepted].sum()), accepted

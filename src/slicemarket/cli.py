@@ -23,7 +23,6 @@ from .harness import (
     ORACLE_MODES,
     EmitError,
     ExperimentSpec,
-    HarnessError,
     aggregate,
     emit,
     run_trials,
@@ -118,15 +117,7 @@ def _execute(spec: ExperimentSpec, out: str | None) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        spec = ExperimentSpec.load(args.spec)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (json.JSONDecodeError, TypeError, KeyError, MarketError) as exc:
-        print(f"error: invalid spec file: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    spec = _spec_with_overrides(spec, args)
+    spec = _spec_with_overrides(ExperimentSpec.load(args.spec), args)
     return _execute(spec, args.out if args.out is not None else spec.out)
 
 
@@ -154,7 +145,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     totals: Counter = Counter()
     problems = run_verification(
-        sessions=args.sessions, setups=args.setups, instances=args.instances, seed=args.seed or 0, totals=totals
+        sessions=args.sessions, setups=args.setups, instances=args.instances, seed=args.seed, totals=totals
     )
     if problems:
         for line in problems[:50]:
@@ -168,14 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        instance = Instance.load(args.instance)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (json.JSONDecodeError, MarketError) as exc:
-        print(f"error: invalid instance file: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    instance = Instance.load(args.instance)
     problems = validate_instance(instance)
     if problems:
         for problem in problems:
@@ -236,14 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EmitError as exc:
+    except (OSError, EmitError) as exc:  # an input path, or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (HarnessError, MarketError) as exc:
+    except MarketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -30,7 +30,7 @@ from .market import Allocation, MarketError, MarketSetup, social_welfare
 from .oracle import lp_upper_bound, offline_exact
 from .pricing import PricingSchedule, build_schedule
 from .protocol import run_session, transcript_to_jsonl
-from .workload import GenConfig, WorkloadError, _is_int, generate_instance
+from .workload import GenConfig, WorkloadError, _is_int, _load_json, generate_instance
 
 #: ``"auto"`` and ``"exact"`` are the same mode; specs may name either.
 ORACLE_MODES = ("exact", "lp", "auto")
@@ -184,7 +184,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        """The spec a JSON document describes; a key it does not know is an error."""
+        """The spec a JSON document describes; a malformed one raises
+        ``HarnessError``, or ``WorkloadError`` for a bad ``config`` value."""
         if not isinstance(data, dict):
             raise HarnessError(f"a spec document must be an object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)} - {"base_config"} | {"config"}
@@ -192,21 +193,20 @@ class ExperimentSpec:
         if unknown:
             raise HarnessError(f"unknown spec key(s) {sorted(unknown)}; choose from {sorted(known)}")
         kwargs = {key: value for key, value in data.items() if key != "config"}
-        kwargs["base_config"] = GenConfig.from_dict(data.get("config", {}))
-        kwargs["values"] = tuple(tuple(v) if isinstance(v, list) else v for v in data.get("values", ()))
         try:
-            kwargs["ga_params"] = GaParams(**(data.get("ga_params") or {}))
-        except (TypeError, ValueError) as exc:
-            raise HarnessError(f"invalid ga_params: {exc}") from exc
-        return cls(**kwargs)
+            kwargs["base_config"] = GenConfig.from_dict(data.get("config", {}))
+            kwargs["values"] = tuple(tuple(v) if isinstance(v, list) else v for v in data.get("values", ()))
+            try:
+                kwargs["ga_params"] = GaParams(**(data.get("ga_params") or {}))
+            except (TypeError, ValueError) as exc:
+                raise HarnessError(f"invalid ga_params: {exc}") from exc
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:  # a misshapen document, unknown config keys
+            raise HarnessError(f"malformed spec document: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentSpec":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise HarnessError(f"{path} is not UTF-8 text: {exc}") from exc
-        return cls.from_dict(json.loads(text))
+        return _load_json(path, cls.from_dict, HarnessError, "spec")
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 Every resource has unit capacity, a linear operating cost, and an admissible
 band of earning densities (tenant valuation per unit of resource).  This
-module holds the cost and conjugate functions and the welfare accounting
-that every algorithm in the package shares.
+module holds the market setup, the allocation and its capacity check, the
+conjugate of the linear cost, and the welfare accounting that every
+algorithm in the package shares.
 
-Costs and prices are defined on the capacity interval ``[0, CAPACITY]`` only;
-asking for one outside it is an error.  Every number is finite: the
-``workload.Instance`` constructor checks an instance's, and the
-``MarketSetup`` constructor a setup's band, so a setup that exists is valid.
+An allocation's utilization must lie in ``[0, CAPACITY]``, up to
+``FEASIBILITY_EPS`` above it; the ``Allocation`` constructor refuses any
+other.  Every number is finite: the ``workload.Instance`` constructor checks
+an instance's, and the ``MarketSetup`` constructor a setup's band, so a setup
+that exists is valid.
 """
 
 from __future__ import annotations
@@ -128,18 +130,6 @@ class Allocation:
 def _check_resource(setup: MarketSetup, c: int) -> None:
     if not 0 <= c < setup.resource_count:
         raise SetupError(f"resource index {c} out of range [0, {setup.resource_count})")
-
-
-def cost(setup: MarketSetup, c: int, y: float) -> float:
-    """Operating cost of renting out ``y`` units of resource ``c``.
-
-    Linear in ``y`` on the capacity interval ``[0, CAPACITY]``, undefined
-    outside it.
-    """
-    _check_resource(setup, c)
-    if not 0 <= y <= CAPACITY:
-        raise MarketError(f"utilization must lie in [0, {CAPACITY}], got {y!r}")
-    return float(setup.unit_costs[c] * y)
 
 
 def conjugate(setup: MarketSetup, c: int, price: float) -> float:

@@ -8,6 +8,12 @@ surrogate capacity constraint.  Exhaustive enumeration of at most
 ``EXHAUSTIVE_LIMIT`` viable tenants runs only on request, as the reference
 the search is checked against.
 
+The items are the viable tenants (``_viable``): a positive adjusted profit
+and a demand that fits an empty market.  The genetic heuristic searches the
+same items, ranked by the same densities (``_densities``), and the auction
+takes its bidders from them.  Every offline algorithm thus works on one item
+view, and the heuristic's answer is always a candidate of the exact search.
+
 The search sorts and sums in numpy once per call and visits each node on
 Python lists and floats, diving into the take child and stacking only the
 skip branch.  It first runs as a probe that sums the C capacities into one.
@@ -74,6 +80,20 @@ def adjusted_profits(instance) -> np.ndarray:
     return instance.valuations - instance.demands @ instance.unit_costs
 
 
+def _viable(instance) -> tuple[np.ndarray, np.ndarray]:
+    """Every tenant's adjusted profit, and the indices of the viable tenants:
+    a positive profit and a demand that fits an empty market."""
+    profits = adjusted_profits(instance)
+    viable = (profits > 0) & (instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
+    return profits, np.flatnonzero(viable)
+
+
+def _densities(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``values / sizes``, infinite where the size is not positive."""
+    with np.errstate(divide="ignore"):
+        return np.where(sizes > 0, values / sizes, np.inf)
+
+
 def _unpack(mask: int, m: int) -> np.ndarray:
     """The low ``m`` bits of ``mask`` as a boolean vector, bit 0 first."""
     data = np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
@@ -131,8 +151,7 @@ def _branch_and_bound(
         def room_of(remaining: list[float]) -> float:
             return sum(map(mul, weight_list, remaining)) + slack
 
-    with np.errstate(divide="ignore"):
-        density = np.where(aggregate > 0, profits / aggregate, np.inf)
+    density = _densities(profits, aggregate)
     order = np.argsort(-density, kind="stable")
     density = density[order]
     prefix_p = np.concatenate(([0.0], np.cumsum(profits[order]))).tolist()
@@ -212,9 +231,7 @@ def offline_exact(
     if not (_is_int(node_budget) and node_budget >= 1):
         raise OracleError(f"node_budget must be a positive integer, got {node_budget!r}")
     accepted = np.zeros(instance.tenant_count, dtype=bool)
-    profits = adjusted_profits(instance)
-    viable = (profits > 0) & (instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
-    index = np.flatnonzero(viable)
+    profits, index = _viable(instance)
     m = len(index)
     if m == 0:
         return OracleResult(0.0, accepted, method, True)
@@ -240,7 +257,7 @@ def offline_exact(
             if value > best:
                 chosen = weighted
     accepted[index[chosen]] = True
-    welfare = float(profits[accepted].sum()) if accepted.any() else 0.0
+    welfare = float(profits[accepted].sum())
     if exhausted:
         return OracleResult(welfare, accepted, method, exact=False, upper_bound=upper_bound, nodes_explored=nodes)
     return OracleResult(welfare, accepted, method, exact=True, nodes_explored=nodes)

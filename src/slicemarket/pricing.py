@@ -48,10 +48,6 @@ class PricingSchedule:
         object.__setattr__(self, "_floor", tuple(self.setup.price_floors.tolist()))
         object.__setattr__(self, "_w", tuple(self.thresholds.tolist()))
 
-    @property
-    def resource_count(self) -> int:
-        return self.setup.resource_count
-
     def price_at(self, c: int, y: float) -> float:
         """Posted price of resource ``c`` at utilization ``y``.
 
@@ -59,7 +55,7 @@ class PricingSchedule:
         above it up to capacity; defined on ``[0, CAPACITY]``.
         """
         if not 0 <= c < len(self._w):
-            raise SetupError(f"resource index {c} out of range [0, {self.resource_count})")
+            raise SetupError(f"resource index {c} out of range [0, {len(self._w)})")
         return _threshold_price(self._q[c], self._floor[c], self._w[c], y)
 
     def quote(self, utilization) -> tuple[float, ...]:

@@ -278,10 +278,6 @@ class SessionLedger:
         return self._transcript
 
     @property
-    def resource_count(self) -> int:
-        return len(self.utilization)
-
-    @property
     def arrivals(self) -> int:
         return len(self.record.outcomes)
 
@@ -290,7 +286,7 @@ class SessionLedger:
         """Bytes that crossed the wire, 4 per scalar value, without building
         the transcript: per arrival the quoted prices, the demands (one of
         each per resource), the accept flag, the payment and the outcome."""
-        return 4 * self.arrivals * (2 * self.resource_count + 3)
+        return 4 * self.arrivals * (2 * len(self.utilization) + 3)
 
 
 @dataclass(frozen=True)

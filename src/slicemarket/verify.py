@@ -75,14 +75,23 @@ def check_session(instance, order) -> dict[str, int]:
 
 
 def session_suite(sessions: int = 1000, seed: int = 0, totals: Counter | None = None) -> list[str]:
-    """Run randomized posted-price sessions; one line per violated invariant family."""
+    """Run randomized posted-price sessions; one line per violated invariant family.
+
+    A generator failure is one ``instance generation`` line.  Each order is
+    drawn before its instance, so the sessions after a failure do not change.
+    """
     totals = Counter() if totals is None else totals
     rng = np.random.default_rng(seed)
     problems: list[str] = []
     for index in range(sessions):
         config = _random_config(rng)
-        instance = generate_instance(config)
-        order = rng.permutation(instance.tenant_count)
+        order = rng.permutation(config.tenant_count)
+        try:
+            instance = generate_instance(config)
+        except WorkloadError as exc:
+            problems.append(f"session {index} (seed {config.seed}): instance generation: {exc}")
+            totals["instance generation"] += 1
+            continue
         for family, count in check_session(instance, order).items():
             problems.append(f"session {index} (seed {config.seed}): {family}: {count} violation(s)")
             totals[family] += count

@@ -271,11 +271,20 @@ class Instance:
 
     @classmethod
     def load(cls, path: str | Path) -> "Instance":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise WorkloadError(f"{path} is not UTF-8 text: {exc}") from exc
-        return cls.from_dict(json.loads(text))
+        return _load_json(path, cls.from_dict, WorkloadError, "instance")
+
+
+def _load_json(path: str | Path, from_dict, error: type[MarketError], kind: str):
+    """``from_dict`` of the JSON file at ``path``; an ``OSError`` propagates.
+
+    Text that is not UTF-8 or not JSON, and a ``MarketError`` of
+    ``from_dict``, raise ``error`` naming the invalid ``kind`` file."""
+    try:
+        return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except UnicodeDecodeError as exc:
+        raise error(f"invalid {kind} file {path}: not UTF-8 text: {exc}") from exc
+    except (json.JSONDecodeError, MarketError) as exc:
+        raise error(f"invalid {kind} file {path}: {exc}") from exc
 
 
 def _reject_non_numbers(key: str, value) -> None:

@@ -12,7 +12,7 @@ import pytest
 import slicemarket
 from slicemarket import cli, verify
 from slicemarket.cli import main
-from slicemarket.harness import ExperimentSpec
+from slicemarket.harness import ExperimentSpec, HarnessError
 from slicemarket.workload import GenConfig, Instance, generate_instance
 
 
@@ -75,6 +75,28 @@ class TestRun:
 
     def test_missing_spec_is_io_failure(self, tmp_path):
         assert main(["run", "--spec", str(tmp_path / "nope.json")]) == 3
+
+    def test_directory_spec_is_io_failure(self, tmp_path, capsys):
+        assert main(["run", "--spec", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "document",
+        [{"config": "x"}, {"config": None}, {"algos": 5}, {"config": {"tenants": 5}}],
+        ids=["string config", "null config", "scalar algos", "unknown config key"],
+    )
+    def test_misshapen_spec_is_validation_failure(self, tmp_path, capsys, document):
+        with pytest.raises(HarnessError, match="malformed spec document"):
+            ExperimentSpec.from_dict(document)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document))
+        assert main(["run", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: invalid spec file {path}: ")
+        assert captured.err.count("\n") == 1
 
     def test_invalid_spec_is_validation_failure(self, tmp_path):
         path = spec_file(tmp_path, algos=["cvx"])
@@ -298,6 +320,12 @@ class TestOracle:
 
     def test_missing_instance(self, tmp_path):
         assert main(["oracle", "--instance", str(tmp_path / "missing.json")]) == 3
+
+    def test_directory_instance_is_io_failure(self, tmp_path, capsys):
+        assert main(["oracle", "--instance", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("budget", ["-5", "0", "2.5", "x"])
     def test_bad_node_budget_is_usage_error(self, tmp_path, capsys, budget):

@@ -1,4 +1,4 @@
-"""Economic primitives: cost, conjugate, welfare accounting."""
+"""Economic primitives: conjugate, welfare accounting."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from slicemarket.market import (
     PaymentError,
     SetupError,
     conjugate,
-    cost,
     social_welfare,
     utilities,
 )
@@ -24,31 +23,6 @@ from conftest import manual_instance, random_setup
 
 def make_setup(q=1.0, floor=2.0, cap=4.0):
     return MarketSetup([q], [floor], [cap])
-
-
-class TestCost:
-    def test_zero_startup(self):
-        assert cost(make_setup(q=0.5), 0, 0.0) == 0.0
-
-    def test_linear(self):
-        assert cost(make_setup(q=0.5), 0, 1.0) == 0.5
-
-    def test_beyond_capacity_is_infinite(self):
-        with pytest.raises(MarketError):
-            cost(make_setup(q=0.5), 0, 1.0001)
-
-    def test_monotone_then_infinite(self):
-        setup = make_setup(q=0.7)
-        values = [cost(setup, 0, y) for y in np.linspace(0, 1, 101)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_invalid_resource(self):
-        with pytest.raises(SetupError):
-            cost(make_setup(), 3, 0.5)
-
-    def test_negative_utilization(self):
-        with pytest.raises(MarketError):
-            cost(make_setup(), 0, -0.1)
 
 
 class TestConjugate:
@@ -64,6 +38,10 @@ class TestConjugate:
     def test_negative_price(self):
         with pytest.raises(MarketError):
             conjugate(make_setup(), 0, -1.0)
+
+    def test_invalid_resource(self):
+        with pytest.raises(SetupError):
+            conjugate(make_setup(), 3, 0.5)
 
 
 class TestProfit:

@@ -217,6 +217,30 @@ def test_workload_suite_lists_a_generator_failure(monkeypatch):
     assert problems == [f"instance 1 (seed {configs[1].seed}): generated instance violates its invariants: injected"]
 
 
+def test_session_suite_counts_a_generator_failure_and_goes_on(monkeypatch):
+    sessions = []
+    monkeypatch.setattr(verify, "check_session", lambda instance, order: sessions.append(order.tolist()) or {})
+    verify.session_suite(sessions=4, seed=0)
+    clean, sessions[:] = sessions[:], []
+    configs = []
+
+    def failing_on_the_second(config):
+        configs.append(config)
+        if len(configs) == 2:
+            raise WorkloadError("generated instance violates its invariants: injected")
+        return generate_instance(config)
+
+    monkeypatch.setattr(verify, "generate_instance", failing_on_the_second)
+    totals = Counter()
+    problems = verify.session_suite(sessions=4, seed=0, totals=totals)
+    assert problems == [
+        f"session 1 (seed {configs[1].seed}): instance generation: generated instance violates its invariants: injected"
+    ]
+    assert totals == {"instance generation": 1}
+    # the other three sessions ran on the orders they draw without the failure
+    assert len(configs) == 4 and sessions == [clean[0], clean[2], clean[3]]
+
+
 def test_suites_total_each_violated_family(monkeypatch):
     monkeypatch.setattr(verify, "check_session", lambda instance, order: {"capacity": 2, "refund": 1})
     calls = []
