@@ -81,7 +81,8 @@ class MarketSetup:
             raise SetupError("unit_costs, price_floors and price_caps must be 1-D and equally long")
         if self.resource_count < 1:
             raise SetupError("a market needs at least one resource")
-        for c, (q, lo, hi) in enumerate(zip(self.unit_costs, self.price_floors, self.price_caps)):
+        band = zip(self.unit_costs.tolist(), self.price_floors.tolist(), self.price_caps.tolist())
+        for c, (q, lo, hi) in enumerate(band):
             if not (math.isfinite(q) and math.isfinite(lo) and math.isfinite(hi)):
                 raise SetupError(f"resource {c}: non-finite value (q={q!r}, floor={lo!r}, cap={hi!r})")
             if not q > 0:
@@ -110,11 +111,9 @@ class Allocation:
     def __post_init__(self):
         object.__setattr__(self, "accepted", _readonly(self.accepted, bool))
         object.__setattr__(self, "utilization", _readonly(self.utilization))
-        for c, y in enumerate(self.utilization):
-            if y > CAPACITY + FEASIBILITY_EPS:
-                raise InfeasibleAllocationError(c, float(y))
-            if y < 0:
-                raise InfeasibleAllocationError(c, float(y))
+        for c, y in enumerate(self.utilization.tolist()):
+            if y > CAPACITY + FEASIBILITY_EPS or y < 0:
+                raise InfeasibleAllocationError(c, y)
 
     @classmethod
     def from_decisions(cls, instance, accepted) -> "Allocation":
@@ -182,7 +181,7 @@ def utilities(setup: MarketSetup, instance, allocation: Allocation, payments) ->
         raise PaymentError("payments vector must have one entry per tenant")
     if (payments < 0).any():
         tenant = int(np.argmax(payments < 0))
-        raise PaymentError(f"tenant {tenant}: negative payment {payments[tenant]!r}")
+        raise PaymentError(f"tenant {tenant}: negative payment {float(payments[tenant])!r}")
     stray = payments[~allocation.accepted]
     if (stray != 0).any():
         tenant = int(np.flatnonzero(~allocation.accepted)[np.argmax(stray != 0)])

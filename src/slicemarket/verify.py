@@ -121,16 +121,17 @@ def pricing_suite(setups: int = 1000, seed: int = 0, totals: Counter | None = No
         for i in range(c):
             start = schedule.price_at(i, 0.0)
             if start != floors[i]:
-                report("start price", f"setup {index}: start price {start!r} != floor {floors[i]!r}")
+                report("start price", f"setup {index}: start price {start!r} != floor {float(floors[i])!r}")
             terminal = schedule.price_at(i, 1.0)
             target = float(cap_sum - (cost_sum - costs[i]))
             if abs(terminal - target) > 1e-9 * abs(target):
                 report("terminal price", f"setup {index}: terminal price {terminal!r} != {target!r}")
-            w = schedule.thresholds[i]
+            w = float(schedule.thresholds[i])
             if not 0 < w <= 1:
                 report("threshold", f"setup {index}: threshold {w!r} outside (0, 1]")
-            left = schedule.price_at(i, max(w - 1e-9, 0.0))
-            if abs(left - schedule.price_at(i, w)) > 1e-6:
+            # the price is flat up to and including w, so a jump shows just above it
+            right = schedule.price_at(i, min(w + 1e-9, CAPACITY))
+            if abs(right - schedule.price_at(i, w)) > 1e-6:
                 report("continuity", f"setup {index}: discontinuity at the threshold of resource {i}")
     return problems
 

@@ -181,6 +181,13 @@ class Instance:
         for name in ("price_floors", "price_caps", "unit_costs"):
             if getattr(self, name).shape != (c,):
                 raise WorkloadError(f"{name} must have one entry per resource")
+        # one pass over clean data (NaN fails every comparison); only a failed
+        # pass runs the per-array checks below, which name the first defect
+        d, v = self.demands, self.valuations
+        per_resource = self.price_floors.tolist() + self.price_caps.tolist() + self.unit_costs.tolist()
+        tenants_clean = n == 0 or (0.0 <= d.min() and d.max() < math.inf and 0.0 <= v.min() and v.max() < math.inf)
+        if tenants_clean and all(map(math.isfinite, per_resource)):
+            return
         for name, axes in _ARRAY_AXES.items():
             values = getattr(self, name)
             if np.isfinite(values).all():
@@ -208,6 +215,8 @@ class Instance:
 
     def densities(self) -> np.ndarray:
         """Earning density per tenant and resource; NaN where nothing is demanded."""
+        if np.count_nonzero(self.demands) == self.demands.size:  # every entry demanded: no mask
+            return self.valuations[:, None] / self.demands
         return np.divide(
             self.valuations[:, None], self.demands, out=np.full(self.demands.shape, np.nan), where=self.demands > 0
         )
@@ -335,10 +344,12 @@ def _median(values: np.ndarray) -> float:
 
 
 def _sample_demands(config: GenConfig, rng: np.random.Generator) -> np.ndarray:
+    """Demand matrix of the market; with ``participation=None`` every entry
+    is demanded, else each tenant demands a random non-empty set of resources
+    and the others are 0."""
     n, c = config.tenant_count, config.resource_count
-    if config.participation is None:
-        active = np.ones((n, c), dtype=bool)
-    else:
+    active = None  # every entry demanded
+    if config.participation is not None:
         active = rng.random((n, c)) < config.participation
         for _ in range(_MAX_RESAMPLE_ROUNDS):
             empty = ~active.any(axis=1)
@@ -351,13 +362,16 @@ def _sample_demands(config: GenConfig, rng: np.random.Generator) -> np.ndarray:
             active[empty, 0] = True
     demands = rng.normal(config.resolved_demand_mean, config.resolved_demand_std, size=(n, c))
     for _ in range(_MAX_RESAMPLE_ROUNDS):
-        bad = active & (demands <= MIN_DEMAND)
+        bad = demands <= MIN_DEMAND
+        if active is not None:
+            bad &= active
         if not bad.any():
             break
         demands[bad] = rng.normal(config.resolved_demand_mean, config.resolved_demand_std, size=int(bad.sum()))
     else:
         raise WorkloadError("demand resampling failed; demand_mean is too close to zero")
-    demands[~active] = 0.0
+    if active is not None:
+        demands[~active] = 0.0
     return demands
 
 
@@ -434,9 +448,14 @@ def generate_instance(config: GenConfig) -> Instance:
     demands = _sample_demands(config, rng)
     raw_valuations = _sample_tenants(config, rng)[-1]
 
-    demanded = demands > 0
-    rows, _ = np.nonzero(demanded)
-    scale = _median(raw_valuations[rows] / demands[demanded])
+    # a dense market demands every entry, so its densities need no mask
+    dense = config.participation is None
+    if dense:
+        scale = _median((raw_valuations[:, None] / demands).ravel())
+    else:
+        demanded = demands > 0
+        rows, _ = np.nonzero(demanded)
+        scale = _median(raw_valuations[rows] / demands[demanded])
     if not scale > 0:
         raise WorkloadError("degenerate configuration: median earning density is not positive")
     valuations = raw_valuations / scale
@@ -444,8 +463,11 @@ def generate_instance(config: GenConfig) -> Instance:
     # each resource's cap is its highest density, or the highest of all on a
     # resource nobody demands; generated densities are finite, so -inf marks
     # exactly the undemanded entries
-    highs = np.divide(valuations[:, None], demands, out=np.full(demands.shape, -np.inf), where=demanded).max(axis=0)
-    highs[highs == -np.inf] = highs.max()
+    if dense:
+        highs = (valuations[:, None] / demands).max(axis=0)
+    else:
+        highs = np.divide(valuations[:, None], demands, out=np.full(demands.shape, -np.inf), where=demanded).max(axis=0)
+        highs[highs == -np.inf] = highs.max()
     caps = (1.0 + config.density_margin) * highs
     floors = np.full(config.resource_count, bundle_floor(demands, valuations, config.density_margin))
     lo, hi = config.unit_cost_range
@@ -471,46 +493,52 @@ def validate_instance(instance: Instance) -> list[Violation]:
     instance is sound.  Finite values and non-negative tenant data are already
     guaranteed by the ``Instance`` constructor.
 
-    Each rule is one array comparison; only the violating entries are
-    visited, to write their messages: per resource the band and cost rules,
-    then each tenant's bundle at the floors, then each demanded (tenant,
-    resource) density against the band, in row-major order.
+    Each of the three rule families is one test, and a sound instance returns
+    there.  Only a family that fires is walked, to write the messages of its
+    violating entries: per resource the band and cost rules, then each
+    tenant's bundle at the floors, then each demanded (tenant, resource)
+    density against the band, in row-major order.
     """
-    violations: list[Violation] = []
-    floors, caps, costs = instance.price_floors, instance.price_caps, instance.unit_costs
-    crossed, cost_not_positive, cost_at_floor = ~(floors <= caps), ~(costs > 0), ~(costs < floors)
-    for c in np.flatnonzero(crossed | cost_not_positive | cost_at_floor).tolist():
-        lo, hi, q = floors[c], caps[c], costs[c]
-        if crossed[c]:
-            violations.append(
-                Violation("bounds-crossed", f"resource {c}: floor {lo!r} above cap {hi!r}", resource=c)
-            )
-        if cost_not_positive[c]:
-            violations.append(Violation("cost-not-positive", f"resource {c}: 0 < q_c violated (q={q!r})", resource=c))
-        if cost_at_floor[c]:
-            violations.append(
-                Violation("cost-at-floor", f"resource {c}: q_c < floor violated (q={q!r}, floor={lo!r})", resource=c)
-            )
+    floors, caps = instance.price_floors, instance.price_caps
+    band = list(zip(floors.tolist(), caps.tolist(), instance.unit_costs.tolist()))
     floor_bundles = instance.demands @ floors
-    for n in np.flatnonzero(instance.valuations < floor_bundles * (1.0 - BUNDLE_FLOOR_RTOL)).tolist():
-        violations.append(
-            Violation(
-                "bundle-below-floor",
-                f"tenant {n}: valuation {instance.valuations[n]!r} below its bundle at the floors "
-                f"{floor_bundles[n]!r}",
-                n,
-            )
-        )
+    short = instance.valuations < floor_bundles * (1.0 - BUNDLE_FLOOR_RTOL)
     densities = instance.densities()  # NaN where nothing is demanded, which compares False
     below = densities < floors
     above = densities > caps
+    band_holds = all(0.0 < q < lo <= hi for lo, hi, q in band)
+    count = np.count_nonzero
+    if band_holds and not count(short) and not count(below) and not count(above):
+        return []
+
+    violations: list[Violation] = []
+    for c, (lo, hi, q) in enumerate(band):
+        if not lo <= hi:
+            violations.append(
+                Violation("bounds-crossed", f"resource {c}: floor {lo!r} above cap {hi!r}", resource=c)
+            )
+        if not q > 0:
+            violations.append(Violation("cost-not-positive", f"resource {c}: 0 < q_c violated (q={q!r})", resource=c))
+        if not q < lo:
+            violations.append(
+                Violation("cost-at-floor", f"resource {c}: q_c < floor violated (q={q!r}, floor={lo!r})", resource=c)
+            )
+    for n in np.flatnonzero(short).tolist():
+        violations.append(
+            Violation(
+                "bundle-below-floor",
+                f"tenant {n}: valuation {float(instance.valuations[n])!r} below its bundle at the floors "
+                f"{float(floor_bundles[n])!r}",
+                n,
+            )
+        )
     for n, c in zip(*(axis.tolist() for axis in np.nonzero(below | above))):
-        e = densities[n, c]
+        e = float(densities[n, c])
         if below[n, c]:
             violations.append(
                 Violation(
                     "density-below-floor",
-                    f"tenant {n} resource {c}: density {e!r} below floor {floors[c]!r}",
+                    f"tenant {n} resource {c}: density {e!r} below floor {band[c][0]!r}",
                     n,
                     c,
                 )
@@ -519,7 +547,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
             violations.append(
                 Violation(
                     "density-above-cap",
-                    f"tenant {n} resource {c}: density {e!r} above cap {caps[c]!r}",
+                    f"tenant {n} resource {c}: density {e!r} above cap {band[c][1]!r}",
                     n,
                     c,
                 )

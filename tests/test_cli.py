@@ -354,6 +354,17 @@ class TestOracle:
         assert captured.out == ""
         assert "non-finite" in captured.err
 
+    def test_invalid_instance_lines_spell_plain_floats(self, tmp_path, capsys):
+        # floor above cap, and a density above that cap: finite, so the file loads
+        path = Instance([[0.5]], [1.0], [1.0], [0.9], [0.5]).save(tmp_path / "instance.json")
+        assert main(["oracle", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid instance: resource 0: floor 1.0 above cap 0.9\n"
+            "error: invalid instance: tenant 0 resource 0: density 2.0 above cap 0.9\n"
+        )
+
     @pytest.mark.parametrize("name", MALFORMED_INSTANCES)
     def test_malformed_instance_is_validation_failure(self, tmp_path, capsys, name):
         document = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=8)).to_dict()

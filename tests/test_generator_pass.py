@@ -134,9 +134,10 @@ def _reference_population(config):
 
 
 def _reference_validate(instance):
+    # numbers are spelled as Python floats: ``repr(1.0)``, not ``np.float64(1.0)``
     violations = []
     for c in range(instance.resource_count):
-        lo, hi, q = instance.price_floors[c], instance.price_caps[c], instance.unit_costs[c]
+        lo, hi, q = float(instance.price_floors[c]), float(instance.price_caps[c]), float(instance.unit_costs[c])
         if not lo <= hi:
             violations.append(
                 Violation("bounds-crossed", f"resource {c}: floor {lo!r} above cap {hi!r}", resource=c)
@@ -152,19 +153,19 @@ def _reference_validate(instance):
         violations.append(
             Violation(
                 "bundle-below-floor",
-                f"tenant {int(n)}: valuation {instance.valuations[n]!r} below its bundle at the floors "
-                f"{floor_bundles[n]!r}",
+                f"tenant {int(n)}: valuation {float(instance.valuations[n])!r} below its bundle at the floors "
+                f"{float(floor_bundles[n])!r}",
                 int(n),
             )
         )
-    densities = instance.densities()
+    densities = _reference_densities(instance)
     for n, c in zip(*np.nonzero(instance.demands > 0)):
-        e = densities[n, c]
+        e = float(densities[n, c])
         if e < instance.price_floors[c]:
             violations.append(
                 Violation(
                     "density-below-floor",
-                    f"tenant {int(n)} resource {int(c)}: density {e!r} below floor {instance.price_floors[c]!r}",
+                    f"tenant {int(n)} resource {int(c)}: density {e!r} below floor {float(instance.price_floors[c])!r}",
                     int(n),
                     int(c),
                 )
@@ -173,7 +174,7 @@ def _reference_validate(instance):
             violations.append(
                 Violation(
                     "density-above-cap",
-                    f"tenant {int(n)} resource {int(c)}: density {e!r} above cap {instance.price_caps[c]!r}",
+                    f"tenant {int(n)} resource {int(c)}: density {e!r} above cap {float(instance.price_caps[c])!r}",
                     int(n),
                     int(c),
                 )

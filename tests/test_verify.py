@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slicemarket import protocol, verify
+from slicemarket import pricing, protocol, verify
 from slicemarket.market import CAPACITY, MarketSetup, social_welfare, utilities
 from slicemarket.pricing import build_schedule
 from slicemarket.protocol import FAIL, SKIP, SUCC, DualCertificate
@@ -274,3 +274,22 @@ def test_pricing_suite_totals_by_family(monkeypatch):
     assert totals["schedule ratio"] == 4
     assert totals["schedule start price"] > 0
 
+
+
+def test_pricing_suite_reports_a_jump_just_above_the_threshold(monkeypatch):
+    # the price is flat up to and including the threshold w, so a jump there
+    # shows only on the right of w
+    flat = pricing._threshold_price
+
+    def bumped(q, floor, w, y):
+        price = flat(q, floor, w, y)
+        return price + 0.5 * floor if w < y < w + 0.01 else price
+
+    assert verify.pricing_suite(setups=50, seed=0) == []
+    monkeypatch.setattr(pricing, "_threshold_price", bumped)
+    totals = Counter()
+    problems = verify.pricing_suite(setups=50, seed=0, totals=totals)
+    jumps = [line for line in problems if "discontinuity" in line]
+    assert totals["schedule continuity"] == len(jumps)
+    # every setup has a resource below full capacity at its threshold
+    assert {int(line.split()[1].rstrip(":")) for line in jumps} == set(range(50))
