@@ -17,7 +17,7 @@ import numpy as np
 from .market import CAPACITY, FEASIBILITY_EPS, MarketSetup, SetupError
 from .oracle import _densities, _viable, adjusted_profits
 from .protocol import SessionResult, arrival_order, run_session
-from .workload import _is_finite, _is_int
+from .workload import _is_int
 
 _EPS = np.finfo(float).eps
 
@@ -25,29 +25,24 @@ _EPS = np.finfo(float).eps
 # ---------------------------------------------------------------------------
 # genetic heuristic
 
+#: Contenders drawn for each parent; the fittest of them is the parent.
+TOURNAMENT = 3
+#: The fittest rows that pass into the next generation unchanged.
+ELITES = 2
+
 
 @dataclass(frozen=True)
 class GaParams:
     population: int = 100
     generations: int = 200
-    mutation_rate: float | None = None  # None: one expected flip per chromosome
-    tournament: int = 3
-    elitism: int = 2
 
     def __post_init__(self):
-        for name in ("population", "generations", "tournament", "elitism"):
+        for name in ("population", "generations"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.population < 2 or self.generations < 1:
-            raise ValueError("population must be >= 2 and generations >= 1")
-        if not 0 <= self.elitism < self.population:
-            raise ValueError("elitism must leave room for offspring")
-        if self.tournament < 1:
-            raise ValueError("tournament size must be >= 1")
-        rate = self.mutation_rate
-        if rate is not None and not (_is_finite(rate) and 0 <= rate <= 1):
-            raise ValueError(f"mutation_rate must be None or a number in [0, 1], got {rate!r}")
+        if self.population <= ELITES or self.generations < 1:
+            raise ValueError(f"population must be > {ELITES} (the elites) and generations >= 1")
 
 
 def _population_repair(demands: np.ndarray, density: np.ndarray):
@@ -122,17 +117,19 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
     Always returns a feasible decision vector, so its welfare can never beat
     the exact offline optimum.
 
-    A generation picks each offspring's two parents by tournament (the
-    fitter of ``tournament`` uniform contenders, the first on ties), takes the
-    first parent's genes before a uniform cut and the second's from it on,
-    flips each gene with probability ``mutation_rate`` and repairs the child;
-    the ``elitism`` fittest rows survive unchanged.  Two things keep the
-    result bit-identical for a given seed, and every rewrite must keep them:
-    the draws, ``random((population, m))`` once, then per generation
-    ``integers`` for the contenders, ``integers`` for the cuts and
-    ``random((offspring, m))`` for the flips, in that order and shape; and
-    the fitness, ``population.astype(float) @ w`` over the whole population
-    every generation.  The generation reuses its buffers: the population is
+    A generation picks each offspring's two parents, each the fittest of
+    ``TOURNAMENT`` uniform contenders (the first on ties), takes the first
+    parent's genes before a uniform cut and the second's from it on, flips
+    each gene with probability ``1/m`` (one expected flip in the ``m`` genes)
+    and repairs the child; the ``ELITES`` fittest rows survive unchanged.
+    Two things keep the result bit-identical for a given seed, and every
+    rewrite must keep them: the draws, ``random((population, m))`` once,
+    then per generation ``integers`` for the ``(offspring, 2, TOURNAMENT)``
+    contenders, ``integers`` for the cuts and ``random((offspring, m))``
+    compared with ``1/m`` for the flips, in that order and shape, with
+    ``offspring = population - ELITES``; and the fitness,
+    ``population.astype(float) @ w`` over the whole population every
+    generation.  The generation reuses its buffers: the population is
     double-buffered, offspring are written straight into the next one.
     """
     params = params or GaParams()
@@ -144,14 +141,13 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
     w = profits[index]
     demands = instance.demands[index]
     density = _densities(w, demands.sum(axis=1))
-    rate = params.mutation_rate if params.mutation_rate is not None else 1.0 / m
     repair = _population_repair(demands, density)
 
-    size, elites = params.population, params.elitism
-    k = size - elites  # offspring per generation
+    size = params.population
+    k = size - ELITES  # offspring per generation
     heads = np.arange(m) < np.arange(max(m, 2))[:, None]  # heads[cut]: genes before the cut
     # contenders.ravel()[slots + j] is contender j of slot (child, parent)
-    slots = params.tournament * np.arange(2 * k).reshape(k, 2)
+    slots = TOURNAMENT * np.arange(2 * k).reshape(k, 2)
     first = np.empty((k, m), dtype=bool)
     before = np.empty((k, m), dtype=bool)
     noise = np.empty((k, m))
@@ -168,18 +164,17 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
     for _ in range(params.generations):
         # every index taken is in range, so mode="clip" only skips numpy's
         # buffered copy into ``out``
-        if elites:
-            np.take(population, np.argsort(fitness)[-elites:], axis=0, out=spare[:elites], mode="clip")
-        contenders = rng.integers(0, size, size=(k, 2, params.tournament))
+        np.take(population, np.argsort(fitness)[-ELITES:], axis=0, out=spare[:ELITES], mode="clip")
+        contenders = rng.integers(0, size, size=(k, 2, TOURNAMENT))
         parents = contenders.ravel()[slots + np.argmax(fitness[contenders], axis=2)]
         cut = rng.integers(1, max(m, 2), size=k)
-        offspring = spare[elites:]
+        offspring = spare[ELITES:]
         np.take(population, parents[:, 1], axis=0, out=offspring, mode="clip")
         np.take(population, parents[:, 0], axis=0, out=first, mode="clip")
         np.take(heads, cut, axis=0, out=before, mode="clip")
         np.copyto(offspring, first, where=before)
         rng.random(out=noise)
-        np.less(noise, rate, out=flips)
+        np.less(noise, 1.0 / m, out=flips)
         offspring ^= flips
         repair(offspring)
         population, spare = spare, population

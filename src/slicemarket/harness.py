@@ -176,6 +176,11 @@ class ExperimentSpec:
             raise HarnessError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (_is_int(self.node_budget) and self.node_budget >= 1):
             raise HarnessError(f"node_budget must be a positive integer, got {self.node_budget!r}")
+        for name in ("transcripts", "timing"):
+            if not isinstance(getattr(self, name), bool):
+                raise HarnessError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise HarnessError(f"out must be a path string or null, got {self.out!r}")
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -197,7 +202,7 @@ class ExperimentSpec:
             kwargs["base_config"] = GenConfig.from_dict(data.get("config", {}))
             kwargs["values"] = tuple(tuple(v) if isinstance(v, list) else v for v in data.get("values", ()))
             try:
-                kwargs["ga_params"] = GaParams(**(data.get("ga_params") or {}))
+                kwargs["ga_params"] = GaParams(**({} if data.get("ga_params") is None else data["ga_params"]))
             except (TypeError, ValueError) as exc:
                 raise HarnessError(f"invalid ga_params: {exc}") from exc
             return cls(**kwargs)

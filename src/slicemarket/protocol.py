@@ -220,7 +220,13 @@ def transcript_to_jsonl(entries: Iterable[TranscriptEntry]) -> str:
 
 
 def parse_transcript_jsonl(text: str) -> list[dict]:
-    records = [json.loads(line) for line in text.splitlines() if line.strip()]
+    """The records of a JSONL transcript, each checked against the schema."""
+    records = []
+    for number, line in enumerate(text.splitlines(), 1):
+        try:
+            records += [json.loads(line)] if line.strip() else []
+        except json.JSONDecodeError as exc:
+            raise TranscriptSchemaError(f"line {number} is not JSON: {exc}") from exc
     for record in records:
         validate_transcript_record(record)
     return records

@@ -27,9 +27,12 @@ MIN_DEMAND = 1e-6
 #: the rounding of a C-term sum, a few ulps, never this much.
 BUNDLE_FLOOR_RTOL = 1e-12
 _MAX_RESAMPLE_ROUNDS = 1000
-#: Highest allowed top tier.  The generator holds an N x (top tier) int64
-#: matrix of tier counts, so this keeps it at 512 bytes a tenant.
-MAX_TOP_TIER = 64
+#: The private valuation model's fixed statistics; see :func:`_sample_tenants`.
+SUBSCRIBER_MEAN = 1e6
+SUBSCRIBER_STD = 1e5
+FREE_USER_FRACTION = 0.4
+TIER_DECAY = 0.5
+TOP_TIER_RANGE = (2.0, 6.0)
 #: The instance's arrays and what their axes index.
 _ARRAY_AXES = {
     "demands": ("tenant", "resource"),
@@ -61,23 +64,20 @@ def _is_finite(value) -> bool:
 class GenConfig:
     """Knobs of the instance generator; defaults follow the benchmark workload.
 
-    ``density_margin`` widens the posted band around the observed densities:
-    every resource's floor is ``(1 - margin)`` times the lowest bundle density
-    ``min_n v_n / sum_c d_nc`` (see :func:`bundle_floor`) and its cap is
-    ``(1 + margin)`` times the highest density on that resource.  Unit costs
-    are drawn as fractions ``unit_cost_range`` of the floor.
+    The valuation model's other statistics are module constants (see
+    :func:`_sample_tenants`).  ``density_margin`` widens the posted band
+    around the observed densities: every resource's floor is
+    ``(1 - margin)`` times the lowest bundle density ``min_n v_n / sum_c d_nc``
+    (see :func:`bundle_floor`) and its cap is ``(1 + margin)`` times the
+    highest density on that resource.  Unit costs are drawn as fractions
+    ``unit_cost_range`` of the floor.
     """
 
     tenant_count: int = 100
     resource_count: int = 3
     demand_mean: float | None = None  # None: 1 / tenant_count
     demand_std: float | None = None  # None: 1 / tenant_count**2
-    subscriber_mean: float = 1e6
-    subscriber_std: float = 1e5
     pay_level_range: tuple[float, float] = (2.0, 6.0)
-    top_tier_range: tuple[float, float] = (2.0, 6.0)
-    free_user_fraction: float = 0.4
-    tier_decay: float = 0.5
     unit_cost_range: tuple[float, float] = (1.0 / 6.0, 5.0 / 6.0)  # fractions of the floor
     density_margin: float = 0.0
     participation: float | None = None  # None: every tenant demands every resource
@@ -91,8 +91,7 @@ class GenConfig:
         if not (_is_int(self.seed) and self.seed >= 0):
             raise WorkloadError(f"seed must be a non-negative integer, got {self.seed!r}")
         optional = ("demand_mean", "demand_std", "participation")  # None picks the default
-        required = ("subscriber_mean", "subscriber_std", "free_user_fraction", "tier_decay", "density_margin")
-        for name in optional + required:
+        for name in optional + ("density_margin",):
             value = getattr(self, name)
             if not (_is_finite(value) or (value is None and name in optional)):
                 raise WorkloadError(f"{name} must be a finite number, got {value!r}")
@@ -100,26 +99,15 @@ class GenConfig:
             raise WorkloadError("demand_mean must be positive")
         if self.demand_std is not None and not self.demand_std >= 0:
             raise WorkloadError("demand_std must be non-negative")
-        if not self.subscriber_std >= 0:
-            raise WorkloadError("subscriber_std must be non-negative")
-        if not 0 <= self.free_user_fraction < 1:
-            raise WorkloadError("free_user_fraction must lie in [0, 1)")
-        if not 0 < self.tier_decay < 1:
-            raise WorkloadError("tier_decay must lie in (0, 1)")
-        for name in ("pay_level_range", "top_tier_range", "unit_cost_range"):
+        for name in ("pay_level_range", "unit_cost_range"):
             try:
                 lo, hi = getattr(self, name)
             except (TypeError, ValueError):
                 raise WorkloadError(f"{name} must be a (low, high) pair, got {getattr(self, name)!r}") from None
             if not (_is_finite(lo) and _is_finite(hi) and 0 < lo <= hi):
                 raise WorkloadError(f"{name} must satisfy 0 < low <= high < inf")
-        lo, hi = self.unit_cost_range
-        if hi >= 1:
+        if self.unit_cost_range[1] >= 1:
             raise WorkloadError("unit_cost_range must stay below 1 so costs stay below the floor")
-        if self.top_tier_range[0] < 1:
-            raise WorkloadError("top_tier_range must start at 1 or above")
-        if self.top_tier_range[1] > MAX_TOP_TIER:
-            raise WorkloadError(f"top_tier_range must end at {MAX_TOP_TIER} or below, got {self.top_tier_range[1]!r}")
         if not 0 <= self.density_margin < 1:
             raise WorkloadError("density_margin must lie in [0, 1)")
         if self.participation is not None and not 0 < self.participation <= 1:
@@ -138,8 +126,9 @@ class GenConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenConfig":
-        data = dict(data)
-        for name in ("pay_level_range", "top_tier_range", "unit_cost_range"):
+        """The config of a JSON object; another value or an unknown key raises ``TypeError``."""
+        data = {**data}  # unlike dict(data), refuses a list of pairs
+        for name in ("pay_level_range", "unit_cost_range"):
             # a JSON array becomes a pair; anything else reaches the pair check as is
             if isinstance(data.get(name), list):
                 data[name] = tuple(data[name])
@@ -242,6 +231,7 @@ class Instance:
         refused here, where ``np.array(..., dtype=float)`` would convert it.
         An empty ``demands`` list is the (0, C) matrix :meth:`to_dict` writes
         for a market without tenants, with C the length of ``bounds.lower``.
+        ``seed`` is a non-negative integer or null, ``config`` an object or null.
         """
         if not isinstance(data, dict):
             raise WorkloadError(f"an instance document must be an object, got {type(data).__name__}")
@@ -258,15 +248,17 @@ class Instance:
             demands = arrays["demands"]
             if isinstance(demands, list) and not demands:
                 demands = np.empty((0, len(arrays["bounds.lower"])))
-            config = data.get("config")
+            seed, config = data.get("seed"), data.get("config")
+            if not (seed is None or (_is_int(seed) and seed >= 0)):
+                raise WorkloadError(f"seed must be a non-negative integer or null, got {seed!r}")
             return cls(
                 demands=demands,
                 valuations=arrays["valuations"],
                 price_floors=arrays["bounds.lower"],
                 price_caps=arrays["bounds.upper"],
                 unit_costs=arrays["costs"],
-                seed=data.get("seed"),
-                config=GenConfig.from_dict(config) if config else None,
+                seed=seed,
+                config=None if config is None else GenConfig.from_dict(config),
             )
         except KeyError as exc:
             raise WorkloadError(f"instance document lacks the key {exc}") from exc
@@ -381,32 +373,33 @@ def _sample_tenants(
     """The private valuation model: each tenant's subscribers, free count, tier
     counts, pay level and raw valuation, as five arrays over the tenants.
 
-    A tenant has a normally drawn number of subscribers (at least one).  A
-    binomial share ``free_user_fraction`` of them sits in the free tier and
-    pays nothing, redrawn until at least one subscriber pays.  The paying
-    subscribers fill tiers ``1..K`` by one multinomial with weights
-    ``tier_decay**k``, a pyramid in which each tier holds about
-    ``tier_decay`` times the users of the tier below; the top tier ``K`` is
-    drawn from ``top_tier_range`` and rounded up.  A subscriber at tier ``k``
-    pays ``pay_level * k`` and is weighted by ``k``, with the pay level drawn
-    from ``pay_level_range``.  Only the raw valuation leaves the generator,
-    rescaled into the instance.
+    A tenant has a number of subscribers drawn from the normal
+    ``(SUBSCRIBER_MEAN, SUBSCRIBER_STD)`` (at least one).  A binomial share
+    ``FREE_USER_FRACTION`` of them sits in the free tier and pays nothing,
+    redrawn until at least one subscriber pays.  The paying subscribers fill
+    tiers ``1..K`` by one multinomial with weights ``TIER_DECAY**k``, a
+    pyramid in which each tier holds about ``TIER_DECAY`` times the users of
+    the tier below; the top tier ``K`` is drawn from ``TOP_TIER_RANGE`` and
+    rounded up, so it is at most 6.  A subscriber at tier ``k`` pays
+    ``pay_level * k`` and is weighted by ``k``, with the pay level drawn from
+    ``pay_level_range``.  Only the raw valuation leaves the generator,
+    rescaled into the instance.  The constants are read at call time.
     """
     n = config.tenant_count
-    subscribers = np.rint(rng.normal(config.subscriber_mean, config.subscriber_std, size=n))
+    subscribers = np.rint(rng.normal(SUBSCRIBER_MEAN, SUBSCRIBER_STD, size=n))
     subscribers = np.maximum(subscribers, 1.0).astype(np.int64)
 
     pay_levels = rng.uniform(*config.pay_level_range, size=n)
-    top_tiers = np.ceil(rng.uniform(*config.top_tier_range, size=n)).astype(np.int64)
+    top_tiers = np.ceil(rng.uniform(*TOP_TIER_RANGE, size=n)).astype(np.int64)
 
-    free = rng.binomial(subscribers, config.free_user_fraction)
+    free = rng.binomial(subscribers, FREE_USER_FRACTION)
     # a tenant with zero paying subscribers has zero valuation and would
     # collapse the density floor; redraw its free count
     for _ in range(_MAX_RESAMPLE_ROUNDS):
         stuck = free >= subscribers
         if not stuck.any():
             break
-        free[stuck] = rng.binomial(subscribers[stuck], config.free_user_fraction)
+        free[stuck] = rng.binomial(subscribers[stuck], FREE_USER_FRACTION)
     else:
         stuck = free >= subscribers
         free[stuck] = subscribers[stuck] - 1
@@ -416,7 +409,7 @@ def _sample_tenants(
     # within a tier: a stable sort by top tier makes each tier's tenants one
     # slice, scattered back afterwards; a prefix of the decay powers is bit
     # for bit the power vector of that tier
-    decay = config.tier_decay ** np.arange(1, int(top_tiers.max()) + 1)
+    decay = TIER_DECAY ** np.arange(1, int(top_tiers.max()) + 1)
     by_tier = np.argsort(top_tiers, kind="stable")
     grouped_paying = paying[by_tier]
     grouped = np.zeros((n, decay.size), dtype=np.int64)

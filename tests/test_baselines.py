@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slicemarket.baselines import (
+    ELITES,
     GaParams,
     MyopicPricing,
     ga_heuristic,
@@ -71,17 +72,17 @@ class TestGaHeuristic:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             GaParams(population=1)
+        with pytest.raises(ValueError, match="elites"):
+            GaParams(population=ELITES)  # no room for offspring
         with pytest.raises(ValueError):
-            GaParams(elitism=100)
+            GaParams(generations=0)
+        assert GaParams(population=ELITES + 1).population == 3
 
-    @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5, float("inf"), -float("inf")])
-    def test_mutation_rate_outside_unit_interval_rejected(self, rate):
-        with pytest.raises(ValueError, match="mutation_rate"):
-            GaParams(mutation_rate=rate)
-
-    @pytest.mark.parametrize("rate", [None, 0.0, 0.25, 1.0])
-    def test_mutation_rate_accepted(self, rate):
-        assert GaParams(mutation_rate=rate).mutation_rate == rate
+    @pytest.mark.parametrize("key", ["mutation_rate", "tournament", "elitism"])
+    def test_removed_keys_are_unknown(self, key):
+        # the tournament size, the elites and the 1/m mutation rate are fixed
+        with pytest.raises(TypeError, match=key):
+            GaParams(**{key: 1})
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -90,11 +91,11 @@ class TestGaHeuristic:
             {"population": 10.0},
             {"generations": True},
             {"generations": "5"},
-            {"tournament": 1.5},
-            {"elitism": 1.0},
-            {"elitism": False},
-            {"mutation_rate": "0.1"},
-            {"mutation_rate": True},
+            {"population": None},
+            {"generations": 2.5},
+            {"population": "10"},
+            {"generations": np.float64(5.0)},
+            {"population": True},
         ],
     )
     def test_non_numbers_rejected_by_name(self, kwargs):
@@ -102,10 +103,10 @@ class TestGaHeuristic:
             GaParams(**kwargs)
 
     def test_numpy_integers_accepted(self):
-        params = GaParams(population=np.int64(6), generations=np.int32(3), tournament=np.uint8(2), elitism=np.int16(1))
+        params = GaParams(population=np.int64(6), generations=np.int32(3))
         inst = generate_instance(GenConfig(tenant_count=8, resource_count=2, seed=4))
         welfare, accepted = ga_heuristic(inst, params, seed=1)
-        expected_welfare, expected = ga_heuristic(inst, GaParams(6, 3, None, 2, 1), seed=1)
+        expected_welfare, expected = ga_heuristic(inst, GaParams(6, 3), seed=1)
         assert welfare == expected_welfare
         np.testing.assert_array_equal(accepted, expected)
 

@@ -11,6 +11,7 @@ import pytest
 
 import slicemarket
 from slicemarket import cli, verify
+from slicemarket.baselines import GaParams
 from slicemarket.cli import main
 from slicemarket.harness import ExperimentSpec, HarnessError
 from slicemarket.workload import GenConfig, Instance, generate_instance
@@ -46,6 +47,21 @@ MALFORMED_INSTANCES = {
     "top-level list": None,
     "zero resources": {"demands": [[]] * 6, "bounds": {"lower": [], "upper": []}, "costs": []},
     "string number": {"demands": [[0.1, "0.1"]] * 6},
+    "string seed": {"seed": "x"},
+    "list config": {"config": [["tenant_count", 6], ["seed", 8]]},
+}
+
+#: Generator and GA settings that are module constants, not fields, and the
+#: section of a spec they would sit in.
+REMOVED_KEYS = {
+    "subscriber_mean": "config",
+    "subscriber_std": "config",
+    "free_user_fraction": "config",
+    "tier_decay": "config",
+    "top_tier_range": "config",
+    "mutation_rate": "ga_params",
+    "tournament": "ga_params",
+    "elitism": "ga_params",
 }
 
 
@@ -83,12 +99,32 @@ class TestRun:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "document",
-        [{"config": "x"}, {"config": None}, {"algos": 5}, {"config": {"tenants": 5}}],
-        ids=["string config", "null config", "scalar algos", "unknown config key"],
+        "document, message",
+        [
+            ({"config": "x"}, "malformed spec document"),
+            ({"config": None}, "malformed spec document"),
+            ({"algos": 5}, "malformed spec document"),
+            ({"config": {"tenants": 5}}, "malformed spec document"),
+            ({"config": [["tenant_count", 7], ["seed", 3]]}, "malformed spec document: 'list' object is not a mapping"),
+            ({"timing": "false"}, "timing must be true or false"),
+            ({"timing": 0}, "timing must be true or false"),
+            ({"transcripts": "true"}, "transcripts must be true or false"),
+            ({"transcripts": None}, "transcripts must be true or false"),
+            ({"out": 5}, "out must be a path string or null"),
+            ({"out": ["results"]}, "out must be a path string or null"),
+            ({"ga_params": 0}, "invalid ga_params: .* must be a mapping, not int"),
+            ({"ga_params": False}, "invalid ga_params: .* must be a mapping, not bool"),
+            ({"ga_params": ""}, "invalid ga_params: .* must be a mapping, not str"),
+            ({"ga_params": []}, "invalid ga_params: .* must be a mapping, not list"),
+        ],
+        ids=[
+            "string config", "null config", "scalar algos", "unknown config key", "pair-list config",
+            "string timing", "integer timing", "string transcripts", "null transcripts", "integer out", "list out",
+            "zero ga_params", "false ga_params", "empty string ga_params", "empty list ga_params",
+        ],
     )
-    def test_misshapen_spec_is_validation_failure(self, tmp_path, capsys, document):
-        with pytest.raises(HarnessError, match="malformed spec document"):
+    def test_misshapen_spec_is_validation_failure(self, tmp_path, capsys, document, message):
+        with pytest.raises(HarnessError, match=message):
             ExperimentSpec.from_dict(document)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(document))
@@ -107,6 +143,28 @@ class TestRun:
         assert main(["run", "--spec", str(path)]) == 2
         assert "'algo'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_is_validation_failure(self, tmp_path, capsys, key):
+        section = REMOVED_KEYS[key]
+        spec = spec_file(tmp_path, **{section: {key: 1}})
+        instance = generate_instance(GenConfig(tenant_count=6, resource_count=2, seed=8)).to_dict()
+        instance["config"][key] = 1
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance))
+        commands = [["run", "--spec", str(spec)]]
+        if section == "config":
+            commands.append(["oracle", "--instance", str(path)])
+        for command in commands:
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert repr(key) in captured.err
+
+    def test_null_ga_params_gives_the_defaults(self):
+        assert ExperimentSpec.from_dict({"ga_params": None}).ga_params == GaParams()
+        assert ExperimentSpec.from_dict({"ga_params": {}}).ga_params == GaParams()
+
     def test_nan_mutation_rate_is_validation_failure(self, tmp_path, capsys):
         path = spec_file(tmp_path)
         path.write_text(path.read_text()[:-1] + ', "ga_params": {"mutation_rate": NaN}}')
@@ -123,6 +181,7 @@ class TestRun:
             ({"node_budget": 0}, "node_budget"),
             ({"node_budget": True}, "node_budget"),
             ({"config": {"tenant_count": 2.5}}, "tenant_count"),
+            # the removed keys below are refused as unknown, and named
             ({"config": {"subscriber_mean": float("nan")}}, "subscriber_mean"),
             ({"config": {"subscriber_std": -1.0}}, "subscriber_std"),
             ({"config": {"top_tier_range": [2.0, float("inf")]}}, "top_tier_range"),

@@ -9,7 +9,9 @@ per-column loop of ``conftest.derive_bounds`` for the caps, a NaN-matrix
 top tier, a sort-based median, one masked column max for the caps) must
 reproduce them bit for bit: the five ``Instance`` arrays byte for byte, the
 tenant arrays of ``_sample_tenants`` against the private records field for
-field, and every violation list in order.
+field, and every violation list in order.  The reference reads the valuation
+model's constants from the ``workload`` module at call time, so a test that
+patches them changes both sides.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from slicemarket import workload
 from slicemarket.verify import _random_config
 from slicemarket.workload import (
     BUNDLE_FLOOR_RTOL,
@@ -59,18 +62,18 @@ def _records(arrays) -> list[TenantPrivate]:
 
 def _reference_sample_tenants(config, rng):
     n = config.tenant_count
-    subscribers = np.rint(rng.normal(config.subscriber_mean, config.subscriber_std, size=n))
+    subscribers = np.rint(rng.normal(workload.SUBSCRIBER_MEAN, workload.SUBSCRIBER_STD, size=n))
     subscribers = np.maximum(subscribers, 1.0).astype(np.int64)
 
     pay_levels = rng.uniform(*config.pay_level_range, size=n)
-    top_tiers = np.ceil(rng.uniform(*config.top_tier_range, size=n)).astype(np.int64)
+    top_tiers = np.ceil(rng.uniform(*workload.TOP_TIER_RANGE, size=n)).astype(np.int64)
 
-    free = rng.binomial(subscribers, config.free_user_fraction)
+    free = rng.binomial(subscribers, workload.FREE_USER_FRACTION)
     for _ in range(_MAX_RESAMPLE_ROUNDS):
         stuck = free >= subscribers
         if not stuck.any():
             break
-        free[stuck] = rng.binomial(subscribers[stuck], config.free_user_fraction)
+        free[stuck] = rng.binomial(subscribers[stuck], workload.FREE_USER_FRACTION)
     else:
         stuck = free >= subscribers
         free[stuck] = subscribers[stuck] - 1
@@ -79,7 +82,7 @@ def _reference_sample_tenants(config, rng):
     tier_counts = np.zeros((n, int(top_tiers.max())), dtype=np.int64)
     for tiers in np.unique(top_tiers):
         rows = np.flatnonzero(top_tiers == tiers)
-        weights = config.tier_decay ** np.arange(1, tiers + 1)
+        weights = workload.TIER_DECAY ** np.arange(1, tiers + 1)
         weights /= weights.sum()
         tier_counts[rows, :tiers] = rng.multinomial(paying[rows], weights)
 
@@ -226,19 +229,26 @@ def test_random_verify_configs():
         {"demand_mean": 0.5, "demand_std": 0.2},
         {"demand_mean": 2.0, "demand_std": 1.0, "participation": 0.6},
         {"density_margin": 0.1, "resource_count": 4},
-        {"top_tier_range": (1.0, 9.0), "tier_decay": 0.8},
-        {"subscriber_mean": 3.0, "subscriber_std": 2.0, "free_user_fraction": 0.9},
+        # upper-case keys patch the valuation model's constants
+        {"TOP_TIER_RANGE": (1.0, 9.0), "TIER_DECAY": 0.8},
+        {"SUBSCRIBER_MEAN": 3.0, "SUBSCRIBER_STD": 2.0, "FREE_USER_FRACTION": 0.9},
     ],
     ids=["default", "sparse", "demand 0.5", "demand 2 sparse", "margin 0.1", "deep tiers", "tiny pools"],
 )
-def test_sized_configs(tenants, overrides):
+def test_sized_configs(monkeypatch, tenants, overrides):
+    fields = {}
+    for key, value in overrides.items():
+        if key.isupper():
+            monkeypatch.setattr(workload, key, value)
+        else:
+            fields[key] = value
     for seed in (0, 1, 2):
-        assert_same_generation(GenConfig(tenant_count=tenants, seed=seed, **overrides))
+        assert_same_generation(GenConfig(tenant_count=tenants, seed=seed, **fields))
 
 
 @pytest.mark.parametrize("tenants", [1, 2, 30, 2000, 20_000])
 @pytest.mark.parametrize("participation", [None, 0.3])
-def test_grouped_multinomial_and_sorted_median(tenants, participation):
+def test_grouped_multinomial_and_sorted_median(monkeypatch, tenants, participation):
     """Odd and even demanded-entry counts (the median's two cases), sparse
     markets with undemanded resources (the caps' fallback) and one or several
     top-tier groups, at sizes from one tenant to the online workload's."""
@@ -247,11 +257,11 @@ def test_grouped_multinomial_and_sorted_median(tenants, participation):
     tier_ranges = [(2.0, 6.0), (3.0, 3.0), (1.0, 9.0)] if tenants <= 2000 else [(2.0, 6.0)]
     for seed in seeds:
         for tiers in tier_ranges:
+            monkeypatch.setattr(workload, "TOP_TIER_RANGE", tiers)
             config = GenConfig(
                 tenant_count=tenants,
                 resource_count=4 + seed % 2,
                 participation=participation,
-                top_tier_range=tiers,
                 seed=seed,
             )
             assert_same_generation(config)
@@ -280,10 +290,12 @@ def test_sorted_median_is_np_median(size):
         assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
-def test_grouped_multinomial_draws_in_tier_then_tenant_order():
+def test_grouped_multinomial_draws_in_tier_then_tenant_order(monkeypatch):
     # tenants of one top tier scattered among the others: the grouped draw
     # must hand each tenant the counts its own flatnonzero gather drew
-    config = GenConfig(tenant_count=40, top_tier_range=(1.0, 5.0), tier_decay=0.7, seed=11)
+    monkeypatch.setattr(workload, "TOP_TIER_RANGE", (1.0, 5.0))
+    monkeypatch.setattr(workload, "TIER_DECAY", 0.7)
+    config = GenConfig(tenant_count=40, seed=11)
     arrays = private_arrays(config)
     _, want = _reference_population(config)
     assert _records(arrays) == want

@@ -2,12 +2,14 @@
 
 import csv
 import hashlib
+import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+from slicemarket import baselines, workload
 from slicemarket.baselines import GaParams
 from slicemarket.harness import (
     ALGORITHMS,
@@ -88,7 +90,7 @@ class TestSpecValidation:
             ExperimentSpec.from_dict({"ga_params": {"population": 1}})
         with pytest.raises(HarnessError, match="ga_params"):
             ExperimentSpec.from_dict({"ga_params": {"populaton": 10}})
-        with pytest.raises(HarnessError, match="mutation_rate"):
+        with pytest.raises(HarnessError, match="mutation_rate"):  # a constant now: an unknown key
             ExperimentSpec.from_dict({"ga_params": {"mutation_rate": float("nan")}})
 
     def test_one_spec_file_per_experiment(self):
@@ -100,6 +102,22 @@ class TestSpecValidation:
             "sweep_resources",
             "sweep_tenants",
         ]
+
+    def test_readme_spec_example_names_every_field(self):
+        # the documented spec keys, config fields and GA parameters are the
+        # dataclasses' own, and the README names every model constant
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"A spec file is a JSON document:\n\n```json\n(.*?)\n```", readme, re.S)
+        document = json.loads(block.group(1))
+        spec = ExperimentSpec.from_dict(document)
+        assert set(document) == set(spec.to_dict())
+        assert set(document["config"]) == {f.name for f in fields(GenConfig)}
+        assert set(document["ga_params"]) == {f.name for f in fields(GaParams)}
+        prose = " ".join(readme.split())
+        constants = ("SUBSCRIBER_MEAN", "SUBSCRIBER_STD", "FREE_USER_FRACTION", "TIER_DECAY", "TOP_TIER_RANGE")
+        for module, names in ((workload, constants), (baselines, ("TOURNAMENT", "ELITES"))):
+            for name in names:
+                assert hasattr(module, name) and f"`{name}` = " in prose, name
 
     @pytest.mark.parametrize("path", SPEC_FILES, ids=lambda path: path.stem)
     def test_spec_file_loads(self, path):

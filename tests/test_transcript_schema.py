@@ -6,6 +6,7 @@ The package checks records with direct key, type and range checks;
 accept or both must reject.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -23,6 +24,7 @@ from slicemarket.protocol import (
     SUCC,
     TRANSCRIPT_RECORD_SCHEMA,
     TranscriptSchemaError,
+    parse_transcript_jsonl,
     validate_transcript_record,
 )
 
@@ -158,6 +160,21 @@ def test_missing_key(key):
 def test_non_objects(record):
     assert not oracle_accepts(record)
     assert not package_accepts(record)
+
+
+GOOD_LINE = '{"n": 1, "quote": [1.0], "x": 0, "pi": 0.0, "d": [0.0], "outcome": "SKIP"}'
+
+
+@pytest.mark.parametrize(
+    "bad, line",
+    [("n=2 SKIP", 3), (GOOD_LINE[:-9], 3), ("{", 1)],
+    ids=["garbled line", "truncated object", "lone brace"],
+)
+def test_a_line_that_is_not_json_is_a_schema_error(bad, line):
+    lines = [GOOD_LINE, "", bad, GOOD_LINE] if line == 3 else [bad]
+    with pytest.raises(TranscriptSchemaError, match=f"^line {line} is not JSON"):
+        parse_transcript_jsonl("\n".join(lines))
+    assert parse_transcript_jsonl(f"{GOOD_LINE}\n\n{GOOD_LINE}\n") == [json.loads(GOOD_LINE)] * 2
 
 
 def test_package_imports_without_jsonschema():

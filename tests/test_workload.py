@@ -38,7 +38,7 @@ class TestGenConfig:
             {"tenant_count": 0},
             {"resource_count": 0},
             {"demand_mean": 0.0},
-            {"free_user_fraction": 1.0},
+            {"density_margin": 1.0},
             {"participation": 0.0},
             {"unit_cost_range": (0.2, 1.0)},
             {"pay_level_range": (3.0, 2.0)},
@@ -48,36 +48,44 @@ class TestGenConfig:
             {"resource_count": "3"},
             {"seed": -1},
             {"seed": 1.5},
-            {"subscriber_mean": float("nan")},
-            {"subscriber_mean": float("inf")},
-            {"subscriber_mean": -float("inf")},
-            {"subscriber_std": -1.0},
-            {"subscriber_std": float("inf")},
+            {"demand_mean": -float("inf")},
+            {"unit_cost_range": (0.2, float("inf"))},
+            {"pay_level_range": (0.0, 6.0)},
+            {"demand_std": -1.0},
+            {"participation": 1.5},
             {"pay_level_range": (2.0, float("inf"))},
-            {"top_tier_range": (2.0, float("inf"))},
-            {"top_tier_range": (float("nan"), 6.0)},
-            {"top_tier_range": (2.0, 1e9)},  # refused when built, never sampled
-            {"top_tier_range": (2.0, workload.MAX_TOP_TIER + 0.5)},
+            {"unit_cost_range": (float("nan"), 0.5)},
+            {"pay_level_range": (float("nan"), 6.0)},
+            {"unit_cost_range": (0.0, 0.5)},
+            {"density_margin": -0.1},
             {"demand_mean": float("inf")},
             {"demand_std": float("inf")},
             {"demand_std": float("nan")},
             {"pay_level_range": (2.0,)},
             {"unit_cost_range": 0.5},
-            {"free_user_fraction": "0.4"},
-            {"tier_decay": "0.5"},
+            {"demand_mean": "0.01"},
+            {"seed": "0"},
             {"density_margin": "0.1"},
             {"participation": "0.5"},
-            {"free_user_fraction": float("nan")},
-            {"tier_decay": True},
+            {"density_margin": float("nan")},
+            {"participation": True},
             {"density_margin": float("inf")},
             {"participation": float("nan")},
-            {"subscriber_mean": None},
-            {"free_user_fraction": None},
+            {"density_margin": None},
+            {"seed": None},
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(WorkloadError, match=next(iter(kwargs))):
             GenConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "key", ["subscriber_mean", "subscriber_std", "free_user_fraction", "tier_decay", "top_tier_range"]
+    )
+    def test_removed_keys_are_unknown(self, key):
+        # the valuation model's statistics are module constants, not fields
+        with pytest.raises(TypeError, match=key):
+            GenConfig.from_dict({key: 0.5})
 
     def test_number_checks_on_the_exact_type_fast_path_and_the_abc_path(self):
         class Real(float):
@@ -178,7 +186,7 @@ class TestPopulation:
     def test_free_user_fraction(self):
         cfg = GenConfig(tenant_count=40, resource_count=1, seed=21)
         subscribers, free, *_ = private_arrays(cfg)
-        assert abs(free.sum() / subscribers.sum() - 0.4) <= 0.05
+        assert abs(free.sum() / subscribers.sum() - workload.FREE_USER_FRACTION) <= 0.05
 
     def test_pyramid_monotone_in_aggregate(self):
         counts = np.zeros(6)
@@ -188,13 +196,13 @@ class TestPopulation:
         present = counts[counts > 0]
         assert all(b <= a for a, b in zip(present, present[1:]))
 
-    def test_paying_subscribers_always_present(self):
+    def test_paying_subscribers_always_present(self, monkeypatch):
         # tiny subscriber pools with a large free share still produce buyers
-        cfg = GenConfig(
-            tenant_count=30, resource_count=1, subscriber_mean=2.0, subscriber_std=1.0,
-            free_user_fraction=0.9, seed=5,
-        )
-        subscribers, free, _, _, raw = private_arrays(cfg)
+        monkeypatch.setattr(workload, "SUBSCRIBER_MEAN", 2.0)
+        monkeypatch.setattr(workload, "SUBSCRIBER_STD", 1.0)
+        monkeypatch.setattr(workload, "FREE_USER_FRACTION", 0.9)
+        subscribers, free, _, _, raw = private_arrays(GenConfig(tenant_count=30, resource_count=1, seed=5))
+        assert subscribers.max() < 10  # the patched pools were drawn
         assert (subscribers - free >= 1).all()
         assert (raw > 0).all()
 
@@ -203,8 +211,10 @@ class TestPopulation:
         assert (tier_counts.sum(axis=1) == subscribers - free).all()
 
     def test_top_tier_limit_is_reachable(self):
-        tier_counts = private_arrays(GenConfig(tenant_count=5, top_tier_range=(63.5, 64.0), seed=1))[2]
-        assert tier_counts.shape == (5, workload.MAX_TOP_TIER)
+        # the top tier is TOP_TIER_RANGE's end rounded up: 6
+        tier_counts = private_arrays(GenConfig(tenant_count=50, seed=1))[2]
+        assert tier_counts.shape == (50, 6)
+        assert tier_counts[:, -1].any()
 
 
 class TestDeriveBounds:
@@ -342,6 +352,20 @@ class TestInstanceIO:
         assert (loaded.unit_costs == inst.unit_costs).all()
         assert loaded.seed == inst.seed
         assert loaded.config == cfg
+
+    @pytest.mark.parametrize("seed", ["x", -1, 1.5, True, [3]])
+    def test_seed_must_be_a_non_negative_integer_or_null(self, seed):
+        data = generate_instance(GenConfig(tenant_count=3, seed=4)).to_dict()
+        assert Instance.from_dict({**data, "seed": None}).seed is None
+        with pytest.raises(WorkloadError, match="seed must be a non-negative integer or null"):
+            Instance.from_dict({**data, "seed": seed})
+
+    @pytest.mark.parametrize("config", [[["tenant_count", 3], ["seed", 4]], "x", 0, False, []])
+    def test_config_must_be_an_object_or_null(self, config):
+        data = generate_instance(GenConfig(tenant_count=3, seed=4)).to_dict()
+        assert Instance.from_dict({**data, "config": None}).config is None
+        with pytest.raises(WorkloadError, match="is not a mapping"):
+            Instance.from_dict({**data, "config": config})
 
     def test_arrays_read_only(self):
         inst = generate_instance(GenConfig(tenant_count=3, seed=1))
