@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import isqrt
 from operator import add
 from typing import Sequence
 
@@ -111,6 +112,19 @@ def _population_repair(demands: np.ndarray, density: np.ndarray):
     return repair
 
 
+def _flip_positions(rng: np.random.Generator, rate: float, total: int, batch: int) -> np.ndarray:
+    """The positions in ``[0, total)`` where a Bernoulli(``rate``) trial per
+    position succeeds, sorted, drawn as geometric gaps between successes.
+
+    Gaps come ``batch`` at a time, and batches are drawn until a success
+    falls at or past ``total``; those past the end are dropped.
+    """
+    positions = np.cumsum(rng.geometric(rate, size=batch)) - 1
+    while positions[-1] < total:
+        positions = np.concatenate((positions, positions[-1] + np.cumsum(rng.geometric(rate, size=batch))))
+    return positions[: np.searchsorted(positions, total)]
+
+
 def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tuple[float, np.ndarray]:
     """Genetic search over accept/reject vectors with infeasibility repair.
 
@@ -125,9 +139,10 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
     Two things keep the result bit-identical for a given seed, and every
     rewrite must keep them: the draws, ``random((population, m))`` once,
     then per generation ``integers`` for the ``(offspring, 2, TOURNAMENT)``
-    contenders, ``integers`` for the cuts and ``random((offspring, m))``
-    compared with ``1/m`` for the flips, in that order and shape, with
-    ``offspring = population - ELITES``; and the fitness,
+    contenders, ``integers`` for the cuts and the flips as
+    ``_flip_positions`` draws them over the ``offspring * m`` genes in row
+    order, in that order and shape, with ``offspring = population - ELITES``
+    and ``batch = offspring + 4*isqrt(offspring) + 16``; and the fitness,
     ``population.astype(float) @ w`` over the whole population every
     generation.  The generation reuses its buffers: the population is
     double-buffered, offspring are written straight into the next one.
@@ -150,8 +165,8 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
     slots = TOURNAMENT * np.arange(2 * k).reshape(k, 2)
     first = np.empty((k, m), dtype=bool)
     before = np.empty((k, m), dtype=bool)
-    noise = np.empty((k, m))
-    flips = np.empty((k, m), dtype=bool)
+    genes = k * m
+    batch = k + 4 * isqrt(k) + 16  # the k expected flips and four of their deviations
 
     rng = np.random.default_rng(seed)
     population = rng.random((size, m)) < 0.5
@@ -173,9 +188,8 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
         np.take(population, parents[:, 0], axis=0, out=first, mode="clip")
         np.take(heads, cut, axis=0, out=before, mode="clip")
         np.copyto(offspring, first, where=before)
-        rng.random(out=noise)
-        np.less(noise, 1.0 / m, out=flips)
-        offspring ^= flips
+        flat = offspring.reshape(-1)  # a view: the offspring are contiguous rows
+        flat[_flip_positions(rng, 1.0 / m, genes, batch)] ^= True
         repair(offspring)
         population, spare = spare, population
         fitness = population.astype(float) @ w

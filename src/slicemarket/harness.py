@@ -197,6 +197,12 @@ class ExperimentSpec:
         unknown = set(data) - known
         if unknown:
             raise HarnessError(f"unknown spec key(s) {sorted(unknown)}; choose from {sorted(known)}")
+        # __post_init__ takes any iterable from Python callers; a JSON string or
+        # object would iterate as characters or keys (to_dict gives tuples)
+        for key in ("algos", "values"):
+            if key in data and not isinstance(data[key], (list, tuple)):
+                kind = type(data[key]).__name__
+                raise HarnessError(f"malformed spec document: {key!r} must be a JSON array, got {kind}")
         kwargs = {key: value for key, value in data.items() if key != "config"}
         try:
             kwargs["base_config"] = GenConfig.from_dict(data.get("config", {}))

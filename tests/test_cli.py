@@ -134,6 +134,25 @@ class TestRun:
         assert captured.err.startswith(f"error: invalid spec file {path}: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "overrides, key, kind",
+        [
+            ({"algos": "posted_price"}, "algos", "str"),
+            ({"axis": "tenants", "values": "57"}, "values", "str"),
+            ({"algos": {"posted_price": 1}}, "algos", "dict"),
+        ],
+        ids=["string algos", "string values", "object algos"],
+    )
+    def test_non_array_algos_or_values_is_validation_failure(self, tmp_path, capsys, overrides, key, kind):
+        # a string or object would iterate as its characters or keys
+        path = spec_file(tmp_path, **overrides)
+        assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"malformed spec document: {key!r} must be a JSON array, got {kind}"
+        assert captured.err == f"error: invalid spec file {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_spec_is_validation_failure(self, tmp_path):
         path = spec_file(tmp_path, algos=["cvx"])
         assert main(["run", "--spec", str(path)]) == 2

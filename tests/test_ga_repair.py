@@ -4,14 +4,18 @@
 genetic heuristic as it was before repair was screened for the whole
 population in one product, the failing rows repaired in one batched drop
 loop and the generation loop run on reused buffers, except that the tournament
-size, the elites and the mutation rate ``1/m`` are the module's fixed values;
-the current code must reproduce them bit for bit.
+size, the elites and the mutation rate ``1/m`` are the module's fixed values,
+and that the mutation walks geometric gaps between flips (``_reference_flips``)
+instead of comparing one uniform per gene with the rate; the current code
+must reproduce them bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from slicemarket.baselines import ELITES, TOURNAMENT, GaParams, _population_repair, ga_heuristic
+from slicemarket.baselines import ELITES, TOURNAMENT, GaParams, _flip_positions, _population_repair, ga_heuristic
 from slicemarket.market import CAPACITY, FEASIBILITY_EPS
 from slicemarket.oracle import adjusted_profits
 from slicemarket.workload import GenConfig, Instance, generate_instance
@@ -28,6 +32,19 @@ def _reference_repair(selected, demands, density):
         victim = int(np.flatnonzero(candidates)[np.argmin(density[candidates])])
         selected[victim] = False
         utilization -= demands[victim]
+
+
+def _reference_flips(rng, rate, total, batch):
+    """The flipped gene positions, one geometric gap at a time: each gap is the
+    number of trials up to and including the next success."""
+    flips = []
+    position = -1
+    while True:
+        for gap in rng.geometric(rate, size=batch).tolist():
+            position += gap
+            if position >= total:
+                return flips  # the rest of this batch lies past the end
+            flips.append(position)
 
 
 def _reference_ga(instance, params=None, seed=0):
@@ -67,7 +84,9 @@ def _reference_ga(instance, params=None, seed=0):
         cut = rng.integers(1, max(m, 2), size=n_offspring)
         head = np.arange(m)[None, :] < cut[:, None]
         offspring = np.where(head, population[parents[:, 0]], population[parents[:, 1]])
-        offspring ^= rng.random((n_offspring, m)) < rate
+        batch = n_offspring + 4 * math.isqrt(n_offspring) + 16
+        for position in _reference_flips(rng, rate, n_offspring * m, batch):
+            offspring[position // m, position % m] ^= True
         for row in offspring:
             _reference_repair(row, demands, density)
         population = np.concatenate([population[elite_idx], offspring])
@@ -234,6 +253,58 @@ class TestRepairPopulation:
             demands[1, 0] = bad
             with np.errstate(invalid="ignore"):
                 _assert_repairs_match(rng.random((8, 5)) < 0.6, demands, _density(np.abs(demands), rng))
+
+
+class TestFlipPositions:
+    @staticmethod
+    def _batch(k):
+        return k + 4 * math.isqrt(k) + 16
+
+    def test_positions_unique_sorted_and_in_range(self):
+        rng = np.random.default_rng(25)
+        for k, m in ((1, 1), (1, 7), (3, 2), (98, 100), (18, 5), (98, 1000)):
+            for _ in range(50):
+                positions = _flip_positions(rng, 1.0 / m, k * m, self._batch(k))
+                assert positions.dtype.kind == "i"
+                assert (np.diff(positions) > 0).all()
+                if len(positions):
+                    assert 0 <= positions[0] and positions[-1] < k * m
+
+    def test_mean_flips_per_row_is_one(self):
+        rng = np.random.default_rng(26)
+        for k, m in ((98, 100), (18, 30), (8, 2000)):
+            draws = 400
+            flips = sum(len(_flip_positions(rng, 1.0 / m, k * m, self._batch(k))) for _ in range(draws))
+            # the flips are Binomial(draws * k * m, 1/m), so a row's mean is
+            # 1 with standard deviation sd / rows
+            rows, rate = draws * k, 1.0 / m
+            sd = math.sqrt(rows * m * rate * (1 - rate))
+            assert abs(flips / rows - 1) <= 4 * sd / rows
+
+    def test_rate_one_flips_every_gene(self):
+        rng = np.random.default_rng(27)
+        for k in (1, 2, 98, 500):
+            np.testing.assert_array_equal(_flip_positions(rng, 1.0, k, self._batch(k)), np.arange(k))
+
+    def test_short_batches_are_topped_up(self):
+        for seed in range(20):
+            k, m = 40, 50
+            positions = _flip_positions(np.random.default_rng(seed), 1.0 / m, k * m, 2)
+            assert len(positions) > 2  # more flips than one batch holds
+            reference = _reference_flips(np.random.default_rng(seed), 1.0 / m, k * m, 2)
+            np.testing.assert_array_equal(positions, reference)
+            # gaps are drawn one after another, so the batch size changes only
+            # how far past the end the draws run, not where the flips fall
+            whole = _flip_positions(np.random.default_rng(seed), 1.0 / m, k * m, self._batch(k))
+            np.testing.assert_array_equal(positions, whole)
+
+    def test_generator_left_after_the_last_batch(self):
+        # both walks consume whole batches, so the next draw agrees
+        for seed in range(10):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            _flip_positions(ours, 0.02, 1000, 7)
+            _reference_flips(theirs, 0.02, 1000, 7)
+            assert ours.random() == theirs.random()
 
 
 class TestGaMatchesReference:

@@ -410,9 +410,9 @@ class TestGoldenArtifacts:
     """
 
     DIGESTS = {
-        "plot_data.json": "0110007c837cacb7fff24f367299cbb4edcb8440533b05afb677eeea8b59c1a9",
-        "summary.csv": "334c70f16d26dfa119f5d3bd7753f223c3fb6c8872db13aa14816f30fc1def85",
-        "trials.csv": "319bc14da337210703c54fe0bdfc9c76c61cdbcfbc43b29cea1ea9fce842ea6f",
+        "plot_data.json": "55a6ebc0ac88f37af96e5b6f9e479444989682eefef8b5f52e23bd23ab7ac8c0",
+        "summary.csv": "6e2f75151e54754f835bb9a05cf451220d20fc8fe92c759caf3a74d653b564db",
+        "trials.csv": "1a4a58bfc983038fac1062d2fc67419a690bb5785de942a7abc83b40accc97ba",
         "transcripts/myopic_point0_trial0.jsonl": "cf6e1828a1ce0259afd7785603164cdbeaefe5d3cc13b4e0789d6f9d617af49b",
         "transcripts/myopic_point1_trial0.jsonl": "9fb3f6fca4f32d75c7d5df6368ef62f1b43b3f5b0c3d079c2a747f7247dd5b8f",
         "transcripts/myopic_point2_trial0.jsonl": "b7b73e4144b054596e643a290ffd93ff136416060eb3b18af8c33c49cb0d60bb",
