@@ -8,7 +8,6 @@ return feasible allocations, so welfare numbers are directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from math import isqrt
 from operator import add
 from typing import Sequence
@@ -208,16 +207,17 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
 # first-fit scan, shared by the auction and random slicing
 
 
-def _first_fit(demand_rows: list, tenants, limit: float, resources: int) -> list[int]:
-    """The tenants, in the order given, whose demand row keeps every resource's
-    running utilization, summed in booking order on plain floats, at most ``limit``."""
-    utilization = [0.0] * resources
+def _first_fit(rows: list[list[float]], limit: float) -> list[int]:
+    """The positions of the demand rows, given in scan order, that keep every
+    resource's running utilization, summed in booking order on plain floats,
+    at most ``limit``."""
+    utilization = [0.0] * len(rows[0]) if rows else []
     booked = []
-    for tenant in tenants:
-        grown = list(map(add, utilization, demand_rows[tenant]))
+    for position, row in enumerate(rows):
+        grown = list(map(add, utilization, row))
         if max(grown) <= limit:
             utilization = grown
-            booked.append(tenant)
+            booked.append(position)
     return booked
 
 
@@ -258,21 +258,23 @@ def utility_bid_auction(instance) -> AuctionResult:
     profits, candidates = _viable(instance)
     limit = CAPACITY + FEASIBILITY_EPS
     order = candidates[np.argsort(-profits[candidates], kind="stable")]
-    winners = _first_fit(instance.demands.tolist(), order.tolist(), limit, instance.resource_count)
+    scanned = instance.demands.take(order, axis=0)
+    won = np.zeros(len(order), dtype=bool)
+    won[_first_fit(scanned.tolist(), limit)] = True
+    winners = order[won]
     accepted = np.zeros(n, dtype=bool)
     accepted[winners] = True
-    losers = order[~accepted[order]]
 
     rounds = len(winners)
     bids = rounds * (rounds + 1) // 2
     # utilization before each round, one row per winner; cumsum adds each
     # column in acceptance order, as _first_fit sums it
-    running = np.cumsum(instance.demands[winners], axis=0)
+    running = np.cumsum(scanned[won], axis=0)
     history = np.concatenate((np.zeros((1, instance.resource_count)), running[:-1]))
-    loser_demands = instance.demands[losers]
+    loser_demands = scanned[~won]
     # each loser fits every pre-round utilization before lo and none from hi on
-    lo = np.zeros(len(losers), dtype=np.intp)
-    hi = np.full(len(losers), rounds)
+    lo = np.zeros(len(loser_demands), dtype=np.intp)
+    hi = np.full(len(loser_demands), rounds)
     while (active := lo < hi).any():
         mid = np.where(active, (lo + hi) // 2, 0)
         fits = (history[mid] + loser_demands <= limit).all(axis=1)
@@ -333,13 +335,18 @@ def myopic_slicing(instance, order: Sequence[int] | None = None) -> SessionResul
 
 
 def random_slicing(instance, order: Sequence[int] | None = None, seed: int = 0) -> tuple[float, np.ndarray]:
-    """Fair coin per arrival; an accepting coin only sticks when capacity allows."""
+    """Fair coin per arrival; an accepting coin only sticks when capacity allows.
+
+    The arrivals whose coin accepts are gathered in arrival order once, so
+    the first-fit scan reads their demand rows front to back.
+    """
     n = instance.tenant_count
     order = arrival_order(order, n)
     rng = np.random.default_rng(seed)
     # one draw for every coin is the stream of one draw per arrival
-    coins = rng.integers(0, 2, size=len(order)).tolist()
-    booked = _first_fit(instance.demands.tolist(), compress(order, coins), CAPACITY, instance.resource_count)
+    coins = rng.integers(0, 2, size=n).astype(bool)
+    tenants = np.flatnonzero(coins) if order is None else order[coins]
+    booked = tenants[_first_fit(instance.demands.take(tenants, axis=0).tolist(), CAPACITY)]
     accepted = np.zeros(n, dtype=bool)
     accepted[booked] = True
     return float(adjusted_profits(instance)[accepted].sum()), accepted

@@ -9,16 +9,18 @@ private to a tenant never appear in it.
 
 ``run_session`` is the one session engine.  It checks the arrival order
 once per session with ``arrival_order`` (the ``Instance`` constructor has
-checked the valuations and demands), then runs every arrival on plain lists,
-keeping a compact record per arrival (the quoted price tuple, shared between
-arrivals, the outcome and the charge).  That record,
-``SessionLedger.record``, is what the ``verify`` checks read.  The ledger's
-``transcript`` of ``TranscriptEntry`` messages is built from it the first
-time it is read, so a caller that needs only the allocation, the revenue or
-``SessionLedger.transferred_bytes`` never pays for it.  The same protocol
-spelled out message by message, each message checked as it is built, lives
-in the test suite (``tests/reference_protocol.py``) as the reference the
-engine must reproduce bit for bit.
+checked the valuations and demands) and gathers the demand rows and
+valuations in arrival order once, in numpy.  It then runs every arrival on
+plain lists, reading them front to back, and keeps a compact record per
+arrival (the demand row, the quoted price tuple, shared between arrivals, the
+outcome and the charge).  That record, ``SessionLedger.record``, is what the
+``verify`` checks read.  The ledger's ``transcript`` of ``TranscriptEntry``
+messages is built from it the first time it is read, so a caller that needs
+only the allocation, the revenue or ``SessionLedger.transferred_bytes``
+never pays for it.  The same protocol spelled out message by message, each
+message checked as it is built, lives in the test suite
+(``tests/reference_protocol.py``) as the reference the engine must
+reproduce bit for bit.
 
 A schedule is anything with a ``quote(utilization)`` method that returns the
 tuple of every resource's price at a utilization vector.  The engine asks for
@@ -86,27 +88,32 @@ def _checked_prices(prices) -> tuple[float, ...]:
     return prices
 
 
-def arrival_order(order, n: int) -> Sequence[int]:
-    """The arrival order of an ``n``-tenant session as a list of ``int``.
+def arrival_order(order, n: int) -> np.ndarray | None:
+    """The arrival order of an ``n``-tenant session as an ``intp`` array.
 
-    ``None`` is instance order.  Anything else must be a permutation of
-    ``range(n)`` held in an integer dtype, else ``ProtocolError``: floats and
-    bools are refused, not truncated.  The check runs once, in numpy; an
-    empty order is accepted for a market without tenants.
+    ``None`` is instance order and comes back as ``None``, so a caller can
+    skip the gather.  Anything else must be a permutation of ``range(n)``
+    held in an integer dtype, else ``ProtocolError``: floats and bools are
+    refused, not truncated.  The check runs once, in numpy; an empty order
+    of any dtype is accepted for a market without tenants.
     """
     if order is None:
-        return range(n)
+        return None
     indices = np.asarray(order)
     if indices.shape != (n,):
         raise ProtocolError(f"arrival order must be a permutation of {n} tenant indices, got shape {indices.shape}")
     if n == 0:
-        return []
+        # np.asarray([]) and np.asarray(range(0)) are float64
+        return np.empty(0, dtype=np.intp)
     if indices.dtype.kind not in "iu":
         raise ProtocolError(f"arrival order must hold integers, got dtype {indices.dtype}")
-    # range first: bincount raises a bare ValueError on a negative index
-    if not 0 <= indices.min() <= indices.max() < n or (np.bincount(indices, minlength=n) != 1).any():
+    indices = indices.astype(np.intp, copy=False)
+    # range first, in one reduction: read unsigned, a negative index is past
+    # every tenant (bincount raises a bare ValueError on it).  Then n indices
+    # in range fill n bins exactly when each tenant comes once.
+    if not indices.view(np.uintp).max() < n or np.count_nonzero(np.bincount(indices, minlength=n)) != n:
         raise ProtocolError("arrival order must be a permutation of the tenant indices")
-    return indices.tolist()
+    return indices
 
 
 class TranscriptEntry(NamedTuple):
@@ -233,13 +240,13 @@ def parse_transcript_jsonl(text: str) -> list[dict]:
 
 
 class _ArrivalRecord:
-    """``run_session``'s compact record: per arrival the quoted price tuple
-    (shared until the next sale), the outcome and the tenant's charge."""
+    """``run_session``'s compact record: per arrival the tenant's demand row,
+    the quoted price tuple (shared until the next sale), the outcome and the
+    tenant's charge, every column in arrival order."""
 
-    __slots__ = ("order", "demand_rows", "quotes", "outcomes", "charges")
+    __slots__ = ("demand_rows", "quotes", "outcomes", "charges")
 
-    def __init__(self, order: Sequence[int], demand_rows: list[list[float]]):
-        self.order = order
+    def __init__(self, demand_rows: list[list[float]]):
         self.demand_rows = demand_rows
         self.quotes: list[tuple[float, ...]] = []
         self.outcomes: list[str] = []
@@ -252,9 +259,9 @@ class _ArrivalRecord:
         return [
             TranscriptEntry(arrival, quote, 0, 0.0, (0.0,) * len(quote), SKIP)
             if outcome == SKIP
-            else TranscriptEntry(arrival, quote, 1, charge, tuple(self.demand_rows[tenant]), outcome)
-            for arrival, tenant, quote, outcome, charge in zip(
-                range(1, len(self.quotes) + 1), self.order, self.quotes, self.outcomes, self.charges
+            else TranscriptEntry(arrival, quote, 1, charge, tuple(demand), outcome)
+            for arrival, demand, quote, outcome, charge in zip(
+                range(1, len(self.quotes) + 1), self.demand_rows, self.quotes, self.outcomes, self.charges
             )
         ]
 
@@ -332,12 +339,14 @@ def run_session(
     each settlement completes before the next quote.  A tenant accepts
     exactly when its utility ``valuation - demand . prices`` is strictly
     positive; an accepted demand that would push any resource past capacity
-    fails and is never booked.  Everything runs on plain lists: the order is
-    checked once up front (valuations and demands were checked when the
-    ``Instance`` was built), one charge, summed left to right over the
-    resources, is both the tenant's offer and the booked payment, and
-    ``schedule.quote`` is called (and its prices checked) only at the start
-    and after a sale.  A schedule that holds a ``setup`` must hold this one.
+    fails and is never booked.  The order is checked once up front
+    (valuations and demands were checked when the ``Instance`` was built),
+    and the demand rows and valuations are gathered in arrival order once,
+    so the loop reads plain lists front to back; instance order gathers
+    nothing.  One charge, summed left to right over the resources, is both
+    the tenant's offer and the booked payment, and ``schedule.quote`` is
+    called (and its prices checked) only at the start and after a sale.  A
+    schedule that holds a ``setup`` must hold this one.
     """
     n, c = instance.tenant_count, instance.resource_count
     if setup.resource_count != c:
@@ -345,29 +354,32 @@ def run_session(
     if getattr(schedule, "setup", setup) is not setup:
         raise ProtocolError("the schedule was built for another market setup")
     order = arrival_order(order, n)
+    if order is None:
+        tenants, demand_rows, valuations = range(n), instance.demands.tolist(), instance.valuations.tolist()
+    else:
+        # gathered once: the loop's reads then follow memory order
+        tenants = order.tolist()
+        demand_rows, valuations = instance.demands.take(order, axis=0).tolist(), instance.valuations.take(order).tolist()
 
     quote = schedule.quote
     utilization = [0.0] * c
     prices = _checked_prices(quote(utilization))
-    demand_rows = instance.demands.tolist()
-    valuations = instance.valuations.tolist()
     surpluses = [0.0] * n
     payments = [0.0] * n
     accepted = [False] * n
     revenue = 0.0
-    record = _ArrivalRecord(order, demand_rows)
+    record = _ArrivalRecord(demand_rows)
     record_quote, record_charge = record.quotes.append, record.charges.append
     record_outcome = record.outcomes.append
 
-    for tenant in order:
-        demand = demand_rows[tenant]
+    for tenant, demand, value in zip(tenants, demand_rows, valuations):
         # the tenant's offer and the booked payment: one sum, left to right
         charge = 0.0
         for p, d in zip(prices, demand):
             charge += p * d
         record_quote(prices)
         record_charge(charge)
-        surplus = valuations[tenant] - charge
+        surplus = value - charge
         if surplus > 0:
             surpluses[tenant] = surplus
             grown = list(map(add, utilization, demand))

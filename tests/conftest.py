@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slicemarket.market import MarketSetup
-from slicemarket.workload import GenConfig, Instance, WorkloadError, _sample_demands, _sample_tenants
+from slicemarket.workload import GenConfig, Instance, WorkloadError, _sample_demands, _sample_tenants, generate_instance
 
 
 def random_setup(rng: np.random.Generator, resources: int | None = None) -> MarketSetup:
@@ -60,6 +60,35 @@ def manual_instance(demands, valuations, unit_costs, margin: float = 0.0) -> Ins
         densities = np.where(demands > 0, valuations[:, None] / demands, np.nan)
     floors, caps = derive_bounds(densities, margin)
     return Instance(demands, valuations, floors, caps, np.asarray(unit_costs, dtype=float))
+
+
+#: Every form an arrival order may take, built from a permutation; ``range``
+#: is instance order spelled out.  ``np.asarray`` of an empty list or range is
+#: float64, which an empty market must still accept.
+ORDER_FORMS = {
+    "none": lambda permutation: None,
+    "range": lambda permutation: range(len(permutation)),
+    "list": lambda permutation: permutation.tolist(),
+    "int32": lambda permutation: permutation.astype(np.int32),
+    "int64": lambda permutation: permutation.astype(np.int64),
+    "uint64": lambda permutation: permutation.astype(np.uint64),
+}
+
+
+def order_test_markets(rng: np.random.Generator, count: int = 30) -> list[Instance]:
+    """An empty market and ``count`` generated ones of up to 120 tenants,
+    from just-fitting to 5x overfull, for the order-form differentials."""
+    markets = [Instance(np.zeros((0, 3)), np.zeros(0), [1.0] * 3, [2.0] * 3, [0.5] * 3)]
+    for _ in range(count):
+        n = int(rng.integers(1, 120))
+        config = GenConfig(
+            tenant_count=n,
+            resource_count=int(rng.integers(1, 5)),
+            demand_mean=float(rng.uniform(0.5, 5.0)) / n,
+            seed=int(rng.integers(0, 2**32)),
+        )
+        markets.append(generate_instance(config))
+    return markets
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from slicemarket.pricing import build_schedule
 from slicemarket.protocol import run_session
 from slicemarket.workload import GenConfig, Instance, generate_instance
 
-from conftest import manual_instance
+from conftest import ORDER_FORMS, manual_instance, order_test_markets
 
 
 class TestGaHeuristic:
@@ -256,6 +256,18 @@ class TestRandomSlicing:
         assert fits > 0
         if "demand_mean" in overrides:
             assert misses > 0  # accepting coins that did not fit
+
+    @pytest.mark.parametrize("form", sorted(ORDER_FORMS))
+    def test_order_forms_match_the_reference(self, form):
+        rng = np.random.default_rng(612)
+        for inst in order_test_markets(rng):
+            order = ORDER_FORMS[form](rng.permutation(inst.tenant_count))
+            seed = int(rng.integers(0, 2**32))
+            welfare, accepted = random_slicing(inst, order, seed=seed)
+            want_welfare, want_accepted = _reference_random_slicing(inst, order, seed=seed)
+            assert repr(welfare) == repr(want_welfare)
+            assert accepted.dtype == want_accepted.dtype
+            assert accepted.tobytes() == want_accepted.tobytes()
 
     def test_exact_capacity_hits_match_the_reference(self):
         # demands in eighths sum exactly, so some runs fill a resource to exactly 1.0

@@ -532,11 +532,15 @@ class TestArrivalOrder:
         for order in (None, [], np.zeros(0, dtype=int)):
             ORDER_ENGINES[engine](instance, order)
 
-    def test_converted_to_python_ints(self):
-        order = arrival_order(np.array([2, 0, 1], dtype=np.int16), 3)
-        assert order == [2, 0, 1]
-        assert all(type(t) is int for t in order)
-        assert arrival_order(None, 4) == range(4)
+    def test_checked_into_an_intp_array(self):
+        for order in ([2, 0, 1], np.array([2, 0, 1], dtype=np.int16), np.array([2, 0, 1], dtype=np.uint64)):
+            checked = arrival_order(order, 3)
+            assert type(checked) is np.ndarray and checked.dtype == np.intp
+            assert checked.tolist() == [2, 0, 1]
+        # instance order gathers nothing; an empty order of any dtype is an empty index
+        assert arrival_order(None, 4) is None
+        for order in ([], range(0), np.zeros(0, dtype=np.uint64)):
+            assert arrival_order(order, 0).dtype == np.intp
 
 
 class TestScheduleSetup:

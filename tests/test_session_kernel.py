@@ -30,7 +30,7 @@ from slicemarket.protocol import (
 from slicemarket.verify import _random_config
 from slicemarket.workload import GenConfig, Instance, WorkloadError, generate_instance
 
-from conftest import manual_instance
+from conftest import ORDER_FORMS, manual_instance, order_test_markets
 from reference_protocol import PriceQuote, mvno_init, mvno_settle, tenant_decide, transferred_data_bytes
 
 #: The generator's private records and bounds helper, which live only in the tests.
@@ -191,6 +191,80 @@ def test_no_tenants(resources):
     for schedule in _schedules(setup):
         for order in (None, []):
             assert assert_bit_identical(setup, schedule, instance, order) == []
+
+
+@pytest.mark.parametrize("form", sorted(ORDER_FORMS))
+def test_order_forms_match_the_reference(form):
+    rng = np.random.default_rng(612)
+    outcomes = set()
+    for instance in order_test_markets(rng):
+        order = ORDER_FORMS[form](rng.permutation(instance.tenant_count))
+        setup = MarketSetup.from_instance(instance)
+        for schedule in _schedules(setup):
+            outcomes.update(entry.outcome for entry in assert_bit_identical(setup, schedule, instance, order))
+    assert outcomes == {SUCC, FAIL, SKIP}
+
+
+def _assert_settled_per_arrival(instance, order, result):
+    """Each arrival's outcome lands on its own tenant: a SUCC pays its charge,
+    a FAIL keeps its positive surplus and pays nothing, a SKIP has neither."""
+    tenants = range(instance.tenant_count) if order is None else [int(t) for t in order]
+    record = result.ledger.record
+    assert len(record.outcomes) == len(tenants)
+    surpluses, payments = result.certificate.surpluses, result.payments
+    accepted = result.allocation.accepted
+    for tenant, outcome, charge in zip(tenants, record.outcomes, record.charges):
+        surplus = float(instance.valuations[tenant]) - charge
+        if outcome == SKIP:
+            assert surplus <= 0
+            assert surpluses[tenant] == 0.0 and payments[tenant] == 0.0 and not accepted[tenant]
+            continue
+        assert surplus > 0 and surpluses[tenant].hex() == surplus.hex()
+        if outcome == FAIL:
+            assert payments[tenant] == 0.0 and not accepted[tenant]
+        else:
+            assert payments[tenant].hex() == charge.hex() and accepted[tenant]
+
+
+def test_fail_keeps_its_surplus_and_pays_nothing():
+    # overfull markets: SUCC, FAIL and SKIP interleave in one session
+    rng = np.random.default_rng(613)
+    interleaved = settled_after_a_fail = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 50))
+        config = GenConfig(
+            tenant_count=n,
+            resource_count=int(rng.integers(1, 4)),
+            demand_mean=float(rng.uniform(3.0, 8.0)) / n,
+            seed=int(rng.integers(0, 2**32)),
+        )
+        instance = generate_instance(config)
+        setup = MarketSetup.from_instance(instance)
+        for order in (None, rng.permutation(n), rng.permutation(n).astype(np.uint64)):
+            for schedule in _schedules(setup):
+                result = run_session(setup, schedule, instance, order)
+                _assert_settled_per_arrival(instance, order, result)
+                outcomes = result.ledger.record.outcomes
+                interleaved += {SUCC, FAIL, SKIP} <= set(outcomes)
+                after = outcomes[outcomes.index(FAIL) + 1 :] if FAIL in outcomes else []
+                settled_after_a_fail += SKIP in after and FAIL in after
+    assert interleaved > 50 and settled_after_a_fail > 50
+
+
+@pytest.mark.parametrize("order", [None, [0, 1, 2, 3, 4, 5], np.array([0, 1, 3, 2, 4, 5], dtype=np.int32)])
+def test_fail_at_the_first_and_the_last_arrival(order):
+    # tenant 0 alone overfills the resource, tenants 1 and 2 fill it to 0.9,
+    # tenants 4 and 5 no longer fit, and tenant 3 would pay more than its value
+    demands = [[1.5], [0.6], [0.3], [0.05], [0.5], [0.2]]
+    instance = Instance(np.array(demands), np.array([40.0, 3.0, 7.0, 0.01, 15.0, 5.0]), [1.0], [20.0], [0.5])
+    setup = MarketSetup.from_instance(instance)
+    for schedule in _schedules(setup):
+        result = run_session(setup, schedule, instance, order)
+        _assert_settled_per_arrival(instance, order, result)
+        outcomes = result.ledger.record.outcomes
+        assert outcomes[0] == FAIL and outcomes[-1] == FAIL
+        assert {SUCC, SKIP} <= set(outcomes)
+        assert_bit_identical(setup, schedule, instance, order)
 
 
 def test_zero_demand_tenants():
