@@ -42,6 +42,7 @@ from .protocol import (
     ProtocolError,
     SessionLedger,
     SessionResult,
+    Transcript,
     TranscriptEntry,
     TranscriptSchemaError,
     parse_transcript_jsonl,

@@ -29,7 +29,7 @@ from .baselines import (
 from .market import Allocation, MarketError, MarketSetup, social_welfare
 from .oracle import lp_upper_bound, offline_exact
 from .pricing import PricingSchedule, build_schedule
-from .protocol import run_session, transcript_to_jsonl
+from .protocol import Transcript, run_session, transcript_to_jsonl
 from .workload import GenConfig, WorkloadError, _is_int, _load_json, generate_instance
 
 #: ``"auto"`` and ``"exact"`` are the same mode; specs may name either.
@@ -92,12 +92,9 @@ class _Trial:
 
 def _session(trial: _Trial, session) -> tuple:
     ledger = session.ledger
-    # reading ledger.transcript builds it, so only a spec that keeps it does
-    return (
-        session.allocation.accepted,
-        ledger.transferred_bytes,
-        tuple(ledger.transcript) if trial.spec.transcripts else None,
-    )
+    # the session's own transcript, kept as it is; emit formats it from its columns
+    transcript = ledger.transcript if trial.spec.transcripts else None
+    return session.allocation.accepted, ledger.transferred_bytes, transcript
 
 
 def _auction(trial: _Trial, seed: int) -> tuple:
@@ -236,7 +233,7 @@ class TrialMetrics:
     theoretical_alpha: float
     runtime_ns: int | None
     transcript_bytes: int | None
-    transcript: tuple | None = None
+    transcript: Transcript | None = None
 
 
 def _apply_axis(config: GenConfig, axis: str | None, value) -> GenConfig:

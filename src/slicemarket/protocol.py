@@ -11,14 +11,14 @@ private to a tenant never appear in it.
 once per session with ``arrival_order`` (the ``Instance`` constructor has
 checked the valuations and demands) and gathers the demand rows and
 valuations in arrival order once, in numpy.  It then runs every arrival on
-plain lists, reading them front to back, and keeps a compact record per
-arrival (the demand row, the quoted price tuple, shared between arrivals, the
-outcome and the charge).  That record, ``SessionLedger.record``, is what the
-``verify`` checks read.  The ledger's ``transcript`` of ``TranscriptEntry``
-messages is built from it the first time it is read, so a caller that needs
-only the allocation, the revenue or ``SessionLedger.transferred_bytes``
-never pays for it.  The same protocol spelled out message by message, each
-message checked as it is built, lives in the test suite
+plain lists, reading them front to back, and keeps the wire data in one
+stored shape, the ``Transcript``: per arrival the demand row, the quoted
+price tuple (shared until a sale), the outcome and the charge, as columns.
+``verify`` reads the columns, the harness keeps the object and
+``transcript_to_jsonl`` writes from the columns; a ``TranscriptEntry`` per
+arrival is built only on access, for the privacy-schema acceptance test and
+the benchmark's session counter.  The same protocol spelled out message by
+message, each message checked as it is built, lives in the test suite
 (``tests/reference_protocol.py``) as the reference the engine must
 reproduce bit for bit.
 
@@ -40,7 +40,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,6 +117,10 @@ def arrival_order(order, n: int) -> np.ndarray | None:
 
 
 class TranscriptEntry(NamedTuple):
+    """One arrival's wire message, which ``Transcript`` builds on access.  It
+    stays for two readers that take messages one at a time: the privacy-schema
+    acceptance test (``to_record()``) and the benchmark's session counter."""
+
     arrival: int
     quote: tuple[float, ...]
     accepted: int
@@ -133,6 +137,34 @@ class TranscriptEntry(NamedTuple):
             "d": list(self.demand),
             "outcome": self.outcome,
         }
+
+
+class Transcript:
+    """A session's wire data as columns in arrival order: the tenant's demand
+    row, the quote (one tuple shared until the next sale), the outcome and the
+    charge.  Indexing or iterating builds a ``TranscriptEntry`` per arrival and
+    keeps none: a SKIP has a zero flag, payment and demand."""
+
+    __slots__ = ("demand_rows", "quotes", "outcomes", "charges")
+
+    def __init__(self, demand_rows: list[list[float]]):
+        self.demand_rows = demand_rows
+        self.quotes: list[tuple[float, ...]] = []
+        self.outcomes: list[str] = []
+        self.charges: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    def __getitem__(self, index: int) -> TranscriptEntry:
+        i = range(len(self.outcomes))[index]
+        quote, outcome = self.quotes[i], self.outcomes[i]
+        if outcome == SKIP:
+            return TranscriptEntry(i + 1, quote, 0, 0.0, (0.0,) * len(quote), SKIP)
+        return TranscriptEntry(i + 1, quote, 1, self.charges[i], tuple(self.demand_rows[i]), outcome)
+
+    def __iter__(self) -> Iterator[TranscriptEntry]:
+        return map(self.__getitem__, range(len(self.outcomes)))
 
 
 #: Wire schema of one persisted transcript record.  ``additionalProperties``
@@ -203,27 +235,32 @@ def validate_transcript_record(record: dict) -> None:
         raise TranscriptSchemaError(f"transcript record rejected: {problem}")
 
 
-#: One record as ``json.dumps(record, separators=(",", ":"))`` writes it.
-_RECORD_LINE = '{"n":%r,"quote":[%s],"x":%r,"pi":%r,"d":[%s],"outcome":"%s"}\n'
+def transcript_to_jsonl(transcript: Transcript) -> str:
+    """One line per arrival, byte for byte ``json.dumps`` of each entry's
+    ``to_record()`` with compact separators, formatted from the columns.
 
-
-def transcript_to_jsonl(entries: Iterable[TranscriptEntry]) -> str:
-    """One JSON object per line, byte for byte ``json.dumps`` of each
-    ``to_record()`` with compact separators, for entries as the engine
-    builds them: ``int`` arrival and flag, Python floats and one of the
-    three outcome words, which need no escaping.
-
-    Each record is one ``%``-format with ``repr`` for the numbers, as json
-    spells them, except that json writes a non-finite float as ``Infinity``,
-    ``-Infinity`` or ``NaN``.  No key or outcome holds ``inf`` or ``nan``, so
-    those two spellings are fixed on the finished text.
+    Each quote tuple is formatted once, with the tail its SKIP lines share.
+    Numbers are written with ``repr``, as json spells them, except that json
+    writes a non-finite float as ``Infinity``, ``-Infinity`` or ``NaN``; no
+    key or outcome holds ``inf`` or ``nan``, so both are respelled on the text.
     """
-    text = "".join(
-        _RECORD_LINE
-        % (e.arrival, ",".join(map(repr, e.quote)), e.accepted, e.payment, ",".join(map(repr, e.demand)), e.outcome)
-        for e in entries
-    )
-    return text.replace("inf", "Infinity").replace("nan", "NaN")
+    lines = []
+    append = lines.append
+    quoted = None
+    columns = zip(transcript.quotes, transcript.outcomes, transcript.charges, transcript.demand_rows)
+    for arrival, (quote, outcome, charge, demand) in enumerate(columns, 1):
+        if quote is not quoted:
+            quoted = quote
+            head = ',"quote":[%s],"x":' % ",".join(map(repr, quote))
+            skip = head + '0,"pi":0.0,"d":[%s],"outcome":"SKIP"}\n' % ",".join(["0.0"] * len(quote))
+        if outcome == SKIP:
+            append('{"n":%d%s' % (arrival, skip))
+        else:
+            append(
+                '{"n":%d%s1,"pi":%r,"d":[%s],"outcome":"%s"}\n'
+                % (arrival, head, charge, ",".join(map(repr, demand)), outcome)
+            )
+    return "".join(lines).replace("inf", "Infinity").replace("nan", "NaN")
 
 
 def parse_transcript_jsonl(text: str) -> list[dict]:
@@ -239,67 +276,25 @@ def parse_transcript_jsonl(text: str) -> list[dict]:
     return records
 
 
-class _ArrivalRecord:
-    """``run_session``'s compact record: per arrival the tenant's demand row,
-    the quoted price tuple (shared until the next sale), the outcome and the
-    tenant's charge, every column in arrival order."""
-
-    __slots__ = ("demand_rows", "quotes", "outcomes", "charges")
-
-    def __init__(self, demand_rows: list[list[float]]):
-        self.demand_rows = demand_rows
-        self.quotes: list[tuple[float, ...]] = []
-        self.outcomes: list[str] = []
-        self.charges: list[float] = []
-
-    def entries(self) -> list[TranscriptEntry]:
-        """The transcript messages, one ``TranscriptEntry`` per arrival: a
-        SKIP carries a zero flag, payment and demand, SUCC and FAIL the
-        tenant's charge and demand row."""
-        return [
-            TranscriptEntry(arrival, quote, 0, 0.0, (0.0,) * len(quote), SKIP)
-            if outcome == SKIP
-            else TranscriptEntry(arrival, quote, 1, charge, tuple(demand), outcome)
-            for arrival, demand, quote, outcome, charge in zip(
-                range(1, len(self.quotes) + 1), self.demand_rows, self.quotes, self.outcomes, self.charges
-            )
-        ]
-
-
 class SessionLedger:
-    """Operator-visible session state: utilization, prices, revenue, and the
-    session's compact ``record``.
+    """Operator-visible session state: utilization, prices, revenue and the
+    ``transcript``, the one stored record of what crossed the wire.
+    ``prices`` is the immutable tuple quoted after the last arrival."""
 
-    ``prices`` is the immutable tuple quoted after the last arrival.  The
-    ``verify`` checks read ``record``; ``transcript`` is built from it on
-    first read and then kept.
-    """
+    __slots__ = ("utilization", "prices", "revenue", "transcript")
 
-    __slots__ = ("utilization", "prices", "revenue", "_transcript", "record")
-
-    def __init__(self, utilization: list[float], prices: tuple[float, ...], revenue: float, record: _ArrivalRecord):
+    def __init__(self, utilization: list[float], prices: tuple[float, ...], revenue: float, transcript: Transcript):
         self.utilization = utilization
         self.prices = prices
         self.revenue = revenue
-        self.record = record
-        self._transcript: list[TranscriptEntry] | None = None
-
-    @property
-    def transcript(self) -> list[TranscriptEntry]:
-        if self._transcript is None:
-            self._transcript = self.record.entries()
-        return self._transcript
-
-    @property
-    def arrivals(self) -> int:
-        return len(self.record.outcomes)
+        self.transcript = transcript
 
     @property
     def transferred_bytes(self) -> int:
-        """Bytes that crossed the wire, 4 per scalar value, without building
-        the transcript: per arrival the quoted prices, the demands (one of
-        each per resource), the accept flag, the payment and the outcome."""
-        return 4 * self.arrivals * (2 * len(self.utilization) + 3)
+        """Bytes that crossed the wire, 4 per scalar value, from the
+        transcript's length: per arrival the quoted prices, the demands (one
+        of each per resource), the accept flag, the payment and the outcome."""
+        return 4 * len(self.transcript) * (2 * len(self.utilization) + 3)
 
 
 @dataclass(frozen=True)
@@ -368,9 +363,9 @@ def run_session(
     payments = [0.0] * n
     accepted = [False] * n
     revenue = 0.0
-    record = _ArrivalRecord(demand_rows)
-    record_quote, record_charge = record.quotes.append, record.charges.append
-    record_outcome = record.outcomes.append
+    transcript = Transcript(demand_rows)
+    record_quote, record_charge = transcript.quotes.append, transcript.charges.append
+    record_outcome = transcript.outcomes.append
 
     for tenant, demand, value in zip(tenants, demand_rows, valuations):
         # the tenant's offer and the booked payment: one sum, left to right
@@ -395,7 +390,7 @@ def run_session(
         else:
             record_outcome(SKIP)
 
-    ledger = SessionLedger(utilization, prices, revenue, record)
+    ledger = SessionLedger(utilization, prices, revenue, transcript)
     certificate = DualCertificate(surpluses, prices)
     allocation = Allocation.from_decisions(instance, accepted)
     return SessionResult(

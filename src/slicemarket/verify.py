@@ -3,8 +3,8 @@
 Each suite returns human-readable violation strings; an empty list means the
 checked property held everywhere.  The session suite drives full protocol
 runs over randomized workloads.  For each run, ``check_session`` counts the
-violations of every invariant family over the session's compact record
-(array comparisons on the prices, plain loops over the record's outcome and
+violations of every invariant family over the columns of the session's
+transcript (array comparisons on the prices, plain loops over its outcome and
 charge lists): capacity safety, price monotonicity and floors, dual
 feasibility, the welfare accounting identity, refund bookkeeping and the
 value ranges of the transcript schema.
@@ -43,16 +43,16 @@ def _random_config(rng: np.random.Generator) -> GenConfig:
 def check_session(instance, order) -> dict[str, int]:
     """Count the violations of every protocol invariant in one posted-price session.
 
-    Runs the session and reads its compact record (``ledger.record``), never
-    the transcript.  Returns each violated invariant family with its count;
-    ``{}`` means every invariant held.
+    Runs the session and reads the columns of its transcript, never a
+    message built from them.  Returns each violated invariant family with its
+    count; ``{}`` means every invariant held.
     """
     setup = MarketSetup.from_instance(instance)
     result = run_session(setup, build_schedule(setup), instance, order)
-    ledger, record = result.ledger, result.ledger.record
-    outcomes, charges = record.outcomes, record.charges
+    ledger, transcript = result.ledger, result.ledger.transcript
+    outcomes, charges = transcript.outcomes, transcript.charges
     # one row per quote, then the final prices
-    prices = np.array(record.quotes + [ledger.prices], dtype=float)
+    prices = np.array(transcript.quotes + [ledger.prices], dtype=float)
     # the SUCC charges summed in arrival order, as the revenue was
     booked = sum([charge for charge, outcome in zip(charges, outcomes) if outcome == SUCC], 0.0)
     welfare = social_welfare(setup, instance, result.allocation)
@@ -66,7 +66,7 @@ def check_session(instance, order) -> dict[str, int]:
         "accounting": int(abs(welfare - (operator + tenant_utils.sum())) > ACCOUNTING_TOL),
         "refund": int(abs(ledger.revenue - booked) > ACCOUNTING_TOL)
         + int(abs(ledger.revenue - float(result.payments.sum())) > ACCOUNTING_TOL),
-        # the record's ranges of the wire schema; a SKIP renders its charge as 0
+        # the transcript's ranges of the wire schema; a SKIP renders its charge as 0
         "transcript schema": count(prices[:-1] < 0)
         + sum(charge < 0 and outcome != SKIP for charge, outcome in zip(charges, outcomes))
         + sum(outcome not in (SUCC, FAIL, SKIP) for outcome in outcomes),

@@ -9,10 +9,16 @@ is built.  This is the reference ``protocol.run_session`` is tested against
 computes the charge with ``_dot``, the engine's left-to-right sum written
 out once, and checks messages with the engine's own ``_checked_prices`` and
 ``_float_tuple``, so both sides make the same float operations.
+
+``reference_entries`` and ``reference_jsonl`` are the row path that
+``transcript_to_jsonl`` must reproduce byte for byte from a transcript's
+columns: one ``TranscriptEntry`` per arrival, then ``json.dumps`` of each
+``to_record()``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -23,6 +29,7 @@ from slicemarket.protocol import (
     SKIP,
     SUCC,
     ProtocolError,
+    Transcript,
     TranscriptEntry,
     _checked_prices,
     _float_tuple,
@@ -169,3 +176,26 @@ def mvno_settle(
         TranscriptEntry(arrival, quoted, int(decision.accept), decision.payment, decision.demand, outcome.status)
     )
     return outcome, ledger
+
+
+def reference_entries(transcript: Transcript) -> list[TranscriptEntry]:
+    """One ``TranscriptEntry`` per arrival of an engine transcript: a SKIP
+    carries a zero flag, payment and demand, SUCC and FAIL the tenant's
+    charge and demand row."""
+    return [
+        TranscriptEntry(arrival, quote, 0, 0.0, (0.0,) * len(quote), SKIP)
+        if outcome == SKIP
+        else TranscriptEntry(arrival, quote, 1, charge, tuple(demand), outcome)
+        for arrival, demand, quote, outcome, charge in zip(
+            range(1, len(transcript.quotes) + 1),
+            transcript.demand_rows,
+            transcript.quotes,
+            transcript.outcomes,
+            transcript.charges,
+        )
+    ]
+
+
+def reference_jsonl(entries: Iterable[TranscriptEntry]) -> str:
+    """The JSONL text of ``entries``: ``json.dumps`` of each record, compact."""
+    return "".join(json.dumps(e.to_record(), separators=(",", ":")) + "\n" for e in entries)

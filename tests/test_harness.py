@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from slicemarket import baselines, workload
+from slicemarket import baselines, harness, workload
 from slicemarket.baselines import GaParams
 from slicemarket.harness import (
     ALGORITHMS,
@@ -24,8 +24,7 @@ from slicemarket.harness import (
     summary_csv,
     trials_csv,
 )
-from slicemarket import protocol
-from slicemarket.protocol import parse_transcript_jsonl
+from slicemarket.protocol import SKIP, SUCC, parse_transcript_jsonl
 from slicemarket.workload import GenConfig
 
 from reference_protocol import transferred_data_bytes
@@ -340,20 +339,49 @@ class TestEmit:
         emit(metrics, aggregate(metrics), tmp_path)
         files = sorted((tmp_path / "transcripts").glob("*.jsonl"))
         assert len(files) == 2
-        for path in files:
-            records = parse_transcript_jsonl(path.read_text())
-            assert len(records) == 8
+        kept = [m for m in metrics if m.transcript is not None]
+        assert sorted(f"{m.algo}_point{m.point_index}_trial{m.trial}.jsonl" for m in kept) == [p.name for p in files]
+        outcomes = set()
+        for m in kept:
+            transcript = m.transcript
+            text = (tmp_path / "transcripts" / f"{m.algo}_point{m.point_index}_trial{m.trial}.jsonl").read_text()
+            records = parse_transcript_jsonl(text)
+            assert len(text.splitlines()) == len(records) == len(transcript) == 8
+            assert [record["n"] for record in records] == list(range(1, len(transcript) + 1))
+            assert [tuple(record["quote"]) for record in records] == transcript.quotes
+            columns = zip(transcript.outcomes, transcript.charges, transcript.demand_rows)
+            for record, (outcome, charge, demand) in zip(records, columns):
+                assert record["outcome"] == outcome
+                if outcome == SKIP:
+                    assert (record["x"], repr(record["pi"]), record["d"]) == (0, "0.0", [0.0, 0.0])
+                else:
+                    assert (record["x"], record["pi"].hex(), record["d"]) == (1, charge.hex(), demand)
+            outcomes.update(transcript.outcomes)
+        assert {SUCC, SKIP} <= outcomes
 
     @pytest.mark.parametrize("transcripts", [False, True])
-    def test_transcript_built_only_when_kept(self, monkeypatch, transcripts):
-        builds = []
-        entries = protocol._ArrivalRecord.entries
-        monkeypatch.setattr(protocol._ArrivalRecord, "entries", lambda record: builds.append(1) or entries(record))
+    def test_the_session_transcript_is_kept_as_it_is(self, monkeypatch, tmp_path, transcripts):
+        ledgers = []
+
+        def keeping_ledgers(run):
+            def run_session(*args):
+                result = run(*args)
+                ledgers.append(result.ledger)
+                return result
+
+            return run_session
+
+        monkeypatch.setattr(harness, "run_session", keeping_ledgers(harness.run_session))
+        monkeypatch.setattr(baselines, "run_session", keeping_ledgers(baselines.run_session))
         spec = small_spec(algos=("posted_price", "myopic"), trials=2, transcripts=transcripts)
         metrics = run_trials(spec)
-        assert len(builds) == (4 if transcripts else 0)
-        # 8 arrivals of 2 prices, 2 demands, flag, payment and outcome
         sessions = [m for m in metrics if m.algo in ("posted_price", "myopic")]
+        assert len(ledgers) == len(sessions) == 4
+        for m, ledger in zip(sessions, ledgers):
+            assert m.transcript is (ledger.transcript if transcripts else None)
+        emit(metrics, aggregate(metrics), tmp_path)
+        assert len(list(tmp_path.glob("transcripts/*.jsonl"))) == (4 if transcripts else 0)
+        # 8 arrivals of 2 prices, 2 demands, flag, payment and outcome
         assert [m.transcript_bytes for m in sessions] == [4 * 8 * 7] * 4
 
     def test_transcript_bytes_match_the_transcript(self, rng):

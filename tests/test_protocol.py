@@ -20,7 +20,7 @@ from slicemarket.protocol import (
     SUCC,
     DualCertificate,
     ProtocolError,
-    TranscriptEntry,
+    Transcript,
     TranscriptSchemaError,
     arrival_order,
     parse_transcript_jsonl,
@@ -29,6 +29,7 @@ from slicemarket.protocol import (
     transcript_to_jsonl,
     validate_transcript_record,
 )
+from slicemarket.verify import _random_config
 from slicemarket.workload import GenConfig, Instance, WorkloadError, generate_instance
 
 from conftest import manual_instance
@@ -38,6 +39,8 @@ from reference_protocol import (
     TransactionOutcome,
     mvno_init,
     mvno_settle,
+    reference_entries,
+    reference_jsonl,
     tenant_decide,
     transferred_data_bytes,
 )
@@ -273,11 +276,12 @@ class TestRunSession:
             ledger = result.ledger
 
             assert all(y <= 1.0 for y in ledger.utilization)
-            quotes = [e.quote for e in ledger.transcript] + [tuple(ledger.prices)]
+            transcript = ledger.transcript
+            quotes = transcript.quotes + [ledger.prices]
             for earlier, later in zip(quotes, quotes[1:]):
                 assert all(b >= a for a, b in zip(earlier, later))
             assert (result.certificate.feasibility_slacks(inst) >= -1e-9).all()
-            booked = sum(e.payment for e in ledger.transcript if e.outcome == SUCC)
+            booked = sum(c for c, outcome in zip(transcript.charges, transcript.outcomes) if outcome == SUCC)
             assert ledger.revenue == pytest.approx(booked, abs=1e-9)
             assert float(result.payments.sum()) == pytest.approx(ledger.revenue, abs=1e-9)
 
@@ -292,7 +296,7 @@ class TestRunSession:
         setup = MarketSetup.from_instance(inst)
         schedule = build_schedule(setup)
         result = run_session(setup, schedule, inst, [0, 1])
-        outcomes = [e.outcome for e in result.ledger.transcript]
+        outcomes = result.ledger.transcript.outcomes
         assert outcomes[0] == SUCC
         assert outcomes[1] == FAIL
         assert (result.certificate.feasibility_slacks(inst) >= -1e-9).all()
@@ -377,6 +381,26 @@ class TestRunSession:
         assert offline > schedule.ratio * online
 
 
+class FlatPricing:
+    """A schedule that quotes the same price tuple whatever the utilization."""
+
+    def __init__(self, prices: tuple[float, ...]):
+        self.prices = prices
+
+    def quote(self, utilization) -> tuple[float, ...]:
+        return self.prices
+
+
+def assert_jsonl_matches_the_rows(transcript) -> str:
+    """``transcript_to_jsonl`` of ``transcript`` is byte for byte the text
+    written from its rows, and those rows are what iterating it gives."""
+    rows = reference_entries(transcript)
+    assert list(transcript) == rows
+    text = transcript_to_jsonl(transcript)
+    assert text == reference_jsonl(rows)
+    return text
+
+
 class TestTranscript:
     def make_entries(self):
         inst = generate_instance(GenConfig(tenant_count=8, resource_count=2, seed=3))
@@ -399,23 +423,50 @@ class TestTranscript:
             assert record["outcome"] == entry.outcome
 
     def test_jsonl_is_json_dumps_byte_for_byte(self):
-        """The ``%``-format serializer against ``json.dumps`` per record, on
-        posted and myopic sessions and on records with a non-finite payment,
-        where json writes ``Infinity`` and ``NaN``."""
+        """The column formatter against ``json.dumps`` of each row the row
+        builder makes, on posted and myopic sessions: generated markets of
+        10 to 200 tenants, ``verify`` markets in random orders and an empty
+        market."""
+        rng = np.random.default_rng(2701)
+        markets = [generate_instance(GenConfig(10 + 10 * s, 1 + s % 4, seed=s)) for s in range(20)]
+        markets += [generate_instance(_random_config(rng)) for _ in range(200)]
+        empty = Instance(np.zeros((0, 2)), np.zeros(0), [1.0, 1.0], [2.0, 2.0], [0.5, 0.5])
+        for inst in markets + [empty]:
+            order = rng.permutation(inst.tenant_count)
+            for result in (_posted_session(inst, order), myopic_slicing(inst, order)):
+                text = assert_jsonl_matches_the_rows(result.ledger.transcript)
+                assert len(text.splitlines()) == inst.tenant_count
 
-        def reference(entries):
-            return "".join(json.dumps(e.to_record(), separators=(",", ":")) + "\n" for e in entries)
+    @pytest.mark.parametrize("resources", [1, 2, 3, 4, 5])
+    def test_jsonl_on_overfull_markets(self, resources):
+        # a flat tenth of the floors sells to every tenant until the market
+        # is full, so most later arrivals FAIL under one shared quote
+        rng = np.random.default_rng(2710 + resources)
+        fails = arrivals = 0
+        for _ in range(20):
+            n = int(rng.integers(2, 60))
+            demand_mean = float(rng.uniform(3.0, 8.0)) / n
+            inst = generate_instance(GenConfig(n, resources, demand_mean=demand_mean, seed=int(rng.integers(2**32))))
+            setup, order = MarketSetup.from_instance(inst), rng.permutation(n)
+            flat = FlatPricing(tuple(0.1 * f for f in setup.price_floors.tolist()))
+            schedules = (build_schedule(setup), MyopicPricing.from_setup(setup), flat)
+            for schedule in schedules:
+                transcript = run_session(setup, schedule, inst, order).ledger.transcript
+                fails += transcript.outcomes.count(FAIL)
+                arrivals += len(transcript)
+                assert_jsonl_matches_the_rows(transcript)
+        assert fails > arrivals / 6
 
-        for seed in range(20):
-            inst = generate_instance(GenConfig(tenant_count=10 + 10 * seed, resource_count=1 + seed % 4, seed=seed))
-            for entries in (run_posted_price(inst).ledger.transcript, myopic_slicing(inst).ledger.transcript):
-                assert transcript_to_jsonl(entries) == reference(entries)
-        odd = [
-            TranscriptEntry(1, (0.5, 1.25), 1, payment, (0.1, 2e-300), SUCC)
-            for payment in (math.inf, -math.inf, math.nan, 5e-324, 0.1 + 0.2)
-        ]
-        assert transcript_to_jsonl(odd) == reference(odd)
-        assert "Infinity" in reference(odd)
+    @pytest.mark.parametrize("charge", [math.inf, -math.inf, math.nan, 5e-324, 0.1 + 0.2])
+    def test_jsonl_of_hand_built_charges(self, charge):
+        # json writes Infinity and NaN; a SKIP's charge never reaches the wire
+        transcript = Transcript([[0.1, 2e-300], [0.3, 0.0], [0.2, 0.5], [2e-300, 0.4]])
+        quote = (0.5, 1.25)
+        transcript.quotes += [quote, quote, quote, (0.75, 1.5)]
+        transcript.outcomes += [SUCC, SKIP, FAIL, SUCC]
+        transcript.charges += [charge] * 4
+        text = assert_jsonl_matches_the_rows(transcript)
+        assert ("Infinity" in text or "NaN" in text) is not math.isfinite(charge)
 
     @pytest.mark.parametrize(
         "private_field, value",
@@ -466,7 +517,7 @@ def _engine_output(engine, instance, order):
     result = ORDER_ENGINES[engine](instance, order)
     if engine == "random_slicing":
         return result[1].tobytes(), repr(result[0])
-    return result.allocation.accepted.tobytes(), repr(result.ledger.transcript)
+    return result.allocation.accepted.tobytes(), repr(list(result.ledger.transcript))
 
 
 class TestArrivalOrder:
@@ -561,4 +612,4 @@ class TestScheduleSetup:
         setup = MarketSetup.from_instance(instance)
         pricing = MyopicPricing.from_setup(setup)
         assert not hasattr(pricing, "setup")
-        assert run_session(E2_SETUP, pricing, instance).ledger.arrivals == 5
+        assert len(run_session(E2_SETUP, pricing, instance).ledger.transcript) == 5

@@ -4,7 +4,7 @@
 engine: every arrival builds a ``PriceQuote``, asks ``tenant_decide`` and
 settles through ``mvno_settle``, all from ``reference_protocol``.  The engine
 must reproduce it bit for bit: accepted masks, payments, surpluses, final
-prices, utilization, revenue and every transcript entry.
+prices, utilization, revenue, every transcript entry and the JSONL text.
 """
 
 import math
@@ -24,14 +24,24 @@ from slicemarket.protocol import (
     DualCertificate,
     ProtocolError,
     SessionResult,
+    Transcript,
     TranscriptEntry,
     run_session,
+    transcript_to_jsonl,
 )
 from slicemarket.verify import _random_config
 from slicemarket.workload import GenConfig, Instance, WorkloadError, generate_instance
 
 from conftest import ORDER_FORMS, manual_instance, order_test_markets
-from reference_protocol import PriceQuote, mvno_init, mvno_settle, tenant_decide, transferred_data_bytes
+from reference_protocol import (
+    PriceQuote,
+    mvno_init,
+    mvno_settle,
+    reference_entries,
+    reference_jsonl,
+    tenant_decide,
+    transferred_data_bytes,
+)
 
 #: The generator's private records and bounds helper, which live only in the tests.
 PRIVATE_NAMES = ("generate_population", "TenantPrivate", "derive_bounds")
@@ -99,14 +109,14 @@ def assert_bit_identical(setup, schedule, instance, order) -> list[TranscriptEnt
     assert _bits(kernel.ledger.prices) == _bits(reference.ledger.prices)
     assert _bits(kernel.ledger.utilization) == _bits(reference.ledger.utilization)
     assert kernel.ledger.revenue.hex() == reference.ledger.revenue.hex()
-    # the byte count is read before the transcript exists
+    # the byte count comes from the transcript's length, not its messages
     assert kernel.ledger.transferred_bytes == transferred_data_bytes(reference.ledger.transcript)
-    transcript = kernel.ledger.transcript
+    transcript = list(kernel.ledger.transcript)
     assert all(type(entry) is TranscriptEntry for entry in transcript)
     assert transcript == reference.ledger.transcript
     # repr tells -0.0 from 0.0 and prints every float exactly
     assert repr(transcript) == repr(reference.ledger.transcript)
-    assert kernel.ledger.transferred_bytes == transferred_data_bytes(transcript)
+    assert transcript_to_jsonl(kernel.ledger.transcript) == reference_jsonl(reference.ledger.transcript)
     return transcript
 
 
@@ -209,11 +219,11 @@ def _assert_settled_per_arrival(instance, order, result):
     """Each arrival's outcome lands on its own tenant: a SUCC pays its charge,
     a FAIL keeps its positive surplus and pays nothing, a SKIP has neither."""
     tenants = range(instance.tenant_count) if order is None else [int(t) for t in order]
-    record = result.ledger.record
-    assert len(record.outcomes) == len(tenants)
+    transcript = result.ledger.transcript
+    assert len(transcript) == len(tenants)
     surpluses, payments = result.certificate.surpluses, result.payments
     accepted = result.allocation.accepted
-    for tenant, outcome, charge in zip(tenants, record.outcomes, record.charges):
+    for tenant, outcome, charge in zip(tenants, transcript.outcomes, transcript.charges):
         surplus = float(instance.valuations[tenant]) - charge
         if outcome == SKIP:
             assert surplus <= 0
@@ -244,7 +254,7 @@ def test_fail_keeps_its_surplus_and_pays_nothing():
             for schedule in _schedules(setup):
                 result = run_session(setup, schedule, instance, order)
                 _assert_settled_per_arrival(instance, order, result)
-                outcomes = result.ledger.record.outcomes
+                outcomes = result.ledger.transcript.outcomes
                 interleaved += {SUCC, FAIL, SKIP} <= set(outcomes)
                 after = outcomes[outcomes.index(FAIL) + 1 :] if FAIL in outcomes else []
                 settled_after_a_fail += SKIP in after and FAIL in after
@@ -261,7 +271,7 @@ def test_fail_at_the_first_and_the_last_arrival(order):
     for schedule in _schedules(setup):
         result = run_session(setup, schedule, instance, order)
         _assert_settled_per_arrival(instance, order, result)
-        outcomes = result.ledger.record.outcomes
+        outcomes = result.ledger.transcript.outcomes
         assert outcomes[0] == FAIL and outcomes[-1] == FAIL
         assert {SUCC, SKIP} <= set(outcomes)
         assert_bit_identical(setup, schedule, instance, order)
@@ -275,35 +285,30 @@ def test_zero_demand_tenants():
         assert_bit_identical(setup, schedule, instance, [2, 0, 1])
 
 
-def test_transcript_is_built_once_on_first_read(monkeypatch):
+def test_transcript_messages_are_built_on_access():
     instance = generate_instance(GenConfig(tenant_count=12, resource_count=2, seed=4))
     setup = MarketSetup.from_instance(instance)
-    builds = []
-    original = protocol._ArrivalRecord.entries
-
-    def counted(record):
-        builds.append(record)
-        return original(record)
-
-    monkeypatch.setattr(protocol._ArrivalRecord, "entries", counted)
-    result = run_session(setup, build_schedule(setup), instance)
-    assert result.ledger.arrivals == 12
-    assert result.ledger.transferred_bytes == 4 * 12 * (2 * 2 + 3)
-    assert builds == []
-    first = result.ledger.transcript
-    assert result.ledger.transcript is first
-    assert len(builds) == 1
-    assert result.ledger.arrivals == 12
-    # the record outlives the transcript built from it
-    assert builds[0] is result.ledger.record
+    transcript = run_session(setup, build_schedule(setup), instance).ledger.transcript
+    assert len(transcript) == 12
+    rows = reference_entries(transcript)
+    assert list(transcript) == rows
+    assert [transcript[i] for i in range(-12, 12)] == rows + rows
+    # each access builds a fresh message; the transcript keeps only its columns
+    assert transcript[0] == transcript[0] and transcript[0] is not transcript[0]
+    for index in (12, -13):
+        with pytest.raises(IndexError):
+            transcript[index]
 
 
-def test_only_the_engine_keeps_a_record():
+def test_the_ledger_stores_one_transcript():
     instance = generate_instance(GenConfig(tenant_count=12, resource_count=2, seed=4))
     setup = MarketSetup.from_instance(instance)
-    schedule = build_schedule(setup)
-    record = run_session(setup, schedule, instance).ledger.record
-    assert len(record.quotes) == len(record.outcomes) == len(record.charges) == 12
+    ledger = run_session(setup, build_schedule(setup), instance).ledger
+    assert protocol.SessionLedger.__slots__ == ("utilization", "prices", "revenue", "transcript")
+    assert Transcript.__slots__ == ("demand_rows", "quotes", "outcomes", "charges")
+    transcript = ledger.transcript
+    assert len(transcript.quotes) == len(transcript.outcomes) == len(transcript.charges) == 12
+    assert ledger.transferred_bytes == 4 * 12 * (2 * 2 + 3)
 
 
 def test_one_session_engine():
@@ -311,16 +316,16 @@ def test_one_session_engine():
     for module in (slicemarket, protocol):
         assert [name for name in REFERENCE_NAMES if hasattr(module, name)] == []
     assert not hasattr(protocol, "PAYMENT_TOLERANCE")
-    # every ledger run_session returns holds its record, even an empty session's
+    # every ledger run_session returns holds its transcript, even an empty session's
     empty = Instance(np.zeros((0, 2)), np.zeros(0), [1.0, 1.0], [2.0, 2.0], [0.5, 0.5])
     rng = np.random.default_rng(608)
     for instance in (empty, *(generate_instance(_random_config(rng)) for _ in range(20))):
         setup = MarketSetup.from_instance(instance)
         for schedule in _schedules(setup):
             ledger = run_session(setup, schedule, instance).ledger
-            assert type(ledger.record) is protocol._ArrivalRecord
-            assert ledger.arrivals == len(ledger.record.outcomes) == instance.tenant_count
-            assert ledger.transcript == ledger.record.entries()
+            assert type(ledger.transcript) is Transcript
+            assert len(ledger.transcript) == len(ledger.transcript.outcomes) == instance.tenant_count
+            assert list(ledger.transcript) == reference_entries(ledger.transcript)
 
 
 def test_generator_returns_the_instance_alone():
@@ -418,7 +423,7 @@ def test_one_quote_at_the_start_and_one_per_sale():
         for schedule in _schedules(setup):
             counting = _CountingSchedule(schedule)
             result = run_session(setup, counting, instance, rng.permutation(instance.tenant_count))
-            sales = result.ledger.record.outcomes.count(SUCC)
+            sales = result.ledger.transcript.outcomes.count(SUCC)
             assert counting.quotes == 1 + sales
             assert result.ledger.prices == schedule.quote(result.ledger.utilization)
 

@@ -35,11 +35,11 @@ def _reference_random_config(rng):
 def _reference_check_session(instance, order):
     setup = MarketSetup.from_instance(instance)
     result = verify.run_session(setup, build_schedule(setup), instance, order)  # doctored alike
-    ledger, record = result.ledger, result.ledger.record
+    ledger, transcript = result.ledger, result.ledger.transcript
     utilization = np.asarray(ledger.utilization)
-    prices = np.array(record.quotes + [ledger.prices], dtype=float)
-    outcomes = np.array(record.outcomes, dtype=str)
-    charges = np.array(record.charges, dtype=float)
+    prices = np.array(transcript.quotes + [ledger.prices], dtype=float)
+    outcomes = np.array(transcript.outcomes, dtype=str)
+    charges = np.array(transcript.charges, dtype=float)
     booked = sum(charges[outcomes == SUCC].tolist(), 0.0)
     welfare = social_welfare(setup, instance, result.allocation)
     operator, tenant_utils = utilities(setup, instance, result.allocation, result.payments)
@@ -81,7 +81,7 @@ def _capacity(result):
 
 
 def _monotonicity(result):
-    quotes = result.ledger.record.quotes
+    quotes = result.ledger.transcript.quotes
     quotes[0] = tuple(2 * p for p in quotes[0])
 
 
@@ -96,14 +96,14 @@ def _dual_feasibility(result):
 
 
 def _refund(result):
-    outcomes = result.ledger.record.outcomes
+    outcomes = result.ledger.transcript.outcomes
     outcomes[outcomes.index(SUCC)] = FAIL
 
 
 def _transcript_schema(result):
-    record = result.ledger.record
-    sold = next(i for i, outcome in enumerate(record.outcomes) if outcome != SKIP)
-    record.charges[sold] = -record.charges[sold]
+    transcript = result.ledger.transcript
+    sold = next(i for i, outcome in enumerate(transcript.outcomes) if outcome != SKIP)
+    transcript.charges[sold] = -transcript.charges[sold]
 
 
 def _nan_capacity(result):
@@ -111,14 +111,14 @@ def _nan_capacity(result):
 
 
 def _negative_quote(result):
-    quotes = result.ledger.record.quotes
+    quotes = result.ledger.transcript.quotes
     quotes[-1] = tuple(-p for p in quotes[-1])
 
 
 def _unknown_outcome(result):
-    record = result.ledger.record
-    record.outcomes[-1] = "MAYBE"
-    record.charges[0] = float("nan")
+    transcript = result.ledger.transcript
+    transcript.outcomes[-1] = "MAYBE"
+    transcript.charges[0] = float("nan")
 
 
 def _full_capacity(result):
@@ -128,8 +128,8 @@ def _full_capacity(result):
 
 def _every_charge_negated(result):
     # a SKIP's charge is not on the wire; a SUCC's or a FAIL's is
-    record = result.ledger.record
-    record.charges[:] = [-charge - 1.0 for charge in record.charges]
+    transcript = result.ledger.transcript
+    transcript.charges[:] = [-charge - 1.0 for charge in transcript.charges]
 
 
 #: Doctors outside the per-family table below, for the reference comparison.
