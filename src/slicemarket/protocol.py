@@ -140,14 +140,15 @@ class TranscriptEntry(NamedTuple):
 
 
 class Transcript:
-    """A session's wire data as columns in arrival order: the tenant's demand
-    row, the quote (one tuple shared until the next sale), the outcome and the
-    charge.  Indexing or iterating builds a ``TranscriptEntry`` per arrival and
-    keeps none: a SKIP has a zero flag, payment and demand."""
+    """A session's wire data as columns in arrival order: the tenants' demand
+    rows (one float array), the quote (one tuple shared until the next sale),
+    the outcome and the charge.  Indexing or iterating builds a
+    ``TranscriptEntry`` per arrival and keeps none: a SKIP has a zero flag,
+    payment and demand."""
 
     __slots__ = ("demand_rows", "quotes", "outcomes", "charges")
 
-    def __init__(self, demand_rows: list[list[float]]):
+    def __init__(self, demand_rows: np.ndarray):
         self.demand_rows = demand_rows
         self.quotes: list[tuple[float, ...]] = []
         self.outcomes: list[str] = []
@@ -161,7 +162,7 @@ class Transcript:
         quote, outcome = self.quotes[i], self.outcomes[i]
         if outcome == SKIP:
             return TranscriptEntry(i + 1, quote, 0, 0.0, (0.0,) * len(quote), SKIP)
-        return TranscriptEntry(i + 1, quote, 1, self.charges[i], tuple(self.demand_rows[i]), outcome)
+        return TranscriptEntry(i + 1, quote, 1, self.charges[i], tuple(self.demand_rows[i].tolist()), outcome)
 
     def __iter__(self) -> Iterator[TranscriptEntry]:
         return map(self.__getitem__, range(len(self.outcomes)))
@@ -247,7 +248,7 @@ def transcript_to_jsonl(transcript: Transcript) -> str:
     lines = []
     append = lines.append
     quoted = None
-    columns = zip(transcript.quotes, transcript.outcomes, transcript.charges, transcript.demand_rows)
+    columns = zip(transcript.quotes, transcript.outcomes, transcript.charges, transcript.demand_rows.tolist())
     for arrival, (quote, outcome, charge, demand) in enumerate(columns, 1):
         if quote is not quoted:
             quoted = quote
@@ -338,10 +339,12 @@ def run_session(
     (valuations and demands were checked when the ``Instance`` was built),
     and the demand rows and valuations are gathered in arrival order once,
     so the loop reads plain lists front to back; instance order gathers
-    nothing.  One charge, summed left to right over the resources, is both
-    the tenant's offer and the booked payment, and ``schedule.quote`` is
-    called (and its prices checked) only at the start and after a sale.  A
-    schedule that holds a ``setup`` must hold this one.
+    nothing.  The transcript keeps the rows as that float array (the
+    instance's own in instance order), not the loop's row lists, which hold
+    twice the memory.  One charge, summed left to right over the resources,
+    is both the tenant's offer and the booked payment, and
+    ``schedule.quote`` is called (and its prices checked) only at the start
+    and after a sale.  A schedule that holds a ``setup`` must hold this one.
     """
     n, c = instance.tenant_count, instance.resource_count
     if setup.resource_count != c:
@@ -350,11 +353,12 @@ def run_session(
         raise ProtocolError("the schedule was built for another market setup")
     order = arrival_order(order, n)
     if order is None:
-        tenants, demand_rows, valuations = range(n), instance.demands.tolist(), instance.valuations.tolist()
+        tenants, rows, valuations = range(n), instance.demands, instance.valuations.tolist()
     else:
         # gathered once: the loop's reads then follow memory order
         tenants = order.tolist()
-        demand_rows, valuations = instance.demands.take(order, axis=0).tolist(), instance.valuations.take(order).tolist()
+        rows, valuations = instance.demands.take(order, axis=0), instance.valuations.take(order).tolist()
+    demand_rows = rows.tolist()
 
     quote = schedule.quote
     utilization = [0.0] * c
@@ -363,7 +367,7 @@ def run_session(
     payments = [0.0] * n
     accepted = [False] * n
     revenue = 0.0
-    transcript = Transcript(demand_rows)
+    transcript = Transcript(rows)
     record_quote, record_charge = transcript.quotes.append, transcript.charges.append
     record_outcome = transcript.outcomes.append
 

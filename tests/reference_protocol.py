@@ -188,7 +188,7 @@ def reference_entries(transcript: Transcript) -> list[TranscriptEntry]:
         else TranscriptEntry(arrival, quote, 1, charge, tuple(demand), outcome)
         for arrival, demand, quote, outcome, charge in zip(
             range(1, len(transcript.quotes) + 1),
-            transcript.demand_rows,
+            transcript.demand_rows.tolist(),
             transcript.quotes,
             transcript.outcomes,
             transcript.charges,

@@ -5,9 +5,10 @@ genetic heuristic as it was before repair was screened for the whole
 population in one product, the failing rows repaired in one batched drop
 loop and the generation loop run on reused buffers, except that the tournament
 size, the elites and the mutation rate ``1/m`` are the module's fixed values,
-and that the mutation walks geometric gaps between flips (``_reference_flips``)
-instead of comparing one uniform per gene with the rate; the current code
-must reproduce them bit for bit.
+that the mutation walks geometric gaps between flips (``_reference_flips``)
+instead of comparing one uniform per gene with the rate, and that the search
+stops after ``STALL`` generations in a row without an improvement; the
+current code must reproduce them bit for bit.
 """
 
 import math
@@ -15,7 +16,16 @@ import math
 import numpy as np
 import pytest
 
-from slicemarket.baselines import ELITES, TOURNAMENT, GaParams, _flip_positions, _population_repair, ga_heuristic
+from slicemarket import baselines
+from slicemarket.baselines import (
+    ELITES,
+    STALL,
+    TOURNAMENT,
+    GaParams,
+    _flip_positions,
+    _population_repair,
+    ga_heuristic,
+)
 from slicemarket.market import CAPACITY, FEASIBILITY_EPS
 from slicemarket.oracle import adjusted_profits
 from slicemarket.workload import GenConfig, Instance, generate_instance
@@ -72,6 +82,7 @@ def _reference_ga(instance, params=None, seed=0):
 
     best_value = float(fitness.max())
     best = population[int(np.argmax(fitness))].copy()
+    stalled = 0
     for _ in range(params.generations):
         elite_idx = np.argsort(fitness)[-ELITES:]
         n_offspring = params.population - ELITES
@@ -95,6 +106,11 @@ def _reference_ga(instance, params=None, seed=0):
         if generation_best > best_value:
             best_value = generation_best
             best = population[int(np.argmax(fitness))].copy()
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled == STALL:
+                break
 
     full[index[best]] = True
     welfare = float(profits[full].sum()) if full.any() else 0.0
@@ -400,3 +416,51 @@ class TestGaEdgeCases:
             demands[rng.random((n, c)) < 0.2] = 0.0
             inst = _market(demands, rng.uniform(0.1, 2.0, n), c)
             _assert_ga_matches(inst, GaParams(population=12, generations=15), range(3))
+
+
+def _counting_flips(monkeypatch):
+    """Count the generations a GA call runs: each draws its flips once."""
+    calls = []
+    flips = baselines._flip_positions
+
+    def counted(*args):
+        calls.append(None)
+        return flips(*args)
+
+    monkeypatch.setattr(baselines, "_flip_positions", counted)
+    return calls
+
+
+class TestStallStop:
+    def test_stops_after_stall_generations_without_improvement(self, monkeypatch):
+        # one viable tenant (the other's demand is beyond capacity): the
+        # initial population already holds the optimum, so no generation can
+        # improve on it
+        inst = _market([[0.4, 0.3], [1.5, 0.1]], [3.0, 9.0], 2)
+        assert baselines._viable(inst)[1].tolist() == [0]
+        calls = _counting_flips(monkeypatch)
+        for seed in range(3):
+            calls.clear()
+            welfare, accepted = ga_heuristic(inst, GaParams(100, 3 * STALL), seed)
+            assert len(calls) == STALL
+            assert accepted.tolist() == [True, False] and welfare > 0
+        for generations in (1, 7, STALL - 1, STALL):
+            calls.clear()
+            ga_heuristic(inst, GaParams(100, generations), 0)
+            assert len(calls) == generations
+
+    def test_a_stopped_run_is_the_capped_run(self, monkeypatch):
+        # the stop at generation g leaves the draws of GaParams(100, g)
+        calls = _counting_flips(monkeypatch)
+        stopped = 0
+        for seed in range(3):
+            inst = generate_instance(GenConfig(seed=seed))
+            calls.clear()
+            welfare, accepted = ga_heuristic(inst, GaParams(), seed)
+            g = len(calls)
+            assert STALL <= g
+            stopped += g < GaParams().generations
+            capped_welfare, capped = ga_heuristic(inst, GaParams(100, g), seed)
+            assert welfare == capped_welfare
+            np.testing.assert_array_equal(accepted, capped)
+        assert stopped == 3

@@ -349,7 +349,7 @@ class TestEmit:
             assert len(text.splitlines()) == len(records) == len(transcript) == 8
             assert [record["n"] for record in records] == list(range(1, len(transcript) + 1))
             assert [tuple(record["quote"]) for record in records] == transcript.quotes
-            columns = zip(transcript.outcomes, transcript.charges, transcript.demand_rows)
+            columns = zip(transcript.outcomes, transcript.charges, transcript.demand_rows.tolist())
             for record, (outcome, charge, demand) in zip(records, columns):
                 assert record["outcome"] == outcome
                 if outcome == SKIP:

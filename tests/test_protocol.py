@@ -460,7 +460,7 @@ class TestTranscript:
     @pytest.mark.parametrize("charge", [math.inf, -math.inf, math.nan, 5e-324, 0.1 + 0.2])
     def test_jsonl_of_hand_built_charges(self, charge):
         # json writes Infinity and NaN; a SKIP's charge never reaches the wire
-        transcript = Transcript([[0.1, 2e-300], [0.3, 0.0], [0.2, 0.5], [2e-300, 0.4]])
+        transcript = Transcript(np.array([[0.1, 2e-300], [0.3, 0.0], [0.2, 0.5], [2e-300, 0.4]]))
         quote = (0.5, 1.25)
         transcript.quotes += [quote, quote, quote, (0.75, 1.5)]
         transcript.outcomes += [SUCC, SKIP, FAIL, SUCC]

@@ -311,6 +311,17 @@ def test_the_ledger_stores_one_transcript():
     assert ledger.transferred_bytes == 4 * 12 * (2 * 2 + 3)
 
 
+def test_the_transcript_keeps_demand_rows_as_one_array():
+    instance = generate_instance(GenConfig(tenant_count=12, resource_count=2, seed=4))
+    setup = MarketSetup.from_instance(instance)
+    # instance order keeps the instance's own read-only rows
+    assert run_session(setup, build_schedule(setup), instance).ledger.transcript.demand_rows is instance.demands
+    order = np.random.default_rng(4).permutation(12)
+    rows = run_session(setup, build_schedule(setup), instance, order).ledger.transcript.demand_rows
+    assert type(rows) is np.ndarray and rows.dtype == float
+    np.testing.assert_array_equal(rows, instance.demands[order])
+
+
 def test_one_session_engine():
     # the message-by-message protocol is a test reference, not package surface
     for module in (slicemarket, protocol):
