@@ -94,18 +94,22 @@ def _session(trial: _Trial, session) -> tuple:
     ledger = session.ledger
     # the session's own transcript, kept as it is; emit formats it from its columns
     transcript = ledger.transcript if trial.spec.transcripts else None
-    return session.allocation.accepted, ledger.transferred_bytes, transcript
+    return session.allocation, ledger.transferred_bytes, transcript
+
+
+def _decided(trial: _Trial, accepted, tx_bytes: int | None = None) -> tuple:
+    return Allocation.from_decisions(trial.instance, accepted), tx_bytes, None
 
 
 def _auction(trial: _Trial, seed: int) -> tuple:
     auction = trial.timed(utility_bid_auction, trial.instance)
     # every bid carries its demand vector and the bid value; each round one award
     tx_bytes = 4 * (auction.bids_submitted * (1 + trial.instance.resource_count) + auction.rounds)
-    return auction.accepted, tx_bytes, None
+    return _decided(trial, auction.accepted, tx_bytes)
 
 
 #: Every algorithm a spec can select, in the order the CLI lists them:
-#: ``(trial, seed) -> (accepted, transcript_bytes, transcript)``.  Each entry
+#: ``(trial, seed) -> (allocation, transcript_bytes, transcript)``.  Each entry
 #: makes exactly one ``trial.timed`` call, and looks its algorithm up as a
 #: module global at call time so a rebound attribute is the one that runs.
 _ALGORITHM_TABLE = {
@@ -113,12 +117,10 @@ _ALGORITHM_TABLE = {
         t, t.timed(run_session, t.schedule.setup, t.schedule, t.instance, t.order)
     ),
     "myopic": lambda t, seed: _session(t, t.timed(myopic_slicing, t.instance, t.order)),
-    "random": lambda t, seed: (t.timed(random_slicing, t.instance, t.order, seed=seed)[1], None, None),
+    "random": lambda t, seed: _decided(t, t.timed(random_slicing, t.instance, t.order, seed=seed)[1]),
     "auction": _auction,
-    "genetic": lambda t, seed: (
-        t.timed(ga_heuristic, t.instance, t.spec.ga_params, seed=seed)[1],
-        _centralized_bytes(t.instance),
-        None,
+    "genetic": lambda t, seed: _decided(
+        t, t.timed(ga_heuristic, t.instance, t.spec.ga_params, seed=seed)[1], _centralized_bytes(t.instance)
     ),
 }
 ALGORITHMS = tuple(_ALGORITHM_TABLE)
@@ -137,7 +139,6 @@ class ExperimentSpec:
     oracle: str = "auto"
     transcripts: bool = False
     timing: bool = False
-    node_budget: int = TRIAL_NODE_BUDGET
     ga_params: GaParams = field(default_factory=GaParams)
     out: str | None = None
 
@@ -171,8 +172,6 @@ class ExperimentSpec:
             raise HarnessError(f"trials must be an integer of at least 1, got {self.trials!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise HarnessError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (_is_int(self.node_budget) and self.node_budget >= 1):
-            raise HarnessError(f"node_budget must be a positive integer, got {self.node_budget!r}")
         for name in ("transcripts", "timing"):
             if not isinstance(getattr(self, name), bool):
                 raise HarnessError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -264,22 +263,21 @@ def _ratio(reference: float, welfare: float) -> float | None:
 def _reference(trial: _Trial) -> tuple[str, float, float | None]:
     """The row every ratio of the trial divides: ``(algo, welfare, rental_rate)``.
 
-    Outside ``"lp"`` mode the exact oracle runs under the spec's node budget:
+    Outside ``"lp"`` mode the exact oracle runs under ``TRIAL_NODE_BUDGET``:
     its optimum is an ``exact`` row, and a budget that runs out leaves the LP
     bound the oracle solved, the same ``lp_bound`` row ``"lp"`` mode writes.
     A bound has no allocation, hence no rental rate.
     """
     if trial.spec.oracle == "lp":
         return "lp_bound", trial.timed(lp_upper_bound, trial.instance), None
-    result = trial.timed(offline_exact, trial.instance, node_budget=trial.spec.node_budget)
+    result = trial.timed(offline_exact, trial.instance, node_budget=TRIAL_NODE_BUDGET)
     if not result.exact:
         return "lp_bound", result.upper_bound, None
-    return ("exact", *_welfare(trial, result.accepted))
+    return ("exact", *_welfare(trial, Allocation.from_decisions(trial.instance, result.accepted)))
 
 
-def _welfare(trial: _Trial, accepted) -> tuple[float, float]:
-    """Social welfare and mean utilization of an accept vector."""
-    allocation = Allocation.from_decisions(trial.instance, accepted)
+def _welfare(trial: _Trial, allocation: Allocation) -> tuple[float, float]:
+    """Social welfare and mean utilization of an allocation of the trial's instance."""
     return social_welfare(trial.schedule.setup, trial.instance, allocation), float(allocation.utilization.mean())
 
 
@@ -287,7 +285,7 @@ def run_trials(spec: ExperimentSpec) -> list[TrialMetrics]:
     """Execute the spec and return one metrics record per (point, trial, algo).
 
     Each trial also carries a reference record: ``exact`` when
-    branch-and-bound finishes within ``spec.node_budget`` nodes, ``lp_bound``
+    branch-and-bound finishes within ``TRIAL_NODE_BUDGET`` nodes, ``lp_bound``
     when it runs out or the spec's oracle is ``"lp"``.  Every ratio column is
     that reference divided by the row's welfare.
     """
@@ -322,8 +320,8 @@ def run_trials(spec: ExperimentSpec) -> list[TrialMetrics]:
             algo_seeds = np.random.SeedSequence([seed_algo]).spawn(len(spec.algos))
             for algo, algo_seed in zip(spec.algos, algo_seeds):
                 seed = int(algo_seed.generate_state(1)[0])
-                accepted, tx_bytes, transcript = _ALGORITHM_TABLE[algo](trial, seed)
-                out.append(row(algo, *_welfare(trial, accepted), tx_bytes, transcript))
+                allocation, tx_bytes, transcript = _ALGORITHM_TABLE[algo](trial, seed)
+                out.append(row(algo, *_welfare(trial, allocation), tx_bytes, transcript))
     return out
 
 

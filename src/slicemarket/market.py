@@ -6,17 +6,18 @@ module holds the market setup, the allocation and its capacity check, the
 conjugate of the linear cost, and the welfare accounting that every
 algorithm in the package shares.
 
-An allocation's utilization must lie in ``[0, CAPACITY]``, up to
-``FEASIBILITY_EPS`` above it; the ``Allocation`` constructor refuses any
-other.  Every number is finite: the ``workload.Instance`` constructor checks
-an instance's, and the ``MarketSetup`` constructor a setup's band, so a setup
-that exists is valid.
+``Allocation.from_decisions``, the one way to build an allocation, sums its
+utilization once, refuses one over ``CAPACITY`` + ``FEASIBILITY_EPS`` and
+keeps the instance's demand matrix; the welfare accounting checks that matrix
+by identity instead of summing again.  Every number is finite: the
+``workload.Instance`` constructor checks an instance's, and the
+``MarketSetup`` constructor a setup's band, so a setup that exists is valid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,29 +102,35 @@ class MarketSetup:
         return cls(instance.unit_costs, instance.price_floors, instance.price_caps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Allocation:
-    """Accept/reject decisions plus the per-resource utilization they induce."""
+    """Accept/reject decisions plus the per-resource utilization they induce.
+
+    Only ``from_decisions`` builds one.  Both arrays are read-only, and
+    ``demands`` is the instance's own matrix the utilization was summed from.
+    """
 
     accepted: np.ndarray
     utilization: np.ndarray
+    demands: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "accepted", _readonly(self.accepted, bool))
-        object.__setattr__(self, "utilization", _readonly(self.utilization))
-        for c, y in enumerate(self.utilization.tolist()):
-            if y > CAPACITY + FEASIBILITY_EPS or y < 0:
-                raise InfeasibleAllocationError(c, y)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("an Allocation is built by Allocation.from_decisions(instance, accepted)")
 
     @classmethod
     def from_decisions(cls, instance, accepted) -> "Allocation":
-        accepted = np.asarray(accepted, dtype=bool)
+        accepted = _readonly(accepted, bool)
         if accepted.shape != (instance.tenant_count,):
-            raise MarketError(
-                f"decision vector has shape {accepted.shape}, expected ({instance.tenant_count},)"
-            )
+            raise MarketError(f"decision vector has shape {accepted.shape}, expected ({instance.tenant_count},)")
         utilization = accepted.astype(float) @ instance.demands
-        return cls(accepted, utilization)
+        # demands are finite and non-negative: only an overfull resource (or an overflow) fails
+        for c, y in enumerate(utilization.tolist()):
+            if y > CAPACITY + FEASIBILITY_EPS:
+                raise InfeasibleAllocationError(c, y)
+        utilization.setflags(write=False)
+        allocation = object.__new__(cls)
+        allocation.__dict__.update(accepted=accepted, utilization=utilization, demands=instance.demands)
+        return allocation
 
 
 def _check_resource(setup: MarketSetup, c: int) -> None:
@@ -137,23 +144,17 @@ def conjugate(setup: MarketSetup, c: int, price: float) -> float:
     Zero while the price does not cover the unit cost, ``price - q_c`` above.
     """
     _check_resource(setup, c)
-    if price < 0:
-        raise MarketError(f"price must be non-negative, got {price!r}")
+    if not 0 <= price < math.inf:
+        raise MarketError(f"price must be non-negative and finite, got {price!r}")
     q = float(setup.unit_costs[c])
     return float(price - q) if price > q else 0.0
 
 
 def _check_allocation(setup: MarketSetup, instance, allocation: Allocation) -> None:
-    # capacity is the ``Allocation`` constructor's check; these guard a directly built one
-    if allocation.accepted.shape != (instance.tenant_count,):
-        raise MarketError("allocation does not match the instance tenant count")
-    if allocation.utilization.shape != (setup.resource_count,):
+    if allocation.demands is not instance.demands:
+        raise MarketError("allocation was built for another instance")
+    if setup.resource_count != instance.resource_count:
         raise MarketError("allocation does not match the market resource count")
-    expected = allocation.accepted.astype(float) @ instance.demands
-    # np.allclose(utilization, expected, atol=1e-6), one resource at a time on plain floats
-    for used, want in zip(allocation.utilization.tolist(), expected.tolist()):
-        if not (abs(used - want) <= 1e-6 + 1e-5 * abs(want) and math.isfinite(want) or used == want):
-            raise MarketError("allocation utilization is inconsistent with the instance demands")
 
 
 def social_welfare(setup: MarketSetup, instance, allocation: Allocation) -> float:
@@ -163,8 +164,7 @@ def social_welfare(setup: MarketSetup, instance, allocation: Allocation) -> floa
     payment vector yields the same welfare.
     """
     _check_allocation(setup, instance, allocation)
-    x = allocation.accepted.astype(float)
-    value = float(instance.valuations @ x)
+    value = float(instance.valuations @ allocation.accepted.astype(float))
     run_cost = float(setup.unit_costs @ allocation.utilization)
     return value - run_cost
 
@@ -179,9 +179,10 @@ def utilities(setup: MarketSetup, instance, allocation: Allocation, payments) ->
     payments = np.asarray(payments, dtype=float)
     if payments.shape != allocation.accepted.shape:
         raise PaymentError("payments vector must have one entry per tenant")
-    if (payments < 0).any():
-        tenant = int(np.argmax(payments < 0))
-        raise PaymentError(f"tenant {tenant}: negative payment {float(payments[tenant])!r}")
+    valid = (payments >= 0) & (payments < math.inf)  # not negative, NaN or infinite
+    if not valid.all():
+        tenant = int(np.argmin(valid))
+        raise PaymentError(f"tenant {tenant}: payment {float(payments[tenant])!r} is negative or not finite")
     stray = payments[~allocation.accepted]
     if (stray != 0).any():
         tenant = int(np.flatnonzero(~allocation.accepted)[np.argmax(stray != 0)])

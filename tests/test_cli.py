@@ -196,11 +196,11 @@ class TestRun:
             ({"trials": 2.5}, "trials"),
             ({"trials": float("nan")}, "trials"),
             ({"seed": -1}, "seed"),
+            ({"config": {"tenant_count": 2.5}}, "tenant_count"),
+            # the removed keys below are refused as unknown, and named
             ({"node_budget": "x"}, "node_budget"),
             ({"node_budget": 0}, "node_budget"),
             ({"node_budget": True}, "node_budget"),
-            ({"config": {"tenant_count": 2.5}}, "tenant_count"),
-            # the removed keys below are refused as unknown, and named
             ({"config": {"subscriber_mean": float("nan")}}, "subscriber_mean"),
             ({"config": {"subscriber_std": -1.0}}, "subscriber_std"),
             ({"config": {"top_tier_range": [2.0, float("inf")]}}, "top_tier_range"),
@@ -225,8 +225,8 @@ class TestRun:
             ({"config": {"pay_level_range": "ab"}}, "pay_level_range"),
         ],
         ids=[
-            "fractional trials", "NaN trials", "negative seed", "string node_budget", "zero node_budget", "boolean node_budget",
-            "fractional tenant_count",
+            "fractional trials", "NaN trials", "negative seed", "fractional tenant_count",
+            "string node_budget", "zero node_budget", "boolean node_budget",
             "NaN subscriber_mean", "negative subscriber_std", "infinite top_tier_range",
             "string free_user_fraction", "string tier_decay", "string density_margin", "string participation",
             "fractional population", "fractional tournament", "float elitism", "boolean generations",

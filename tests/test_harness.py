@@ -24,6 +24,7 @@ from slicemarket.harness import (
     summary_csv,
     trials_csv,
 )
+from slicemarket.market import Allocation
 from slicemarket.protocol import SKIP, SUCC, parse_transcript_jsonl
 from slicemarket.workload import GenConfig
 
@@ -63,11 +64,23 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("budget", [0, -5, 2.5, True, "10", None])
     def test_bad_node_budget_rejected(self, budget):
-        with pytest.raises(HarnessError, match="node_budget must be a positive integer"):
+        # the trial budget is harness.TRIAL_NODE_BUDGET: a spec that names it is refused, whatever the value
+        with pytest.raises(HarnessError, match=r"unknown spec key\(s\) \['node_budget'\]"):
+            ExperimentSpec.from_dict({"node_budget": budget})
+        with pytest.raises(TypeError, match="node_budget"):
             small_spec(node_budget=budget)
 
-    def test_node_budget_of_one_accepted(self):
-        assert small_spec(node_budget=1).node_budget == 1
+    def test_trial_node_budget_is_the_module_constant(self, monkeypatch):
+        budgets, solve = [], harness.offline_exact
+
+        def offline_exact(instance, node_budget):
+            budgets.append(node_budget)
+            return solve(instance, node_budget=node_budget)
+
+        monkeypatch.setattr(harness, "offline_exact", offline_exact)
+        run_trials(small_spec(trials=2, oracle="exact"))
+        assert budgets == [harness.TRIAL_NODE_BUDGET] * 2 == [20_000] * 2
+        assert "node_budget" not in {f.name for f in fields(ExperimentSpec)}
 
     def test_dict_round_trip(self):
         spec = small_spec(
@@ -220,13 +233,29 @@ class TestRunTrials:
         assert (reference.algo, reference.ratio_is_bound, reference.ratio) == ("exact", False, 1.0)
         assert reference.rental_rate is not None
 
-    def test_exhausted_budget_writes_the_lp_row(self):
+    def test_exhausted_budget_writes_the_lp_row(self, monkeypatch):
         # a budget of one node runs out on every market with a viable tenant
         config = GenConfig(tenant_count=40)
-        exhausted = run_trials(small_spec(base_config=config, oracle="exact", node_budget=1))
+        monkeypatch.setattr(harness, "TRIAL_NODE_BUDGET", 1)
+        exhausted = run_trials(small_spec(base_config=config, oracle="exact"))
         references = [m for m in exhausted if m.algo in ("exact", "lp_bound")]
         assert [(m.algo, m.ratio_is_bound, m.rental_rate) for m in references] == [("lp_bound", True, None)] * 3
         assert trials_csv(exhausted) == trials_csv(run_trials(small_spec(base_config=config, oracle="lp")))
+
+    @pytest.mark.parametrize("oracle", ["exact", "lp"])
+    def test_each_row_is_summed_once(self, monkeypatch, oracle):
+        built = []
+        from_decisions = Allocation.from_decisions
+
+        def counting(cls, instance, accepted):
+            built.append(accepted)
+            return from_decisions(instance, accepted)
+
+        monkeypatch.setattr(Allocation, "from_decisions", classmethod(counting))
+        spec = small_spec(algos=ALGORITHMS, trials=1, oracle=oracle, ga_params=GaParams(population=10, generations=5))
+        metrics = run_trials(spec)
+        # an lp_bound row has no allocation; every other row builds exactly one
+        assert len(built) == sum(m.algo != "lp_bound" for m in metrics) == len(ALGORITHMS) + (oracle == "exact")
 
     def test_auto_and_exact_write_identical_artifacts(self, tmp_path):
         spec = small_spec(
@@ -449,7 +478,8 @@ class TestGoldenArtifacts:
         "transcripts/posted_price_point2_trial0.jsonl": "8e49297fe8ddc1e489df83f5d8bd0957c919751e64d9ac90f86a00c2d32029d6",
     }
 
-    def test_artifacts_are_byte_identical(self, tmp_path):
+    def test_artifacts_are_byte_identical(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "TRIAL_NODE_BUDGET", 50)
         spec = ExperimentSpec(
             algos=ALGORITHMS,
             base_config=GenConfig(),
@@ -459,7 +489,6 @@ class TestGoldenArtifacts:
             seed=7,
             oracle="auto",
             transcripts=True,
-            node_budget=50,
             ga_params=GaParams(population=10, generations=5),
         )
         metrics = run_trials(spec)

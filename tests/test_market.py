@@ -1,9 +1,10 @@
-"""Economic primitives: conjugate, welfare accounting."""
+"""Economic primitives: conjugate, allocations, welfare accounting."""
+
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from slicemarket import market
 from slicemarket.market import (
     Allocation,
     InfeasibleAllocationError,
@@ -43,6 +44,11 @@ class TestConjugate:
         with pytest.raises(SetupError):
             conjugate(make_setup(), 3, 0.5)
 
+    @pytest.mark.parametrize("price", [np.nan, np.inf, -np.inf])
+    def test_non_finite_price(self, price):
+        with pytest.raises(MarketError, match="price must be non-negative and finite"):
+            conjugate(make_setup(), 0, price)
+
 
 class TestProfit:
     """The profit ``p*y - q*y`` of renting ``y`` units at price ``p``,
@@ -66,84 +72,68 @@ class TestProfit:
             assert abs(best - conjugate(setup, 0, p)) <= 1e-6
 
 
-def _reference_check_allocation(setup, instance, allocation):
-    """``market._check_allocation`` as it was, with ``np.allclose``."""
-    if allocation.accepted.shape != (instance.tenant_count,):
-        raise MarketError("allocation does not match the instance tenant count")
-    if allocation.utilization.shape != (setup.resource_count,):
-        raise MarketError("allocation does not match the market resource count")
-    expected = allocation.accepted.astype(float) @ instance.demands
-    if not np.allclose(allocation.utilization, expected, atol=1e-6):
-        raise MarketError("allocation utilization is inconsistent with the instance demands")
+class TestAllocation:
+    """An allocation is summed once, from its own instance, and welfare
+    accounting checks that instance by identity."""
 
+    def test_utilization_is_the_product_bit_for_bit(self, rng):
+        for _ in range(200):
+            n, c = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            demands = rng.uniform(0.0, 1.0 / n, size=(n, c))
+            inst = manual_instance(demands, rng.uniform(0.5, 2.0, size=n), np.full(c, 0.1))
+            accepted = rng.random(n) < 0.5
+            alloc = Allocation.from_decisions(inst, accepted)
+            assert alloc.utilization.tobytes() == (accepted.astype(float) @ inst.demands).tobytes()
+            assert alloc.demands is inst.demands
+            assert not (alloc.accepted.flags.writeable or alloc.utilization.flags.writeable)
 
-def _verdicts(setup, instance, allocation):
-    """What the reference and the current check make of one allocation: the error text or None."""
-    verdicts = []
-    for check in (_reference_check_allocation, market._check_allocation):
-        try:
-            check(setup, instance, allocation)
-            verdicts.append(None)
-        except MarketError as exc:
-            verdicts.append(str(exc))
-    return verdicts
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            (([True], [0.5]), {}),
+            ((), {"accepted": [True], "utilization": [0.5]}),
+            (([True], [0.5], np.array([[0.5]])), {}),
+        ],
+    )
+    def test_no_constructor_takes_a_utilization(self, args, kwargs):
+        with pytest.raises(TypeError, match="from_decisions"):
+            Allocation(*args, **kwargs)
 
+    def test_frozen(self):
+        alloc = Allocation.from_decisions(manual_instance([[0.6]], [1.2], [0.5]), [True])
+        with pytest.raises(FrozenInstanceError):
+            alloc.utilization = np.array([0.0])
 
-class TestCheckAllocation:
-    """The plain-float tolerance test agrees with ``np.allclose`` everywhere."""
+    def test_overflowing_sum_is_infeasible(self):
+        inst = Instance(np.array([[1e308], [1e308]]), [1.0, 1.0], [1e-300], [1e300], [1e-301])
+        with np.errstate(over="ignore"), pytest.raises(InfeasibleAllocationError) as err:
+            Allocation.from_decisions(inst, [True, True])
+        assert (err.value.resource, err.value.utilization) == (0, np.inf)
 
-    def test_random_allocations(self, rng):
-        raised = kept = 0
-        for _ in range(400):
-            n, c = int(rng.integers(1, 12)), int(rng.integers(1, 6))
-            demands = rng.uniform(0.0, 0.3, size=(n, c)) * (rng.random((n, c)) < 0.8)
-            inst = manual_instance(demands + 1e-3, rng.uniform(0.5, 2.0, size=n), np.full(c, 0.1))
-            setup = MarketSetup.from_instance(inst)
-            accepted = rng.random(n) < 0.3
-            expected = accepted.astype(float) @ inst.demands
-            scale = rng.choice([0.0, 1e-9, 1e-7, 1e-6, 2e-6, 1e-5, 1e-3])
-            utilization = np.clip(expected + scale * rng.standard_normal(c), 0.0, 1.0)
-            reference, current = _verdicts(setup, inst, Allocation(accepted, utilization))
-            assert current == reference
-            raised += reference is not None
-            kept += reference is None
-        assert raised and kept
-
-    def test_differences_at_the_tolerance(self):
-        inst = manual_instance([[0.1, 0.3], [0.2, 0.05], [0.25, 0.4]], [1.0, 1.5, 2.0], [0.1, 0.1])
+    def test_another_equal_instance_is_refused(self):
+        rows = ([[0.3, 0.2], [0.3, 0.1]], [1.2, 1.5], [0.5, 0.5])
+        inst, twin = manual_instance(*rows), manual_instance(*rows)
         setup = MarketSetup.from_instance(inst)
-        verdicts = set()
-        for accepted in ([True, False, False], [False, True, True], [True, True, True], [False, False, False]):
-            expected = np.array(accepted, dtype=float) @ inst.demands
-            tolerance = 1e-6 + 1e-5 * np.abs(expected)
-            for edge in (expected + tolerance, expected - tolerance):
-                for utilization in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
-                    if (utilization < 0).any():
-                        continue
-                    reference, current = _verdicts(setup, inst, Allocation(accepted, utilization))
-                    assert current == reference
-                    verdicts.add(reference is None)
-        assert verdicts == {True, False}
+        alloc = Allocation.from_decisions(inst, [True, True])
+        own = Allocation.from_decisions(twin, [True, True])
+        assert social_welfare(setup, inst, alloc) == social_welfare(setup, twin, own)
+        with pytest.raises(MarketError, match="allocation was built for another instance"):
+            social_welfare(setup, twin, alloc)
+        with pytest.raises(MarketError, match="allocation was built for another instance"):
+            utilities(setup, twin, alloc, [0.5, 0.5])
 
-    @pytest.mark.parametrize("bad", [0, 1])
-    def test_nan_utilization_raises(self, bad):
-        inst = manual_instance([[0.3, 0.2], [0.3, 0.1]], [1.2, 1.5], [0.5, 0.5])
-        setup = MarketSetup.from_instance(inst)
-        utilization = np.array([0.6, 0.3])
-        utilization[bad] = np.nan
-        allocation = Allocation([True, True], utilization)  # a NaN passes the capacity check
-        reference, current = _verdicts(setup, inst, allocation)
-        assert current == reference == "allocation utilization is inconsistent with the instance demands"
-        with pytest.raises(MarketError, match="inconsistent"):
-            social_welfare(setup, inst, allocation)
+    def test_setup_of_another_resource_count_is_refused(self):
+        inst = manual_instance([[0.3, 0.2]], [1.2], [0.5, 0.5])
+        alloc = Allocation.from_decisions(inst, [True])
+        for account in (social_welfare, lambda *args: utilities(*args, [0.5])):
+            with pytest.raises(MarketError, match="resource count"):
+                account(make_setup(), inst, alloc)
 
-    def test_overflowing_expected_utilization_raises(self):
-        demands = np.array([[1e308], [1e308]])
-        inst = Instance(demands, [1.0, 1.0], [1e-300], [1e300], [1e-301])
-        setup = MarketSetup.from_instance(inst)
-        with np.errstate(over="ignore"):
-            reference, current = _verdicts(setup, inst, Allocation([True, True], [1.0]))
-        assert current == reference is not None
+    def test_decision_vector_of_another_shape_is_refused(self):
+        inst = manual_instance([[0.3], [0.3]], [1.2, 1.5], [0.5])
+        for accepted in ([True], [[True, False]], [True, False, False]):
+            with pytest.raises(MarketError, match="decision vector has shape"):
+                Allocation.from_decisions(inst, accepted)
 
 
 class TestSocialWelfare:
@@ -225,6 +215,14 @@ class TestUtilities:
         alloc = Allocation.from_decisions(inst, [True])
         with pytest.raises(PaymentError):
             utilities(setup, inst, alloc, [-0.1])
+
+    @pytest.mark.parametrize("payment", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payment_names_the_tenant(self, payment):
+        inst = manual_instance([[0.3], [0.3], [0.3]], [1.2, 1.5, 0.9], [0.5])
+        setup = MarketSetup.from_instance(inst)
+        alloc = Allocation.from_decisions(inst, [True, True, True])
+        with pytest.raises(PaymentError, match=r"tenant 1: payment -?(nan|inf) is negative or not finite"):
+            utilities(setup, inst, alloc, [0.4, payment, 0.2])
 
     def test_accounting_identity_randomized(self, rng):
         for _ in range(300):
