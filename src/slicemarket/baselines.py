@@ -369,7 +369,7 @@ def random_slicing(instance, order: Sequence[int] | None = None, seed: int = 0) 
     rng = np.random.default_rng(seed)
     # one draw for every coin is the stream of one draw per arrival
     coins = rng.integers(0, 2, size=n).astype(bool)
-    tenants = np.flatnonzero(coins) if order is None else order[coins]
+    tenants = order[coins]
     booked = tenants[_first_fit(instance.demands.take(tenants, axis=0).tolist(), CAPACITY)]
     accepted = np.zeros(n, dtype=bool)
     accepted[booked] = True

@@ -91,10 +91,12 @@ class _Trial:
 
 
 def _session(trial: _Trial, session) -> tuple:
-    ledger = session.ledger
+    transcript = session.ledger.transcript
+    # 4 bytes per value, per arrival: a price and a demand per resource, the
+    # accept flag, the payment and the outcome
+    tx_bytes = 4 * len(transcript) * (2 * trial.instance.resource_count + 3)
     # the session's own transcript, kept as it is; emit formats it from its columns
-    transcript = ledger.transcript if trial.spec.transcripts else None
-    return session.allocation, ledger.transferred_bytes, transcript
+    return session.allocation, tx_bytes, transcript if trial.spec.transcripts else None
 
 
 def _decided(trial: _Trial, accepted, tx_bytes: int | None = None) -> tuple:
@@ -145,9 +147,11 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "algos", tuple(self.algos))
         object.__setattr__(self, "values", tuple(self.values))
-        for algo in self.algos:
+        for i, algo in enumerate(self.algos):
             if algo not in ALGORITHMS:
                 raise HarnessError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+            if algo in self.algos[:i]:
+                raise HarnessError(f"algorithm {algo!r} is named more than once")
         if not self.algos:
             raise HarnessError("at least one algorithm must be selected")
         if self.oracle not in ORACLE_MODES:

@@ -8,9 +8,10 @@ actually crossed the wire; valuations, subscriber data and anything else
 private to a tenant never appear in it.
 
 ``run_session`` is the one session engine.  It checks the arrival order
-once per session with ``arrival_order`` (the ``Instance`` constructor has
-checked the valuations and demands) and gathers the demand rows and
-valuations in arrival order once, in numpy.  It then runs every arrival on
+once per session with ``arrival_order``, which turns instance order into the
+identity permutation (the ``Instance`` constructor has checked the
+valuations and demands), and gathers the demand rows and valuations in
+arrival order once, in numpy.  It then runs every arrival on
 plain lists, reading them front to back, and keeps the wire data in one
 stored shape, the ``Transcript``: per arrival the demand row, the quoted
 price tuple (shared until a sale), the outcome and the charge, as columns.
@@ -26,7 +27,8 @@ A schedule is anything with a ``quote(utilization)`` method that returns the
 tuple of every resource's price at a utilization vector.  The engine asks for
 one quote at the start of a session and one after each sale, the one step
 that moves utilization, and checks each quote in one walk
-(``_checked_prices``) before any tenant sees it.
+(``_checked_prices``: one price per resource, each finite and non-negative)
+before any tenant sees it.
 
 ``validate_transcript_record`` checks a persisted record against the published
 ``TRANSCRIPT_RECORD_SCHEMA`` with direct key, type and range checks; the
@@ -66,20 +68,23 @@ def _float_tuple(values) -> tuple[float, ...]:
         raise ProtocolError(f"non-numeric value in a protocol message: {exc}") from exc
 
 
-def _checked_prices(prices) -> tuple[float, ...]:
-    """``prices`` as a float tuple, raising unless every one is finite and non-negative.
+def _checked_prices(prices, resources: int) -> tuple[float, ...]:
+    """``prices`` as a float tuple, raising unless it holds ``resources``
+    prices and every one is finite and non-negative.
 
-    A tuple of floats that all pass is returned as it is after one walk; only
-    when that walk stops is the quote coerced and each price checked with a
-    message naming its resource.
+    A tuple of that many floats that all pass is returned as it is after one
+    walk; only when that walk stops is the quote coerced and checked, with a
+    message naming both lengths or the resource at fault.
     """
-    if type(prices) is tuple:
+    if type(prices) is tuple and len(prices) == resources:
         for p in prices:
             if not (type(p) is float and 0.0 <= p < math.inf):  # NaN fails both comparisons
                 break
         else:
             return prices
     prices = _float_tuple(prices)
+    if len(prices) != resources:
+        raise ProtocolError(f"a quote must hold {resources} prices, one per resource, got {len(prices)}")
     for c, p in enumerate(prices):
         if not math.isfinite(p):
             raise ProtocolError(f"quoted price for resource {c} is not finite: {p!r}")
@@ -88,17 +93,17 @@ def _checked_prices(prices) -> tuple[float, ...]:
     return prices
 
 
-def arrival_order(order, n: int) -> np.ndarray | None:
+def arrival_order(order, n: int) -> np.ndarray:
     """The arrival order of an ``n``-tenant session as an ``intp`` array.
 
-    ``None`` is instance order and comes back as ``None``, so a caller can
-    skip the gather.  Anything else must be a permutation of ``range(n)``
-    held in an integer dtype, else ``ProtocolError``: floats and bools are
-    refused, not truncated.  The check runs once, in numpy; an empty order
-    of any dtype is accepted for a market without tenants.
+    ``None`` is instance order, ``arange(n)``.  Anything else must be a
+    permutation of ``range(n)`` held in an integer dtype, else
+    ``ProtocolError``: floats and bools are refused, not truncated.  The
+    check runs once, in numpy; an empty order of any dtype is accepted for a
+    market without tenants.
     """
     if order is None:
-        return None
+        return np.arange(n, dtype=np.intp)
     indices = np.asarray(order)
     if indices.shape != (n,):
         raise ProtocolError(f"arrival order must be a permutation of {n} tenant indices, got shape {indices.shape}")
@@ -141,10 +146,10 @@ class TranscriptEntry(NamedTuple):
 
 class Transcript:
     """A session's wire data as columns in arrival order: the tenants' demand
-    rows (one float array), the quote (one tuple shared until the next sale),
-    the outcome and the charge.  Indexing or iterating builds a
-    ``TranscriptEntry`` per arrival and keeps none: a SKIP has a zero flag,
-    payment and demand."""
+    rows (one float array, gathered from the instance's), the quote (one
+    tuple shared until the next sale), the outcome and the charge.  Indexing
+    or iterating builds a ``TranscriptEntry`` per arrival and keeps none: a
+    SKIP has a zero flag, payment and demand."""
 
     __slots__ = ("demand_rows", "quotes", "outcomes", "charges")
 
@@ -290,13 +295,6 @@ class SessionLedger:
         self.revenue = revenue
         self.transcript = transcript
 
-    @property
-    def transferred_bytes(self) -> int:
-        """Bytes that crossed the wire, 4 per scalar value, from the
-        transcript's length: per arrival the quoted prices, the demands (one
-        of each per resource), the accept flag, the payment and the outcome."""
-        return 4 * len(self.transcript) * (2 * len(self.utilization) + 3)
-
 
 @dataclass(frozen=True)
 class DualCertificate:
@@ -338,9 +336,8 @@ def run_session(
     fails and is never booked.  The order is checked once up front
     (valuations and demands were checked when the ``Instance`` was built),
     and the demand rows and valuations are gathered in arrival order once,
-    so the loop reads plain lists front to back; instance order gathers
-    nothing.  The transcript keeps the rows as that float array (the
-    instance's own in instance order), not the loop's row lists, which hold
+    so the loop reads plain lists front to back.  The transcript keeps the
+    gathered rows as one float array, not the loop's row lists, which hold
     twice the memory.  One charge, summed left to right over the resources,
     is both the tenant's offer and the booked payment, and
     ``schedule.quote`` is called (and its prices checked) only at the start
@@ -352,17 +349,13 @@ def run_session(
     if getattr(schedule, "setup", setup) is not setup:
         raise ProtocolError("the schedule was built for another market setup")
     order = arrival_order(order, n)
-    if order is None:
-        tenants, rows, valuations = range(n), instance.demands, instance.valuations.tolist()
-    else:
-        # gathered once: the loop's reads then follow memory order
-        tenants = order.tolist()
-        rows, valuations = instance.demands.take(order, axis=0), instance.valuations.take(order).tolist()
-    demand_rows = rows.tolist()
+    # gathered once: the loop's reads then follow memory order
+    rows = instance.demands.take(order, axis=0)
+    tenants, demand_rows, valuations = order.tolist(), rows.tolist(), instance.valuations.take(order).tolist()
 
     quote = schedule.quote
     utilization = [0.0] * c
-    prices = _checked_prices(quote(utilization))
+    prices = _checked_prices(quote(utilization), c)
     surpluses = [0.0] * n
     payments = [0.0] * n
     accepted = [False] * n
@@ -389,7 +382,7 @@ def run_session(
             revenue += charge
             accepted[tenant] = True
             payments[tenant] = charge
-            prices = _checked_prices(quote(utilization))
+            prices = _checked_prices(quote(utilization), c)
             record_outcome(SUCC)
         else:
             record_outcome(SKIP)

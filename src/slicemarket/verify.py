@@ -61,7 +61,8 @@ def check_session(instance, order) -> dict[str, int]:
     counts = {
         "capacity": sum(not 0 <= y <= CAPACITY for y in ledger.utilization),
         "monotonicity": count((np.diff(prices, axis=0) < 0).any(axis=1)),
-        "price floor": count(prices[-1] < setup.price_floors),
+        # every quoted price, the final ones included, against its resource's floor
+        "price floor": count(prices < setup.price_floors),
         "dual feasibility": count(result.certificate.feasibility_slacks(instance) < -DUAL_TOL),
         "accounting": int(abs(welfare - (operator + tenant_utils.sum())) > ACCOUNTING_TOL),
         "refund": int(abs(ledger.revenue - booked) > ACCOUNTING_TOL)

@@ -8,7 +8,9 @@ is built.  This is the reference ``protocol.run_session`` is tested against
 (``test_session_kernel.py``): the engine must reproduce it bit for bit.  It
 computes the charge with ``_dot``, the engine's left-to-right sum written
 out once, and checks messages with the engine's own ``_checked_prices`` and
-``_float_tuple``, so both sides make the same float operations.
+``_float_tuple``, so both sides make the same float operations.  The ledger
+asks the schedule for a fresh ``quote`` after every arrival, not only after
+a sale, and refuses one that does not hold a price per resource.
 
 ``reference_entries`` and ``reference_jsonl`` are the row path that
 ``transcript_to_jsonl`` must reproduce byte for byte from a transcript's
@@ -55,7 +57,10 @@ class PriceQuote:
     prices: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "prices", _checked_prices(self.prices))
+        # one message alone has no resource count: mvno_init and mvno_settle
+        # check the length against the session, tenant_decide against the demand
+        prices = _float_tuple(self.prices)
+        object.__setattr__(self, "prices", _checked_prices(prices, len(prices)))
         if self.arrival < 1:
             raise ProtocolError(f"arrival index must be positive, got {self.arrival}")
 
@@ -115,10 +120,14 @@ def transferred_data_bytes(entries: Iterable[TranscriptEntry]) -> int:
     return 4 * sum(len(e.quote) + len(e.demand) + 3 for e in entries)
 
 
+def _quote(schedule, utilization: list[float]) -> tuple[float, ...]:
+    return _checked_prices(schedule.quote(list(utilization)), len(utilization))
+
+
 def mvno_init(setup: MarketSetup, schedule) -> ReferenceLedger:
-    """Fresh ledger: zero utilization, prices evaluated at zero utilization."""
-    c = setup.resource_count
-    return ReferenceLedger([0.0] * c, tuple(schedule.price_at(i, 0.0) for i in range(c)))
+    """Fresh ledger: zero utilization, prices quoted at zero utilization."""
+    utilization = [0.0] * setup.resource_count
+    return ReferenceLedger(utilization, _quote(schedule, utilization))
 
 
 def tenant_decide(quote: PriceQuote, valuation: float, demand: Sequence[float]) -> tuple[RentDecision, float]:
@@ -171,7 +180,7 @@ def mvno_settle(
             outcome = TransactionOutcome(SUCC)
     else:
         outcome = TransactionOutcome(SKIP)
-    ledger.prices = tuple(schedule.price_at(i, ledger.utilization[i]) for i in range(c))
+    ledger.prices = _quote(schedule, ledger.utilization)
     ledger.transcript.append(
         TranscriptEntry(arrival, quoted, int(decision.accept), decision.payment, decision.demand, outcome.status)
     )

@@ -157,6 +157,15 @@ class TestRun:
         path = spec_file(tmp_path, algos=["cvx"])
         assert main(["run", "--spec", str(path)]) == 2
 
+    def test_repeated_algorithm_is_validation_failure(self, tmp_path, capsys):
+        path = spec_file(tmp_path, algos=["posted_price", "random", "posted_price"])
+        assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "algorithm 'posted_price' is named more than once"
+        assert captured.err == f"error: invalid spec file {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_misspelled_key_is_validation_failure(self, tmp_path, capsys):
         path = spec_file(tmp_path, algo=["cvx"])
         assert main(["run", "--spec", str(path)]) == 2
@@ -291,6 +300,15 @@ class TestSweep:
     def test_two_multivalued_flags_rejected(self, tmp_path):
         code = main(["sweep", "--n", "4,6", "--c", "1,2", "--trials", "1"])
         assert code == 2
+
+    def test_repeated_algorithm_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["sweep", "--n", "5", "--trials", "1", "--algos", "posted_price,posted_price", "--out", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: algorithm 'posted_price' is named more than once\n"
+        assert not out.exists()
 
     def test_unwritable_out_is_io_failure(self, tmp_path):
         blocker = tmp_path / "blocker"

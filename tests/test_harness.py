@@ -50,6 +50,14 @@ class TestSpecValidation:
         with pytest.raises(HarnessError, match="unknown algorithm"):
             small_spec(algos=("cvx",))
 
+    @pytest.mark.parametrize(
+        "algos", [("posted_price", "posted_price"), ("random", "myopic", "random"), ["genetic"] * 3]
+    )
+    def test_repeated_algorithm(self, algos):
+        # a repeat would run its trials twice and write one transcript file twice
+        with pytest.raises(HarnessError, match=f"algorithm {algos[-1]!r} is named more than once"):
+            small_spec(algos=algos)
+
     def test_axis_without_values(self):
         with pytest.raises(HarnessError):
             small_spec(axis="tenants", values=())

@@ -588,8 +588,11 @@ class TestArrivalOrder:
             checked = arrival_order(order, 3)
             assert type(checked) is np.ndarray and checked.dtype == np.intp
             assert checked.tolist() == [2, 0, 1]
-        # instance order gathers nothing; an empty order of any dtype is an empty index
-        assert arrival_order(None, 4) is None
+        # instance order is the identity permutation; an empty order of any dtype is an empty index
+        checked = arrival_order(None, 4)
+        assert type(checked) is np.ndarray and checked.dtype == np.intp
+        assert checked.tolist() == [0, 1, 2, 3]
+        assert arrival_order(None, 0).dtype == np.intp
         for order in ([], range(0), np.zeros(0, dtype=np.uint64)):
             assert arrival_order(order, 0).dtype == np.intp
 

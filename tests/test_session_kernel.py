@@ -14,7 +14,7 @@ import pytest
 
 import slicemarket
 from slicemarket import protocol, workload
-from slicemarket.baselines import MyopicPricing
+from slicemarket.baselines import MyopicPricing, myopic_slicing, random_slicing
 from slicemarket.market import Allocation, MarketSetup
 from slicemarket.pricing import build_schedule
 from slicemarket.protocol import (
@@ -26,6 +26,7 @@ from slicemarket.protocol import (
     SessionResult,
     Transcript,
     TranscriptEntry,
+    run_posted_price,
     run_session,
     transcript_to_jsonl,
 )
@@ -40,7 +41,6 @@ from reference_protocol import (
     reference_entries,
     reference_jsonl,
     tenant_decide,
-    transferred_data_bytes,
 )
 
 #: The generator's private records and bounds helper, which live only in the tests.
@@ -109,8 +109,6 @@ def assert_bit_identical(setup, schedule, instance, order) -> list[TranscriptEnt
     assert _bits(kernel.ledger.prices) == _bits(reference.ledger.prices)
     assert _bits(kernel.ledger.utilization) == _bits(reference.ledger.utilization)
     assert kernel.ledger.revenue.hex() == reference.ledger.revenue.hex()
-    # the byte count comes from the transcript's length, not its messages
-    assert kernel.ledger.transferred_bytes == transferred_data_bytes(reference.ledger.transcript)
     transcript = list(kernel.ledger.transcript)
     assert all(type(entry) is TranscriptEntry for entry in transcript)
     assert transcript == reference.ledger.transcript
@@ -308,14 +306,15 @@ def test_the_ledger_stores_one_transcript():
     assert Transcript.__slots__ == ("demand_rows", "quotes", "outcomes", "charges")
     transcript = ledger.transcript
     assert len(transcript.quotes) == len(transcript.outcomes) == len(transcript.charges) == 12
-    assert ledger.transferred_bytes == 4 * 12 * (2 * 2 + 3)
 
 
 def test_the_transcript_keeps_demand_rows_as_one_array():
     instance = generate_instance(GenConfig(tenant_count=12, resource_count=2, seed=4))
     setup = MarketSetup.from_instance(instance)
-    # instance order keeps the instance's own read-only rows
-    assert run_session(setup, build_schedule(setup), instance).ledger.transcript.demand_rows is instance.demands
+    # instance order gathers its rows like any other order: equal, not the same array
+    rows = run_session(setup, build_schedule(setup), instance).ledger.transcript.demand_rows
+    assert type(rows) is np.ndarray and rows.dtype == float and rows is not instance.demands
+    np.testing.assert_array_equal(rows, instance.demands)
     order = np.random.default_rng(4).permutation(12)
     rows = run_session(setup, build_schedule(setup), instance, order).ledger.transcript.demand_rows
     assert type(rows) is np.ndarray and rows.dtype == float
@@ -441,18 +440,76 @@ def test_one_quote_at_the_start_and_one_per_sale():
 
 def test_checked_prices_walks_a_float_tuple_once():
     quote = (1.0, 0.0, 2.5)
-    assert protocol._checked_prices(quote) is quote
+    assert protocol._checked_prices(quote, 3) is quote
     # anything else is coerced first, then checked price by price
     for prices in ([1.0, 0.0, 2.5], (1, 0, 2.5), np.array([1.0, 0.0, 2.5]), (np.float64(1.0), 0.0, 2.5)):
-        checked = protocol._checked_prices(prices)
+        checked = protocol._checked_prices(prices, 3)
         assert checked == quote
         assert all(type(p) is float for p in checked)
     for prices, message in (
         ((1.0, math.nan, 2.5), "resource 1 is not finite"),
         ((1.0, 0.0, math.inf), "resource 2 is not finite"),
         ((-0.5, 0.0, 2.5), "resource 0 is negative"),
-        ((1.0, np.float64(-1.0)), "resource 1 is negative"),
-        ((1.0, "x"), "non-numeric"),
+        ((1.0, np.float64(-1.0), 2.5), "resource 1 is negative"),
+        ((1.0, "x", 2.5), "non-numeric"),
     ):
         with pytest.raises(ProtocolError, match=message):
-            protocol._checked_prices(prices)
+            protocol._checked_prices(prices, 3)
+
+
+@pytest.mark.parametrize(
+    "prices",
+    [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (), [1.0, 1.0], (1, 1), np.ones(4)],
+    ids=["short tuple", "long tuple", "empty", "short list", "short ints", "long array"],
+)
+def test_checked_prices_needs_one_price_per_resource(prices):
+    # both the float-tuple walk and the coercing path check the length
+    with pytest.raises(ProtocolError, match=rf"must hold 3 prices, one per resource, got {len(prices)}"):
+        protocol._checked_prices(prices, 3)
+
+
+class _ResizedQuote:
+    """A schedule that quotes ``size`` prices at a three-resource market,
+    from the start or only after the first sale."""
+
+    def __init__(self, size, after_a_sale):
+        self.size, self.after_a_sale = size, after_a_sale
+
+    def quote(self, utilization):
+        sold = any(y > 0.0 for y in utilization)
+        return (1.0,) * (self.size if sold or not self.after_a_sale else len(utilization))
+
+
+@pytest.mark.parametrize("after_a_sale", [False, True], ids=["first quote", "after a sale"])
+@pytest.mark.parametrize("size", [2, 4, 0], ids=["short", "long", "empty"])
+def test_a_quote_of_the_wrong_length_is_refused(size, after_a_sale):
+    instance = manual_instance([[0.1, 0.1, 0.1]] * 3, [1.0, 1.0, 1.0], [0.2, 0.2, 0.2])
+    setup = MarketSetup.from_instance(instance)
+    schedule = _ResizedQuote(size, after_a_sale)
+    message = rf"a quote must hold 3 prices, one per resource, got {size}"
+    for session in (run_session, reference_run_session):
+        with pytest.raises(ProtocolError, match=message):
+            session(setup, schedule, instance)
+
+
+@pytest.mark.parametrize(
+    "session",
+    [run_posted_price, myopic_slicing, lambda instance, order: random_slicing(instance, order, seed=7)],
+    ids=["threshold", "myopic", "random"],
+)
+def test_instance_order_is_the_identity_permutation(session):
+    # no order and arange(n) run one code path: every output bit for bit alike
+    rng = np.random.default_rng(610)
+    for instance in order_test_markets(rng, count=12):
+        default = session(instance, None)
+        spelled = session(instance, np.arange(instance.tenant_count))
+        if isinstance(default, tuple):  # random slicing: (welfare, accepted)
+            assert default[0].hex() == spelled[0].hex()
+            assert default[1].tobytes() == spelled[1].tobytes()
+            continue
+        assert default.allocation.accepted.tobytes() == spelled.allocation.accepted.tobytes()
+        assert _bits(default.payments) == _bits(spelled.payments)
+        assert _bits(default.certificate.surpluses) == _bits(spelled.certificate.surpluses)
+        assert default.ledger.transcript.quotes == spelled.ledger.transcript.quotes
+        assert _bits(default.ledger.prices) == _bits(spelled.ledger.prices)
+        assert transcript_to_jsonl(default.ledger.transcript) == transcript_to_jsonl(spelled.ledger.transcript)

@@ -47,7 +47,7 @@ def _reference_check_session(instance, order):
     counts = {
         "capacity": count(~((0 <= utilization) & (utilization <= CAPACITY))),
         "monotonicity": count((np.diff(prices, axis=0) < 0).any(axis=1)),
-        "price floor": count(prices[-1] < setup.price_floors),
+        "price floor": count(prices < setup.price_floors),
         "dual feasibility": count(result.certificate.feasibility_slacks(instance) < -verify.DUAL_TOL),
         "accounting": int(abs(welfare - (operator + tenant_utils.sum())) > verify.ACCOUNTING_TOL),
         "refund": int(abs(ledger.revenue - booked) > verify.ACCOUNTING_TOL)
@@ -74,6 +74,38 @@ def test_check_session_matches_the_reference_on_random_sessions():
         instance = generate_instance(verify._random_config(rng))
         order = rng.permutation(instance.tenant_count)
         assert verify.check_session(instance, order) == _reference_check_session(instance, order) == {}
+
+
+class _HalfFloorAtTheStart:
+    """The threshold schedule, except that it quotes half the floors at zero
+    utilization; from the first sale on its prices are the schedule's own."""
+
+    def __init__(self, schedule):
+        self.schedule, self.setup = schedule, schedule.setup
+
+    def quote(self, utilization):
+        prices = self.schedule.quote(utilization)
+        if any(utilization):
+            return prices
+        return tuple(p / 2 for p in prices)
+
+
+def test_check_session_reads_every_quote_against_the_floors(monkeypatch):
+    def half_floor_session(setup, schedule, instance, order):
+        return protocol.run_session(setup, _HalfFloorAtTheStart(schedule), instance, order)
+
+    monkeypatch.setattr(verify, "run_session", half_floor_session)
+    instance = generate_instance(GenConfig(tenant_count=TENANTS, resource_count=2, seed=3))
+    order = np.arange(instance.tenant_count)
+    setup = MarketSetup.from_instance(instance)
+    result = half_floor_session(setup, build_schedule(setup), instance, order)
+    # the prices still rise, and the final ones sit on or above the floors
+    prices = np.array(result.ledger.transcript.quotes + [result.ledger.prices])
+    assert (np.diff(prices, axis=0) >= 0).all() and (prices[-1] >= setup.price_floors).all()
+    # every resource's half-floor price, once per arrival up to the first sale
+    first_sale = result.ledger.transcript.outcomes.index(SUCC)
+    want = {"price floor": (first_sale + 1) * instance.resource_count}
+    assert verify.check_session(instance, order) == _reference_check_session(instance, order) == want
 
 
 def _capacity(result):
