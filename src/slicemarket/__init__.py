@@ -38,7 +38,6 @@ from .protocol import (
     FAIL,
     SKIP,
     SUCC,
-    DualCertificate,
     ProtocolError,
     SessionLedger,
     SessionResult,

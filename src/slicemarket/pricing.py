@@ -14,6 +14,10 @@ resource ``c`` it demands.  The generator's bundle floor provides the first
 as ``bundle-below-floor``).  Per-resource floors ``v_n >= d_nc * floor_c``
 alone do not: with several resources a market of tenants that cannot pay
 their floor bundles stalls below every threshold and can exceed the ratio.
+The second premise, as in the threshold analyses, is that every demand is a
+small share of capacity.  No check provides it: generated markets that pass
+``validate_instance`` with demands of 0.65 to 0.82 of capacity exceed the
+ratio by up to 46 % in their worst order (``tests/test_worst_order.py``).
 
 A schedule answers two questions with one formula.  ``price_at(c, y)`` is
 the price of one resource; ``quote(utilization)`` is the whole price tuple at

@@ -15,13 +15,15 @@ arrival order once, in numpy.  It then runs every arrival on
 plain lists, reading them front to back, and keeps the wire data in one
 stored shape, the ``Transcript``: per arrival the demand row, the quoted
 price tuple (shared until a sale), the outcome and the charge, as columns.
-``verify`` reads the columns, the harness keeps the object and
-``transcript_to_jsonl`` writes from the columns; a ``TranscriptEntry`` per
-arrival is built only on access, for the privacy-schema acceptance test and
-the benchmark's session counter.  The same protocol spelled out message by
-message, each message checked as it is built, lives in the test suite
-(``tests/reference_protocol.py``) as the reference the engine must
-reproduce bit for bit.
+It is the session's one record of each sale: the accepted mask, the
+payments and the dual surpluses are read off its outcome and charge columns
+after the last arrival.  ``verify`` reads the columns, the harness keeps the
+object and ``transcript_to_jsonl`` writes from the columns; a
+``TranscriptEntry`` per arrival is built only on access, for the
+privacy-schema acceptance test and the benchmark's session counter.  The
+same protocol spelled out message by message, each message checked as it is
+built, lives in the test suite (``tests/reference_protocol.py``) as the
+reference the engine must reproduce bit for bit.
 
 A schedule is anything with a ``quote(utilization)`` method that returns the
 tuple of every resource's price at a utilization vector.  The engine asks for
@@ -46,7 +48,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .market import CAPACITY, Allocation, MarketError, MarketSetup, _readonly
+from .market import CAPACITY, Allocation, MarketError, MarketSetup
 
 SUCC = "SUCC"
 FAIL = "FAIL"
@@ -297,28 +299,13 @@ class SessionLedger:
 
 
 @dataclass(frozen=True)
-class DualCertificate:
-    """Claimed tenant surpluses plus the final prices they must be checked against."""
-
-    surpluses: np.ndarray
-    final_prices: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "surpluses", _readonly(self.surpluses))
-        object.__setattr__(self, "final_prices", tuple(float(p) for p in self.final_prices))
-
-    def feasibility_slacks(self, instance) -> np.ndarray:
-        """Per-tenant slack of ``surplus >= valuation - demand . final_prices``."""
-        prices = np.asarray(self.final_prices)
-        return self.surpluses - (instance.valuations - instance.demands @ prices)
-
-
-@dataclass(frozen=True)
 class SessionResult:
+    """A settled session; ``payments`` and ``surpluses`` are per tenant."""
+
     ledger: SessionLedger
-    certificate: DualCertificate
     allocation: Allocation
     payments: np.ndarray
+    surpluses: np.ndarray
 
 
 def run_session(
@@ -342,6 +329,10 @@ def run_session(
     is both the tenant's offer and the booked payment, and
     ``schedule.quote`` is called (and its prices checked) only at the start
     and after a sale.  A schedule that holds a ``setup`` must hold this one.
+
+    The loop keeps only the utilization, prices, revenue and transcript, and
+    the tenants are settled from the transcript: a SUCC pays its charge, and
+    a SUCC or FAIL keeps ``valuation - charge`` as its dual surplus.
     """
     n, c = instance.tenant_count, instance.resource_count
     if setup.resource_count != c:
@@ -350,48 +341,51 @@ def run_session(
         raise ProtocolError("the schedule was built for another market setup")
     order = arrival_order(order, n)
     # gathered once: the loop's reads then follow memory order
-    rows = instance.demands.take(order, axis=0)
-    tenants, demand_rows, valuations = order.tolist(), rows.tolist(), instance.valuations.take(order).tolist()
+    rows, values = instance.demands.take(order, axis=0), instance.valuations.take(order)
+    demand_rows, valuations = rows.tolist(), values.tolist()
 
     quote = schedule.quote
     utilization = [0.0] * c
     prices = _checked_prices(quote(utilization), c)
-    surpluses = [0.0] * n
-    payments = [0.0] * n
-    accepted = [False] * n
     revenue = 0.0
     transcript = Transcript(rows)
     record_quote, record_charge = transcript.quotes.append, transcript.charges.append
     record_outcome = transcript.outcomes.append
 
-    for tenant, demand, value in zip(tenants, demand_rows, valuations):
+    for demand, value in zip(demand_rows, valuations):
         # the tenant's offer and the booked payment: one sum, left to right
         charge = 0.0
         for p, d in zip(prices, demand):
             charge += p * d
         record_quote(prices)
         record_charge(charge)
-        surplus = value - charge
-        if surplus > 0:
-            surpluses[tenant] = surplus
+        if value - charge > 0:
             grown = list(map(add, utilization, demand))
             if max(grown) > CAPACITY:
                 record_outcome(FAIL)
                 continue
             utilization = grown
             revenue += charge
-            accepted[tenant] = True
-            payments[tenant] = charge
             prices = _checked_prices(quote(utilization), c)
             record_outcome(SUCC)
         else:
             record_outcome(SKIP)
 
-    ledger = SessionLedger(utilization, prices, revenue, transcript)
-    certificate = DualCertificate(surpluses, prices)
-    allocation = Allocation.from_decisions(instance, accepted)
+    # settled in arrival order, then scattered through it; the outcomes are
+    # four-letter words, so their column reads as one S4 array
+    outcomes = np.frombuffer("".join(transcript.outcomes).encode(), "S4")
+    charges = np.array(transcript.charges)
+    sold = outcomes == SUCC.encode()
+    surplus = values - charges
+    surplus[outcomes == SKIP.encode()] = 0.0
+    charges[~sold] = 0.0
+    accepted, payments, surpluses = np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n)
+    accepted[order], payments[order], surpluses[order] = sold, charges, surplus
     return SessionResult(
-        ledger=ledger, certificate=certificate, allocation=allocation, payments=np.asarray(payments, dtype=float)
+        ledger=SessionLedger(utilization, prices, revenue, transcript),
+        allocation=Allocation.from_decisions(instance, accepted),
+        payments=payments,
+        surpluses=surpluses,
     )
 
 

@@ -91,6 +91,19 @@ def order_test_markets(rng: np.random.Generator, count: int = 30) -> list[Instan
     return markets
 
 
+_COARSE = dict(tenant_count=7, demand_mean=0.3, demand_std=0.2)
+
+#: Three coarse 7-tenant markets that ``validate_instance`` accepts and whose
+#: worst arrival order beats the schedule's ratio: ``(config, worst order,
+#: OPT / (ratio * online welfare) in that order)``.  The first one's worst
+#: order has five FAILs.
+WORST_ORDER_MARKETS = [
+    (GenConfig(**_COARSE, resource_count=1, participation=0.5, seed=3564989151), (5, 2, 3, 4, 6, 0, 1), 1.459),
+    (GenConfig(**_COARSE, resource_count=1, seed=695335614), (0, 4, 5, 1, 2, 3, 6), 1.198),
+    (GenConfig(**_COARSE, resource_count=3, seed=373015955), (3, 4, 0, 1, 2, 5, 6), 1.100),
+]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

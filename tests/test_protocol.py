@@ -18,7 +18,6 @@ from slicemarket.protocol import (
     FAIL,
     SKIP,
     SUCC,
-    DualCertificate,
     ProtocolError,
     Transcript,
     TranscriptSchemaError,
@@ -199,16 +198,9 @@ class TestMvnoSettle:
             mvno_settle(ledger, schedule, RentDecision(True, 0.2, (0.05, 0.05)))
 
 
-class TestDualCertificate:
-    def test_copies_the_callers_surpluses(self):
-        surpluses = np.array([0.5, 0.0, 1.5])
-        certificate = DualCertificate(surpluses, (1.0,))
-        assert surpluses.flags.writeable
-        assert not np.shares_memory(certificate.surpluses, surpluses)
-        surpluses[0] = -1.0
-        assert certificate.surpluses.tolist() == [0.5, 0.0, 1.5]
-        with pytest.raises(ValueError):
-            certificate.surpluses[0] = -1.0
+def _dual_slacks(result, instance):
+    """Per-tenant slack of ``surplus >= valuation - demand . final prices``."""
+    return result.surpluses - (instance.valuations - instance.demands @ np.asarray(result.ledger.prices))
 
 
 class TestRunSession:
@@ -280,7 +272,7 @@ class TestRunSession:
             quotes = transcript.quotes + [ledger.prices]
             for earlier, later in zip(quotes, quotes[1:]):
                 assert all(b >= a for a, b in zip(earlier, later))
-            assert (result.certificate.feasibility_slacks(inst) >= -1e-9).all()
+            assert (_dual_slacks(result, inst) >= -1e-9).all()
             booked = sum(c for c, outcome in zip(transcript.charges, transcript.outcomes) if outcome == SUCC)
             assert ledger.revenue == pytest.approx(booked, abs=1e-9)
             assert float(result.payments.sum()) == pytest.approx(ledger.revenue, abs=1e-9)
@@ -299,7 +291,7 @@ class TestRunSession:
         outcomes = result.ledger.transcript.outcomes
         assert outcomes[0] == SUCC
         assert outcomes[1] == FAIL
-        assert (result.certificate.feasibility_slacks(inst) >= -1e-9).all()
+        assert (_dual_slacks(result, inst) >= -1e-9).all()
         assert result.payments[1] == 0.0
 
     def test_density_gate_skips_before_quoting(self):

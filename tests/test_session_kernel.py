@@ -21,7 +21,6 @@ from slicemarket.protocol import (
     FAIL,
     SKIP,
     SUCC,
-    DualCertificate,
     ProtocolError,
     SessionResult,
     Transcript,
@@ -33,7 +32,7 @@ from slicemarket.protocol import (
 from slicemarket.verify import _random_config
 from slicemarket.workload import GenConfig, Instance, WorkloadError, generate_instance
 
-from conftest import ORDER_FORMS, manual_instance, order_test_markets
+from conftest import ORDER_FORMS, WORST_ORDER_MARKETS, manual_instance, order_test_markets
 from reference_protocol import (
     PriceQuote,
     mvno_init,
@@ -87,9 +86,8 @@ def reference_run_session(setup, schedule, instance, order=None) -> SessionResul
             accepted[tenant] = True
             payments[tenant] = decision.payment
 
-    certificate = DualCertificate(np.asarray(surpluses), ledger.prices)
     allocation = Allocation.from_decisions(instance, accepted)
-    return SessionResult(ledger=ledger, certificate=certificate, allocation=allocation, payments=payments)
+    return SessionResult(ledger=ledger, allocation=allocation, payments=payments, surpluses=np.asarray(surpluses))
 
 
 def _bits(values) -> bytes:
@@ -104,8 +102,8 @@ def assert_bit_identical(setup, schedule, instance, order) -> list[TranscriptEnt
     assert _bits(kernel.allocation.utilization) == _bits(reference.allocation.utilization)
     assert kernel.payments.dtype == reference.payments.dtype
     assert _bits(kernel.payments) == _bits(reference.payments)
-    assert _bits(kernel.certificate.surpluses) == _bits(reference.certificate.surpluses)
-    assert _bits(kernel.certificate.final_prices) == _bits(reference.certificate.final_prices)
+    assert kernel.surpluses.dtype == reference.surpluses.dtype
+    assert _bits(kernel.surpluses) == _bits(reference.surpluses)
     assert _bits(kernel.ledger.prices) == _bits(reference.ledger.prices)
     assert _bits(kernel.ledger.utilization) == _bits(reference.ledger.utilization)
     assert kernel.ledger.revenue.hex() == reference.ledger.revenue.hex()
@@ -219,7 +217,7 @@ def _assert_settled_per_arrival(instance, order, result):
     tenants = range(instance.tenant_count) if order is None else [int(t) for t in order]
     transcript = result.ledger.transcript
     assert len(transcript) == len(tenants)
-    surpluses, payments = result.certificate.surpluses, result.payments
+    surpluses, payments = result.surpluses, result.payments
     accepted = result.allocation.accepted
     for tenant, outcome, charge in zip(tenants, transcript.outcomes, transcript.charges):
         surplus = float(instance.valuations[tenant]) - charge
@@ -257,6 +255,15 @@ def test_fail_keeps_its_surplus_and_pays_nothing():
                 after = outcomes[outcomes.index(FAIL) + 1 :] if FAIL in outcomes else []
                 settled_after_a_fail += SKIP in after and FAIL in after
     assert interleaved > 50 and settled_after_a_fail > 50
+
+
+def test_each_fail_of_a_worst_order_keeps_its_surplus():
+    # five FAILs in one session: each keeps value - charge and pays nothing
+    config, worst, _ = WORST_ORDER_MARKETS[0]
+    instance = generate_instance(config)
+    result = run_posted_price(instance, worst)
+    assert result.ledger.transcript.outcomes.count(FAIL) == 5
+    _assert_settled_per_arrival(instance, worst, result)
 
 
 @pytest.mark.parametrize("order", [None, [0, 1, 2, 3, 4, 5], np.array([0, 1, 3, 2, 4, 5], dtype=np.int32)])
@@ -509,7 +516,7 @@ def test_instance_order_is_the_identity_permutation(session):
             continue
         assert default.allocation.accepted.tobytes() == spelled.allocation.accepted.tobytes()
         assert _bits(default.payments) == _bits(spelled.payments)
-        assert _bits(default.certificate.surpluses) == _bits(spelled.certificate.surpluses)
+        assert _bits(default.surpluses) == _bits(spelled.surpluses)
         assert default.ledger.transcript.quotes == spelled.ledger.transcript.quotes
         assert _bits(default.ledger.prices) == _bits(spelled.ledger.prices)
         assert transcript_to_jsonl(default.ledger.transcript) == transcript_to_jsonl(spelled.ledger.transcript)

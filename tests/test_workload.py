@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from slicemarket import workload
+from slicemarket.protocol import run_posted_price
 from slicemarket.workload import (
     BUNDLE_FLOOR_RTOL,
     MIN_DEMAND,
@@ -178,6 +179,16 @@ class TestGenerateInstance:
         inst = generate_instance(GenConfig(tenant_count=50, resource_count=2, seed=3))
         dens = inst.densities()
         assert np.nanmedian(dens) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("resources", [3, 9])
+    def test_default_markets_pack_in_one_dimension(self, resources):
+        # default demand rows are equal across resources to about 1 %: every
+        # resource posts the bundle floor and a session fills them alike
+        for seed in range(30):
+            inst = generate_instance(GenConfig(tenant_count=100, resource_count=resources, seed=seed))
+            assert (inst.price_floors == inst.price_floors[0]).all()
+            utilization = run_posted_price(inst).ledger.utilization
+            assert max(utilization) - min(utilization) <= 0.01
 
 
 class TestPopulation:
