@@ -231,13 +231,14 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
 # first-fit scan, shared by the auction and random slicing
 
 
-def _first_fit(rows: list[list[float]], limit: float) -> list[int]:
-    """The positions of the demand rows, given in scan order, that keep every
-    resource's running utilization, summed in booking order on plain floats,
-    at most ``limit``."""
-    utilization = [0.0] * len(rows[0]) if rows else []
+def _first_fit(rows: np.ndarray, limit: float) -> list[int]:
+    """The positions of the demand rows, an (arrivals, resources) array in
+    scan order, that keep every resource's running utilization, summed in
+    booking order on plain floats, at most ``limit``.  The rows are read as
+    the session engine reads them: one list per resource, zipped."""
+    utilization = [0.0] * rows.shape[1]
     booked = []
-    for position, row in enumerate(rows):
+    for position, row in enumerate(zip(*rows.T.tolist())):
         grown = list(map(add, utilization, row))
         if max(grown) <= limit:
             utilization = grown
@@ -284,7 +285,7 @@ def utility_bid_auction(instance) -> AuctionResult:
     order = candidates[np.argsort(-profits[candidates], kind="stable")]
     scanned = instance.demands.take(order, axis=0)
     won = np.zeros(len(order), dtype=bool)
-    won[_first_fit(scanned.tolist(), limit)] = True
+    won[_first_fit(scanned, limit)] = True
     winners = order[won]
     accepted = np.zeros(n, dtype=bool)
     accepted[winners] = True
@@ -370,7 +371,7 @@ def random_slicing(instance, order: Sequence[int] | None = None, seed: int = 0) 
     # one draw for every coin is the stream of one draw per arrival
     coins = rng.integers(0, 2, size=n).astype(bool)
     tenants = order[coins]
-    booked = tenants[_first_fit(instance.demands.take(tenants, axis=0).tolist(), CAPACITY)]
+    booked = tenants[_first_fit(instance.demands.take(tenants, axis=0), CAPACITY)]
     accepted = np.zeros(n, dtype=bool)
     accepted[booked] = True
     return float(adjusted_profits(instance)[accepted].sum()), accepted

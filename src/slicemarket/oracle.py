@@ -59,6 +59,8 @@ DEFAULT_NODE_BUDGET = 5_000_000
 # default markets finish the summed probe in at most 2.2 nodes per viable tenant
 _PROBE_NODES_PER_TENANT = 8
 _HIGHS = "scipy.optimize._highspy._core"
+#: The largest nonzero count HiGHS's int32 matrix indices hold.
+_HIGHS_INDEX_MAX = np.iinfo(np.int32).max
 
 
 class OracleError(MarketError):
@@ -312,9 +314,10 @@ def lp_relaxation(instance) -> tuple[float, np.ndarray]:
     The value is therefore linprog's ``-fun`` bit for bit.  linprog itself is
     skipped because after the solve it builds bound marginals in a Python
     loop over every column, about two thirds of its time at N = 20 000, and
-    neither the value nor the duals need them.  The arrays go to the binding
-    as lists: its setters convert a numpy array element by element, several
-    times slower.
+    neither the value nor the duals need them.  The model goes to the binding
+    as numpy arrays, through the overload of ``passModel`` that takes them
+    (int32 starts and indices, and an all-continuous integrality vector: the
+    binding refuses an empty one).
 
     The duals λ, one per resource, are HiGHS's row duals negated (they belong
     to the minimisation of ``-profits``) and clipped at zero: the shadow price
@@ -323,8 +326,9 @@ def lp_relaxation(instance) -> tuple[float, np.ndarray]:
 
     Only that binding is loaded, on the first solve (``_highs_binding``); a
     market without a positive profit returns ``(0.0, zeros)`` without loading
-    it.  ``OracleError`` is raised when the binding is missing and when HiGHS
-    reports anything but an optimum.
+    it.  ``OracleError`` is raised when the binding is missing, when the
+    matrix has more nonzeros than its int32 indices can hold, when HiGHS
+    refuses the model and when it reports anything but an optimum.
     """
     profits = adjusted_profits(instance)
     if not (profits > 0).any():
@@ -332,18 +336,11 @@ def lp_relaxation(instance) -> tuple[float, np.ndarray]:
     highs = _highs_binding()
     n, c = instance.demands.shape
     nonzero = instance.demands != 0
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = c
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
-    lp.a_matrix_.index_ = np.nonzero(nonzero)[1].tolist()
-    lp.a_matrix_.value_ = instance.demands[nonzero].tolist()
-    lp.col_cost_ = (-profits).tolist()
-    lp.col_lower_ = [0.0] * n
-    lp.col_upper_ = [1.0] * n
-    lp.row_lower_ = [-highs.kHighsInf] * c
-    lp.row_upper_ = [CAPACITY] * c
+    values = instance.demands[nonzero]
+    if len(values) > _HIGHS_INDEX_MAX:
+        raise OracleError(f"the LP has {len(values)} nonzeros, more than HiGHS's int32 indices hold")
+    starts = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=starts[1:])
     # presolve removes nothing from this C-row box-bounded LP once every
     # tenant has positive profit, yet at N = 20 000 the bound takes 39 ms
     # with it and 25 ms without (2-vCPU Xeon)
@@ -355,7 +352,16 @@ def lp_relaxation(instance) -> tuple[float, np.ndarray]:
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     solver = highs._Highs()
     solver.passOptions(options)
-    solver.passModel(lp)
+    # (columns, rows, nonzeros, matrix format, sense, offset, column costs,
+    # column bounds, row bounds, starts, indices, values, integrality)
+    passed = solver.passModel(
+        n, c, len(values), highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        -profits, np.zeros(n), np.ones(n), np.full(c, -highs.kHighsInf), np.full(c, CAPACITY),
+        starts, np.nonzero(nonzero)[1].astype(np.int32), values, np.zeros(n, dtype=np.int32),
+    )
+    # a warning (a demand below HiGHS's small matrix value, dropped) passes, as in linprog
+    if passed == highs.HighsStatus.kError:
+        raise OracleError(f"HiGHS refused the LP relaxation: passModel returned {passed.name}")
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:

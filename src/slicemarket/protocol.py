@@ -11,10 +11,11 @@ private to a tenant never appear in it.
 once per session with ``arrival_order``, which turns instance order into the
 identity permutation (the ``Instance`` constructor has checked the
 valuations and demands), and gathers the demand rows and valuations in
-arrival order once, in numpy.  It then runs every arrival on
-plain lists, reading them front to back, and keeps the wire data in one
-stored shape, the ``Transcript``: per arrival the demand row, the quoted
-price tuple (shared until a sale), the outcome and the charge, as columns.
+arrival order once, in numpy.  It then runs every arrival on plain
+floats, one list per resource read front to back, and keeps the wire
+data in one stored shape, the ``Transcript``: per arrival the demand
+row, the quoted price tuple (shared until a sale), the outcome and the
+charge, as columns.
 It is the session's one record of each sale: the accepted mask, the
 payments and the dual surpluses are read off its outcome and charge columns
 after the last arrival.  ``verify`` reads the columns, the harness keeps the
@@ -323,12 +324,12 @@ def run_session(
     fails and is never booked.  The order is checked once up front
     (valuations and demands were checked when the ``Instance`` was built),
     and the demand rows and valuations are gathered in arrival order once,
-    so the loop reads plain lists front to back.  The transcript keeps the
-    gathered rows as one float array, not the loop's row lists, which hold
-    twice the memory.  One charge, summed left to right over the resources,
-    is both the tenant's offer and the booked payment, and
-    ``schedule.quote`` is called (and its prices checked) only at the start
-    and after a sale.  A schedule that holds a ``setup`` must hold this one.
+    so the loop reads plain floats front to back: one list per resource,
+    zipped into a short-lived tuple per arrival.  The transcript keeps the
+    gathered rows as one float array.  One charge, summed left to right
+    over the resources, is both the tenant's offer and the booked payment,
+    and ``schedule.quote`` is called (and its prices checked) only at the
+    start and after a sale.  A schedule holding a ``setup`` must hold this one.
 
     The loop keeps only the utilization, prices, revenue and transcript, and
     the tenants are settled from the transcript: a SUCC pays its charge, and
@@ -342,7 +343,6 @@ def run_session(
     order = arrival_order(order, n)
     # gathered once: the loop's reads then follow memory order
     rows, values = instance.demands.take(order, axis=0), instance.valuations.take(order)
-    demand_rows, valuations = rows.tolist(), values.tolist()
 
     quote = schedule.quote
     utilization = [0.0] * c
@@ -352,7 +352,7 @@ def run_session(
     record_quote, record_charge = transcript.quotes.append, transcript.charges.append
     record_outcome = transcript.outcomes.append
 
-    for demand, value in zip(demand_rows, valuations):
+    for demand, value in zip(zip(*rows.T.tolist()), values.tolist()):
         # the tenant's offer and the booked payment: one sum, left to right
         charge = 0.0
         for p, d in zip(prices, demand):

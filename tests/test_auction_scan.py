@@ -3,12 +3,18 @@
 ``_reference_auction`` is the auction as it was first written, one O(N·C)
 pass per round.  The scan must reproduce every field of its result exactly:
 welfare, the accepted mask, payments, rounds and bids, bit for bit.
+
+``_reference_first_fit`` is the first-fit scan the auction and random
+slicing share, as it was written on one Python list per row; the scan that
+reads the row array as one list per resource must book the same positions.
 """
+
+from operator import add
 
 import numpy as np
 import pytest
 
-from slicemarket.baselines import AuctionResult, utility_bid_auction
+from slicemarket.baselines import AuctionResult, _first_fit, utility_bid_auction
 from slicemarket.market import CAPACITY, FEASIBILITY_EPS
 from slicemarket.oracle import adjusted_profits
 from slicemarket.workload import GenConfig, Instance, generate_instance
@@ -147,3 +153,53 @@ def test_losers_bid_until_they_stop_fitting():
     want = assert_same_auction(inst)
     assert want.rounds == 3
     assert want.bids_submitted == 6 + 3 + 2
+
+
+def _reference_first_fit(rows: list[list[float]], limit: float) -> list[int]:
+    utilization = [0.0] * len(rows[0]) if rows else []
+    booked = []
+    for position, row in enumerate(rows):
+        grown = list(map(add, utilization, row))
+        if max(grown) <= limit:
+            utilization = grown
+            booked.append(position)
+    return booked
+
+
+def assert_same_first_fit(rows: np.ndarray, limit: float) -> list[int]:
+    got = _first_fit(rows, limit)
+    want = _reference_first_fit(rows.tolist(), limit)
+    assert type(got) is list and all(type(position) is int for position in got)
+    assert got == want
+    return want
+
+
+@pytest.mark.parametrize("resources", [1, 2, 3, 9])
+def test_first_fit_on_random_rows(resources):
+    # row means from 0.01 to 0.5 of capacity: from everyone booked to most
+    # rows turned away, at both limits the engines pass
+    rng = np.random.default_rng(700 + resources)
+    for _ in range(30):
+        rows = rng.uniform(0.0, 2 * float(rng.choice([0.01, 0.1, 0.5])), (int(rng.integers(1, 300)), resources))
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        for limit in (CAPACITY, LIMIT):
+            assert_same_first_fit(rows, limit)
+
+
+@pytest.mark.parametrize("resources", [1, 3])
+def test_first_fit_without_rows(resources):
+    assert assert_same_first_fit(np.zeros((0, resources)), CAPACITY) == []
+
+
+@pytest.mark.parametrize("limit", [CAPACITY, LIMIT])
+def test_first_fit_rows_that_land_on_the_limit(limit):
+    # quarters and their exact complement ``limit - 3/4``: the running sums
+    # are exact, so utilization lands on the limit and the row still books;
+    # a row past it, by one ulp, does not
+    rng = np.random.default_rng(710)
+    for resources in (1, 2, 3):
+        for _ in range(20):
+            rows = rng.choice([0.0, 0.25, limit - 0.75], size=(int(rng.integers(1, 12)), resources))
+            assert_same_first_fit(rows, limit)
+    rows = np.array([[0.75], [limit - 0.75], [0.0], [np.nextafter(limit, 2.0) - limit]])
+    assert assert_same_first_fit(rows, limit) == [0, 1, 2]

@@ -278,6 +278,141 @@ def test_lp_relaxation_without_profit():
     assert value == 0.0 and duals.tolist() == [0.0, 0.0]
 
 
+def _reference_lp_relaxation(instance):
+    """``lp_relaxation`` as it built the model before it passed numpy arrays:
+    every array set on a ``HighsLp`` through the binding's attribute setters,
+    as lists.  Returns the value, the duals and the solver (``None`` when no
+    tenant has positive profit)."""
+    from slicemarket.oracle import _highs_binding
+
+    profits = adjusted_profits(instance)
+    if not (profits > 0).any():
+        return 0.0, np.zeros(instance.resource_count), None
+    highs = _highs_binding()
+    n, c = instance.demands.shape
+    nonzero = instance.demands != 0
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = c
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1].tolist()
+    lp.a_matrix_.value_ = instance.demands[nonzero].tolist()
+    lp.col_cost_ = (-profits).tolist()
+    lp.col_lower_ = [0.0] * n
+    lp.col_upper_ = [1.0] * n
+    lp.row_lower_ = [-highs.kHighsInf] * c
+    lp.row_upper_ = [CAPACITY] * c
+    options = highs.HighsOptions()
+    options.presolve = "off"
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    assert solver.getModelStatus() == highs.HighsModelStatus.kOptimal
+    duals = np.maximum(-np.asarray(solver.getSolution().row_dual), 0.0)
+    return -solver.getInfo().objective_function_value, duals, solver
+
+
+def _model_fields(solver) -> dict:
+    lp = solver.getLp()
+    matrix = lp.a_matrix_
+    return {
+        "shape": (lp.num_col_, lp.num_row_, matrix.num_col_, matrix.num_row_),
+        "format": matrix.format_,
+        "sense": (lp.sense_, lp.offset_),
+        "matrix": (list(matrix.start_), list(matrix.index_), np.asarray(matrix.value_).tobytes()),
+        "costs": np.asarray(lp.col_cost_).tobytes(),
+        "bounds": [np.asarray(bound).tobytes() for bound in (lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_)],
+    }
+
+
+def _lp_differential_markets():
+    rng = np.random.default_rng(320)
+    for tenants in (1, 30, 2000, 20000):
+        for resources in (1, 3):
+            for participation in (None, 0.5):
+                config = GenConfig(
+                    tenant_count=tenants, resource_count=resources, participation=participation, seed=tenants + resources
+                )
+                yield generate_instance(config)
+        yield _hand_built(rng, tenants, 3, profitable=True)
+        yield _hand_built(rng, tenants, 1, profitable=False)
+    # a generated market with every profit exactly zero: no solve on either side
+    generated = generate_instance(GenConfig(tenant_count=200, seed=5))
+    cost = generated.demands @ generated.unit_costs
+    yield Instance(generated.demands, cost, generated.price_floors, generated.price_caps, generated.unit_costs)
+
+
+def test_lp_relaxation_matches_the_attribute_built_model(monkeypatch):
+    """The model passed as numpy arrays solves to the attribute-built one's
+    value and duals, bit for bit, and HiGHS holds the same matrix, costs and
+    bounds.  Markets: generated at N = 1 to 20 000 and C = 1 and 3, dense and
+    at participation 0.5; hand-built with exact zeros, an all-zero demand row
+    and a resource nobody demands; and two with no positive profit.
+
+    The binding refuses an empty integrality vector, so the model carries N
+    ``kContinuous`` entries where the attribute-built one carries none.  With
+    no integer column HiGHS does not treat the model as a MIP: ``run`` goes
+    to the simplex solver and no branch-and-bound node is counted on either
+    side (``mip_node_count`` stays -1).
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    solvers = []  # every solver built, the reference's included
+    make_solver = highs._Highs
+    monkeypatch.setattr(highs, "_Highs", lambda: solvers.append(make_solver()) or solvers[-1])
+    solved = 0
+    for inst in _lp_differential_markets():
+        want_value, want_duals, reference = _reference_lp_relaxation(inst)
+        solvers.clear()
+        value, duals = lp_relaxation(inst)
+        assert type(value) is float and value.hex() == want_value.hex()
+        assert duals.dtype == want_duals.dtype and duals.tobytes() == want_duals.tobytes()
+        if reference is None:
+            assert solvers == []
+            continue
+        (solver,) = solvers
+        assert _model_fields(solver) == _model_fields(reference)
+        assert list(solver.getLp().integrality_) == [highs.HighsVarType.kContinuous] * inst.tenant_count
+        assert list(reference.getLp().integrality_) == []
+        assert solver.getInfo().mip_node_count == reference.getInfo().mip_node_count == -1
+        solved += 1
+    assert solved == 4 * (4 + 1)  # per size: four generated markets and one hand-built
+
+
+def test_a_refused_model_is_named_when_it_is_passed():
+    """A demand past HiGHS's largest matrix value (1e15) makes ``passModel``
+    return ``kError``.  Unchecked, that surfaced only after ``run`` as the
+    model status "Not Set"."""
+    inst = Instance(np.array([[0.5], [1e16]]), np.array([1.0, 1e17]), np.ones(1), np.full(1, 2.0), np.array([0.1]))
+    with pytest.raises(OracleError, match="passModel returned kError"):
+        lp_relaxation(inst)
+
+
+def test_a_matrix_past_int32_indices_is_refused(monkeypatch):
+    """HiGHS indexes the matrix with int32, so a nonzero count past the
+    largest int32 is refused before any array reaches the binding; the limit
+    is lowered here to the size of a small market."""
+    from scipy.optimize._highspy import _core as highs
+
+    from slicemarket import oracle
+
+    inst = generate_instance(GenConfig(tenant_count=4, resource_count=2, seed=1))
+    assert np.count_nonzero(inst.demands) == 8
+    assert oracle._HIGHS_INDEX_MAX == 2**31 - 1
+    monkeypatch.setattr(oracle, "_HIGHS_INDEX_MAX", 8)
+    assert lp_relaxation(inst)[0] == _linprog_bound(inst)
+    monkeypatch.setattr(oracle, "_HIGHS_INDEX_MAX", 7)
+    monkeypatch.setattr(highs, "_Highs", None)
+    with pytest.raises(OracleError, match="8 nonzeros"):
+        lp_relaxation(inst)
+
+
 def test_probe_and_restart_share_the_node_budget():
     """The summed-bound probe runs out on this market and the search restarts
     on the LP duals; the two passes together visit at most ``node_budget``

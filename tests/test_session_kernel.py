@@ -157,6 +157,17 @@ def test_overfull_markets_fail_on_capacity():
     assert fails > 100
 
 
+def test_an_online_size_market_in_a_random_order():
+    # the corpora above stop at verify sizes; at N = 20 000 the engine reads
+    # its rows as one list per resource over a long session
+    instance = generate_instance(GenConfig(tenant_count=20000, seed=1008))
+    setup = MarketSetup.from_instance(instance)
+    order = np.random.default_rng(608).permutation(instance.tenant_count)
+    for schedule in _schedules(setup):
+        outcomes = {entry.outcome for entry in assert_bit_identical(setup, schedule, instance, order)}
+        assert outcomes == {SUCC, SKIP}
+
+
 @pytest.mark.parametrize("order", [None, [0, 1, 2], [2, 1, 0], [1, 2, 0]])
 def test_hand_built_capacity_fail(order):
     # any two of the three tenants overfill the single resource
