@@ -50,8 +50,15 @@ class PaymentError(MarketError):
 
 
 def _readonly(array: np.ndarray, dtype=float) -> np.ndarray:
-    # a private copy: the caller's array stays writeable, and a write through
-    # any view of it cannot reach the frozen object
+    # an array of the dtype that is already read-only, C-ordered and owns its
+    # memory is kept: a frozen object's own arrays are such, and nothing writes
+    # to one without setting its flag back first.  Anything else becomes a
+    # private copy, so the caller's array (or a view of it) stays writeable and
+    # a write through it cannot reach the frozen object
+    if type(array) is np.ndarray and array.base is None and array.dtype == dtype:
+        flags = array.flags
+        if not flags.writeable and flags.c_contiguous:
+            return array
     array = np.array(array, dtype=dtype, order="C")
     array.setflags(write=False)
     return array
@@ -66,7 +73,8 @@ class MarketSetup:
     and earn at most ``price_caps[c]`` per unit of resource ``c``.  Capacity
     is normalized to 1 per resource.  The constructor checks the band,
     ``0 < unit cost < price floor <= price cap < inf`` for every resource, and
-    raises ``SetupError`` at the first resource that breaks it.
+    raises ``SetupError`` at the first resource that breaks it.  It copies a
+    writeable array; ``from_instance`` keeps the instance's read-only ones.
     """
 
     unit_costs: np.ndarray

@@ -87,9 +87,13 @@ def build_schedule(setup: MarketSetup) -> PricingSchedule:
     The threshold of resource ``c`` is ``1 / (1 + ln(S / (floor_c - q_c)))``
     where ``S`` is the total price-cap headroom ``sum_c (cap_c - q_c)``.  The
     ``MarketSetup`` constructor has already checked the band, and its
-    inequalities guarantee every threshold lies in (0, 1].
+    inequalities guarantee every threshold lies in (0, 1].  The headroom sum
+    and the logarithm run in numpy, the rest as the same float arithmetic on
+    plain floats.
     """
-    spread = float(np.sum(setup.price_caps - setup.unit_costs))
-    gaps = setup.price_floors - setup.unit_costs
-    thresholds = 1.0 / (1.0 + np.log(spread / gaps))
-    return PricingSchedule(setup, thresholds, float(np.max(1.0 / thresholds)))
+    spread = float((setup.price_caps - setup.unit_costs).sum())
+    logs = np.log(spread / (setup.price_floors - setup.unit_costs)).tolist()
+    thresholds = [1.0 / (1.0 + x) for x in logs]
+    frozen = np.array(thresholds)
+    frozen.setflags(write=False)  # the schedule keeps it
+    return PricingSchedule(setup, frozen, max([1.0 / w for w in thresholds]))

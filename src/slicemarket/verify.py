@@ -4,8 +4,8 @@ Each suite returns human-readable violation strings; an empty list means the
 checked property held everywhere.  The session suite drives full protocol
 runs over randomized workloads.  For each run, ``check_session`` counts the
 violations of every invariant family over the columns of the session's
-transcript (array comparisons on the prices, plain loops over its outcome and
-charge lists): capacity safety, price monotonicity and floors, dual
+transcript (array comparisons on the prices, one plain loop over its outcome
+and charge lists): capacity safety, price monotonicity and floors, dual
 feasibility, the welfare accounting identity, refund bookkeeping and the
 value ranges of the transcript schema.
 
@@ -53,26 +53,33 @@ def check_session(instance, order) -> dict[str, int]:
     outcomes, charges = transcript.outcomes, transcript.charges
     # one row per quote, then the final prices
     prices = np.array(transcript.quotes + [ledger.prices], dtype=float)
-    # the SUCC charges summed in arrival order, as the revenue was
-    booked = sum([charge for charge, outcome in zip(charges, outcomes) if outcome == SUCC], 0.0)
+    # one pass over the charge and outcome columns.  The SUCC charges are
+    # added left to right in arrival order, as the revenue was; the builtin
+    # sum() compensates a float sum from Python 3.12 on, so it is spelled out
+    booked, negative, unknown = 0.0, 0, 0
+    for charge, outcome in zip(charges, outcomes):
+        if outcome == SUCC:
+            booked += charge
+        # the wire schema's ranges; a SKIP renders its charge as 0
+        if charge < 0 and outcome != SKIP:
+            negative += 1
+        if outcome not in (SUCC, FAIL, SKIP):
+            unknown += 1
     welfare = social_welfare(setup, instance, result.allocation)
     operator, tenant_utils = utilities(setup, instance, result.allocation, result.payments)
-    # each tenant's dual surplus against its utility at the final prices
-    slacks = result.surpluses - (instance.valuations - instance.demands @ ledger.prices)
+    # each tenant's dual surplus against its utility at the final prices, the last row
+    slacks = result.surpluses - (instance.valuations - instance.demands @ prices[-1])
     count = np.count_nonzero
     counts = {
         "capacity": sum(not 0 <= y <= CAPACITY for y in ledger.utilization),
-        "monotonicity": count((np.diff(prices, axis=0) < 0).any(axis=1)),
+        "monotonicity": count((prices[1:] < prices[:-1]).any(axis=1)),
         # every quoted price, the final ones included, against its resource's floor
         "price floor": count(prices < setup.price_floors),
         "dual feasibility": count(slacks < -DUAL_TOL),
         "accounting": int(abs(welfare - (operator + tenant_utils.sum())) > ACCOUNTING_TOL),
         "refund": int(abs(ledger.revenue - booked) > ACCOUNTING_TOL)
         + int(abs(ledger.revenue - float(result.payments.sum())) > ACCOUNTING_TOL),
-        # the transcript's ranges of the wire schema; a SKIP renders its charge as 0
-        "transcript schema": count(prices[:-1] < 0)
-        + sum(charge < 0 and outcome != SKIP for charge, outcome in zip(charges, outcomes))
-        + sum(outcome not in (SUCC, FAIL, SKIP) for outcome in outcomes),
+        "transcript schema": count(prices[:-1] < 0) + negative + unknown,
     }
     return {family: k for family, k in counts.items() if k}
 

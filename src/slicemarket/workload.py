@@ -11,6 +11,7 @@ accept/reject decision and welfare ratio unchanged.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -141,9 +142,11 @@ class Instance:
 
     The constructor is the one place tenant and market numbers are checked:
     there is at least one resource, every value is finite and every demand
-    and valuation non-negative, else ``WorkloadError``.  Each array is a
-    private read-only copy.  Market-level rules (bands, costs, bundle floors)
-    are :func:`validate_instance`'s.
+    and valuation non-negative, else ``WorkloadError``.  Each array is
+    read-only: a writeable one is copied, and one the caller has frozen, as
+    :func:`generate_instance` freezes its fresh arrays, is kept as it is.
+    Market-level rules (bands, costs, bundle floors) are
+    :func:`validate_instance`'s.
     """
 
     demands: np.ndarray  # (tenants, resources)
@@ -367,6 +370,17 @@ def _sample_demands(config: GenConfig, rng: np.random.Generator) -> np.ndarray:
     return demands
 
 
+@functools.lru_cache(maxsize=64)
+def _tier_weights(decay: float, tiers: int) -> np.ndarray:
+    """The multinomial weights of a ``tiers``-tier pyramid, ``decay**k`` for
+    ``k = 1..tiers`` over their sum.  Computed once per ``(decay, tiers)`` and
+    shared by every later draw, so the array is read-only."""
+    powers = decay ** np.arange(1, tiers + 1)
+    weights = powers / powers.sum()
+    weights.setflags(write=False)
+    return weights
+
+
 def _sample_tenants(
     config: GenConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -407,16 +421,14 @@ def _sample_tenants(
 
     # one multinomial per top tier, in ascending tier order and tenant order
     # within a tier: a stable sort by top tier makes each tier's tenants one
-    # slice, scattered back afterwards; a prefix of the decay powers is bit
-    # for bit the power vector of that tier
-    decay = TIER_DECAY ** np.arange(1, int(top_tiers.max()) + 1)
+    # slice, scattered back afterwards
     by_tier = np.argsort(top_tiers, kind="stable")
     grouped_paying = paying[by_tier]
-    grouped = np.zeros((n, decay.size), dtype=np.int64)
+    grouped = np.zeros((n, int(top_tiers.max())), dtype=np.int64)
     start = 0
     for tiers, size in enumerate(np.bincount(top_tiers).tolist()):
         if size:
-            weights = decay[:tiers] / decay[:tiers].sum()
+            weights = _tier_weights(TIER_DECAY, tiers)
             grouped[start : start + size, :tiers] = rng.multinomial(grouped_paying[start : start + size], weights)
             start += size
     tier_counts = np.empty_like(grouped)
@@ -466,6 +478,9 @@ def generate_instance(config: GenConfig) -> Instance:
     lo, hi = config.unit_cost_range
     unit_costs = floors * rng.uniform(lo, hi, size=config.resource_count)
 
+    # nothing else holds these arrays: frozen here, the Instance keeps them
+    for array in (demands, valuations, floors, caps, unit_costs):
+        array.setflags(write=False)
     instance = Instance(
         demands=demands,
         valuations=valuations,

@@ -305,6 +305,37 @@ def test_grouped_multinomial_draws_in_tier_then_tenant_order(monkeypatch):
     assert (np.diff(highest) < 0).any()  # the tiers interleave in tenant order
 
 
+def test_tier_weight_cache_follows_the_constants_read_at_call_time(monkeypatch):
+    # one process draws with the default decay, then with a patched decay and
+    # tier range: weights cached for one decay must never serve another
+    config = GenConfig(tenant_count=60, seed=21)
+    draws = []
+    for patch in ({}, {"TIER_DECAY": 0.7}, {"TOP_TIER_RANGE": (1.0, 9.0)}):
+        for name, value in patch.items():
+            monkeypatch.setattr(workload, name, value)
+        got = workload._sample_tenants(config, np.random.default_rng(config.seed))
+        raw, want = _reference_sample_tenants(config, np.random.default_rng(config.seed))
+        assert repr(_records(got)) == repr(want)
+        draws.append(got[2])
+    assert workload.TIER_DECAY == 0.7 and draws[1].shape[1] <= 6 < draws[2].shape[1]
+    assert draws[0].tobytes() != draws[1].tobytes()  # the decay reaches the draw
+
+
+@pytest.mark.parametrize("decay", [0.5, 0.7, 0.8])
+def test_tier_weights_are_the_prefix_of_the_decay_powers(decay):
+    # the weights as the grouped pass computed them before the cache: a prefix
+    # of the powers up to the highest top tier, over its own sum
+    powers = decay ** np.arange(1, 10)
+    for tiers in range(1, 10):
+        weights = workload._tier_weights(decay, tiers)
+        want = powers[:tiers] / powers[:tiers].sum()
+        assert (weights.dtype, weights.tobytes()) == (want.dtype, want.tobytes())
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+        assert workload._tier_weights(decay, tiers) is weights
+
+
 def _doctored(rng: np.random.Generator) -> Instance:
     """A generated market with its band, costs and valuations knocked about."""
     config = _random_config(rng)

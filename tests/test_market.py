@@ -12,12 +12,14 @@ from slicemarket.market import (
     MarketSetup,
     PaymentError,
     SetupError,
+    _readonly,
     conjugate,
     social_welfare,
     utilities,
 )
 
-from slicemarket.workload import Instance
+from slicemarket.verify import _random_config
+from slicemarket.workload import Instance, generate_instance
 
 from conftest import manual_instance, random_setup
 
@@ -280,3 +282,65 @@ class TestMarketSetup:
     def test_random_setups_validate(self, rng):
         for _ in range(50):
             random_setup(rng)
+
+    def test_constructor_copies_the_callers_arrays(self):
+        costs, floors, caps = np.array([0.5, 0.4]), np.array([1.0, 2.0]), np.array([2.0, 3.0])
+        view = floors[:]  # read-only, but a view of the caller's writeable array
+        view.setflags(write=False)
+        for given in ((costs, floors, caps), (costs, view, caps)):
+            setup = MarketSetup(*given)
+            kept = (setup.unit_costs, setup.price_floors, setup.price_caps)
+            for mine, theirs in zip(given, kept):
+                assert not theirs.flags.writeable
+                assert not np.shares_memory(mine, theirs)
+        floors[0] = 0.3
+        assert setup.price_floors.tolist() == [1.0, 2.0]
+
+    def test_from_instance_keeps_the_instances_read_only_arrays(self, rng):
+        for _ in range(40):
+            inst = generate_instance(_random_config(rng))
+            for name in ("demands", "valuations", "price_floors", "price_caps", "unit_costs"):
+                assert not getattr(inst, name).flags.writeable, name
+            setup = MarketSetup.from_instance(inst)
+            assert setup.unit_costs is inst.unit_costs
+            assert setup.price_floors is inst.price_floors
+            assert setup.price_caps is inst.price_caps
+
+
+def _reference_readonly(array, dtype=float):
+    """``market._readonly`` as it was: a private read-only copy of anything."""
+    array = np.array(array, dtype=dtype, order="C")
+    array.setflags(write=False)
+    return array
+
+
+def _frozen(array):
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize(
+    "make, dtype, kept",
+    [
+        (lambda: [0.5, 1.5], float, False),
+        (lambda: np.arange(6.0).reshape(2, 3), float, False),
+        (lambda: _frozen(np.arange(6.0).reshape(2, 3).copy()), float, True),
+        (lambda: _frozen(np.arange(6.0).reshape(2, 3))[:, 1:], float, False),  # a view
+        (lambda: _frozen(np.asfortranarray(np.arange(6.0).reshape(2, 3))), float, False),
+        (lambda: _frozen(np.arange(6, dtype=np.float32)), float, False),
+        (lambda: _frozen(np.arange(6)), float, False),
+        (lambda: _frozen(np.arange(6.0).astype(">f8")), float, False),
+        (lambda: _frozen(np.array([True, False])), bool, True),
+        (lambda: _frozen(np.array([1.0, 0.0])), bool, False),
+        (lambda: np.array([True, False]), bool, False),
+    ],
+)
+def test_readonly_matches_the_copying_reference(make, dtype, kept):
+    given = make()
+    got, want = _readonly(given, dtype), _reference_readonly(make(), dtype)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert not got.flags.writeable and got.flags.c_contiguous
+    # only an array that is already frozen and owns its memory is kept
+    assert (got is given) == kept
+    if not kept and isinstance(given, np.ndarray):
+        assert not np.shares_memory(got, given)

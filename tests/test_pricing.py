@@ -8,7 +8,9 @@ import pytest
 
 from slicemarket.baselines import MyopicPricing
 from slicemarket.market import CAPACITY, MarketSetup, SetupError
-from slicemarket.pricing import build_schedule
+from slicemarket.pricing import PricingSchedule, build_schedule
+from slicemarket.verify import _random_config
+from slicemarket.workload import generate_instance
 
 from conftest import random_setup
 
@@ -21,6 +23,28 @@ def high_precision_threshold(costs, floors, caps, c):
         spread = mpmath.fsum(mpmath.mpf(hi) - mpmath.mpf(q) for hi, q in zip(caps, costs))
         gap = mpmath.mpf(floors[c]) - mpmath.mpf(costs[c])
         return float(1 / (1 + mpmath.log(spread / gap)))
+
+
+def _reference_build_schedule(setup):
+    """``build_schedule`` as it was: every step an array operation."""
+    spread = float(np.sum(setup.price_caps - setup.unit_costs))
+    gaps = setup.price_floors - setup.unit_costs
+    thresholds = 1.0 / (1.0 + np.log(spread / gaps))
+    return PricingSchedule(setup, thresholds, float(np.max(1.0 / thresholds)))
+
+
+def _assert_same_schedule(got, want):
+    assert (got.thresholds.dtype, got.thresholds.tobytes()) == (want.thresholds.dtype, want.thresholds.tobytes())
+    assert type(got.ratio) is float and np.float64(got.ratio).tobytes() == np.float64(want.ratio).tobytes()
+    assert got.setup is want.setup
+    assert not got.thresholds.flags.writeable
+
+
+def test_build_schedule_matches_the_reference(rng):
+    setups = [E1, E2] + [random_setup(rng, c) for c in range(1, 13) for _ in range(40)]
+    setups += [MarketSetup.from_instance(generate_instance(_random_config(rng))) for _ in range(200)]
+    for setup in setups:
+        _assert_same_schedule(build_schedule(setup), _reference_build_schedule(setup))
 
 
 class TestBuildSchedule:

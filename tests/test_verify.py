@@ -6,6 +6,7 @@ arrays and ``rng.choice``; the current ones must give the same counts and
 the same configs.
 """
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -202,6 +203,38 @@ def test_check_session_reports_a_doctored_session(monkeypatch, family, doctor):
 
     monkeypatch.setattr(verify, "run_session", doctored_session)
     assert verify.check_session(instance, order) == IMPLIED.get(family, {family: 1})
+
+
+#: Added left to right these charges sum to 0.0 (1e16 swallows the rest);
+#: exactly, or compensated as the builtin sum() adds floats from Python 3.12
+#: on, they sum to 2.0.
+LOSSY_CHARGES = [0.1] * 10 + [1e16, 1.0, -1e16]
+
+
+def test_check_session_books_the_charges_left_to_right(monkeypatch):
+    assert math.fsum(LOSSY_CHARGES) == 2.0
+    booked = 0.0
+    for charge in LOSSY_CHARGES:
+        booked += charge
+    assert booked == 0.0
+
+    def lossy_session(*args):
+        # the first arrivals sold at the lossy charges, the rest skipped, and a
+        # revenue booked as the engine books it, left to right
+        result = protocol.run_session(*args)
+        transcript, k = result.ledger.transcript, len(LOSSY_CHARGES)
+        transcript.outcomes[:] = [SUCC] * k + [SKIP] * (len(transcript.outcomes) - k)
+        transcript.charges[:k] = LOSSY_CHARGES
+        result.ledger.revenue = booked
+        return result
+
+    monkeypatch.setattr(verify, "run_session", lossy_session)
+    instance = generate_instance(GenConfig(tenant_count=TENANTS, resource_count=2, seed=3))
+    # the booked charges match the revenue; the session's own payments do not,
+    # and the SUCC at -1e16 is off the wire schema.  A compensated sum of the
+    # charges would miss the revenue by 2.0 and count a second refund.
+    want = {"refund": 1, "transcript schema": 1}
+    assert verify.check_session(instance, np.arange(instance.tenant_count)) == want
 
 
 @pytest.mark.parametrize(
