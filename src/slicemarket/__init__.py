@@ -21,7 +21,6 @@ from .baselines import (
 from .harness import ExperimentSpec, SummaryRow, TrialMetrics, aggregate, emit, run_trials
 from .market import (
     CAPACITY,
-    FEASIBILITY_EPS,
     Allocation,
     InfeasibleAllocationError,
     MarketError,

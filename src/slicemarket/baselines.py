@@ -14,13 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import CAPACITY, FEASIBILITY_EPS, MarketSetup, SetupError
+from .market import CAPACITY, MarketSetup, SetupError, _reorder_factor
 from .oracle import _densities, _viable, adjusted_profits
 from .protocol import SessionResult, arrival_order, run_session
 from .workload import _is_int
-
-_EPS = np.finfo(float).eps
-
 
 # ---------------------------------------------------------------------------
 # genetic heuristic
@@ -62,15 +59,10 @@ def _population_repair(demands: np.ndarray, density: np.ndarray):
     those whose demands on the overfull resources sum above zero.  ``density``
     must hold no NaN.
 
-    A screen clears, in one product, every row it can prove is feasible.  The
-    repair's own per-row product (a gemv) and the screen's batched one (a
-    gemm) may round a row's utilization differently in the last bits, so the
-    screen tests an upper bound instead: in any summation order a sum of
-    ``m`` terms lies within ``gamma * sum|d|`` of the exact sum, with
-    ``gamma = m*eps/(1 - m*eps)``, so both products are at most
-    ``(rows @ |demands|) * (1+gamma)/(1-gamma)``.  ``eps`` is machine
-    epsilon, twice the unit roundoff, which also covers the rounding of the
-    bound itself.
+    A row is feasible while its own product (a gemv) keeps each resource at
+    most ``CAPACITY``.  A screen first clears, in one batched product (a
+    gemm) over ``|demands|``, each row whose sum times ``_reorder_factor(m)``
+    is below ``CAPACITY``, since the gemv's own order can read no higher.
 
     The rows the screen cannot clear (overfull, near capacity or non-finite)
     start from their own gemv and then drop one item each per step, all
@@ -80,9 +72,7 @@ def _population_repair(demands: np.ndarray, density: np.ndarray):
     demands, is computed once per set met.
     """
     m, resources = demands.shape
-    limit = CAPACITY + FEASIBILITY_EPS
-    gamma = m * _EPS / (1 - m * _EPS)
-    factor = (1 + gamma) / (1 - gamma)
+    factor = _reorder_factor(m)
     magnitude = np.abs(demands)
     rank = np.argsort(density, kind="stable")
     ranked_demands = demands[rank]
@@ -91,7 +81,7 @@ def _population_repair(demands: np.ndarray, density: np.ndarray):
 
     def repair(rows: np.ndarray) -> None:
         cast = rows.astype(float)
-        cleared = (cast @ magnitude) * factor < limit
+        cleared = (cast @ magnitude) * factor < CAPACITY
         if cleared.all():
             return
         failing = np.flatnonzero(~cleared.all(axis=1))
@@ -100,7 +90,7 @@ def _population_repair(demands: np.ndarray, density: np.ndarray):
         utilization = (cast[failing][:, None] @ demands)[:, 0]
         selected = rows[failing][:, rank]
         while True:
-            overfull = utilization > limit
+            overfull = utilization > CAPACITY
             live = np.flatnonzero(overfull.any(axis=1))
             if not len(live):
                 break
@@ -231,16 +221,16 @@ def ga_heuristic(instance, params: GaParams | None = None, seed: int = 0) -> tup
 # first-fit scan, shared by the auction and random slicing
 
 
-def _first_fit(rows: np.ndarray, limit: float) -> list[int]:
+def _first_fit(rows: np.ndarray) -> list[int]:
     """The positions of the demand rows, an (arrivals, resources) array in
     scan order, that keep every resource's running utilization, summed in
-    booking order on plain floats, at most ``limit``.  The rows are read as
-    the session engine reads them: one list per resource, zipped."""
+    booking order on plain floats, at most ``CAPACITY``.  The rows are read
+    as the session engine reads them: one list per resource, zipped."""
     utilization = [0.0] * rows.shape[1]
     booked = []
     for position, row in enumerate(zip(*rows.T.tolist())):
         grown = list(map(add, utilization, row))
-        if max(grown) <= limit:
+        if max(grown) <= CAPACITY:
             utilization = grown
             booked.append(position)
     return booked
@@ -281,11 +271,10 @@ def utility_bid_auction(instance) -> AuctionResult:
     """
     n = instance.tenant_count
     profits, candidates = _viable(instance)
-    limit = CAPACITY + FEASIBILITY_EPS
     order = candidates[np.argsort(-profits[candidates], kind="stable")]
     scanned = instance.demands.take(order, axis=0)
     won = np.zeros(len(order), dtype=bool)
-    won[_first_fit(scanned, limit)] = True
+    won[_first_fit(scanned)] = True
     winners = order[won]
     accepted = np.zeros(n, dtype=bool)
     accepted[winners] = True
@@ -302,7 +291,7 @@ def utility_bid_auction(instance) -> AuctionResult:
     hi = np.full(len(loser_demands), rounds)
     while (active := lo < hi).any():
         mid = np.where(active, (lo + hi) // 2, 0)
-        fits = (history[mid] + loser_demands <= limit).all(axis=1)
+        fits = (history[mid] + loser_demands <= CAPACITY).all(axis=1)
         lo = np.where(active & fits, mid + 1, lo)
         hi = np.where(active & ~fits, mid, hi)
     bids += int(lo.sum())
@@ -371,7 +360,7 @@ def random_slicing(instance, order: Sequence[int] | None = None, seed: int = 0) 
     # one draw for every coin is the stream of one draw per arrival
     coins = rng.integers(0, 2, size=n).astype(bool)
     tenants = order[coins]
-    booked = tenants[_first_fit(instance.demands.take(tenants, axis=0), CAPACITY)]
+    booked = tenants[_first_fit(instance.demands.take(tenants, axis=0))]
     accepted = np.zeros(n, dtype=bool)
     accepted[booked] = True
     return float(adjusted_profits(instance)[accepted].sum()), accepted

@@ -6,12 +6,11 @@ module holds the market setup, the allocation and its capacity check, the
 conjugate of the linear cost, and the welfare accounting that every
 algorithm in the package shares.
 
-``Allocation.from_decisions``, the one way to build an allocation, sums its
-utilization once, refuses one over ``CAPACITY`` + ``FEASIBILITY_EPS`` and
-keeps the instance's demand matrix; the welfare accounting checks that matrix
-by identity instead of summing again.  Every number is finite: the
-``workload.Instance`` constructor checks an instance's, and the
-``MarketSetup`` constructor a setup's band, so a setup that exists is valid.
+Every algorithm books a set only while its own sum stays within ``CAPACITY``.
+``Allocation.from_decisions``, the one way to build an allocation, sums it once
+more, refuses a utilization past ``CAPACITY * _reorder_factor(N)`` and keeps
+the instance's demand matrix, which the welfare accounting checks by identity.
+``workload.Instance`` and ``MarketSetup`` check that every number is finite.
 """
 
 from __future__ import annotations
@@ -22,7 +21,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CAPACITY = 1.0
-FEASIBILITY_EPS = 1e-9
+_EPS = np.finfo(float).eps
+
+
+def _reorder_factor(terms: int) -> float:
+    """``(1+γ)/(1-γ)``, ``γ = terms·ε/(1 - terms·ε)``: the factor by which a sum
+    of ``terms`` nonnegative floats can read more in one order than in another.
+
+    Any order's sum of m terms is within ``γ_m·S`` of the exact sum ``S``, with
+    ``γ_m = m·u/(1 - m·u)``, ``u`` the unit roundoff (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, §3.1).  ``ε = 2u``, so ``γ`` tops
+    ``γ_m`` and the rounding of the factor.  A set one order keeps within
+    ``CAPACITY`` has ``S <= CAPACITY/(1-γ)``, so it reads at most ``CAPACITY``
+    times the factor in any other.  Branch-and-bound takes an item only while
+    ``r >= d``; each ``r - d`` rounds by at most ``u·CAPACITY``, so m takes
+    keep ``S <= CAPACITY·(1 + m·u)``, below ``CAPACITY/(1-γ)``.
+    """
+    gamma = terms * _EPS / (1 - terms * _EPS)
+    return (1 + gamma) / (1 - gamma)
 
 
 class MarketError(Exception):
@@ -36,13 +52,11 @@ class SetupError(MarketError):
 class InfeasibleAllocationError(MarketError):
     """An allocation exceeds the capacity of at least one resource."""
 
-    def __init__(self, resource: int, utilization: float):
+    def __init__(self, resource: int, utilization: float, bound: float):
         self.resource = resource
         self.utilization = utilization
-        super().__init__(
-            f"resource {resource} over capacity: utilization {utilization!r} "
-            f"exceeds {CAPACITY} + {FEASIBILITY_EPS}"
-        )
+        self.bound = bound
+        super().__init__(f"resource {resource} over capacity: utilization {utilization!r} exceeds the bound {bound!r}")
 
 
 class PaymentError(MarketError):
@@ -132,9 +146,10 @@ class Allocation:
             raise MarketError(f"decision vector has shape {accepted.shape}, expected ({instance.tenant_count},)")
         utilization = accepted.astype(float) @ instance.demands
         # demands are finite and non-negative: only an overfull resource (or an overflow) fails
+        bound = CAPACITY * _reorder_factor(instance.tenant_count)
         for c, y in enumerate(utilization.tolist()):
-            if y > CAPACITY + FEASIBILITY_EPS:
-                raise InfeasibleAllocationError(c, y)
+            if y > bound:
+                raise InfeasibleAllocationError(c, y, bound)
         utilization.setflags(write=False)
         allocation = object.__new__(cls)
         allocation.__dict__.update(accepted=accepted, utilization=utilization, demands=instance.demands)

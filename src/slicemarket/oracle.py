@@ -46,11 +46,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
-from operator import mul
 
 import numpy as np
 
-from .market import CAPACITY, FEASIBILITY_EPS, MarketError
+from .market import CAPACITY, MarketError
 from .workload import _is_int
 
 EXHAUSTIVE_LIMIT = 25
@@ -86,7 +85,7 @@ def _viable(instance) -> tuple[np.ndarray, np.ndarray]:
     """Every tenant's adjusted profit, and the indices of the viable tenants:
     a positive profit and a demand that fits an empty market."""
     profits = adjusted_profits(instance)
-    viable = (profits > 0) & (instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
+    viable = (profits > 0) & (instance.demands <= CAPACITY).all(axis=1)
     return profits, np.flatnonzero(viable)
 
 
@@ -111,7 +110,7 @@ def _exhaustive(profits: np.ndarray, demands: np.ndarray) -> tuple[float, np.nda
         hi = min(lo + _EXHAUSTIVE_CHUNK, 1 << m)
         codes = np.arange(lo, hi, dtype=np.int64)
         bits = ((codes[:, None] >> positions) & 1).astype(float)
-        feasible = (bits @ demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
+        feasible = (bits @ demands <= CAPACITY).all(axis=1)
         values = bits @ profits
         values[~feasible] = -np.inf
         k = int(np.argmax(values))
@@ -131,9 +130,11 @@ def _branch_and_bound(
     constraint's relaxation.  Without ``weights`` the surrogate sums the C
     capacities: an item's size is its summed demand and a node's room the sum
     of its remaining capacities.  With nonnegative ``weights`` λ an item's
-    size is ``demand @ λ`` and a node's room ``Σ_c λ_c (r_c + FEASIBILITY_EPS)``:
-    a take may leave ``r_c`` as low as ``-FEASIBILITY_EPS``, so every set of
-    takes below the node fits that room and the bound prunes no optimum.
+    size is ``demand @ λ`` and a node's room ``Σ_c λ_c r_c``.  Rooms add left
+    to right (unweighted, ``1.0 * r_c`` is ``r_c``), as ``sum()`` does not
+    from Python 3.12 on.  An item is taken only while each ``r_c`` is at
+    least its demand, so the takes below a node exceed its room by rounding
+    alone (``market._reorder_factor``).
 
     The search visits a take child as soon as it is built and stacks only the
     skip branch; each node carries its room, computed once with its remaining
@@ -142,17 +143,8 @@ def _branch_and_bound(
     sums run in numpy; the per-node work runs on Python lists and floats.
     """
     m, resources = demands.shape
-    if weights is None:
-        aggregate = demands.sum(axis=1)
-        room_of = sum
-    else:
-        aggregate = demands @ weights
-        weight_list = weights.tolist()
-        slack = FEASIBILITY_EPS * sum(weight_list)
-
-        def room_of(remaining: list[float]) -> float:
-            return sum(map(mul, weight_list, remaining)) + slack
-
+    aggregate = demands.sum(axis=1) if weights is None else demands @ weights
+    weight_list = [1.0] * resources if weights is None else weights.tolist()
     density = _densities(profits, aggregate)
     order = np.argsort(-density, kind="stable")
     density = density[order]
@@ -170,7 +162,9 @@ def _branch_and_bound(
     exhausted = False
     depth, value, mask = 0, 0.0, 0
     remaining = [CAPACITY] * resources
-    room = room_of(remaining)
+    room = 0.0
+    for w in weight_list:
+        room += w * CAPACITY
     stack: list[tuple[int, float, list[float], float, int]] = []
     while True:
         if nodes == node_budget:
@@ -195,15 +189,17 @@ def _branch_and_bound(
                     tail += leftover * density[t]
             if value + tail > cutoff:
                 taken = []
-                for r, d in zip(remaining, rows[depth]):
-                    if r + FEASIBILITY_EPS < d:
+                taken_room = 0.0
+                for r, d, w in zip(remaining, rows[depth], weight_list):
+                    if r < d:
                         break
                     taken.append(r - d)
+                    taken_room += w * (r - d)
                 else:
                     stack.append((depth + 1, value, remaining, room, mask))
                     value += profit_list[depth]
                     remaining = taken
-                    room = room_of(taken)
+                    room = taken_room
                     mask |= 1 << depth
                 # visit the take child, or the skip child when the item does not fit
                 depth += 1

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from slicemarket.baselines import AuctionResult, _first_fit, utility_bid_auction
-from slicemarket.market import CAPACITY, FEASIBILITY_EPS
+from slicemarket.market import CAPACITY
 from slicemarket.oracle import adjusted_profits
 from slicemarket.workload import GenConfig, Instance, generate_instance
 
-LIMIT = CAPACITY + FEASIBILITY_EPS
+LIMIT = CAPACITY
 
 
 def _reference_auction(instance) -> AuctionResult:
@@ -31,7 +31,7 @@ def _reference_auction(instance) -> AuctionResult:
     rounds = 0
     bids = 0
     while True:
-        fits = (utilization + instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
+        fits = (utilization + instance.demands <= LIMIT).all(axis=1)
         bidders = ~accepted & (profits > 0) & fits
         if not bidders.any():
             break
@@ -83,10 +83,10 @@ def test_generated_markets(resources, mean_share):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_quantised_markets_with_ties_and_exact_capacity_hits(seed):
-    # demands on a 1/8 grid plus exact complements ``LIMIT - k/8`` (Sterbenz:
-    # the subtraction and the refilling sum are exact), integer valuations and
-    # quarter unit costs: profits tie often, and utilization lands exactly on
-    # CAPACITY + FEASIBILITY_EPS
+    # demands on a 1/8 grid, weighted further towards the complements
+    # ``LIMIT - k/8`` of its small steps, integer valuations and quarter unit
+    # costs: every sum is exact, profits tie often, and utilization lands
+    # exactly on LIMIT
     rng = np.random.default_rng(seed)
     n, c = int(rng.integers(1, 40)), int(rng.integers(1, 5))
     grid = np.arange(9) / 8
@@ -110,8 +110,10 @@ def test_exact_capacity_hit_is_accepted():
 def test_loser_bids_counted_with_the_rounds_own_predicate():
     # ``a + d <= LIMIT`` holds in floats while ``a <= LIMIT - d`` does not, so
     # the loser fits the pre-round utilization ``a``: a bisection on the
-    # subtracted form would miss that bid
-    a, d = 0.582, 0.4180000010000002
+    # subtracted form would miss that bid.  ``a`` is one ulp past the grid
+    # point 1/4, so ``a + d`` is 1 + 2**-54, which rounds to 1.0 (ties to
+    # even), while ``LIMIT - d`` is 1/4 exactly
+    a, d = float(np.nextafter(0.25, 1.0)), 0.75
     assert a + d <= LIMIT and not a <= LIMIT - d
     inst = plain_instance([[a], [0.1], [d]], [3.0, 2.0, 1.0], [0.0])
     want = assert_same_auction(inst)
@@ -128,7 +130,7 @@ def test_zero_and_negative_profit_tenants_never_bid():
 
 
 def test_tenants_too_large_for_an_empty_market():
-    # positive profit but a demand past CAPACITY + FEASIBILITY_EPS: no bid ever
+    # positive profit but a demand one ulp past LIMIT: no bid ever
     too_large = np.nextafter(LIMIT, np.inf)
     inst = plain_instance([[too_large, 0.0], [0.5, 0.5], [0.1, 2.0], [0.6, 0.1]], [5.0, 1.0, 4.0, 0.9], [0.0, 0.0])
     want = assert_same_auction(inst)
@@ -166,9 +168,9 @@ def _reference_first_fit(rows: list[list[float]], limit: float) -> list[int]:
     return booked
 
 
-def assert_same_first_fit(rows: np.ndarray, limit: float) -> list[int]:
-    got = _first_fit(rows, limit)
-    want = _reference_first_fit(rows.tolist(), limit)
+def assert_same_first_fit(rows: np.ndarray) -> list[int]:
+    got = _first_fit(rows)
+    want = _reference_first_fit(rows.tolist(), LIMIT)
     assert type(got) is list and all(type(position) is int for position in got)
     assert got == want
     return want
@@ -177,29 +179,27 @@ def assert_same_first_fit(rows: np.ndarray, limit: float) -> list[int]:
 @pytest.mark.parametrize("resources", [1, 2, 3, 9])
 def test_first_fit_on_random_rows(resources):
     # row means from 0.01 to 0.5 of capacity: from everyone booked to most
-    # rows turned away, at both limits the engines pass
+    # rows turned away
     rng = np.random.default_rng(700 + resources)
     for _ in range(30):
         rows = rng.uniform(0.0, 2 * float(rng.choice([0.01, 0.1, 0.5])), (int(rng.integers(1, 300)), resources))
         rows[rng.random(rows.shape) < 0.2] = 0.0
-        for limit in (CAPACITY, LIMIT):
-            assert_same_first_fit(rows, limit)
+        assert_same_first_fit(rows)
 
 
 @pytest.mark.parametrize("resources", [1, 3])
 def test_first_fit_without_rows(resources):
-    assert assert_same_first_fit(np.zeros((0, resources)), CAPACITY) == []
+    assert assert_same_first_fit(np.zeros((0, resources))) == []
 
 
-@pytest.mark.parametrize("limit", [CAPACITY, LIMIT])
-def test_first_fit_rows_that_land_on_the_limit(limit):
-    # quarters and their exact complement ``limit - 3/4``: the running sums
+def test_first_fit_rows_that_land_on_the_limit():
+    # quarters and their exact complement ``LIMIT - 3/4``: the running sums
     # are exact, so utilization lands on the limit and the row still books;
     # a row past it, by one ulp, does not
     rng = np.random.default_rng(710)
     for resources in (1, 2, 3):
         for _ in range(20):
-            rows = rng.choice([0.0, 0.25, limit - 0.75], size=(int(rng.integers(1, 12)), resources))
-            assert_same_first_fit(rows, limit)
-    rows = np.array([[0.75], [limit - 0.75], [0.0], [np.nextafter(limit, 2.0) - limit]])
-    assert assert_same_first_fit(rows, limit) == [0, 1, 2]
+            rows = rng.choice([0.0, 0.25, LIMIT - 0.75], size=(int(rng.integers(1, 12)), resources))
+            assert_same_first_fit(rows)
+    rows = np.array([[0.75], [LIMIT - 0.75], [0.0], [np.nextafter(LIMIT, 2.0) - LIMIT]])
+    assert assert_same_first_fit(rows) == [0, 1, 2]

@@ -4,9 +4,11 @@
 search as it was first written, with numpy scalars, ``np.searchsorted`` and a
 mask packed over the viable item indices.  ``_list_branch_and_bound`` is the
 same search on Python lists and floats, which stacks both children of a node
-and sums its remaining capacities when it visits it.  The two references
-agree bit for bit.  Both check the node budget only at inner nodes, so a leaf
-can take them past it.
+and sums its remaining capacities when it visits it.  Both sum a node's
+remaining capacities left to right, as the builtin ``sum()`` did before
+Python 3.12 compensated float sums.  The two references agree bit for bit.
+Both check the node budget only at inner nodes, so a leaf can take them past
+it.
 
 ``oracle._branch_and_bound`` with no weights must return what they return,
 bit for bit (optimum, chosen items, node count, budget flag), wherever they
@@ -15,13 +17,16 @@ same order and stops at the budget.  With weights it is compared with
 exhaustive enumeration instead.
 """
 
+import math
 from bisect import bisect_right
+from functools import partial, reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
 
 from slicemarket import oracle
-from slicemarket.market import CAPACITY, FEASIBILITY_EPS
+from slicemarket.market import CAPACITY, Allocation
 from slicemarket.oracle import (
     _PROBE_NODES_PER_TENANT,
     DEFAULT_NODE_BUDGET,
@@ -34,6 +39,8 @@ from slicemarket.oracle import (
     offline_exact,
 )
 from slicemarket.workload import GenConfig, Instance, generate_instance
+
+_fold = partial(reduce, add)  # a left-to-right float sum on every Python version
 
 
 def _reference_fractional_tail(start: int, cap: float, prefix_p, prefix_a, dens, m: int) -> float:
@@ -87,13 +94,13 @@ def _reference_branch_and_bound(
         if nodes >= node_budget:
             exhausted = True
             break
-        cap = sum(remaining)
+        cap = _fold(remaining)
         bound = value + _reference_fractional_tail(depth, cap, prefix_p, prefix_a, density, m)
         if bound <= best_value + 1e-12 * max(1.0, abs(best_value)):
             continue
         stack.append((depth + 1, value, remaining, mask))
         row = rows[depth]
-        if all(r + FEASIBILITY_EPS >= d for r, d in zip(remaining, row)):
+        if all(r >= d for r, d in zip(remaining, row)):
             taken = tuple(r - d for r, d in zip(remaining, row))
             stack.append((depth + 1, value + profit_list[depth], taken, mask | (1 << depth)))
 
@@ -145,7 +152,7 @@ def _list_branch_and_bound(
             break
         # fractional fill of items depth.. within the summed remaining capacity;
         # bisect_right over the sorted, NaN-free prefix sums is searchsorted(side="right")
-        target = prefix_a[depth] + sum(remaining)
+        target = prefix_a[depth] + _fold(remaining)
         t = bisect_right(prefix_a, target) - 1
         if t >= m:
             tail = prefix_p[m] - prefix_p[depth]
@@ -159,7 +166,7 @@ def _list_branch_and_bound(
         stack.append((depth + 1, value, remaining, mask))
         row = rows[depth]
         for r, d in zip(remaining, row):
-            if r + FEASIBILITY_EPS < d:
+            if r < d:
                 break
         else:
             taken = [r - d for r, d in zip(remaining, row)]
@@ -202,7 +209,7 @@ def assert_same_search(profits, demands, node_budget: int = 10**9) -> tuple[floa
 def viable_items(instance) -> tuple[np.ndarray, np.ndarray]:
     """The profits and demands ``offline_exact`` hands to the search."""
     profits = adjusted_profits(instance)
-    viable = (profits > 0) & (instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
+    viable = (profits > 0) & (instance.demands <= CAPACITY).all(axis=1)
     return profits[viable], instance.demands[viable]
 
 
@@ -233,7 +240,7 @@ def test_overfull_markets(tenants, share, resources):
 def test_offline_exact_translates_the_mask_through_the_sort():
     instance = generate_instance(GenConfig(tenant_count=2000, resource_count=3, seed=7))
     profits = adjusted_profits(instance)
-    index = np.flatnonzero((profits > 0) & (instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1))
+    index = np.flatnonzero((profits > 0) & (instance.demands <= CAPACITY).all(axis=1))
     value, chosen, nodes, _ = assert_same_search(profits[index], instance.demands[index])
     result = offline_exact(instance)
     want = np.zeros(instance.tenant_count, dtype=bool)
@@ -285,15 +292,20 @@ def exact_fill_market() -> tuple[np.ndarray, np.ndarray]:
 
 
 def dipping_market(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Demands up to FEASIBILITY_EPS past a full resource still fit, so the
-    remaining capacity, and with it the fill target, can fall below zero;
-    tiny items after the big ones make the prefix sums nearly flat there."""
+    """Two items on a 1/8 grid leave an exact room ``r`` on one resource.
+    Three fills follow in density order: ``r`` plus one ulp of CAPACITY,
+    ``r`` minus one ulp, and ``r`` itself.  Every partial sum of these is a
+    float, so the sum of any order reads exactly.  The first fill would take
+    the remaining capacity below zero and is refused, the second leaves one
+    ulp, and nothing after it fits."""
     rng = np.random.default_rng(300 + seed)
-    half = 0.5 + rng.uniform(0.0, 0.49, size=2) * FEASIBILITY_EPS
-    tiny = rng.uniform(0.0, 0.3, size=4) * FEASIBILITY_EPS
+    big = rng.choice(np.arange(1, 4) / 8, size=2)
+    room = CAPACITY - big.sum()
+    up, down = np.nextafter(CAPACITY, 2.0) - CAPACITY, CAPACITY - np.nextafter(CAPACITY, 0.0)
+    fills = np.array([room + up, room - down, room])
     rest = rng.uniform(0.05, 0.4, size=4)
-    demands = np.concatenate((half, tiny, rest))[:, None]
-    profits = np.concatenate((2.0 * half, 1.5 * tiny, rng.uniform(0.01, 0.9, size=4) * rest))
+    demands = np.concatenate((big, fills, rest))[:, None]
+    profits = np.concatenate((4.0 * big, [2.2, 2.1, 2.0] * fills, rng.uniform(0.01, 0.9, size=4) * rest))
     return profits, demands
 
 
@@ -331,8 +343,10 @@ def test_root_fill_exactly_full():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_remaining_capacity_dips_below_zero(seed):
-    value, chosen, _, _ = assert_same_search(*dipping_market(seed))
-    assert chosen[:2].all()
+    profits, demands = dipping_market(seed)
+    value, chosen, _, _ = assert_same_search(profits, demands)
+    assert chosen.tolist() == [True, True, False, True, False] + [False] * 4
+    assert value == float(profits[chosen].sum())
 
 
 def dispersed(tenants: int, resources: int, share: float, seed: int) -> GenConfig:
@@ -383,7 +397,8 @@ def test_weighted_search_finds_the_exhaustive_optimum(family):
             assert not exhausted
             assert value == pytest.approx(optimum, rel=1e-12, abs=1e-15)
             assert value == pytest.approx(profits[chosen].sum(), rel=1e-12, abs=1e-15)
-            assert (demands[chosen].sum(axis=0) <= CAPACITY + 2 * FEASIBILITY_EPS).all()
+            ones = np.ones(resources)
+            Allocation.from_decisions(Instance(demands, profits, ones, 2 * ones, 0 * ones), chosen)
 
 
 def market_id(config: GenConfig) -> str:
@@ -410,7 +425,7 @@ def test_dispersed_markets_solve_exactly(config):
     m = len(viable_items(instance)[0])
     assert _PROBE_NODES_PER_TENANT * m < result.nodes_explored <= DEFAULT_NODE_BUDGET
     assert result.welfare == float(profits[result.accepted].sum())
-    assert (instance.demands[result.accepted].sum(axis=0) <= CAPACITY + FEASIBILITY_EPS).all()
+    Allocation.from_decisions(instance, result.accepted)  # raises when infeasible
     assert result.welfare <= lp_upper_bound(instance)
 
 
@@ -437,7 +452,7 @@ def test_one_resource_runs_the_probe_alone(monkeypatch):
     # answer, bit for bit, and solves no LP
     instance = generate_instance(dispersed(300, 1, 2.0, 1))
     profits = adjusted_profits(instance)
-    index = np.flatnonzero((profits > 0) & (instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1))
+    index = np.flatnonzero((profits > 0) & (instance.demands <= CAPACITY).all(axis=1))
     _, chosen, nodes, exhausted = _list_branch_and_bound(profits[index], instance.demands[index], DEFAULT_NODE_BUDGET)
     assert not exhausted and nodes > _PROBE_NODES_PER_TENANT * len(index)
     monkeypatch.setattr(oracle, "lp_relaxation", None)
@@ -468,6 +483,33 @@ def test_every_node_budget(seed):
         # the references check the budget after the leaf test, so a leaf
         # visited at the budget takes them one node past it
         assert overran == [19, 54, 62]
+
+
+@pytest.mark.parametrize(
+    "weighted, config", [(False, dispersed(40, 3, 1.0, 0)), (True, dispersed(100, 9, 1.0, 0))], ids=["summed", "weighted"]
+)
+def test_rooms_do_not_read_the_builtin_sum(weighted, config, monkeypatch):
+    """A node's room is a left-to-right fold, so patching the module's ``sum``
+    to ``math.fsum``, which like the builtin of Python 3.12 on compensates,
+    leaves the nodes and the result as they were.  On these markets the two
+    sums of the rooms along the first dive differ."""
+    profits, demands = viable_items(generate_instance(config))
+    lp = lp_weights(profits, demands) if weighted else None
+    weights = np.ones(demands.shape[1]) if lp is None else lp
+    remaining, differs = [CAPACITY] * demands.shape[1], 0
+    for row in demands[np.argsort(-profits / (demands @ weights), kind="stable")].tolist():
+        if any(r < d for r, d in zip(remaining, row)):
+            break
+        remaining = [r - d for r, d in zip(remaining, row)]
+        terms = list(map(mul, weights.tolist(), remaining))
+        differs += _fold(terms) != math.fsum(terms)
+    assert differs
+    search = (profits, demands, DEFAULT_NODE_BUDGET, lp)
+    value, chosen, nodes, exhausted = _branch_and_bound(*search)
+    monkeypatch.setattr(oracle, "sum", math.fsum, raising=False)
+    patched = _branch_and_bound(*search)
+    assert patched[0].hex() == value.hex() and patched[1].tobytes() == chosen.tobytes()
+    assert patched[2:] == (nodes, exhausted) and not exhausted
 
 
 def test_unpack_reads_bits_low_first():

@@ -26,17 +26,17 @@ from slicemarket.baselines import (
     _population_repair,
     ga_heuristic,
 )
-from slicemarket.market import CAPACITY, FEASIBILITY_EPS
+from slicemarket.market import CAPACITY
 from slicemarket.oracle import adjusted_profits
 from slicemarket.workload import GenConfig, Instance, generate_instance
 
-LIMIT = CAPACITY + FEASIBILITY_EPS
+LIMIT = CAPACITY
 
 
 def _reference_repair(selected, demands, density):
     utilization = selected.astype(float) @ demands
-    while (utilization > CAPACITY + FEASIBILITY_EPS).any():
-        overfull = utilization > CAPACITY + FEASIBILITY_EPS
+    while (utilization > LIMIT).any():
+        overfull = utilization > LIMIT
         uses_overfull = demands[:, overfull].sum(axis=1) > 0
         candidates = selected & uses_overfull
         victim = int(np.flatnonzero(candidates)[np.argmin(density[candidates])])
@@ -61,7 +61,7 @@ def _reference_ga(instance, params=None, seed=0):
     params = params or GaParams()
     n = instance.tenant_count
     profits = adjusted_profits(instance)
-    viable = (profits > 0) & (instance.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
+    viable = (profits > 0) & (instance.demands <= LIMIT).all(axis=1)
     index = np.flatnonzero(viable)
     m = len(index)
     full = np.zeros(n, dtype=bool)
@@ -134,18 +134,6 @@ def _density(demands, rng):
         return np.where(aggregate > 0, rng.uniform(0.1, 2.0, len(demands)) / aggregate, np.inf)
 
 
-def _exact_sum_to(demands, column, target):
-    """Nudge the column's largest demand until the full row's gemv reads ``target``."""
-    row = np.ones(len(demands), dtype=bool)
-    item = int(np.argmax(demands[:, column]))
-    for _ in range(10_000):
-        value = (row.astype(float) @ demands)[column]
-        if value == target:
-            return True
-        demands[item, column] = np.nextafter(demands[item, column], np.inf if value < target else -np.inf)
-    return False
-
-
 class TestRepairPopulation:
     def test_random_populations(self, rng):
         for _ in range(200):
@@ -173,16 +161,19 @@ class TestRepairPopulation:
 
     @pytest.mark.parametrize("ulps", [-1, 0, 1])
     def test_rows_at_the_capacity_boundary(self, rng, ulps):
+        # each column shares LIMIT among the items in steps of 1/1024, and
+        # its largest item moves by one ulp of the column's sum, down or up:
+        # every partial sum is then a float, so every summation order reads
+        # the full row's sum as exactly the target
         target = LIMIT
         for _ in range(abs(ulps)):
             target = np.nextafter(target, np.inf if ulps > 0 else -np.inf)
         for trial in range(40):
             m = int(rng.integers(2, 100))
             c = int(rng.integers(1, 4))
-            demands = rng.uniform(0, 1.0, size=(m, c))
-            demands *= LIMIT / demands.sum(axis=0)
-            for col in range(c):
-                assert _exact_sum_to(demands, col, target)
+            demands = rng.multinomial(1024, np.full(m, 1.0 / m), size=c).T * (LIMIT / 1024)
+            demands[demands.argmax(axis=0), np.arange(c)] += target - LIMIT
+            assert (np.ones(m) @ demands == target).all()
             density = _density(demands, rng)
             rows = rng.random((30, m)) < 0.5
             rows[: trial % 3 + 1] = True  # rows whose per-row sum is the target

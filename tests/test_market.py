@@ -1,11 +1,15 @@
 """Economic primitives: conjugate, allocations, welfare accounting."""
 
 from dataclasses import FrozenInstanceError
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 
+from slicemarket.baselines import random_slicing, utility_bid_auction
 from slicemarket.market import (
+    CAPACITY,
     Allocation,
     InfeasibleAllocationError,
     MarketError,
@@ -13,10 +17,13 @@ from slicemarket.market import (
     PaymentError,
     SetupError,
     _readonly,
+    _reorder_factor,
     conjugate,
     social_welfare,
     utilities,
 )
+from slicemarket.oracle import offline_exact
+from slicemarket.protocol import run_posted_price
 
 from slicemarket.verify import _random_config
 from slicemarket.workload import Instance, generate_instance
@@ -136,6 +143,73 @@ class TestAllocation:
         for accepted in ([True], [[True, False]], [True, False, False]):
             with pytest.raises(MarketError, match="decision vector has shape"):
                 Allocation.from_decisions(inst, accepted)
+
+
+def _reordered_sets(count: int) -> list[np.ndarray]:
+    """Demand sets scaled to sum to CAPACITY whose left-to-right sum stays
+    within it while numpy's product over the same set reads above it."""
+    rng = np.random.default_rng(34)
+    found = []
+    while len(found) < count:
+        demands = rng.random(int(rng.integers(2, 40)))
+        demands *= CAPACITY / demands.sum()
+        if reduce(add, demands.tolist()) <= CAPACITY < np.ones(len(demands)) @ demands:
+            found.append(demands)
+    return found
+
+
+def _one_resource(demands, valuations) -> Instance:
+    one = np.ones(1)
+    return Instance(np.asarray(demands)[:, None], valuations, one, 2 * one, one / 2)
+
+
+class TestRoundingAllowance:
+    """``from_decisions`` sums a set in another order than the algorithm that
+    booked it; the allowance ``_reorder_factor`` is both needed and enough."""
+
+    def test_booked_sets_that_read_above_capacity_are_accepted(self):
+        above = dict.fromkeys(("session", "auction", "random", "branch-and-bound"), 0)
+        for demands in _reordered_sets(60):
+            m = len(demands)
+            # every tenant can pay the cap, and profits fall in instance order,
+            # so the session and the auction both scan the set left to right
+            market = _one_resource(demands, 10.0 + np.arange(m, 0, -1))
+            # random slicing scans the arrivals whose coin accepts: the set
+            # arrives on the first m of them, tenants too large to fit elsewhere
+            n = 4 * m
+            coins = np.flatnonzero(np.random.default_rng(0).integers(0, 2, size=n))
+            assert len(coins) >= m
+            order = np.empty(n, dtype=np.intp)
+            order[coins[:m]] = np.arange(m)
+            order[np.setdiff1d(np.arange(n), coins[:m])] = np.arange(m, n)
+            padded = _one_resource(np.concatenate((demands, np.full(n - m, 2.0))), np.full(n, 20.0))
+            booked = {
+                "session": (market, run_posted_price(market).allocation.accepted),
+                "auction": (market, utility_bid_auction(market).accepted),
+                "random": (padded, random_slicing(padded, order, seed=0)[1]),
+                "branch-and-bound": (market, offline_exact(market).accepted),
+            }
+            for name, (instance, accepted) in booked.items():
+                if name != "branch-and-bound":  # its subtractions may refuse the last item
+                    assert accepted[:m].all() and not accepted[m:].any(), name
+                allocation = Allocation.from_decisions(instance, accepted)
+                above[name] += int(allocation.utilization[0] > CAPACITY)
+        # the allowance is used by every engine, so zero tolerance would refuse these
+        assert min(above.values()) >= 5, above
+
+    @pytest.mark.parametrize("tenants", [1, 2, 100, 20_000])
+    def test_one_ulp_past_the_bound_is_refused(self, tenants):
+        bound = CAPACITY * _reorder_factor(tenants)
+        assert 0 < bound - CAPACITY < 1e-11
+        demands = np.zeros(tenants)
+        accepted = np.zeros(tenants, dtype=bool)
+        accepted[-1] = True
+        demands[-1] = bound
+        assert Allocation.from_decisions(_one_resource(demands, np.ones(tenants)), accepted).utilization[0] == bound
+        demands[-1] = np.nextafter(bound, np.inf)
+        with pytest.raises(InfeasibleAllocationError, match="exceeds the bound") as err:
+            Allocation.from_decisions(_one_resource(demands, np.ones(tenants)), accepted)
+        assert (err.value.resource, err.value.utilization, err.value.bound) == (0, demands[-1], bound)
 
 
 class TestSocialWelfare:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import slicemarket
-from slicemarket.market import CAPACITY, FEASIBILITY_EPS
+from slicemarket.market import CAPACITY
 from slicemarket.oracle import (
     _PROBE_NODES_PER_TENANT,
     OracleError,
@@ -154,6 +154,31 @@ class TestLpUpperBound:
             )
             inst = generate_instance(cfg)
             assert lp_upper_bound(inst) >= offline_exact(inst).welfare - 1e-6
+
+    @pytest.mark.parametrize("participation", [None, 0.5], ids=["dense", "half participation"])
+    @pytest.mark.parametrize("coarse", [False, True], ids=["default demands", "coarse demands"])
+    def test_exact_within_highs_feasibility_tolerance(self, coarse, participation):
+        """The search and the LP share one capacity, so the exact optimum never
+        exceeds the LP bound by more than HiGHS's own primal feasibility
+        tolerance, read from its options."""
+        from slicemarket.oracle import _highs_binding
+
+        tolerance = _highs_binding().HighsOptions().primal_feasibility_tolerance
+        assert 0 < tolerance < 1e-5
+        rng = np.random.default_rng(21 + 2 * coarse + (participation is not None))
+        for _ in range(40):
+            cfg = GenConfig(
+                tenant_count=int(rng.integers(2, 31)),
+                resource_count=int(rng.integers(1, 6)),
+                demand_mean=0.3 if coarse else None,
+                demand_std=0.2 if coarse else None,
+                participation=participation,
+                seed=int(rng.integers(0, 2**32)),
+            )
+            inst = generate_instance(cfg)
+            exact = offline_exact(inst)
+            assert exact.exact
+            assert exact.welfare <= lp_upper_bound(inst) + tolerance
 
 
 def _linprog_bound(instance) -> float:
@@ -421,7 +446,7 @@ def test_probe_and_restart_share_the_node_budget():
         GenConfig(tenant_count=100, resource_count=9, demand_mean=0.01, demand_std=0.01, seed=1)
     )
     profits = adjusted_profits(inst)
-    viable = (profits > 0) & (inst.demands <= CAPACITY + FEASIBILITY_EPS).all(axis=1)
+    viable = (profits > 0) & (inst.demands <= CAPACITY).all(axis=1)
     probe = _PROBE_NODES_PER_TENANT * int(viable.sum())
     full = offline_exact(inst)
     assert full.exact and full.nodes_explored > probe + 1
