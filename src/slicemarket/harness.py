@@ -47,9 +47,15 @@ AXES = {
 #: its LP bound.
 TRIAL_NODE_BUDGET = 20_000
 
-TRIAL_CSV_HEADER = (
-    "trial,algo,N,C,seed,welfare,rental_rate,ratio,theoretical_alpha,runtime_ns,transcript_bytes"
-)
+#: trials.csv's columns, each with the ``TrialMetrics`` field it writes.
+_TRIAL_COLUMNS = {
+    "trial": "trial", "algo": "algo", "N": "tenants", "C": "resources", "seed": "seed",
+    "welfare": "welfare", "rental_rate": "rental_rate", "ratio": "ratio",
+    "theoretical_alpha": "theoretical_alpha", "runtime_ns": "runtime_ns", "transcript_bytes": "transcript_bytes",
+}
+TRIAL_CSV_HEADER = ",".join(_TRIAL_COLUMNS)
+#: plot_data.json's per-algorithm series, each a ``SummaryRow`` field.
+_PLOT_SERIES = ("welfare_mean", "welfare_median", "ratio_median", "rental_mean")
 
 
 class HarnessError(MarketError):
@@ -146,7 +152,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "algos", tuple(self.algos))
-        object.__setattr__(self, "values", tuple(self.values))
+        # a range point given as a list is held as the tuple to_dict writes
+        object.__setattr__(self, "values", tuple(tuple(v) if isinstance(v, list) else v for v in self.values))
         for i, algo in enumerate(self.algos):
             if algo not in ALGORITHMS:
                 raise HarnessError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
@@ -206,7 +213,6 @@ class ExperimentSpec:
         kwargs = {key: value for key, value in data.items() if key != "config"}
         try:
             kwargs["base_config"] = GenConfig.from_dict(data.get("config", {}))
-            kwargs["values"] = tuple(tuple(v) if isinstance(v, list) else v for v in data.get("values", ()))
             try:
                 kwargs["ga_params"] = GaParams(**({} if data.get("ga_params") is None else data["ga_params"]))
             except (TypeError, ValueError) as exc:
@@ -252,16 +258,7 @@ def _apply_axis(config: GenConfig, axis: str | None, value) -> GenConfig:
             demand_mean=config.resolved_demand_mean,
             demand_std=config.resolved_demand_std,
         )
-    name = AXES[axis]
-    if name.endswith("_range") and isinstance(value, (list, tuple)):
-        value = tuple(value)
-    return replace(config, **{name: value})
-
-
-def _ratio(reference: float, welfare: float) -> float | None:
-    if welfare > 0:
-        return reference / welfare
-    return None
+    return replace(config, **{AXES[axis]: value})
 
 
 def _reference(trial: _Trial) -> tuple[str, float, float | None]:
@@ -312,7 +309,7 @@ def run_trials(spec: ExperimentSpec) -> list[TrialMetrics]:
                     instance.tenant_count, instance.resource_count, seed_instance,
                     welfare=welfare,
                     rental_rate=rental_rate,
-                    ratio=_ratio(reference, welfare),
+                    ratio=reference / welfare if welfare > 0 else None,
                     ratio_is_bound=reference_algo == "lp_bound",
                     theoretical_alpha=trial.schedule.ratio,
                     runtime_ns=trial.runtime_ns,
@@ -354,14 +351,15 @@ class SummaryRow:
     transcript_bytes_mean: float | None
 
 
-def _percentiles(values: Sequence[float]) -> tuple[float, float, float, float]:
+def _stats(prefix: str, values: Sequence[float]) -> dict[str, float | None]:
+    """The ``SummaryRow`` fields ``{prefix}_mean``, ``_median``, ``_p5`` and
+    ``_p95`` of ``values``; each is ``None`` when there are no values."""
+    names = [f"{prefix}_{stat}" for stat in ("mean", "median", "p5", "p95")]
+    if not values:
+        return dict.fromkeys(names, None)
     arr = np.asarray(values, dtype=float)
-    return (
-        float(arr.mean()),
-        float(np.median(arr)),
-        float(np.percentile(arr, 5)),
-        float(np.percentile(arr, 95)),
-    )
+    stats = arr.mean(), np.median(arr), np.percentile(arr, 5), np.percentile(arr, 95)
+    return {name: float(stat) for name, stat in zip(names, stats)}
 
 
 def aggregate(metrics: Sequence[TrialMetrics]) -> list[SummaryRow]:
@@ -371,52 +369,29 @@ def aggregate(metrics: Sequence[TrialMetrics]) -> list[SummaryRow]:
     groups: dict[tuple[int, str], list[TrialMetrics]] = {}
     for record in metrics:
         groups.setdefault((record.point_index, record.algo), []).append(record)
-    posted_runtime: dict[int, float] = {}
-    for (point_index, algo), records in groups.items():
-        if algo == "posted_price":
-            runtimes = [r.runtime_ns for r in records if r.runtime_ns is not None]
-            if runtimes:
-                posted_runtime[point_index] = float(np.median(runtimes))
+    runtimes = {key: [r.runtime_ns for r in records if r.runtime_ns is not None] for key, records in groups.items()}
+    runtime_medians = {key: float(np.median(values)) if values else None for key, values in runtimes.items()}
     rows = []
     for (point_index, algo), records in groups.items():
-        welfare_mean, welfare_median, welfare_p5, welfare_p95 = _percentiles(
-            [r.welfare for r in records]
-        )
         rentals = [r.rental_rate for r in records if r.rental_rate is not None]
         ratios = [r.ratio for r in records if r.ratio is not None]
-        runtimes = [r.runtime_ns for r in records if r.runtime_ns is not None]
         tx = [r.transcript_bytes for r in records if r.transcript_bytes is not None]
-        if ratios:
-            ratio_mean, ratio_median, ratio_p5, ratio_p95 = _percentiles(ratios)
-            ratio_max = float(max(ratios))
-        else:
-            ratio_mean = ratio_median = ratio_p5 = ratio_p95 = ratio_max = None
         alphas = [r.theoretical_alpha for r in records]
-        runtime_median = float(np.median(runtimes)) if runtimes else None
-        base_runtime = posted_runtime.get(point_index)
-        normalized = (
-            runtime_median / base_runtime
-            if runtime_median is not None and base_runtime
-            else None
-        )
+        runtime_median = runtime_medians[point_index, algo]
+        base_runtime = runtime_medians.get((point_index, "posted_price"))
+        normalized = runtime_median / base_runtime if runtime_median is not None and base_runtime else None
         rows.append(
             SummaryRow(
                 point_index=point_index,
                 point_value=records[0].point_value,
                 algo=algo,
                 trials=len(records),
-                welfare_mean=welfare_mean,
-                welfare_median=welfare_median,
-                welfare_p5=welfare_p5,
-                welfare_p95=welfare_p95,
+                **_stats("welfare", [r.welfare for r in records]),
                 rental_mean=float(np.mean(rentals)) if rentals else None,
                 ratio_defined=len(ratios),
                 ratio_undefined=len(records) - len(ratios),
-                ratio_mean=ratio_mean,
-                ratio_median=ratio_median,
-                ratio_p5=ratio_p5,
-                ratio_p95=ratio_p95,
-                ratio_max=ratio_max,
+                **_stats("ratio", ratios),
+                ratio_max=float(max(ratios)) if ratios else None,
                 alpha_mean=float(np.mean(alphas)),
                 alpha_max=float(max(alphas)),
                 runtime_median_ns=runtime_median,
@@ -437,47 +412,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def trials_csv(metrics: Sequence[TrialMetrics]) -> str:
+def _csv(columns: dict[str, str], records: Sequence) -> str:
+    """A header of the ``columns`` keys, then one line per record of the fields they name."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TRIAL_CSV_HEADER.split(","))
-    for r in metrics:
-        writer.writerow(
-            [
-                r.trial, r.algo, r.tenants, r.resources, r.seed,
-                _fmt(r.welfare), _fmt(r.rental_rate), _fmt(r.ratio),
-                _fmt(r.theoretical_alpha), _fmt(r.runtime_ns), _fmt(r.transcript_bytes),
-            ]
-        )
+    writer.writerow(columns)
+    writer.writerows([_fmt(getattr(r, name)) for name in columns.values()] for r in records)
     return buffer.getvalue()
+
+
+def trials_csv(metrics: Sequence[TrialMetrics]) -> str:
+    return _csv(_TRIAL_COLUMNS, metrics)
 
 
 def summary_csv(rows: Sequence[SummaryRow]) -> str:
-    names = [f.name for f in fields(SummaryRow)]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(names)
-    for r in rows:
-        writer.writerow([_fmt(getattr(r, name)) for name in names])
-    return buffer.getvalue()
+    return _csv({f.name: f.name for f in fields(SummaryRow)}, rows)
 
 
 def plot_data(rows: Sequence[SummaryRow], axis: str | None) -> dict:
     """Per-algorithm series against the sweep axis, ready for plotting."""
-    points: dict[int, object] = {}
-    for r in rows:
-        points[r.point_index] = r.point_value
+    points = {r.point_index: r.point_value for r in rows}
     xs = [points[i] for i in sorted(points)]
     series: dict[str, dict[str, list]] = {}
     for r in sorted(rows, key=lambda r: r.point_index):
-        entry = series.setdefault(
-            r.algo,
-            {"welfare_mean": [], "welfare_median": [], "ratio_median": [], "rental_mean": []},
-        )
-        entry["welfare_mean"].append(r.welfare_mean)
-        entry["welfare_median"].append(r.welfare_median)
-        entry["ratio_median"].append(r.ratio_median)
-        entry["rental_mean"].append(r.rental_mean)
+        for name, values in series.setdefault(r.algo, {name: [] for name in _PLOT_SERIES}).items():
+            values.append(getattr(r, name))
     return {
         "axis": axis,
         "x": [list(x) if isinstance(x, (tuple, list)) else x for x in xs],

@@ -156,17 +156,13 @@ class Allocation:
         return allocation
 
 
-def _check_resource(setup: MarketSetup, c: int) -> None:
-    if not 0 <= c < setup.resource_count:
-        raise SetupError(f"resource index {c} out of range [0, {setup.resource_count})")
-
-
 def conjugate(setup: MarketSetup, c: int, price: float) -> float:
     """Maximum profit of resource ``c`` at a posted price.
 
     Zero while the price does not cover the unit cost, ``price - q_c`` above.
     """
-    _check_resource(setup, c)
+    if not 0 <= c < setup.resource_count:
+        raise SetupError(f"resource index {c} out of range [0, {setup.resource_count})")
     if not 0 <= price < math.inf:
         raise MarketError(f"price must be non-negative and finite, got {price!r}")
     q = float(setup.unit_costs[c])

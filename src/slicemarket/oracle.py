@@ -223,6 +223,12 @@ def offline_exact(
 
     Tenants whose adjusted profit is not positive, or whose demand cannot fit
     an empty market, can never help and are dropped before the search.
+
+    Each method books a set by its own sum: enumeration keeps a set whose
+    product ``bits @ demands`` reads at most ``CAPACITY``, and the search one
+    whose running subtraction from ``CAPACITY`` stays non-negative.  So the
+    two can return different optima when the best set's exact sum lies
+    within ulps above ``CAPACITY``.
     """
     if method not in ("branch-and-bound", "exhaustive"):
         raise OracleError(f"unknown oracle method {method!r}")

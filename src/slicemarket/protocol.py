@@ -50,6 +50,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .market import CAPACITY, Allocation, MarketError, MarketSetup
+from .pricing import build_schedule
 
 SUCC = "SUCC"
 FAIL = "FAIL"
@@ -391,7 +392,5 @@ def run_session(
 
 def run_posted_price(instance, order: Sequence[int] | None = None) -> SessionResult:
     """Convenience wrapper: build the threshold schedule for the instance and run."""
-    from .pricing import build_schedule
-
     setup = MarketSetup.from_instance(instance)
     return run_session(setup, build_schedule(setup), instance, order)

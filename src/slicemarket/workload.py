@@ -101,12 +101,15 @@ class GenConfig:
         if self.demand_std is not None and not self.demand_std >= 0:
             raise WorkloadError("demand_std must be non-negative")
         for name in ("pay_level_range", "unit_cost_range"):
+            pair = getattr(self, name)
             try:
-                lo, hi = getattr(self, name)
+                lo, hi = pair
             except (TypeError, ValueError):
-                raise WorkloadError(f"{name} must be a (low, high) pair, got {getattr(self, name)!r}") from None
+                raise WorkloadError(f"{name} must be a (low, high) pair, got {pair!r}") from None
             if not (_is_finite(lo) and _is_finite(hi) and 0 < lo <= hi):
                 raise WorkloadError(f"{name} must satisfy 0 < low <= high < inf")
+            if type(pair) is not tuple:  # a list or an array is held as the pair, so configs hash and compare
+                object.__setattr__(self, name, (lo, hi))
         if self.unit_cost_range[1] >= 1:
             raise WorkloadError("unit_cost_range must stay below 1 so costs stay below the floor")
         if not 0 <= self.density_margin < 1:
@@ -128,12 +131,7 @@ class GenConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "GenConfig":
         """The config of a JSON object; another value or an unknown key raises ``TypeError``."""
-        data = {**data}  # unlike dict(data), refuses a list of pairs
-        for name in ("pay_level_range", "unit_cost_range"):
-            # a JSON array becomes a pair; anything else reaches the pair check as is
-            if isinstance(data.get(name), list):
-                data[name] = tuple(data[name])
-        return cls(**data)
+        return cls(**{**data})  # unlike dict(data), refuses a list of pairs
 
 
 @dataclass(frozen=True)

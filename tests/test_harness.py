@@ -505,3 +505,31 @@ class TestGoldenArtifacts:
         paths = emit(metrics, aggregate(metrics), tmp_path, axis=spec.axis)
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
         assert digests == self.DIGESTS
+
+
+class TestSweepValueNormalization:
+    """A range pair is held as a tuple however a Python caller spells it."""
+
+    def test_a_listed_range_is_the_tuple_config(self):
+        listed, paired = GenConfig(unit_cost_range=[0.1, 0.4]), GenConfig(unit_cost_range=(0.1, 0.4))
+        assert listed == paired
+        assert hash(listed) == hash(paired)
+        assert type(listed.unit_cost_range) is tuple
+
+    def test_a_tuple_range_is_kept_as_it_is(self):
+        pair = (2.0, 4.0)
+        assert GenConfig(pay_level_range=pair).pay_level_range is pair
+
+    def test_listed_sweep_values_are_held_as_tuples(self):
+        spec = ExperimentSpec(axis="pay_level_range", values=[[2.0, 4.0], [2.0, 6.0]])
+        assert spec.values == ((2.0, 4.0), (2.0, 6.0))
+        assert all(type(value) is tuple for value in spec.values)
+
+    def test_listed_and_tupled_specs_write_the_same_artifacts(self, tmp_path):
+        written = []
+        for i, values in enumerate(([[2.0, 4.0], [2.0, 6.0]], ((2.0, 4.0), (2.0, 6.0)))):
+            spec = small_spec(algos=("posted_price", "random"), axis="pay_level_range", values=values, trials=2)
+            metrics = run_trials(spec)
+            paths = emit(metrics, aggregate(metrics), tmp_path / str(i), axis=spec.axis)
+            written.append({name: paths[name].read_bytes() for name in ("summary.csv", "plot_data.json")})
+        assert written[0] == written[1]

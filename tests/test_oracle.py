@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import slicemarket
-from slicemarket.market import CAPACITY
+from slicemarket.market import CAPACITY, Allocation
 from slicemarket.oracle import (
     _PROBE_NODES_PER_TENANT,
     OracleError,
+    _branch_and_bound,
+    _exhaustive,
     adjusted_profits,
     lp_relaxation,
     lp_upper_bound,
@@ -546,3 +548,21 @@ def test_missing_binding_is_an_oracle_error(scipy_found, tmp_path, monkeypatch):
     if scipy_found:
         assert str(tmp_path / "optimize" / "_highspy") in str(error.value)
     assert "scipy.optimize._highspy._core" not in sys.modules
+
+
+def test_enumeration_and_search_differ_within_ulps_of_capacity():
+    """Each exact method books by its own sum, so they can disagree on a set
+    whose exact sum lies ulps above ``CAPACITY``: the product ``bits @ demands``
+    rounds 1/2 + 1/4 + (1/4 + one ulp) down to 1.0 and keeps the set, while
+    branch-and-bound's running subtraction leaves a room below the last
+    demand and refuses it.  ``from_decisions`` books both answers."""
+    d2 = float(np.nextafter(0.25, 1.0))
+    demands = np.array([[0.5], [0.25], [d2], [0.25]])
+    profits = np.array([2.0, 1.0, 2.1 * d2, 0.5])
+    enumerated, enumerated_mask = _exhaustive(profits, demands)
+    searched, searched_mask, _, exhausted = _branch_and_bound(profits, demands, 1000)
+    assert (enumerated, enumerated_mask.tolist()) == (3.5250000000000004, [True, True, True, False])
+    assert (searched, searched_mask.tolist(), exhausted) == (3.5, [True, True, False, True], False)
+    instance = Instance(demands, profits, [1.0], [10.0], [0.5])
+    for mask in (enumerated_mask, searched_mask):
+        assert Allocation.from_decisions(instance, mask).utilization.tolist() == [1.0]
