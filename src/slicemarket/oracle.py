@@ -6,7 +6,7 @@ demanded bundle`` subject to unit capacity per resource.  The oracle runs a
 depth-first branch-and-bound whose bound is the fractional knapsack of one
 surrogate capacity constraint.  Exhaustive enumeration of at most
 ``EXHAUSTIVE_LIMIT`` viable tenants runs only on request, as the reference
-the search is checked against.
+the search is checked against, and books a set by the search's own rule.
 
 The items are the viable tenants (``_viable``): a positive adjusted profit
 and a demand that fits an empty market.  The genetic heuristic searches the
@@ -53,7 +53,7 @@ from .market import CAPACITY, MarketError
 from .workload import _is_int
 
 EXHAUSTIVE_LIMIT = 25
-_EXHAUSTIVE_CHUNK = 1 << 16
+_CHUNK_ITEMS = 16  # enumeration fixes each subset of the first m - 16 items and doubles over the rest
 DEFAULT_NODE_BUDGET = 5_000_000
 # default markets finish the summed probe in at most 2.2 nodes per viable tenant
 _PROBE_NODES_PER_TENANT = 8
@@ -101,23 +101,34 @@ def _unpack(mask: int, m: int) -> np.ndarray:
     return np.unpackbits(data, count=m, bitorder="little").astype(bool)
 
 
+def _density_order(profits: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The items by descending ``_densities``, ties in index order, and the densities in that order."""
+    density = _densities(profits, sizes)
+    order = np.argsort(-density, kind="stable")
+    return order, density[order]
+
+
 def _exhaustive(profits: np.ndarray, demands: np.ndarray) -> tuple[float, np.ndarray]:
-    m = len(profits)
-    positions = np.arange(m, dtype=np.int64)
-    best_value = 0.0
-    best_mask = 0
-    for lo in range(0, 1 << m, _EXHAUSTIVE_CHUNK):
-        hi = min(lo + _EXHAUSTIVE_CHUNK, 1 << m)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        bits = ((codes[:, None] >> positions) & 1).astype(float)
-        feasible = (bits @ demands <= CAPACITY).all(axis=1)
-        values = bits @ profits
-        values[~feasible] = -np.inf
+    """The best set the search's rule books.  Every subset's demands come off ``CAPACITY`` and its profits
+    add up from 0.0 left to right in the summed search's order, by doubling (Horowitz and Sahni, J. ACM
+    1974).  Rooms only fall and ``r - d >= 0`` iff ``r >= d``, so a set is taken iff no room ends below 0."""
+    order, _ = _density_order(profits, demands.sum(axis=1))
+    profits, demands = profits[order], demands[order]
+    fixed = max(len(order) - _CHUNK_ITEMS, 0)
+    best_value, best_mask = 0.0, 0
+    for h in range(1 << fixed):
+        rooms, values = np.full((1, demands.shape[1]), CAPACITY), np.zeros(1)
+        for i in np.flatnonzero(_unpack(h, fixed)).tolist():
+            rooms, values = rooms - demands[i], values + profits[i]
+        if (rooms < 0).any():
+            continue
+        for d, p in zip(demands[fixed:], profits[fixed:]):
+            rooms, values = np.concatenate((rooms, rooms - d)), np.concatenate((values, values + p))
+        values[(rooms < 0).any(axis=1)] = -np.inf
         k = int(np.argmax(values))
         if values[k] > best_value:
-            best_value = float(values[k])
-            best_mask = int(codes[k])
-    return best_value, _unpack(best_mask, m)
+            best_value, best_mask = float(values[k]), h | k << fixed
+    return best_value, _unpack(best_mask, len(order))[np.argsort(order)]
 
 
 def _branch_and_bound(
@@ -145,9 +156,7 @@ def _branch_and_bound(
     m, resources = demands.shape
     aggregate = demands.sum(axis=1) if weights is None else demands @ weights
     weight_list = [1.0] * resources if weights is None else weights.tolist()
-    density = _densities(profits, aggregate)
-    order = np.argsort(-density, kind="stable")
-    density = density[order]
+    order, density = _density_order(profits, aggregate)
     prefix_p = np.concatenate(([0.0], np.cumsum(profits[order]))).tolist()
     prefix_a = np.concatenate(([0.0], np.cumsum(aggregate[order]))).tolist()
     finite = np.isfinite(density).tolist()
@@ -224,11 +233,8 @@ def offline_exact(
     Tenants whose adjusted profit is not positive, or whose demand cannot fit
     an empty market, can never help and are dropped before the search.
 
-    Each method books a set by its own sum: enumeration keeps a set whose
-    product ``bits @ demands`` reads at most ``CAPACITY``, and the search one
-    whose running subtraction from ``CAPACITY`` stays non-negative.  So the
-    two can return different optima when the best set's exact sum lies
-    within ulps above ``CAPACITY``.
+    Both methods book by the search's rule in its summed order; a restart after the
+    probe ran out books in its weighted order, which can decide a set near ``CAPACITY`` otherwise.
     """
     if method not in ("branch-and-bound", "exhaustive"):
         raise OracleError(f"unknown oracle method {method!r}")
@@ -239,16 +245,15 @@ def offline_exact(
     m = len(index)
     if m == 0:
         return OracleResult(0.0, accepted, method, True)
+    items = profits[index], instance.demands[index]
     if method == "exhaustive":
         if m > EXHAUSTIVE_LIMIT:
             raise OracleError(
                 f"{m} viable tenants exceed the exhaustive enumeration limit of {EXHAUSTIVE_LIMIT}"
             )
-        _, chosen = _exhaustive(profits[index], instance.demands[index])
-        nodes = 1 << m
-        exhausted = False
+        _, chosen = _exhaustive(*items)
+        nodes, exhausted = 1 << m, False
     else:
-        items = profits[index], instance.demands[index]
         # with one resource every weighting rescales the summed bound, so the
         # probe is the whole search
         probe = node_budget if instance.resource_count == 1 else min(node_budget, _PROBE_NODES_PER_TENANT * m)

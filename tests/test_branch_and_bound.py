@@ -364,7 +364,7 @@ def lp_weights(profits: np.ndarray, demands: np.ndarray) -> np.ndarray:
 
 
 # each family with the seeds its differential test uses; exhaustive
-# enumeration of 20 generated items takes about 0.15 s, so those get four
+# enumeration of 20 generated items takes 5 to 95 ms, so those get four
 SMALL_MARKETS = {
     "generated": (range(4), lambda seed: viable_items(generate_instance(GenConfig(20, 1 + seed % 5, seed=seed)))),
     "overfull": (range(4), lambda seed: viable_items(generate_instance(dispersed(20, 1 + seed % 5, 3.0, seed)))),

@@ -550,19 +550,21 @@ def test_missing_binding_is_an_oracle_error(scipy_found, tmp_path, monkeypatch):
     assert "scipy.optimize._highspy._core" not in sys.modules
 
 
-def test_enumeration_and_search_differ_within_ulps_of_capacity():
-    """Each exact method books by its own sum, so they can disagree on a set
-    whose exact sum lies ulps above ``CAPACITY``: the product ``bits @ demands``
-    rounds 1/2 + 1/4 + (1/4 + one ulp) down to 1.0 and keeps the set, while
-    branch-and-bound's running subtraction leaves a room below the last
-    demand and refuses it.  ``from_decisions`` books both answers."""
+def test_enumeration_and_search_agree_within_ulps_of_capacity():
+    """Both exact methods book by the search's rule, so they agree on a set
+    whose exact sum lies ulps above ``CAPACITY``: 1/2 + 1/4 + (1/4 + one ulp)
+    leaves a room below the last demand in the summed order, and both refuse
+    it.  (A product ``bits @ demands`` rounds that sum down to 1.0 and keeps
+    the set.)  ``from_decisions`` books the answer."""
     d2 = float(np.nextafter(0.25, 1.0))
     demands = np.array([[0.5], [0.25], [d2], [0.25]])
     profits = np.array([2.0, 1.0, 2.1 * d2, 0.5])
     enumerated, enumerated_mask = _exhaustive(profits, demands)
     searched, searched_mask, _, exhausted = _branch_and_bound(profits, demands, 1000)
-    assert (enumerated, enumerated_mask.tolist()) == (3.5250000000000004, [True, True, True, False])
+    assert (enumerated, enumerated_mask.tolist()) == (3.5, [True, True, False, True])
     assert (searched, searched_mask.tolist(), exhausted) == (3.5, [True, True, False, True], False)
     instance = Instance(demands, profits, [1.0], [10.0], [0.5])
-    for mask in (enumerated_mask, searched_mask):
-        assert Allocation.from_decisions(instance, mask).utilization.tolist() == [1.0]
+    assert Allocation.from_decisions(instance, searched_mask).utilization.tolist() == [1.0]
+    for method in ("exhaustive", "branch-and-bound"):
+        result = offline_exact(Instance(demands, profits, [1.0], [10.0], [0.0]), method=method)
+        assert (result.welfare, result.accepted.tolist()) == (3.5, [True, True, False, True])
