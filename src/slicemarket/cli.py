@@ -72,38 +72,36 @@ def _pair_list(text: str) -> list[tuple[float, float]]:
     return pairs
 
 
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'on', 'off')")
+    return text == "on"
+
+
+#: The flags ``run`` and ``sweep`` share, each stored under the ``ExperimentSpec`` field it sets.
+SPEC_FLAGS = ("algos", "trials", "seed", "out", "oracle", "transcripts", "timing")
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algos", default=None, help=f"comma list from {','.join(ALGORITHMS)}")
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output directory for CSV/JSON artifacts")
-    parser.add_argument("--oracle", choices=ORACLE_MODES, default=None)
-    parser.add_argument("--transcripts", choices=("on", "off"), default=None)
-    parser.add_argument("--timing", choices=("on", "off"), default=None)
+    parser.add_argument("--algos", type=lambda text: tuple(text.split(",")),
+                        help=f"comma list from {','.join(ALGORITHMS)}")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", help="output directory for CSV/JSON artifacts")
+    parser.add_argument("--oracle", choices=ORACLE_MODES)
+    parser.add_argument("--transcripts", type=_on_off, metavar="{on,off}")
+    parser.add_argument("--timing", type=_on_off, metavar="{on,off}")
 
 
 def _spec_with_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    updates = {}
-    if args.algos is not None:
-        updates["algos"] = tuple(args.algos.split(","))
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.oracle is not None:
-        updates["oracle"] = args.oracle
-    if args.transcripts is not None:
-        updates["transcripts"] = args.transcripts == "on"
-    if args.timing is not None:
-        updates["timing"] = args.timing == "on"
-    return replace(spec, **updates) if updates else spec
+    return replace(spec, **{name: getattr(args, name) for name in SPEC_FLAGS if getattr(args, name) is not None})
 
 
-def _execute(spec: ExperimentSpec, out: str | None) -> int:
+def _execute(spec: ExperimentSpec) -> int:
     metrics = run_trials(spec)
     rows = aggregate(metrics)
-    if out is not None:
-        paths = emit(metrics, rows, out, axis=spec.axis)
+    if spec.out is not None:
+        paths = emit(metrics, rows, spec.out, axis=spec.axis)
         for name in sorted(paths):
             print(paths[name])
     else:
@@ -117,19 +115,11 @@ def _execute(spec: ExperimentSpec, out: str | None) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _spec_with_overrides(ExperimentSpec.load(args.spec), args)
-    return _execute(spec, args.out if args.out is not None else spec.out)
+    return _execute(_spec_with_overrides(ExperimentSpec.load(args.spec), args))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    flags = {  # sweep axis -> parsed flag values
-        "tenants": args.n,
-        "resources": args.c,
-        "demand_mean": args.demand_mean,
-        "unit_cost_range": args.q_range,
-        "pay_level_range": args.pay_level,
-    }
-    given = {axis: values for axis, values in flags.items() if values}
+    given = {axis: getattr(args, axis) for axis in AXES if getattr(args, axis)}
     multi = [(axis, values) for axis, values in given.items() if len(values) > 1]
     if len(multi) > 1:
         print("error: exactly one flag may carry multiple sweep values", file=sys.stderr)
@@ -139,7 +129,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = GenConfig(**{AXES[axis]: values[0] for axis, values in given.items()})
     axis, values = multi[0] if multi else (None, ())
     spec = ExperimentSpec(algos=SWEEP_ALGOS, base_config=config, axis=axis, values=tuple(values))
-    return _execute(_spec_with_overrides(spec, args), args.out)
+    return _execute(_spec_with_overrides(spec, args))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -194,11 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="one-axis sweep from flags")
-    p_sweep.add_argument("--n", type=_int_list, default=None, help="tenant counts, comma separated")
-    p_sweep.add_argument("--c", type=_int_list, default=None, help="resource counts, comma separated")
-    p_sweep.add_argument("--demand-mean", type=_float_list, default=None)
-    p_sweep.add_argument("--q-range", type=_pair_list, default=None, help="lo:hi pairs, comma separated")
-    p_sweep.add_argument("--pay-level", type=_pair_list, default=None, help="lo:hi pairs, comma separated")
+    p_sweep.add_argument("--n", dest="tenants", type=_int_list, metavar="N", help="tenant counts, comma separated")
+    p_sweep.add_argument("--c", dest="resources", type=_int_list, metavar="C", help="resource counts, comma separated")
+    p_sweep.add_argument("--demand-mean", type=_float_list)
+    pairs = "lo:hi pairs, comma separated"
+    p_sweep.add_argument("--q-range", dest="unit_cost_range", type=_pair_list, metavar="Q_RANGE", help=pairs)
+    p_sweep.add_argument("--pay-level", dest="pay_level_range", type=_pair_list, metavar="PAY_LEVEL", help=pairs)
     _add_common_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

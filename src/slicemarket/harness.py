@@ -53,7 +53,6 @@ _TRIAL_COLUMNS = {
     "welfare": "welfare", "rental_rate": "rental_rate", "ratio": "ratio",
     "theoretical_alpha": "theoretical_alpha", "runtime_ns": "runtime_ns", "transcript_bytes": "transcript_bytes",
 }
-TRIAL_CSV_HEADER = ",".join(_TRIAL_COLUMNS)
 #: plot_data.json's per-algorithm series, each a ``SummaryRow`` field.
 _PLOT_SERIES = ("welfare_mean", "welfare_median", "ratio_median", "rental_mean")
 
@@ -170,15 +169,16 @@ class ExperimentSpec:
                 raise HarnessError("a sweep needs a non-empty value list")
         elif self.values:
             raise HarnessError("sweep values given without a sweep axis")
-        # every point's config is built here, so GenConfig's checks refuse a
-        # bad sweep value before any trial runs
+        # every point's config is built here, so GenConfig's checks refuse a bad sweep
+        # value before any trial runs; a point keeps the base config's other fields,
+        # its settled demand statistics among them, so a tenants sweep varies only N
         points = []
-        for value in self.values if self.axis is not None else (None,):
+        for value in self.values:  # none without an axis
             try:
-                points.append(_apply_axis(self.base_config, self.axis, value))
+                points.append(replace(self.base_config, **{AXES[self.axis]: value}))
             except WorkloadError as exc:
                 raise HarnessError(f"sweep axis {self.axis!r} value {value!r}: {exc}") from None
-        object.__setattr__(self, "_point_configs", tuple(points))
+        object.__setattr__(self, "_point_configs", tuple(points) or (self.base_config,))
         if not (_is_int(self.trials) and self.trials >= 1):
             raise HarnessError(f"trials must be an integer of at least 1, got {self.trials!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
@@ -243,22 +243,6 @@ class TrialMetrics:
     runtime_ns: int | None
     transcript_bytes: int | None
     transcript: Transcript | None = None
-
-
-def _apply_axis(config: GenConfig, axis: str | None, value) -> GenConfig:
-    """``config`` with the axis's field set to ``value``, which GenConfig checks."""
-    if axis is None:
-        return config
-    if axis == "tenants":
-        # pin the base demand distribution so the sweep varies only the
-        # population, not the per-tenant demand statistics
-        return replace(
-            config,
-            tenant_count=value,
-            demand_mean=config.resolved_demand_mean,
-            demand_std=config.resolved_demand_std,
-        )
-    return replace(config, **{AXES[axis]: value})
 
 
 def _reference(trial: _Trial) -> tuple[str, float, float | None]:

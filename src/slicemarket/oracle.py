@@ -68,6 +68,10 @@ class OracleError(MarketError):
 
 @dataclass(frozen=True)
 class OracleResult:
+    """``exact`` is relative to the booking order of the search that found the set: the summed order,
+    or the LP-weighted order after a restart.  Within that order no set beats it by more than the search's
+    1e-12 relative cutoff (``tests/test_enumeration.py::test_a_restart_books_in_its_weighted_order``)."""
+
     welfare: float
     accepted: np.ndarray
     method: str  # "branch-and-bound" | "exhaustive"

@@ -76,8 +76,8 @@ class GenConfig:
 
     tenant_count: int = 100
     resource_count: int = 3
-    demand_mean: float | None = None  # None: 1 / tenant_count
-    demand_std: float | None = None  # None: 1 / tenant_count**2
+    demand_mean: float | None = None  # None settles to 1 / tenant_count
+    demand_std: float | None = None  # None settles to 1 / tenant_count**2
     pay_level_range: tuple[float, float] = (2.0, 6.0)
     unit_cost_range: tuple[float, float] = (1.0 / 6.0, 5.0 / 6.0)  # fractions of the floor
     density_margin: float = 0.0
@@ -91,14 +91,18 @@ class GenConfig:
             raise WorkloadError(f"resource_count must be an integer of at least 1, got {self.resource_count!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise WorkloadError(f"seed must be a non-negative integer, got {self.seed!r}")
-        optional = ("demand_mean", "demand_std", "participation")  # None picks the default
-        for name in optional + ("density_margin",):
+        # settled once: a replace() copy keeps these numbers at any tenant_count
+        if self.demand_mean is None:
+            object.__setattr__(self, "demand_mean", 1.0 / self.tenant_count)
+        if self.demand_std is None:
+            object.__setattr__(self, "demand_std", 1.0 / self.tenant_count**2)
+        for name in ("demand_mean", "demand_std", "participation", "density_margin"):
             value = getattr(self, name)
-            if not (_is_finite(value) or (value is None and name in optional)):
+            if not (_is_finite(value) or (value is None and name == "participation")):
                 raise WorkloadError(f"{name} must be a finite number, got {value!r}")
-        if self.demand_mean is not None and not self.demand_mean > 0:
+        if not self.demand_mean > 0:
             raise WorkloadError("demand_mean must be positive")
-        if self.demand_std is not None and not self.demand_std >= 0:
+        if not self.demand_std >= 0:
             raise WorkloadError("demand_std must be non-negative")
         for name in ("pay_level_range", "unit_cost_range"):
             pair = getattr(self, name)
@@ -117,13 +121,9 @@ class GenConfig:
         if self.participation is not None and not 0 < self.participation <= 1:
             raise WorkloadError("participation must lie in (0, 1]")
 
-    @property
-    def resolved_demand_mean(self) -> float:
-        return self.demand_mean if self.demand_mean is not None else 1.0 / self.tenant_count
-
-    @property
-    def resolved_demand_std(self) -> float:
-        return self.demand_std if self.demand_std is not None else 1.0 / self.tenant_count**2
+    # read-only aliases of the settled demand statistics
+    resolved_demand_mean = property(lambda self: self.demand_mean)
+    resolved_demand_std = property(lambda self: self.demand_std)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -353,14 +353,14 @@ def _sample_demands(config: GenConfig, rng: np.random.Generator) -> np.ndarray:
             # forcing one resource keeps a pathological participation usable
             empty = ~active.any(axis=1)
             active[empty, 0] = True
-    demands = rng.normal(config.resolved_demand_mean, config.resolved_demand_std, size=(n, c))
+    demands = rng.normal(config.demand_mean, config.demand_std, size=(n, c))
     for _ in range(_MAX_RESAMPLE_ROUNDS):
         bad = demands <= MIN_DEMAND
         if active is not None:
             bad &= active
         if not bad.any():
             break
-        demands[bad] = rng.normal(config.resolved_demand_mean, config.resolved_demand_std, size=int(bad.sum()))
+        demands[bad] = rng.normal(config.demand_mean, config.demand_std, size=int(bad.sum()))
     else:
         raise WorkloadError("demand resampling failed; demand_mean is too close to zero")
     if active is not None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import slicemarket
 from slicemarket import cli, verify
 from slicemarket.baselines import GaParams
 from slicemarket.cli import main
-from slicemarket.harness import ExperimentSpec, HarnessError
+from slicemarket.harness import AXES, ExperimentSpec, HarnessError
 from slicemarket.workload import GenConfig, Instance, generate_instance
 
 
@@ -338,9 +339,9 @@ class TestSweep:
     )
     def test_unset_flags_keep_the_spec_defaults(self, monkeypatch, flags, expected):
         captured = []
-        monkeypatch.setattr(cli, "_execute", lambda spec, out: captured.append((spec, out)) or 0)
+        monkeypatch.setattr(cli, "_execute", lambda spec: captured.append(spec) or 0)
         assert main(["sweep", *flags]) == 0
-        assert captured == [(expected, None)]
+        assert captured == [expected]
 
     def test_byte_identical_outputs(self, tmp_path):
         args = ["sweep", "--n", "5", "--c", "2", "--algos", "posted_price,random",
@@ -348,6 +349,42 @@ class TestSweep:
         for name in ("a", "b"):
             assert main(args + ["--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "a" / "trials.csv").read_bytes() == (tmp_path / "b" / "trials.csv").read_bytes()
+
+
+class TestFlagNames:
+    """Each flag stores its value under the spec field or sweep axis it sets."""
+
+    def test_override_flags_are_spec_fields(self):
+        assert set(cli.SPEC_FLAGS) <= {f.name for f in fields(ExperimentSpec)}
+
+    def test_every_flag_stores_under_a_spec_field_or_an_axis(self):
+        sweep = vars(cli.build_parser().parse_args(["sweep"]))
+        assert set(sweep) - {"command", "func"} == set(AXES) | set(cli.SPEC_FLAGS)
+        run = vars(cli.build_parser().parse_args(["run", "--spec", "spec.json"]))
+        assert set(run) - {"command", "func", "spec"} == set(cli.SPEC_FLAGS)
+
+    def test_flags_parse_to_the_spec_types(self):
+        args = cli.build_parser().parse_args(
+            ["sweep", "--algos", "posted_price,random", "--transcripts", "on", "--timing", "off"]
+        )
+        assert (args.algos, args.transcripts, args.timing) == (("posted_price", "random"), True, False)
+
+    def test_sweep_help_keeps_the_flag_spellings(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        for usage in ("--n N", "--c C", "--q-range Q_RANGE", "--pay-level PAY_LEVEL", "--transcripts {on,off}"):
+            assert usage in text
+
+    @pytest.mark.parametrize("verb", [["sweep"], ["run", "--spec", "spec.json"]], ids=["sweep", "run"])
+    @pytest.mark.parametrize("flag", ["--transcripts", "--timing"])
+    def test_bad_on_off_value_is_usage_error(self, verb, flag, capsys):
+        # the on/off converter refuses the value with the message choices= gave
+        with pytest.raises(SystemExit) as exit_info:
+            main([*verb, flag, "yes"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: invalid choice: 'yes' (choose from 'on', 'off')" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -16,7 +16,6 @@ from slicemarket.harness import (
     EmitError,
     ExperimentSpec,
     HarnessError,
-    _apply_axis,
     aggregate,
     emit,
     plot_data,
@@ -157,23 +156,33 @@ class TestSpecValidation:
         assert all(path.stat().st_size > 0 for path in paths.values())
 
 
+def _point(axis, value, base=None):
+    """The config of the one point a sweep of ``base`` along ``axis`` runs at ``value``."""
+    return ExperimentSpec(base_config=base or GenConfig(), axis=axis, values=(value,))._point_configs[0]
+
+
 class TestApplyAxis:
+    """Each sweep point is the base config with the axis's field replaced."""
+
     def test_tenant_sweep_pins_demand_distribution(self):
-        base = GenConfig(tenant_count=100)
-        swept = _apply_axis(base, "tenants", 50)
+        swept = _point("tenants", 50, GenConfig(tenant_count=100))
         assert swept.tenant_count == 50
         assert swept.demand_mean == pytest.approx(0.01)
         assert swept.demand_std == pytest.approx(1e-4)
 
     def test_demand_mean_axis(self):
-        assert _apply_axis(GenConfig(), "demand_mean", 0.02).demand_mean == 0.02
+        assert _point("demand_mean", 0.02).demand_mean == 0.02
 
     def test_range_axes(self):
-        cfg = _apply_axis(GenConfig(), "unit_cost_range", (0.1, 0.4))
+        cfg = _point("unit_cost_range", (0.1, 0.4))
         assert cfg.unit_cost_range == (0.1, 0.4)
-        cfg = _apply_axis(GenConfig(), "pay_level_range", (1.0, 3.0))
+        cfg = _point("pay_level_range", (1.0, 3.0))
         assert cfg.pay_level_range == (1.0, 3.0)
-        assert _apply_axis(GenConfig(), "unit_cost_range", [0.1, 0.4]).unit_cost_range == (0.1, 0.4)
+        assert _point("unit_cost_range", [0.1, 0.4]).unit_cost_range == (0.1, 0.4)
+
+    def test_no_axis_runs_the_base_config(self):
+        base = GenConfig(tenant_count=7)
+        assert ExperimentSpec(base_config=base)._point_configs == (base,)
 
     @pytest.mark.parametrize(
         "axis, value, message",

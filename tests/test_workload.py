@@ -1,6 +1,7 @@
 """Workload generator: determinism, invariants, population statistics."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,21 @@ class TestGenConfig:
         cfg = GenConfig(demand_mean=0.02, demand_std=0.005)
         assert cfg.resolved_demand_mean == 0.02
         assert cfg.resolved_demand_std == 0.005
+
+    def test_defaults_are_settled_when_built(self):
+        # a copy with another tenant count keeps the numbers, not the rule
+        swept = replace(GenConfig(tenant_count=10), tenant_count=50)
+        assert (swept.demand_mean, swept.demand_std) == (0.1, 0.01)
+
+    def test_null_defaults_load_and_round_trip(self):
+        cfg = GenConfig.from_dict(json.loads('{"tenant_count": 8, "demand_mean": null, "demand_std": null}'))
+        assert (cfg.demand_mean, cfg.demand_std) == (1 / 8, 1 / 64)
+        assert GenConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_settled_default_equals_the_spelled_out_numbers(self):
+        spelled = GenConfig(demand_mean=0.01, demand_std=1e-4)
+        assert GenConfig() == spelled
+        assert hash(GenConfig()) == hash(spelled)
 
     @pytest.mark.parametrize(
         "kwargs",
