@@ -12,7 +12,6 @@ factor of the offline optimum when resource costs are linear.
 from .baselines import (
     AuctionResult,
     GaParams,
-    MyopicPricing,
     ga_heuristic,
     myopic_slicing,
     random_slicing,
@@ -32,7 +31,7 @@ from .market import (
     utilities,
 )
 from .oracle import OracleError, OracleResult, adjusted_profits, lp_upper_bound, offline_exact
-from .pricing import PricingSchedule, build_schedule
+from .pricing import MyopicPricing, PricingSchedule, build_schedule
 from .protocol import (
     FAIL,
     SKIP,

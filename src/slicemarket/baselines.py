@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import CAPACITY, MarketSetup, SetupError, _reorder_factor
+from .market import CAPACITY, MarketSetup, _reorder_factor
 from .oracle import _densities, _viable, adjusted_profits
+from .pricing import MyopicPricing
 from .protocol import SessionResult, arrival_order, run_session
 from .workload import _is_int
 
@@ -305,43 +306,11 @@ def utility_bid_auction(instance) -> AuctionResult:
 # myopic online slicing
 
 
-@dataclass(frozen=True)
-class MyopicPricing:
-    """Linear price ramp from zero to the averaged band price at full capacity.
-
-    Like the threshold schedule, defined on ``[0, CAPACITY]``.
-    """
-
-    slopes: tuple[float, ...]
-
-    @classmethod
-    def from_setup(cls, setup: MarketSetup) -> "MyopicPricing":
-        slopes = tuple(float((lo + hi) / 2) for lo, hi in zip(setup.price_floors, setup.price_caps))
-        return cls(slopes)
-
-    def price_at(self, c: int, y: float) -> float:
-        if not 0 <= c < len(self.slopes):
-            raise SetupError(f"resource index {c} out of range [0, {len(self.slopes)})")
-        return _ramp_price(self.slopes[c], y)
-
-    def quote(self, utilization) -> tuple[float, ...]:
-        """``price_at(c, utilization[c])`` for every resource ``c``."""
-        if len(utilization) != len(self.slopes):
-            raise SetupError(f"a quote needs {len(self.slopes)} utilizations, got {len(utilization)}")
-        return tuple(map(_ramp_price, self.slopes, utilization))
-
-
-def _ramp_price(slope: float, y: float) -> float:
-    # the ramp's one formula, behind both price_at and quote
-    if not 0 <= y <= CAPACITY:
-        raise SetupError(f"utilization must lie in [0, {CAPACITY}], got {y!r}")
-    return slope * y
-
-
 def myopic_slicing(instance, order: Sequence[int] | None = None) -> SessionResult:
-    """Run the stop-and-wait protocol with the myopic linear price ramp."""
+    """Run the stop-and-wait protocol with the myopic linear price ramp,
+    ``pricing.MyopicPricing``."""
     setup = MarketSetup.from_instance(instance)
-    return run_session(setup, MyopicPricing.from_setup(setup), instance, order)
+    return run_session(setup, MyopicPricing(setup), instance, order)
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,8 @@ def conjugate(setup: MarketSetup, c: int, price: float) -> float:
 def _check_allocation(setup: MarketSetup, instance, allocation: Allocation) -> None:
     if allocation.demands is not instance.demands:
         raise MarketError("allocation was built for another instance")
-    if setup.resource_count != instance.resource_count:
-        raise MarketError("allocation does not match the market resource count")
+    if setup.unit_costs is not instance.unit_costs and setup.unit_costs.tolist() != instance.unit_costs.tolist():
+        raise MarketError("the setup does not match the instance's resource count and unit costs")
 
 
 def social_welfare(setup: MarketSetup, instance, allocation: Allocation) -> float:

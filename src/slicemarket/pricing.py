@@ -1,4 +1,4 @@
-"""Threshold posted-price schedule for linear resource costs.
+"""Posted-price schedules: the threshold schedule and the myopic ramp.
 
 Each resource sells at its floor price until utilization reaches a
 per-resource threshold, then at an exponentially increasing price that hits
@@ -30,7 +30,7 @@ value as it prices it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,18 +39,30 @@ from .market import CAPACITY, MarketSetup, SetupError, _readonly
 
 @dataclass(frozen=True)
 class PricingSchedule:
-    """Immutable price curves of one market setup plus the derived worst-case ratio."""
+    """Immutable price curves of one market setup and its worst-case ratio.
+
+    The threshold of resource ``c`` is ``w_c = 1 / (1 + ln(S / (floor_c - q_c)))``,
+    ``S`` the total price-cap headroom ``sum_c (cap_c - q_c)``, and ``ratio`` is
+    ``max_c 1 / w_c``.  The band the ``MarketSetup`` constructor checked puts
+    every threshold in (0, 1].  The headroom sum and the logarithm run in
+    numpy, the rest as the same float arithmetic on plain floats.
+    """
 
     setup: MarketSetup
-    thresholds: np.ndarray
-    ratio: float
+    thresholds: np.ndarray = field(init=False)
+    ratio: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", _readonly(self.thresholds))
+        setup = self.setup
+        spread = float((setup.price_caps - setup.unit_costs).sum())
+        logs = np.log(spread / (setup.price_floors - setup.unit_costs)).tolist()
+        w = tuple([1.0 / (1.0 + x) for x in logs])
+        object.__setattr__(self, "thresholds", _readonly(w))
+        object.__setattr__(self, "ratio", max([1.0 / x for x in w]))
         # plain-float copies keep per-arrival price evaluation cheap
-        object.__setattr__(self, "_q", tuple(self.setup.unit_costs.tolist()))
-        object.__setattr__(self, "_floor", tuple(self.setup.price_floors.tolist()))
-        object.__setattr__(self, "_w", tuple(self.thresholds.tolist()))
+        object.__setattr__(self, "_q", tuple(setup.unit_costs.tolist()))
+        object.__setattr__(self, "_floor", tuple(setup.price_floors.tolist()))
+        object.__setattr__(self, "_w", w)
 
     def price_at(self, c: int, y: float) -> float:
         """Posted price of resource ``c`` at utilization ``y``.
@@ -82,18 +94,36 @@ def _threshold_price(q: float, floor: float, w: float, y: float) -> float:
 
 
 def build_schedule(setup: MarketSetup) -> PricingSchedule:
-    """Construct the threshold schedule of a market setup.
+    """The threshold schedule of a market setup."""
+    return PricingSchedule(setup)
 
-    The threshold of resource ``c`` is ``1 / (1 + ln(S / (floor_c - q_c)))``
-    where ``S`` is the total price-cap headroom ``sum_c (cap_c - q_c)``.  The
-    ``MarketSetup`` constructor has already checked the band, and its
-    inequalities guarantee every threshold lies in (0, 1].  The headroom sum
-    and the logarithm run in numpy, the rest as the same float arithmetic on
-    plain floats.
-    """
-    spread = float((setup.price_caps - setup.unit_costs).sum())
-    logs = np.log(spread / (setup.price_floors - setup.unit_costs)).tolist()
-    thresholds = [1.0 / (1.0 + x) for x in logs]
-    frozen = np.array(thresholds)
-    frozen.setflags(write=False)  # the schedule keeps it
-    return PricingSchedule(setup, frozen, max([1.0 / w for w in thresholds]))
+
+@dataclass(frozen=True)
+class MyopicPricing:
+    """Linear price ramp from zero to the band midpoint ``(floor_c + cap_c) / 2``
+    at full capacity; like the threshold schedule, defined on ``[0, CAPACITY]``."""
+
+    setup: MarketSetup = field(compare=False)  # ramps compare and hash by their slopes
+    slopes: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        slopes = tuple(float((lo + hi) / 2) for lo, hi in zip(self.setup.price_floors, self.setup.price_caps))
+        object.__setattr__(self, "slopes", slopes)
+
+    def price_at(self, c: int, y: float) -> float:
+        if not 0 <= c < len(self.slopes):
+            raise SetupError(f"resource index {c} out of range [0, {len(self.slopes)})")
+        return _ramp_price(self.slopes[c], y)
+
+    def quote(self, utilization) -> tuple[float, ...]:
+        """``price_at(c, utilization[c])`` for every resource ``c``."""
+        if len(utilization) != len(self.slopes):
+            raise SetupError(f"a quote needs {len(self.slopes)} utilizations, got {len(utilization)}")
+        return tuple(map(_ramp_price, self.slopes, utilization))
+
+
+def _ramp_price(slope: float, y: float) -> float:
+    # the ramp's one formula, behind both price_at and quote
+    if not 0 <= y <= CAPACITY:
+        raise SetupError(f"utilization must lie in [0, {CAPACITY}], got {y!r}")
+    return slope * y

@@ -27,11 +27,12 @@ built, lives in the test suite (``tests/reference_protocol.py``) as the
 reference the engine must reproduce bit for bit.
 
 A schedule is anything with a ``quote(utilization)`` method that returns the
-tuple of every resource's price at a utilization vector.  The engine asks for
-one quote at the start of a session and one after each sale, the one step
-that moves utilization, and checks each quote in one walk
-(``_checked_prices``: one price per resource, each finite and non-negative)
-before any tenant sees it.
+tuple of every resource's price at a utilization vector.  Both package
+schedules hold their ``MarketSetup``, and the engine refuses one of another
+setup; a schedule without a ``setup`` is exempt.  The engine asks for one
+quote at the start of a session and one after each sale, the one step that
+moves utilization, and checks each quote in one walk (``_checked_prices``: one
+price per resource, each finite and non-negative) before any tenant sees it.
 
 ``validate_transcript_record`` checks a persisted record against the published
 ``TRANSCRIPT_RECORD_SCHEMA`` with direct key, type and range checks; the
@@ -330,7 +331,8 @@ def run_session(
     gathered rows as one float array.  One charge, summed left to right
     over the resources, is both the tenant's offer and the booked payment,
     and ``schedule.quote`` is called (and its prices checked) only at the
-    start and after a sale.  A schedule holding a ``setup`` must hold this one.
+    start and after a sale.  A schedule's ``setup``, which both package
+    schedules hold, must be this one; a schedule without one is exempt.
 
     The loop keeps only the utilization, prices, revenue and transcript, and
     the tenants are settled from the transcript: a SUCC pays its charge, and

@@ -6,7 +6,6 @@ import pytest
 from slicemarket.baselines import (
     ELITES,
     GaParams,
-    MyopicPricing,
     ga_heuristic,
     myopic_slicing,
     random_slicing,
@@ -14,7 +13,7 @@ from slicemarket.baselines import (
 )
 from slicemarket.market import Allocation, MarketSetup, SetupError, social_welfare
 from slicemarket.oracle import offline_exact
-from slicemarket.pricing import build_schedule
+from slicemarket.pricing import MyopicPricing, build_schedule
 from slicemarket.protocol import run_session
 from slicemarket.workload import GenConfig, Instance, generate_instance
 
@@ -160,14 +159,14 @@ class TestMyopicSlicing:
 
     def test_price_near_capacity(self):
         setup = MarketSetup([0.5, 0.5], [1.0, 2.0], [2.0, 3.0])
-        pricing = MyopicPricing.from_setup(setup)
+        pricing = MyopicPricing(setup)
         assert pricing.price_at(0, 1.0) == pytest.approx((1.0 + 2.0) / 2)
         assert pricing.price_at(1, 1.0) == pytest.approx((2.0 + 3.0) / 2)
         with pytest.raises(SetupError):
             pricing.price_at(0, 1.1)
         # the ramp ends at the band midpoint whatever the resource count
         for floors, caps in (([1.0], [3.0]), ([1.0, 2.0, 4.0], [2.0, 3.0, 5.0])):
-            pricing = MyopicPricing.from_setup(MarketSetup([0.5] * len(floors), floors, caps))
+            pricing = MyopicPricing(MarketSetup([0.5] * len(floors), floors, caps))
             for c, (lo, hi) in enumerate(zip(floors, caps)):
                 assert pricing.price_at(c, 1.0) == pytest.approx((lo + hi) / 2)
 

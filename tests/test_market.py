@@ -138,6 +138,17 @@ class TestAllocation:
             with pytest.raises(MarketError, match="resource count"):
                 account(make_setup(), inst, alloc)
 
+    def test_setup_of_other_unit_costs_is_refused(self):
+        inst = manual_instance([[0.3, 0.2]], [1.2], [0.5, 0.5])
+        alloc = Allocation.from_decisions(inst, [True])
+        own = MarketSetup([0.5, 0.5], inst.price_floors, inst.price_caps)  # equal costs, other arrays
+        other = MarketSetup([0.5, 0.25], inst.price_floors, inst.price_caps)
+        for account in (social_welfare, lambda *args: utilities(*args, [0.5])):
+            with pytest.raises(MarketError, match="unit costs"):
+                account(other, inst, alloc)
+        assert social_welfare(own, inst, alloc) == social_welfare(MarketSetup.from_instance(inst), inst, alloc)
+        assert utilities(own, inst, alloc, [0.5])[0] == 0.5 - 0.25
+
     def test_decision_vector_of_another_shape_is_refused(self):
         inst = manual_instance([[0.3], [0.3]], [1.2, 1.5], [0.5])
         for accepted in ([True], [[True, False]], [True, False, False]):

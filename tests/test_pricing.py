@@ -1,14 +1,14 @@
 """Threshold pricing schedule: closed forms, identities, monotonicity."""
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import mpmath
 import numpy as np
 import pytest
 
-from slicemarket.baselines import MyopicPricing
 from slicemarket.market import CAPACITY, MarketSetup, SetupError
-from slicemarket.pricing import PricingSchedule, build_schedule
+from slicemarket.pricing import MyopicPricing, PricingSchedule, build_schedule
 from slicemarket.verify import _random_config
 from slicemarket.workload import generate_instance
 
@@ -26,17 +26,19 @@ def high_precision_threshold(costs, floors, caps, c):
 
 
 def _reference_build_schedule(setup):
-    """``build_schedule`` as it was: every step an array operation."""
+    """The thresholds and ratio as ``build_schedule`` first computed them:
+    every step an array operation."""
     spread = float(np.sum(setup.price_caps - setup.unit_costs))
     gaps = setup.price_floors - setup.unit_costs
     thresholds = 1.0 / (1.0 + np.log(spread / gaps))
-    return PricingSchedule(setup, thresholds, float(np.max(1.0 / thresholds)))
+    return thresholds, float(np.max(1.0 / thresholds))
 
 
-def _assert_same_schedule(got, want):
-    assert (got.thresholds.dtype, got.thresholds.tobytes()) == (want.thresholds.dtype, want.thresholds.tobytes())
-    assert type(got.ratio) is float and np.float64(got.ratio).tobytes() == np.float64(want.ratio).tobytes()
-    assert got.setup is want.setup
+def _assert_same_schedule(got, setup):
+    thresholds, ratio = _reference_build_schedule(setup)
+    assert (got.thresholds.dtype, got.thresholds.tobytes()) == (thresholds.dtype, thresholds.tobytes())
+    assert type(got.ratio) is float and np.float64(got.ratio).tobytes() == np.float64(ratio).tobytes()
+    assert got.setup is setup
     assert not got.thresholds.flags.writeable
 
 
@@ -44,7 +46,7 @@ def test_build_schedule_matches_the_reference(rng):
     setups = [E1, E2] + [random_setup(rng, c) for c in range(1, 13) for _ in range(40)]
     setups += [MarketSetup.from_instance(generate_instance(_random_config(rng))) for _ in range(200)]
     for setup in setups:
-        _assert_same_schedule(build_schedule(setup), _reference_build_schedule(setup))
+        _assert_same_schedule(build_schedule(setup), setup)
 
 
 class TestBuildSchedule:
@@ -110,7 +112,7 @@ class TestPriceAt:
 
 
 def _schedules(setup):
-    return (build_schedule(setup), MyopicPricing.from_setup(setup))
+    return (build_schedule(setup), MyopicPricing(setup))
 
 
 def _quote_points(rng, schedule, c):
@@ -253,3 +255,26 @@ def test_schedule_arrays_are_readonly():
     schedule = build_schedule(E2)
     with pytest.raises(ValueError):
         schedule.thresholds[0] = 0.9
+
+
+@pytest.mark.parametrize("kind, derived", [(PricingSchedule, ("thresholds", "ratio")), (MyopicPricing, ("slopes",))])
+def test_a_schedule_takes_its_setup_alone(kind, derived):
+    """Each schedule is built from one argument, its setup; every other field
+    is derived from it and can be neither given nor set."""
+    schedule = kind(E2)
+    assert schedule.setup is E2
+    for name in derived:
+        with pytest.raises(TypeError):
+            kind(E2, **{name: getattr(schedule, name)})
+        with pytest.raises(ValueError, match="init=False"):
+            replace(schedule, **{name: getattr(schedule, name)})
+        with pytest.raises(FrozenInstanceError):
+            setattr(schedule, name, getattr(schedule, name))
+    with pytest.raises(TypeError):
+        kind(E2, *(getattr(schedule, name) for name in derived))
+
+
+def test_myopic_ramps_compare_and_hash_by_their_slopes():
+    twin = MarketSetup(E2.unit_costs.copy(), E2.price_floors.copy(), E2.price_caps.copy())
+    assert MyopicPricing(twin) == MyopicPricing(E2) and hash(MyopicPricing(twin)) == hash(MyopicPricing(E2))
+    assert MyopicPricing(E2) != MyopicPricing(MarketSetup([0.5, 0.5], [1.0, 2.0], [2.0, 4.0]))

@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from slicemarket.baselines import MyopicPricing, myopic_slicing, random_slicing
+from slicemarket.baselines import myopic_slicing, random_slicing
 from slicemarket.market import Allocation, MarketSetup, social_welfare, utilities
-from slicemarket.pricing import build_schedule
+from slicemarket.pricing import MyopicPricing, build_schedule
 from slicemarket.protocol import (
     FAIL,
     SKIP,
@@ -441,7 +441,7 @@ class TestTranscript:
             inst = generate_instance(GenConfig(n, resources, demand_mean=demand_mean, seed=int(rng.integers(2**32))))
             setup, order = MarketSetup.from_instance(inst), rng.permutation(n)
             flat = FlatPricing(tuple(0.1 * f for f in setup.price_floors.tolist()))
-            schedules = (build_schedule(setup), MyopicPricing.from_setup(setup), flat)
+            schedules = (build_schedule(setup), MyopicPricing(setup), flat)
             for schedule in schedules:
                 transcript = run_session(setup, schedule, inst, order).ledger.transcript
                 fails += transcript.outcomes.count(FAIL)
@@ -602,9 +602,17 @@ class TestScheduleSetup:
             run_session(setup, build_schedule(E2_SETUP), instance)
         run_session(setup, build_schedule(setup), instance)
 
-    def test_a_schedule_without_a_setup_is_exempt(self):
+    def test_a_myopic_schedule_of_another_setup_is_refused(self):
         instance = generate_instance(GenConfig(tenant_count=5, resource_count=2, seed=14))
         setup = MarketSetup.from_instance(instance)
-        pricing = MyopicPricing.from_setup(setup)
+        twin = MarketSetup.from_instance(instance)  # equal, but another object
+        for other in (twin, E2_SETUP):
+            with pytest.raises(ProtocolError, match="another market setup"):
+                run_session(setup, MyopicPricing(other), instance)
+        assert len(run_session(setup, MyopicPricing(setup), instance).ledger.transcript) == 5
+
+    def test_a_schedule_without_a_setup_is_exempt(self):
+        instance = generate_instance(GenConfig(tenant_count=5, resource_count=2, seed=14))
+        pricing = FlatPricing((0.1, 0.2))
         assert not hasattr(pricing, "setup")
         assert len(run_session(E2_SETUP, pricing, instance).ledger.transcript) == 5

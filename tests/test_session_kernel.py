@@ -14,9 +14,9 @@ import pytest
 
 import slicemarket
 from slicemarket import protocol, workload
-from slicemarket.baselines import MyopicPricing, myopic_slicing, random_slicing
+from slicemarket.baselines import myopic_slicing, random_slicing
 from slicemarket.market import Allocation, MarketSetup
-from slicemarket.pricing import build_schedule
+from slicemarket.pricing import MyopicPricing, build_schedule
 from slicemarket.protocol import (
     FAIL,
     SKIP,
@@ -117,7 +117,7 @@ def assert_bit_identical(setup, schedule, instance, order) -> list[TranscriptEnt
 
 
 def _schedules(setup):
-    return (build_schedule(setup), MyopicPricing.from_setup(setup))
+    return (build_schedule(setup), MyopicPricing(setup))
 
 
 def _orders(rng, n):

@@ -332,7 +332,9 @@ def test_suites_total_each_violated_family(monkeypatch):
 def test_pricing_suite_totals_by_family(monkeypatch):
     def skewed(setup):
         shifted = MarketSetup(setup.unit_costs, setup.price_floors * 1.01, setup.price_caps * 1.01)
-        return replace(build_schedule(shifted), ratio=0.5)
+        schedule = build_schedule(shifted)
+        object.__setattr__(schedule, "ratio", 0.5)  # a derived field, doctored
+        return schedule
 
     monkeypatch.setattr(verify, "build_schedule", skewed)
     totals = Counter()
