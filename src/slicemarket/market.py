@@ -89,6 +89,8 @@ class MarketSetup:
     ``0 < unit cost < price floor <= price cap < inf`` for every resource, and
     raises ``SetupError`` at the first resource that breaks it.  It copies a
     writeable array; ``from_instance`` keeps the instance's read-only ones.
+    Two setups are equal when their three arrays hold equal values, and then
+    hash alike.
     """
 
     unit_costs: np.ndarray
@@ -114,6 +116,17 @@ class MarketSetup:
                 raise SetupError(f"resource {c}: q_c < price floor violated (q={q!r}, floor={lo!r})")
             if not lo <= hi:
                 raise SetupError(f"resource {c}: price floor <= price cap violated (floor={lo!r}, cap={hi!r})")
+
+    def _values(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(array.tolist()) for array in (self.unit_costs, self.price_floors, self.price_caps))
+
+    def __eq__(self, other):
+        if not isinstance(other, MarketSetup):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def resource_count(self) -> int:

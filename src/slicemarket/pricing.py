@@ -49,8 +49,9 @@ class PricingSchedule:
     """
 
     setup: MarketSetup
-    thresholds: np.ndarray = field(init=False)
-    ratio: float = field(init=False)
+    # derived from the setup alone: a schedule compares and hashes by its setup
+    thresholds: np.ndarray = field(init=False, compare=False)
+    ratio: float = field(init=False, compare=False)
 
     def __post_init__(self):
         setup = self.setup

@@ -5,8 +5,11 @@ pass per round.  The scan must reproduce every field of its result exactly:
 welfare, the accepted mask, payments, rounds and bids, bit for bit.
 
 ``_reference_first_fit`` is the first-fit scan the auction and random
-slicing share, as it was written on one Python list per row; the scan that
-reads the row array as one list per resource must book the same positions.
+slicing share, as it was written on one Python list per row, and
+``_loop_first_fit`` the scan that read the row array as one list per
+resource, every row in the loop.  The scan that books its leading run of
+fitting rows in numpy and loops from the first refusal must book the same
+positions as both.
 """
 
 from operator import add
@@ -14,7 +17,8 @@ from operator import add
 import numpy as np
 import pytest
 
-from slicemarket.baselines import AuctionResult, _first_fit, utility_bid_auction
+from slicemarket import baselines
+from slicemarket.baselines import AuctionResult, _first_fit, random_slicing, utility_bid_auction
 from slicemarket.market import CAPACITY
 from slicemarket.oracle import adjusted_profits
 from slicemarket.workload import GenConfig, Instance, generate_instance
@@ -168,11 +172,27 @@ def _reference_first_fit(rows: list[list[float]], limit: float) -> list[int]:
     return booked
 
 
+# ``baselines._first_fit`` before its leading run was booked in numpy, verbatim
+def _loop_first_fit(rows: np.ndarray) -> list[int]:
+    """The positions of the demand rows, an (arrivals, resources) array in
+    scan order, that keep every resource's running utilization, summed in
+    booking order on plain floats, at most ``CAPACITY``.  The rows are read
+    as the session engine reads them: one list per resource, zipped."""
+    utilization = [0.0] * rows.shape[1]
+    booked = []
+    for position, row in enumerate(zip(*rows.T.tolist())):
+        grown = list(map(add, utilization, row))
+        if max(grown) <= CAPACITY:
+            utilization = grown
+            booked.append(position)
+    return booked
+
+
 def assert_same_first_fit(rows: np.ndarray) -> list[int]:
     got = _first_fit(rows)
     want = _reference_first_fit(rows.tolist(), LIMIT)
     assert type(got) is list and all(type(position) is int for position in got)
-    assert got == want
+    assert got == want == _loop_first_fit(rows)
     return want
 
 
@@ -203,3 +223,52 @@ def test_first_fit_rows_that_land_on_the_limit():
             assert_same_first_fit(rows)
     rows = np.array([[0.75], [LIMIT - 0.75], [0.0], [np.nextafter(LIMIT, 2.0) - LIMIT]])
     assert assert_same_first_fit(rows) == [0, 1, 2]
+
+
+def test_first_fit_run_reaches_the_last_row():
+    rows = np.full((40, 3), 0.02)
+    assert assert_same_first_fit(rows) == list(range(40))
+
+
+def test_first_fit_refuses_row_zero_and_books_after_it():
+    rows = np.array([[0.5, 1.5], [0.5, 0.5], [0.6, 0.1], [0.5, 0.5]])
+    assert assert_same_first_fit(rows) == [1, 3]
+
+
+def test_first_fit_refuses_every_row():
+    rows = np.full((5, 2), 1.25)
+    rows[2, 0] = 0.0
+    assert assert_same_first_fit(rows) == []
+
+
+def test_first_fit_run_ends_one_ulp_above_the_limit():
+    # the run's running sum lands on the limit and books; one ulp more is the
+    # first refusal, and a zero row after it still books
+    ulp = np.nextafter(LIMIT, 2.0) - LIMIT
+    rows = np.array([[0.25, 0.0], [0.25, 0.5], [0.5, 0.5], [ulp, 0.0], [0.0, 0.0], [ulp, ulp]])
+    assert assert_same_first_fit(rows) == [0, 1, 2, 4]
+    rows[3, 0] = 0.0
+    assert assert_same_first_fit(rows) == [0, 1, 2, 3, 4]
+
+
+def scan_market(seed: int) -> Instance:
+    """Dense, coarse (demand spread as large as the mean) or sparse (half the
+    entries zero) by ``seed % 3``: 2 to 400 tenants, 1 to 5 resources,
+    demand mean 1/N to 4/N."""
+    rng = np.random.default_rng(800 + seed)
+    n, c, share = int(rng.integers(2, 401)), int(rng.integers(1, 6)), float(rng.integers(1, 5))
+    knobs = [{}, {"demand_std": share / n}, {"participation": 0.5}][seed % 3]
+    return generate_instance(GenConfig(tenant_count=n, resource_count=c, demand_mean=share / n, seed=seed, **knobs))
+
+
+@pytest.mark.parametrize("seed", range(90))
+def test_auction_and_random_slicing_as_with_the_loop(seed, monkeypatch):
+    instance = scan_market(seed)
+    order = np.random.default_rng(seed).permutation(instance.tenant_count)
+    auction, coins = utility_bid_auction(instance), random_slicing(instance, order, seed)
+    monkeypatch.setattr(baselines, "_first_fit", _loop_first_fit)
+    want_auction, want_coins = utility_bid_auction(instance), random_slicing(instance, order, seed)
+    assert auction.welfare.hex() == want_auction.welfare.hex() and auction.accepted.tobytes() == want_auction.accepted.tobytes()
+    assert auction.payments.tobytes() == want_auction.payments.tobytes()
+    assert (auction.rounds, auction.bids_submitted) == (want_auction.rounds, want_auction.bids_submitted)
+    assert coins[0].hex() == want_coins[0].hex() and coins[1].tobytes() == want_coins[1].tobytes()

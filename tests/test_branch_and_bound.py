@@ -15,10 +15,15 @@ bit for bit (optimum, chosen items, node count, budget flag), wherever they
 finish within the budget.  Where they run out, it visits the same nodes in the
 same order and stops at the budget.  With weights it is compared with
 exhaustive enumeration instead.
+
+``_loop_branch_and_bound`` is the search as it was before its root dive ran
+in numpy: every node on the per-node loop.  The search must return what it
+returns, bit for bit, summed and weighted, at every budget.
 """
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from functools import partial, reduce
 from operator import add, mul
 
@@ -31,6 +36,7 @@ from slicemarket.oracle import (
     _PROBE_NODES_PER_TENANT,
     DEFAULT_NODE_BUDGET,
     _branch_and_bound,
+    _density_order,
     _exhaustive,
     _unpack,
     adjusted_profits,
@@ -517,3 +523,236 @@ def test_unpack_reads_bits_low_first():
     for m in (1, 7, 8, 9, 25, 64, 65, 2000):
         for mask in (0, (1 << m) - 1, 1 << (m - 1), int(rng.integers(0, 2**62)) % (1 << m)):
             assert _unpack(mask, m).tolist() == [bool(mask >> i & 1) for i in range(m)]
+
+
+# ---------------------------------------------------------------------------
+# the root dive in numpy against the per-node loop that visited it node by node
+
+# ``oracle._branch_and_bound`` before its root dive ran in numpy, verbatim
+def _loop_branch_and_bound(
+    profits: np.ndarray, demands: np.ndarray, node_budget: int, weights: np.ndarray | None = None
+) -> tuple[float, np.ndarray, int, bool]:
+    """Depth-first search over items in descending density; returns the chosen mask.
+
+    A node's bound is its value plus the greedy fractional fill of the items
+    below it within one surrogate capacity, the optimum of that single
+    constraint's relaxation.  Without ``weights`` the surrogate sums the C
+    capacities: an item's size is its summed demand and a node's room the sum
+    of its remaining capacities.  With nonnegative ``weights`` λ an item's
+    size is ``demand @ λ`` and a node's room ``Σ_c λ_c r_c``.  Rooms add left
+    to right (unweighted, ``1.0 * r_c`` is ``r_c``), as ``sum()`` does not
+    from Python 3.12 on.  An item is taken only while each ``r_c`` is at
+    least its demand, so the takes below a node exceed its room by rounding
+    alone (``market._reorder_factor``).
+
+    The search visits a take child as soon as it is built and stacks only the
+    skip branch; each node carries its room, computed once with its remaining
+    list.  It visits at most ``node_budget`` nodes and reports the budget
+    exhausted only when a node was left unvisited.  The sort and the prefix
+    sums run in numpy; the per-node work runs on Python lists and floats.
+    """
+    m, resources = demands.shape
+    aggregate = demands.sum(axis=1) if weights is None else demands @ weights
+    weight_list = [1.0] * resources if weights is None else weights.tolist()
+    order, density = _density_order(profits, aggregate)
+    prefix_p = np.concatenate(([0.0], np.cumsum(profits[order]))).tolist()
+    prefix_a = np.concatenate(([0.0], np.cumsum(aggregate[order]))).tolist()
+    finite = np.isfinite(density).tolist()
+    density = density.tolist()
+    rows = demands[order].tolist()
+    profit_list = profits[order].tolist()
+
+    best_value = 0.0
+    best_mask = 0
+    cutoff = best_value + 1e-12 * max(1.0, abs(best_value))
+    nodes = 0
+    exhausted = False
+    depth, value, mask = 0, 0.0, 0
+    remaining = [CAPACITY] * resources
+    room = 0.0
+    for w in weight_list:
+        room += w * CAPACITY
+    stack: list[tuple[int, float, list[float], float, int]] = []
+    while True:
+        if nodes == node_budget:
+            exhausted = True
+            break
+        nodes += 1
+        if value > best_value:
+            best_value = value
+            best_mask = mask
+            cutoff = best_value + 1e-12 * max(1.0, abs(best_value))
+        if depth < m:
+            # fractional fill of items depth.. within the node's room; bisect_right
+            # over the sorted, NaN-free prefix sums is searchsorted(side="right")
+            target = prefix_a[depth] + room
+            t = bisect_right(prefix_a, target) - 1
+            if t >= m:
+                tail = prefix_p[m] - prefix_p[depth]
+            else:
+                tail = prefix_p[t] - prefix_p[depth]
+                leftover = target - prefix_a[t]
+                if leftover > 0 and finite[t]:
+                    tail += leftover * density[t]
+            if value + tail > cutoff:
+                taken = []
+                taken_room = 0.0
+                for r, d, w in zip(remaining, rows[depth], weight_list):
+                    if r < d:
+                        break
+                    taken.append(r - d)
+                    taken_room += w * (r - d)
+                else:
+                    stack.append((depth + 1, value, remaining, room, mask))
+                    value += profit_list[depth]
+                    remaining = taken
+                    room = taken_room
+                    mask |= 1 << depth
+                # visit the take child, or the skip child when the item does not fit
+                depth += 1
+                continue
+        if not stack:
+            break
+        depth, value, remaining, room, mask = stack.pop()
+
+    # the mask is over sorted positions; order maps them back to item indices
+    chosen = np.zeros(m, dtype=bool)
+    chosen[order] = _unpack(best_mask, m)
+    return best_value, chosen, nodes, exhausted
+
+
+def dive_stop(profits: np.ndarray, demands: np.ndarray, weights: np.ndarray | None = None) -> tuple[int, str]:
+    """The nodes of the root dive, each passing its bound and taking its item,
+    and what ends it: the last item taken, a bound or an item that does not fit."""
+    m, resources = demands.shape
+    aggregate = demands.sum(axis=1) if weights is None else demands @ weights
+    weight_list = [1.0] * resources if weights is None else weights.tolist()
+    order, density = _density_order(profits, aggregate)
+    prefix_p = [0.0, *np.cumsum(profits[order]).tolist()]
+    prefix_a = [0.0, *np.cumsum(aggregate[order]).tolist()]
+    remaining, best = [CAPACITY] * resources, 0.0
+    for j, row in enumerate(demands[order].tolist()):
+        best = max(best, prefix_p[j])
+        target = prefix_a[j] + _fold(map(mul, weight_list, remaining), 0.0)
+        t = bisect_right(prefix_a, target) - 1
+        bound = prefix_p[j] + (prefix_p[t] - prefix_p[j])
+        if t < m and target > prefix_a[t] and math.isfinite(density[t]):
+            bound = prefix_p[j] + ((prefix_p[t] - prefix_p[j]) + (target - prefix_a[t]) * density[t])
+        if bound <= best + 1e-12 * max(1.0, best):
+            return j, "bound"
+        if any(r < d for r, d in zip(remaining, row)):
+            return j, "fit"
+        remaining = [r - d for r, d in zip(remaining, row)]
+    return m, "end"
+
+
+def assert_dive_as_loop(profits, demands, node_budget: int, weights=None) -> tuple[float, np.ndarray, int, bool]:
+    """The search returns the loop's value bits, chosen items, node count and budget flag."""
+    got = _branch_and_bound(profits, demands, node_budget, weights)
+    want = _loop_branch_and_bound(profits, demands, node_budget, weights)
+    assert type(got[0]) is float and type(got[2]) is int
+    assert got[0].hex() == want[0].hex() and got[1].tobytes() == want[1].tobytes()
+    assert got[2:] == want[2:]
+    return want
+
+
+def budgets(run: int) -> set[int]:
+    """Budgets 1 to 5, and budgets ending inside the dive, at its last node and past it."""
+    return {1, 2, 3, 4, 5, max(run // 2, 1), max(run - 1, 1), max(run, 1), run + 1, run + 2}
+
+
+DIVE_MARKETS = 36  # twelve of each kind
+
+
+def dive_market(seed: int) -> Instance:
+    """Dense (every tenant demands every resource), coarse (demand spread as
+    large as the mean) or sparse (half the entries zero) by ``seed % 3``: 3 to
+    150 tenants, 1 to 5 resources, demand mean 1/N to 4/N."""
+    rng = np.random.default_rng(900 + seed)
+    n, c, share = int(rng.integers(3, 151)), int(rng.integers(1, 6)), float(rng.integers(1, 5))
+    knobs = [{}, {"demand_std": share / n}, {"participation": 0.5}][seed % 3]
+    return generate_instance(GenConfig(tenant_count=n, resource_count=c, demand_mean=share / n, seed=seed, **knobs))
+
+
+@pytest.mark.parametrize("seed", range(DIVE_MARKETS))
+def test_the_dive_books_as_the_loop(seed):
+    """Summed, with the market's LP duals (zero duals among them) and with
+    all weights zero, where every density is infinite: each budget and the
+    full search return the loop's result."""
+    instance = dive_market(seed)
+    profits, demands = viable_items(instance)
+    for weights in (None, lp_relaxation(instance)[1], np.zeros(instance.resource_count)):
+        run, _ = dive_stop(profits, demands, weights)
+        for budget in sorted(budgets(run)) + [20_000]:
+            assert_dive_as_loop(profits, demands, budget, weights)
+
+
+def test_the_dive_markets_cover_each_case():
+    # some dives reach the last item and some stop at an item that does not
+    # fit, on generated markets and on the edge markets, summed or weighted;
+    # dives that stop at a bound are on the edge markets; some LP duals are zero
+    generated, edge = Counter(), Counter()
+    zero_duals = False
+    for seed in range(DIVE_MARKETS):
+        instance = dive_market(seed)
+        profits, demands = viable_items(instance)
+        duals = lp_relaxation(instance)[1]
+        zero_duals |= bool((duals == 0).any()) and bool((duals > 0).any())
+        for weights in (None, duals):
+            generated[dive_stop(profits, demands, weights)[1]] += 1
+    for seeds, build in SMALL_MARKETS.values():
+        for profits, demands in map(build, seeds):
+            for weights in (None, lp_weights(profits, demands)):
+                edge[dive_stop(profits, demands, weights)[1]] += 1
+    assert min(generated["end"], generated["fit"], edge["end"], edge["fit"], edge["bound"]) >= 5 and zero_duals
+
+
+@pytest.mark.parametrize("family", SMALL_MARKETS)
+def test_the_dive_books_as_the_loop_on_edge_markets(family):
+    # ties, zero demands, exact prefix sums, a fill landing on CAPACITY and one
+    # an ulp above it, with and without LP weights
+    seeds, build = SMALL_MARKETS[family]
+    for profits, demands in map(build, seeds):
+        for weights in (None, lp_weights(profits, demands)):
+            run, _ = dive_stop(profits, demands, weights)
+            for budget in sorted(budgets(run)) + [10**6]:
+                assert_dive_as_loop(profits, demands, budget, weights)
+
+
+def test_a_root_whose_bound_fails_starts_the_loop_at_once():
+    # the whole market is worth less than the root's cutoff of 1e-12
+    profits, demands = np.array([4e-13, 3e-13]), np.array([[0.5], [0.25]])
+    assert dive_stop(profits, demands) == (0, "bound")
+    for budget in (1, 2, 3, 10):
+        value, chosen, nodes, exhausted = assert_dive_as_loop(profits, demands, budget)
+        assert value == 0.0 and not chosen.any()
+
+
+def test_the_dive_stops_at_a_bound_that_misses_the_cutoff():
+    # after the first take the second item fits, but its profit of 2**-51
+    # does not clear the cutoff of 1e-12 above the incumbent 1.0
+    profits, demands = np.array([1.0, 2.0**-51]), np.array([[1.0 - 2.0**-50], [2.0**-51]])
+    assert dive_stop(profits, demands) == (1, "bound")
+    for budget in (1, 2, 3):
+        assert_dive_as_loop(profits, demands, budget)
+    value, chosen, _, exhausted = assert_dive_as_loop(profits, demands, 10)
+    assert value == 1.0 and chosen.tolist() == [True, False] and not exhausted
+
+
+def test_the_dive_takes_every_item():
+    profits, demands = np.array([3.0, 2.0, 1.0]), np.full((3, 2), 0.25)
+    assert dive_stop(profits, demands) == (3, "end")
+    for budget in range(1, 8):
+        assert_dive_as_loop(profits, demands, budget)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_offline_exact_with_the_dive_as_with_the_loop(seed, monkeypatch):
+    """The summed probe and the LP-weighted restart alike: dispersed markets
+    whose probe runs out restart, and every result field stays."""
+    instance = generate_instance(dispersed(20 + 10 * seed, 1 + seed % 5, 1.0 + seed % 3, seed))
+    got = offline_exact(instance, node_budget=50_000)
+    monkeypatch.setattr(oracle, "_branch_and_bound", _loop_branch_and_bound)
+    want = offline_exact(instance, node_budget=50_000)
+    assert got.welfare.hex() == want.welfare.hex() and got.accepted.tobytes() == want.accepted.tobytes()
+    assert (got.exact, got.upper_bound, got.nodes_explored) == (want.exact, want.upper_bound, want.nodes_explored)

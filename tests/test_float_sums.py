@@ -4,11 +4,14 @@ From Python 3.12 on, ``sum()`` adds floats with compensation, so a float
 ``sum()`` anywhere between a spec and its artifacts, or in the ``verify``
 suites, would make their bytes depend on the Python version.  The fence wraps
 ``builtins.sum`` and records every call whose items or start value include a
-float (numpy's float64 is one).
+float (numpy's float64 is one).  The last test pins the order in which
+numpy's accumulations add, which the oracle and the first-fit scan rely on.
 """
 
 import builtins
+import math
 
+import numpy as np
 import pytest
 
 from slicemarket.baselines import GaParams
@@ -60,3 +63,26 @@ def test_no_float_sum_from_spec_to_artifacts(float_sums, tmp_path):
 def test_no_float_sum_in_verify(float_sums):
     assert run_verification(40, 40, 40) == []
     assert float_sums == []
+
+
+def test_numpy_accumulates_left_to_right():
+    """Branch-and-bound's root dive and the first-fit scan book their leading
+    run with ``np.subtract.accumulate`` and ``np.cumsum``, and rely on both
+    adding left to right as their per-row loops do; ``np.sum`` adds pairwise.
+    Each 2**-53 is half an ulp of 1.0 and rounds away when added to it alone,
+    so only a left-to-right sum stays at 1.0; the exact sum is 1 + 2**-47."""
+    tiny = [2.0**-53] * 64
+    added = subtracted = 1.0
+    for x in tiny:
+        added += x
+        subtracted -= -x
+    assert added == subtracted == 1.0
+    assert math.fsum([1.0] + tiny) == 1.0 + 2.0**-47 != added
+    assert np.cumsum([1.0] + tiny)[-1] == added
+    assert np.subtract.accumulate([1.0] + [-x for x in tiny])[-1] == subtracted
+    # down the rows of a two-dimensional array, as the dive and the scan run
+    rows = np.array([[1.0] + tiny, [1.0] + [-x for x in tiny]]).T.copy()
+    assert np.cumsum(rows, axis=0)[-1, 0] == added
+    assert np.subtract.accumulate(rows, axis=0)[-1, 1] == subtracted
+    np.subtract.accumulate(rows, axis=0, out=rows)
+    assert rows[-1, 1] == subtracted

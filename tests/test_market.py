@@ -391,6 +391,24 @@ class TestMarketSetup:
             assert setup.price_floors is inst.price_floors
             assert setup.price_caps is inst.price_caps
 
+    @pytest.mark.parametrize("resources", [1, 2, 5])
+    def test_setups_compare_and_hash_by_value(self, rng, resources):
+        # distinct arrays of equal values: equal and hashed alike at every C;
+        # one value apart in any array, unequal
+        setup = random_setup(rng, resources)
+        twin = MarketSetup(setup.unit_costs.copy(), setup.price_floors.copy(), setup.price_caps.copy())
+        assert twin is not setup and twin == setup and not twin != setup
+        assert hash(twin) == hash(setup) and len({setup, twin}) == 1
+        for name in ("unit_costs", "price_floors", "price_caps"):
+            arrays = {key: getattr(setup, key).copy() for key in ("unit_costs", "price_floors", "price_caps")}
+            arrays[name][-1] = np.nextafter(arrays[name][-1], 0.0 if name == "price_caps" else np.inf)
+            other = MarketSetup(**arrays)
+            assert other != setup and not other == setup
+        assert setup.__eq__(setup.unit_costs.tolist()) is NotImplemented and setup != "a setup"
+
+    def test_setups_of_other_resource_counts_are_unequal(self):
+        assert MarketSetup([0.5], [1.0], [2.0]) != MarketSetup([0.5, 0.5], [1.0, 1.0], [2.0, 2.0])
+
 
 def _reference_readonly(array, dtype=float):
     """``market._readonly`` as it was: a private read-only copy of anything."""

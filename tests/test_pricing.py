@@ -274,6 +274,16 @@ def test_a_schedule_takes_its_setup_alone(kind, derived):
         kind(E2, *(getattr(schedule, name) for name in derived))
 
 
+def test_threshold_schedules_compare_and_hash_by_their_setup():
+    # the thresholds and ratio are derived from the setup alone and take no
+    # part in the comparison, as the ramp's setup takes none in its own
+    twin = MarketSetup(E2.unit_costs.copy(), E2.price_floors.copy(), E2.price_caps.copy())
+    schedule = build_schedule(E2)
+    assert schedule == schedule and build_schedule(twin) == schedule
+    assert hash(build_schedule(twin)) == hash(schedule)
+    assert build_schedule(MarketSetup([0.5, 0.5], [1.0, 2.0], [2.0, 4.0])) != schedule
+
+
 def test_myopic_ramps_compare_and_hash_by_their_slopes():
     twin = MarketSetup(E2.unit_costs.copy(), E2.price_floors.copy(), E2.price_caps.copy())
     assert MyopicPricing(twin) == MyopicPricing(E2) and hash(MyopicPricing(twin)) == hash(MyopicPricing(E2))
