@@ -17,21 +17,24 @@ view, and the heuristic's answer is always a candidate of the exact search.
 The search sorts and sums in numpy once per call, diving into the take
 child and stacking only the skip branch.  Its root dive, the leading run of
 nodes that each pass their bound and take their item, is booked in one numpy
-pass; from the first node that fails either, each node is visited on Python
-lists and floats.  It first runs as a probe that sums the C capacities into
-one.  A generated N-tenant market at the default demand spread finishes the
-probe in about 2N nodes (at most 2.2 per viable tenant at N = 20 to 2000,
-C = 1 to 9), and its root dive takes all but the last few items, so the
-loop is left with the dive's skip branches, most pruned at once.  On such
-markets at C = 3 a call takes about 60 µs at N = 20, 115 µs at N = 100 and
-2.0 ms at N = 2000, against 55 µs, 180 µs and 3.9 ms with every node on the
-loop: at N = 20 the pass's fixed numpy cost, about 20 µs, outweighs the few
-nodes it books (Python 3.11, numpy 2.4, 2-vCPU Xeon).  With dispersed
-demands the summed bound is loose, and the probe stops after
-``_PROBE_NODES_PER_TENANT`` nodes per viable tenant.  The LP relaxation is
-then solved once, and the search restarts with the LP's capacity duals λ as
-surrogate weights (Glover, Oper. Res. 1968; Gavish and Pirkul, Math. Prog.
-1985), whose bound at the root is the LP value.  With one resource every
+pass, which also bounds every skip branch of the dive; from the first node
+that fails either, each node is visited on Python lists and floats, and a
+skip branch of the dive is built only when the loop reaches it and its
+bound beats the cutoff.  It first runs as a probe that sums the C
+capacities into one.  A generated N-tenant market at the default demand
+spread finishes the probe in about 2N nodes (at most 2.2 per viable tenant
+at N = 20 to 2000, C = 1 to 9), and its root dive takes all but the last
+few items, so nearly every other node is a skip branch of the dive that the
+loop passes over, counted and never built.  On such markets at C = 3
+``offline_exact`` takes about 80 µs at N = 20, 100 µs at N = 100, 0.66 ms
+at N = 2000 and 6.6 ms at N = 20 000, against 84 µs, 150 µs, 2.3 ms and
+38 ms when the loop stacked and popped each skip branch (Python 3.11,
+numpy 2.4, 2-vCPU Xeon).  With dispersed demands the summed bound is
+loose, and the probe stops after ``_PROBE_NODES_PER_TENANT`` nodes per
+viable tenant.  The LP relaxation is then solved once, and the search
+restarts with the LP's capacity duals λ as surrogate weights (Glover, Oper.
+Res. 1968; Gavish and Pirkul, Math. Prog. 1985), whose bound at the root is
+the LP value.  With one resource every
 weighting is the summed bound rescaled, so the probe is the whole search.
 A market whose probe finishes never solves the LP.
 
@@ -170,9 +173,20 @@ def _branch_and_bound(
     prefix sums, the rooms folded over the resources from 0.0 and each
     node's bound and cutoff as the loop computes them.  Accumulation adds
     left to right, as the loop does, so every state has the loop's bits.
-    The per-node loop, on Python lists and floats, resumes at the first node
-    that fails its bound or its take (or at the budget), with the run's skip
-    branches on its stack.
+    The same pass bounds each dive node's skip branch, at depth ``j + 1``
+    with the node's value ``prefix_p[j]`` and room; a skip branch at depth
+    ``m`` is a leaf and gets no bound.  The per-node loop, on Python lists
+    and floats, resumes at the first node that fails its bound or its take
+    (or at the budget) and stacks only the branches it pushes itself.  When
+    that stack empties it takes the dive's skip branches, deepest first:
+    each whose bound misses the cutoff counts as one visited node, and the
+    first that beats it is built, from its row of remaining capacities, and
+    visited.  The cutoff only rises, so the branches that miss it after the
+    dive are filtered out once, and each other one is checked again when
+    reached.  The loop converts the per-item arrays to lists only from the
+    shallowest depth it can visit.  Nodes, incumbents and the budget rule
+    are the loop's, as if it had visited the dive and popped every skip
+    branch itself.
     """
     m, resources = demands.shape
     aggregate = demands.sum(axis=1) if weights is None else demands @ weights
@@ -183,42 +197,58 @@ def _branch_and_bound(
     rows = demands[order]
 
     # the root dive: node j has taken items 0..j-1, is worth prefix_p[j] and
-    # holds the incumbent best[j]
+    # holds the incumbent best[j]; its skip branch is node j's value and room
+    # at depth j + 1
     states = np.concatenate((np.full((1, resources), CAPACITY), rows))
     np.subtract.accumulate(states, axis=0, out=states)
     rooms = np.zeros(m + 1)
     for column in (states if weights is None else states * weights).T:
         rooms += column
     best = np.maximum.accumulate(prefix_p[:m])
-    target = prefix_a[:m] + rooms[:m]
-    t = prefix_a.searchsorted(target, side="right") - 1
     finite = np.isfinite(density)
     # an infinite density, a zero leftover or t == m adds an exact zero where the loop adds nothing
     fill = np.zeros(m + 1)
     np.copyto(fill[:m], density, where=finite)
-    bounds = prefix_p[:m] + ((prefix_p[t] - prefix_p[:m]) + (target - prefix_a[t]) * fill[t])
-    takes = (bounds > best + 1e-12 * np.maximum(best, 1.0)) & (states[:m] >= rows).all(axis=1)
+    # each node j's bound at depth j (row 0, the dive) and j + 1 (row 1, its
+    # skip branch): a strided view holds prefix[j] in row 0 and prefix[j + 1] in row 1
+    at_a, at_p = (np.ndarray((2, m), buffer=prefix, strides=prefix.strides * 2) for prefix in (prefix_a, prefix_p))
+    target = at_a + rooms[:m]
+    t = prefix_a.searchsorted(target, side="right") - 1
+    bounds = prefix_p[:m] + ((prefix_p[t] - at_p) + (target - prefix_a[t]) * fill[t])
+    takes = (bounds[0] > best + 1e-12 * np.maximum(best, 1.0)) & (states[:m] >= rows).all(axis=1)
     run = min(m if takes.all() else int(takes.argmin()), node_budget)
     incumbent = int(prefix_p[: max(run, 1)].argmax())
-
-    prefix_p = prefix_p.tolist()
-    prefix_a = prefix_a.tolist()
-    finite = finite.tolist()
-    density = density.tolist()
-    profit_list = profits[order].tolist()
-    stack: list[tuple[int, float, list[float], float, int]] = list(
-        zip(range(1, run + 1), prefix_p, states[:run].tolist(), rooms.tolist(), [(1 << j) - 1 for j in range(run)])
-    )
-    rows = rows.tolist()
-
-    best_value = prefix_p[incumbent]
+    best_value = float(prefix_p[incumbent])
     best_mask = (1 << incumbent) - 1
     cutoff = best_value + 1e-12 * max(1.0, abs(best_value))
+    skip_bounds = bounds[1]
+    skip_bounds[m - 1 :] = -np.inf  # a leaf, pruned when reached
+    # the run's skip branches that beat the cutoff now, in depth order; every
+    # other one misses it when reached, as the cutoff only rises
+    pending = (skip_bounds[:run] > cutoff).nonzero()[0].tolist()
+    dive_left = run  # the skip branches 0..dive_left-1 are not yet reached
+    dive_values = prefix_p
+
+    # the loop reads per-item entries only from the shallowest depth it visits on
+    shallowest = pending[0] + 1 if pending else run
+    unread = [None] * shallowest
+
+    def listed(values: np.ndarray) -> list:
+        return unread + values[shallowest:].tolist()
+
+    prefix_p = listed(prefix_p)
+    prefix_a = listed(prefix_a)
+    finite = listed(finite)
+    density = listed(density)
+    profit_list = listed(profits[order])
+    rows = listed(rows)
+
     nodes = run
     exhausted = False
     depth, value, mask = run, prefix_p[run], (1 << run) - 1
     remaining = states[run].tolist()
     room = float(rooms[run])
+    stack: list[tuple[int, float, list[float], float, int]] = []
     while True:
         if nodes == node_budget:
             exhausted = True
@@ -230,9 +260,10 @@ def _branch_and_bound(
             cutoff = best_value + 1e-12 * max(1.0, abs(best_value))
         if depth < m:
             # fractional fill of items depth.. within the node's room; bisect_right
-            # over the sorted, NaN-free prefix sums is searchsorted(side="right")
+            # over the sorted, NaN-free prefix sums is searchsorted(side="right"),
+            # and no prefix sum below depth exceeds the target
             target = prefix_a[depth] + room
-            t = bisect_right(prefix_a, target) - 1
+            t = bisect_right(prefix_a, target, depth) - 1
             if t >= m:
                 tail = prefix_p[m] - prefix_p[depth]
             else:
@@ -257,9 +288,24 @@ def _branch_and_bound(
                 # visit the take child, or the skip child when the item does not fit
                 depth += 1
                 continue
-        if not stack:
+        if stack:
+            depth, value, remaining, room, mask = stack.pop()
+            continue
+        # then the dive's skip branches, deepest first: each one that misses the
+        # cutoff is one node, and the first one that beats it is visited
+        while pending and skip_bounds[pending[-1]] <= cutoff:
+            pending.pop()
+        j = pending.pop() if pending else -1
+        nodes += dive_left - 1 - j
+        if nodes > node_budget:
+            nodes = node_budget
+            exhausted = True
             break
-        depth, value, remaining, room, mask = stack.pop()
+        if j < 0:
+            break
+        dive_left = j
+        depth, value, room, mask = j + 1, float(dive_values[j]), float(rooms[j]), (1 << j) - 1
+        remaining = states[j].tolist()
 
     # the mask is over sorted positions; order maps them back to item indices
     chosen = np.zeros(m, dtype=bool)

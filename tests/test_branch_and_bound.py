@@ -17,8 +17,11 @@ same order and stops at the budget.  With weights it is compared with
 exhaustive enumeration instead.
 
 ``_loop_branch_and_bound`` is the search as it was before its root dive ran
-in numpy: every node on the per-node loop.  The search must return what it
-returns, bit for bit, summed and weighted, at every budget.
+in numpy: every node on the per-node loop, every skip branch of the dive
+stacked and popped.  The search must return what it returns, bit for bit,
+summed and weighted, at every budget.  ``search_trace`` lists the loop's
+nodes in its visiting order in plain recursive Python, so budgets can be
+set to end among the dive's skip branches that the loop passes over.
 """
 
 import math
@@ -756,3 +759,178 @@ def test_offline_exact_with_the_dive_as_with_the_loop(seed, monkeypatch):
     want = offline_exact(instance, node_budget=50_000)
     assert got.welfare.hex() == want.welfare.hex() and got.accepted.tobytes() == want.accepted.tobytes()
     assert (got.exact, got.upper_bound, got.nodes_explored) == (want.exact, want.upper_bound, want.nodes_explored)
+
+
+# ---------------------------------------------------------------------------
+# the dive's skip branches, bounded in its numpy pass, against the loop that
+# popped each one from its stack
+
+
+def search_trace(profits: np.ndarray, demands: np.ndarray, weights: np.ndarray | None = None):
+    """The loop's nodes in its visiting order, in plain recursive Python, and the
+    root dive's length.  A node is ``(depth, mask, bound, cutoff)``, with the
+    cutoff after its own value; a leaf's bound is -inf.  A node whose bound
+    beats the cutoff visits its take child's subtree, if the item fits, then
+    its skip child's, as the loop's stack does."""
+    m, resources = demands.shape
+    aggregate = demands.sum(axis=1) if weights is None else demands @ weights
+    weight_list = [1.0] * resources if weights is None else weights.tolist()
+    order, density = _density_order(profits, aggregate)
+    prefix_p = [0.0, *np.cumsum(profits[order]).tolist()]
+    prefix_a = [0.0, *np.cumsum(aggregate[order]).tolist()]
+    rows, profit_list, density = demands[order].tolist(), profits[order].tolist(), density.tolist()
+    trace, best = [], [0.0]
+
+    def visit(depth: int, value: float, remaining: list[float], mask: int) -> None:
+        best[0] = max(best[0], value)
+        cutoff, bound = best[0] + 1e-12 * max(1.0, best[0]), -math.inf
+        if depth < m:
+            target = prefix_a[depth] + _fold(map(mul, weight_list, remaining), 0.0)
+            t = bisect_right(prefix_a, target) - 1
+            tail = prefix_p[t] - prefix_p[depth]
+            if t < m and target > prefix_a[t] and math.isfinite(density[t]):
+                tail += (target - prefix_a[t]) * density[t]
+            bound = value + tail
+        trace.append((depth, mask, bound, cutoff))
+        if bound > cutoff:
+            row = rows[depth]
+            if all(r >= d for r, d in zip(remaining, row)):
+                visit(depth + 1, value + profit_list[depth], [r - d for r, d in zip(remaining, row)], mask | 1 << depth)
+            visit(depth + 1, value, remaining, mask)
+
+    visit(0, 0.0, [CAPACITY] * resources, 0)
+    return trace, dive_stop(profits, demands, weights)[0]
+
+
+def skip_branches(trace, run: int) -> dict[int, tuple[int, float, float]]:
+    """Each of the dive's skip branches j the loop reaches: its node number
+    (1-based), its bound and the cutoff then.  Skip branch j sits at depth
+    j + 1 with mask 2**j - 1."""
+    return {
+        depth - 1: (number, bound, cutoff)
+        for number, (depth, mask, bound, cutoff) in enumerate(trace, 1)
+        if 0 < depth <= run and mask == (1 << depth - 1) - 1
+    }
+
+
+def passed_over(branches: dict[int, tuple[int, float, float]]) -> list[int]:
+    """The node numbers at which the loop passes over a skip branch: its bound misses the cutoff."""
+    return sorted(number for number, bound, cutoff in branches.values() if bound <= cutoff)
+
+
+def passing_budgets(passed: list[int], nodes: int) -> list[int]:
+    """Budgets that end around the first passed-over skip branch, at the middle one and
+    around the last, at the search's last node and one past it."""
+    first, middle, last = passed[0], passed[len(passed) // 2], passed[-1]
+    return sorted({first - 1, first, first + 1, middle, last - 1, last, last + 1, nodes, nodes + 1})
+
+
+def dive_cutoff(trace, run: int) -> float:
+    """The cutoff after the dive's last node; 1e-12 when the dive is empty."""
+    return trace[run - 1][3] if run else 1e-12
+
+
+def filtered_then_pruned(trace, run: int) -> list[int]:
+    """The skip branches whose bound beats the dive's cutoff and misses the cutoff when reached."""
+    cutoff = dive_cutoff(trace, run)
+    return [j for j, (_, bound, later) in skip_branches(trace, run).items() if cutoff < bound <= later]
+
+
+def explored_after_passing(trace, run: int) -> list[int]:
+    """The skip branches the loop explores after passing over a deeper one."""
+    branches = skip_branches(trace, run)
+    passed = passed_over(branches)
+    return [j for j, (number, bound, cutoff) in branches.items() if bound > cutoff and passed and passed[0] < number]
+
+
+PASSING_MARKETS = [
+    *(GenConfig(tenant_count=n, resource_count=c, seed=n + c) for n, c in [(20, 1), (40, 3), (60, 4), (100, 2), (150, 5)]),
+    *(dispersed(20 + 4 * seed, 1 + seed % 3, 1.0, seed) for seed in (1, 4, 5, 7)),
+]
+
+
+@pytest.mark.parametrize("config", PASSING_MARKETS, ids=market_id)
+def test_budgets_among_the_passed_over_skip_branches(config):
+    """Summed and with the LP duals: budgets that run out at the first skip
+    branch the loop passes over, in the middle of them, exactly at the last
+    one and one past it return the loop's result."""
+    instance = generate_instance(config)
+    profits, demands = viable_items(instance)
+    for weights in (None, lp_relaxation(instance)[1]):
+        trace, run = search_trace(profits, demands, weights)
+        assert assert_dive_as_loop(profits, demands, 10**9, weights)[2] == len(trace)
+        for budget in passing_budgets(passed_over(skip_branches(trace, run)), len(trace)):
+            assert_dive_as_loop(profits, demands, budget, weights)
+
+
+def test_the_passing_markets_cover_each_case():
+    # summed: default markets end on a passed-over skip branch, so the budget
+    # of their last node leaves nothing; a skip branch that beat the dive's
+    # cutoff is pruned once the loop has raised it; the loop explores a skip
+    # branch after passing over a deeper one
+    ends, pruned_later, explored_later = 0, 0, 0
+    for config in PASSING_MARKETS:
+        trace, run = search_trace(*viable_items(generate_instance(config)))
+        ends += passed_over(skip_branches(trace, run))[-1] == len(trace)
+        pruned_later += bool(filtered_then_pruned(trace, run))
+        explored_later += bool(explored_after_passing(trace, run))
+    assert ends >= 5 and pruned_later >= 5 and explored_later >= 3
+
+
+def raised_cutoff_market() -> tuple[np.ndarray, np.ndarray]:
+    """One resource, items in density order.  The dive takes items 0 and 1
+    (1.46875) and stops at item 2, which does not fit; the loop then takes
+    item 3, for 1.8125.  The skip branches of items 1 and 0 bound 1.75 and
+    1.5625: both beat the dive's cutoff of 1 and miss the loop's 1.8125."""
+    return np.array([1.0, 15 / 32, 3 / 4, 11 / 32]), np.array([[1 / 2], [1 / 4], [1 / 2], [1 / 4]])
+
+
+def earlier_branch_market() -> tuple[np.ndarray, np.ndarray]:
+    """One resource, items in density order, sizes 1/8, 1/4, 3/8 and 1/2.  The
+    dive takes items 0 to 2 (4.75) and item 3 does not fit.  The skip branch
+    of item 2 bounds 4.5 and is passed over; the skip branch of item 1 then
+    bounds 4.875 and is explored, and books {0, 2, 3} for 4.875, which prunes
+    the skip branch of item 0 (4.25)."""
+    return np.array([1.625, 1.375, 1.75, 1.5]), np.array([[1 / 8], [1 / 4], [3 / 8], [1 / 2]])
+
+
+def test_a_deeper_incumbent_prunes_a_branch_that_passed_the_dives_filter():
+    profits, demands = raised_cutoff_market()
+    trace, run = search_trace(profits, demands)
+    assert run == 2 and dive_cutoff(trace, run) == 1.0 + 1e-12
+    assert {j: bound for j, (_, bound, _) in skip_branches(trace, run).items()} == {1: 1.75, 0: 1.5625}
+    assert filtered_then_pruned(trace, run) == [1, 0]
+    for weights in (None, lp_weights(profits, demands)):
+        for budget in range(1, len(trace) + 2):
+            assert_dive_as_loop(profits, demands, budget, weights)
+    value, chosen, nodes, exhausted = assert_dive_as_loop(profits, demands, 10**9)
+    assert (value, chosen.tolist(), nodes, exhausted) == (1.8125, [True, True, False, True], len(trace), False)
+
+
+def test_an_earlier_branch_is_explored_after_later_ones_are_passed_over():
+    profits, demands = earlier_branch_market()
+    trace, run = search_trace(profits, demands)
+    branches = skip_branches(trace, run)
+    assert run == 3 and {j: bound for j, (_, bound, _) in branches.items()} == {2: 4.5, 1: 4.875, 0: 4.25}
+    assert passed_over(branches) == [branches[2][0], branches[0][0]] and explored_after_passing(trace, run) == [1]
+    for weights in (None, lp_weights(profits, demands)):
+        for budget in range(1, len(trace) + 2):
+            assert_dive_as_loop(profits, demands, budget, weights)
+    value, chosen, nodes, exhausted = assert_dive_as_loop(profits, demands, 10**9)
+    assert (value, chosen.tolist(), nodes, exhausted) == (4.875, [True, False, True, True], len(trace), False)
+
+
+def test_a_default_market_of_2000_tenants_as_with_the_loop():
+    """The size where the dive's skip branches dominate: at C = 3 the dive
+    takes all but the last items, and the loop passes over nearly all of its
+    skip branches at the end.  Summed and with the LP duals, the full search
+    and budgets at the dive's end and among the last ``run`` nodes return the
+    loop's value bits, chosen items, node count and budget flag."""
+    instance = generate_instance(GenConfig(tenant_count=2000, resource_count=3, seed=11))
+    profits, demands = viable_items(instance)
+    for weights in (None, lp_relaxation(instance)[1]):
+        run, _ = dive_stop(profits, demands, weights)
+        *_, nodes, exhausted = assert_dive_as_loop(profits, demands, DEFAULT_NODE_BUDGET, weights)
+        assert run >= 1990 and 2 * run < nodes < 2 * run + 20 and not exhausted
+        for budget in (run, nodes - run + 1, nodes - run // 2, nodes - 1, nodes, nodes + 1):
+            assert_dive_as_loop(profits, demands, budget, weights)

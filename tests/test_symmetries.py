@@ -9,7 +9,8 @@ relations for the two exact oracle methods.
 - Scaling every amount of money (valuations, floors, caps and unit costs) by
   a power of two scales every product, sum and exponential term exactly, so
   every decision stays and every payment, charge, quote and revenue scales
-  exactly.
+  exactly.  The LP bound scales within 1e-9 relative, not exactly
+  (``test_scaling_money_scales_the_lp_bound``).
 - Relabelling the tenants, with the arrival order mapped to match, hands the
   session the same arrivals, so it keeps its decisions and its revenue bits.
 - A tenant of zero valuation arriving last cannot buy, and its adjusted profit
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 from slicemarket.baselines import GaParams, ga_heuristic, utility_bid_auction
-from slicemarket.oracle import offline_exact
+from slicemarket.oracle import lp_upper_bound, offline_exact
 from slicemarket.protocol import run_posted_price
 from slicemarket.workload import GenConfig, Instance, generate_instance
 
@@ -86,6 +87,23 @@ def test_scaling_money_keeps_the_auction_and_ga_sets():
         (welfare, accepted), (rescaled, kept) = ga_heuristic(instance, GA), ga_heuristic(money, GA)
         assert bits(kept) == bits(accepted)
         assert rescaled.hex() == (welfare * scale).hex()
+
+
+def test_scaling_money_scales_the_lp_bound():
+    """``lp_upper_bound`` of the scaled market is the bound times 2^k within
+    1e-9 relative.  On these 300 draws 7 differ from the exact product, each
+    by one ulp (at most 2.2e-16 relative).  HiGHS's absolute tolerances do
+    not explain it: solving the scaled market with its dual feasibility and
+    optimality tolerances (1e-7) scaled by the same 2^k leaves all 7
+    differing.  Each pair ends at the same optimal basis, 6 of the 7 after
+    different iteration counts (6 and 10 on one), and both are exact images
+    once HiGHS's own model scaling is off (``simplex_scale_strategy = 0``)
+    or the 2^k is handed to it as ``user_objective_scale``.  So the solve
+    depends on the costs' magnitude other than through those tolerances,
+    and the last bit follows it."""
+    for instance, _, rng in map(market, MARKETS):
+        scale = 2.0 ** int(rng.choice([-3, 5]))
+        assert lp_upper_bound(scaled(instance, scale)) == pytest.approx(lp_upper_bound(instance) * scale, rel=1e-9)
 
 
 def test_relabelling_tenants_keeps_the_session_bits():
